@@ -65,8 +65,8 @@ class AttackSpec:
         }[self.family]
         for name in need:
             val = getattr(self, name)
-            if val is None or val <= 0:
-                raise ValueError(f"family {self.family!r} needs {name} > 0, got {val}")
+            if val is None or not 0 < val < np.inf:
+                raise ValueError(f"family {self.family!r} needs finite {name} > 0, got {val}")
 
     def to_dict(self) -> dict:
         return asdict(self)

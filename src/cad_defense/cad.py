@@ -1,14 +1,14 @@
 """The adaptive defence loop tying recovery, feedback, and the bandit together.
 
-Each iteration samples one of the four recovery actions, refines the
-current spectral estimate with that action's growing inner-iteration
-budget, prunes to k terms, scores the residual with that action's
-feedback predicate, and feeds the importance-weighted reward back into
-the action scores.  The loop stops once some action's probability
-concentrates, the residual collapses, or the iteration cap is hit; the
-final answer is a fresh full-budget run of the best-scoring action, with
-greedy recovery as the fallback when no action ever earned a positive
-score.
+Each iteration samples one of the four recovery actions, runs it, prunes
+to k terms, scores the residual with that action's feedback predicate,
+and feeds the importance-weighted reward back into the action scores.
+The loop stops once some action's probability concentrates, the residual
+collapses, or the iteration cap is hit.  The best-scoring action, or
+greedy recovery when no action ever earned a positive score, gives the
+final answer: its closed form on the full operator, or a cold full-budget
+run on a row-subsampled one, where in-loop runs warm-start at the current
+estimate with a budget that grows each time the action is selected.
 """
 
 from __future__ import annotations
@@ -65,6 +65,8 @@ class CadConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.final_iters < 1:
+            raise ValueError(f"final_iters must be >= 1, got {self.final_iters}")
         if self.x0_mode not in ("zero", "random"):
             raise ValueError(f"unknown x0_mode {self.x0_mode!r}")
         if self.channels not in (1, 3):
@@ -210,38 +212,37 @@ def inner_iterations(action: int, times_selected: int,
 
 def run_action(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
                budget: int, x_start: np.ndarray | None = None) -> np.ndarray:
-    """Run one action at the given budget; returns an unpruned spectrum.
+    """One loop step of an action; returns an unpruned spectrum.
 
-    CoSaMP continues from x_start for `budget` steps.  The convex actions
-    solve their radius-constrained problem: exactly on the full operator
-    (the solve is closed-form, so the budget only caps the bisection), and
-    with budget-scaled splitting iterations warm-started at x_start on
-    subsampled operators.
+    The full operator takes the closed form; a row-subsampled one runs
+    `budget` CoSaMP steps or 200 * budget splitting iterations from x_start.
+    """
+    return _solve(action, y, op, cfg, budget, x_start)
+
+
+def _solve(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
+           budget: int | None = None,
+           x_start: np.ndarray | None = None) -> np.ndarray:
+    """Unpruned spectrum of one action; budget None gives the final answer.
+
+    On the full operator each action is a closed form of c = F y (CoSaMP's
+    least-squares step restricts c, so its pruned iterate is top_k(c); each
+    l1 action soft-thresholds c).  A subsampled final answer is a cold run
+    of cfg.final_iters CoSaMP steps or of the splitting solver to its cap.
     """
     if action == A_COSAMP:
-        return cosamp_run(y, op, cfg.k, budget, x0=x_start).final.estimate
+        if op.is_full:
+            return op.analyze(y)
+        steps = cfg.final_iters if budget is None else budget
+        return cosamp_run(y, op, cfg.k, steps, x0=x_start).final.estimate
     radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
-                           cfg.eta_dprime, op.n)
-    if op.is_full:
-        return l1_min_orthonormal(L1Problem(observed=y, op=op, radius=radius))
-    problem = L1Problem(observed=y, op=op, radius=radius,
-                        max_iters=_GENERAL_ITERS_PER_UNIT * budget)
-    return l1_min_general(problem, x0=x_start).coeffs
-
-
-def _final_estimate(method: int, y: np.ndarray, op: SensingOperator,
-                    cfg: CadConfig) -> np.ndarray:
-    """Fresh full-budget run of the winning action, pruned to k terms."""
-    if method == A_COSAMP:
-        return cosamp_run(y, op, cfg.k, cfg.final_iters).final.estimate
-    radius = action_radius(method, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                            cfg.eta_dprime, op.n)
     problem = L1Problem(observed=y, op=op, radius=radius)
     if op.is_full:
-        raw = l1_min_orthonormal(problem)
-    else:
-        raw = l1_min_general(problem).coeffs
-    return top_k(raw, cfg.k)
+        return l1_min_orthonormal(problem)
+    if budget is not None:
+        problem.max_iters = _GENERAL_ITERS_PER_UNIT * budget
+    return l1_min_general(problem, x0=x_start).coeffs
 
 
 def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
@@ -249,6 +250,8 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.m,):
         raise ValueError(f"y must have shape ({op.m},), got {y.shape}")
+    if cfg.k > op.n:
+        raise ValueError(f"k={cfg.k} exceeds the dimension n={op.n}")
     fb = cfg.feedback
     rng = np.random.default_rng(seed)
     if cfg.x0_mode == "random":
@@ -290,8 +293,7 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
             break
     best = int(np.argmax(state.scores))  # ties resolve to the lowest index
     fallback = bool(state.scores.max() <= 0.0)
-    method = A_COSAMP if fallback else best
-    final = _final_estimate(method, y, op, cfg)
+    final = top_k(_solve(A_COSAMP if fallback else best, y, op, cfg), cfg.k)
     return CadOutcome(
         final_method=best, fallback=fallback, estimate=final,
         reconstruction=op.synthesize(final), trace=trace, stopped_at=t,
@@ -322,10 +324,7 @@ def cad_run(y: np.ndarray, cfg: CadConfig, stats, op: SensingOperator):
         for ch in range(3)
     ]
     labels = [(o.final_method, o.fallback) for o in outcomes]
-    counts = {lab: labels.count(lab) for lab in labels}
-    top = max(counts.values())
-    winner = next(lab for lab in labels if counts[lab] == top)
-    method, fallback = winner
+    method, fallback = max(labels, key=labels.count)  # first of the most common
     return ChannelsOutcome(
         channels=outcomes, final_method=method, fallback=fallback,
         estimate=np.concatenate([o.estimate for o in outcomes]),

@@ -66,7 +66,6 @@ class ExperimentConfig:
     cad: CadConfig
     stats: dict
     stats_dir: str | None
-    dataset: str | None
     bench: dict | None
     raw: dict
 
@@ -85,9 +84,9 @@ class ExperimentConfig:
             schedule = tuple(cad_d.pop("inner_schedule", (3, 2)))
             cad = CadConfig(feedback=fb, bandit_params=bandit,
                             inner_schedule=schedule, channels=channels, **cad_d)
+            clean_k = int(clean.get("k", cad.k))
             stats = dict(d.get("stats", {}))
             stats_dir = d.get("stats_dir")
-            dataset = d.get("dataset")
             bench = d.get("bench")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
@@ -96,19 +95,23 @@ class ExperimentConfig:
         for a in attacks:
             if "family" not in a:
                 raise ConfigError(f"attack entry missing family: {a}")
+            try:
+                AttackSpec(**{k: v for k, v in a.items() if k != "count"})
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad attack entry {a}: {exc}") from exc
+        for name, k in (("cad.k", cad.k), ("clean.k", clean_k)):
+            if not 1 <= k <= n:
+                raise ConfigError(f"{name}={k} must lie in [1, n={n}]")
         kind = clean.get("kind", "sparse")
         if kind not in ("sparse", "compressible", "files"):
             raise ConfigError(f"unknown clean kind {kind!r}")
         return cls(n=n, channels=channels, seed=seed, clean=clean,
                    attacks=attacks, count=count, cad=cad, stats=stats,
-                   stats_dir=stats_dir, dataset=dataset, bench=bench, raw=d)
+                   stats_dir=stats_dir, bench=bench, raw=d)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            text = Path(path).read_text()
-        except OSError:
-            raise
+        text = Path(path).read_text()
         try:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -195,9 +198,14 @@ def _compute_stats(cfg: ExperimentConfig, op: SensingOperator) -> list[CleanStat
 
 
 def _load_stats(cfg: ExperimentConfig) -> list[CleanStats]:
-    base = Path(cfg.stats_dir)
-    return [load_clean_stats(base / f"clean_stats_ch{ch}.f64")
-            for ch in range(cfg.channels)]
+    stats = []
+    for ch in range(cfg.channels):
+        path = Path(cfg.stats_dir) / f"clean_stats_ch{ch}.f64"
+        st = load_clean_stats(path)
+        if st.n != cfg.n:
+            raise ConfigError(f"{path}: stats have n={st.n}, config has n={cfg.n}")
+        stats.append(st)
+    return stats
 
 
 def _resolve_stats(cfg: ExperimentConfig, op: SensingOperator) -> list[CleanStats] | None:
@@ -277,16 +285,8 @@ def _run_one(cfg: ExperimentConfig, op: SensingOperator,
 _POOL = {}
 
 
-def _pool_init(raw_cfg: dict, stats_payload):
-    _POOL["cfg"] = ExperimentConfig.from_dict(raw_cfg)
-    _POOL["op"] = SensingOperator(_POOL["cfg"].n)
-    if stats_payload is None:
-        _POOL["stats"] = None
-    else:
-        _POOL["stats"] = [
-            CleanStats(mean=m, covariance=c, ridge=r, source_count=s)
-            for (m, c, r, s) in stats_payload
-        ]
+def _pool_init(cfg: ExperimentConfig, stats: list[CleanStats] | None):
+    _POOL.update(cfg=cfg, op=SensingOperator(cfg.n), stats=stats)
 
 
 def _pool_run(task: tuple[int, dict]) -> dict:
@@ -299,10 +299,8 @@ def _run_ensemble(cfg: ExperimentConfig, workers: int = 1) -> dict:
     stats = _resolve_stats(cfg, op)
     tasks = _attack_entries(cfg)
     if workers > 1:
-        payload = None if stats is None else [
-            (s.mean, s.covariance, s.ridge, s.source_count) for s in stats]
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=(cfg.raw, payload)) as pool:
+                                 initargs=(cfg, stats)) as pool:
             results = list(pool.map(_pool_run, tasks, chunksize=4))
     else:
         results = [_run_one(cfg, op, stats, i, e) for i, e in tasks]

@@ -2,6 +2,7 @@
 composition identity, and signal IO round-trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -147,6 +148,11 @@ def test_attack_spec_validation():
         AttackSpec(family="l0", tau=5)  # missing eta_prime
     with pytest.raises(ValueError):
         AttackSpec(family="l2", eta=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            AttackSpec(family="l2", eta=bad)
+        with pytest.raises(ValueError, match="finite"):
+            AttackSpec(family="l0", tau=4, eta_prime=bad)
     with pytest.raises(ValueError):
         draw_perturbation(AttackSpec(family="l0", tau=65, eta_prime=0.1), N)
 

@@ -5,14 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cad_defense import (ACTION_LABELS, FALLBACK_LABEL, AttackSpec,
                          BanditState, CadConfig, FeedbackConfig, L1Problem,
-                         SensingOperator, action_radius, cad_run,
+                         SensingOperator, action_radius, cad_run, cosamp_run,
                          estimate_clean_stats, inner_iterations,
-                         l1_min_orthonormal, make_clean_compressible,
-                         make_clean_sparse, perturb, probabilities, reward,
-                         run_action, update)
+                         l1_min_general, l1_min_orthonormal,
+                         make_clean_compressible, make_clean_sparse, perturb,
+                         probabilities, reward, run_action, top_k, update)
 from cad_defense.recovery import A_COSAMP, A_L2
 
 MNIST_FB = dict(alpha=8.0, beta=5.0, m=1.8, tau=15, theta=65.0)
@@ -73,6 +76,43 @@ def test_run_action_cosamp_continues_from_start():
     cfg = CadConfig(k=6, feedback=_fb())
     out = run_action(A_COSAMP, y, op, cfg, budget=1, x_start=x)
     assert np.abs(out - x).max() < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 48), steps=st.integers(1, 4))
+def test_full_operator_cosamp_is_top_k_of_analysis(data, n, steps):
+    # from a zero start the first proxy is F y itself, and every least-squares
+    # step on the full operator restricts F y, so the iterates never move;
+    # magnitudes stay where F y cannot overflow, which the operator rejects
+    y = data.draw(arrays(np.float64, n, elements=st.floats(-1e150, 1e150)))
+    k = data.draw(st.integers(1, n))
+    op = SensingOperator(n)
+    greedy = cosamp_run(y, op, k, steps).final.estimate
+    assert greedy.tobytes() == top_k(op.analyze(y), k).tobytes()
+
+
+def test_subsampled_actions_keep_the_iterative_solvers():
+    n, k = 64, 4
+    rows = np.sort(np.random.default_rng(5).choice(n, 40, replace=False))
+    op = SensingOperator(n, rows=rows)
+    x = make_clean_sparse(n, k, np.random.default_rng(3))
+    y = op.synthesize(x)
+    start = top_k(np.random.default_rng(4).standard_normal(n), k)
+    cfg = CadConfig(k=k, feedback=_fb())
+    greedy = run_action(A_COSAMP, y, op, cfg, budget=2, x_start=start)
+    assert np.array_equal(greedy, cosamp_run(y, op, k, 2, x0=start).final.estimate)
+    radius = action_radius(A_L2, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
+                           cfg.eta_dprime, n)
+    convex = run_action(A_L2, y, op, cfg, budget=2, x_start=start)
+    direct = l1_min_general(L1Problem(observed=y, op=op, radius=radius,
+                                      max_iters=400), x0=start)
+    assert np.array_equal(convex, direct.coeffs)
+    # the fallback's final answer is a cold run of final_iters CoSaMP steps
+    starved = _fb(alpha=0.0, theta=0.0, tau=0, m=math.inf, beta=math.inf,
+                  delta_res=0.0, t_max=5)
+    out = cad_run(y, CadConfig(k=k, feedback=starved, final_iters=3), None, op)
+    assert out.fallback
+    assert np.array_equal(out.estimate, cosamp_run(y, op, k, 3).final.estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +349,8 @@ def test_single_channel_validation():
     cfg = CadConfig(k=2, feedback=_fb())
     with pytest.raises(ValueError):
         cad_run(np.zeros(15), cfg, None, op)
+    with pytest.raises(ValueError, match="exceeds"):
+        cad_run(np.zeros(16), CadConfig(k=17, feedback=_fb()), None, op)
 
 
 def test_config_validation():
@@ -318,6 +360,9 @@ def test_config_validation():
         CadConfig(k=2, feedback=_fb(), channels=2)
     with pytest.raises(ValueError):
         CadConfig(k=2, feedback=_fb(), bandit_params=(1.0, 1.0, 1.0))
+    for final_iters in (0, -1):
+        with pytest.raises(ValueError, match="final_iters"):
+            CadConfig(k=2, feedback=_fb(), final_iters=final_iters)
 
 
 def test_action_labels_cover_methods():

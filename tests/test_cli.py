@@ -2,11 +2,13 @@
 report formats, and log-level control."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from cad_defense.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                              main)
@@ -82,6 +84,30 @@ def test_exit_code_bad_config(tmp_path, capsys):
     incomplete.write_text(json.dumps({"n": 16}))
     assert main(["run", "--config", str(incomplete),
                  "--out", str(tmp_path / "o2")]) == EXIT_CONFIG
+
+
+def _stats_for_n64(tmp_path):
+    stats_dir = tmp_path / "stats"
+    stats_dir.mkdir()
+    stats = CleanStats(mean=np.zeros(64), covariance=np.eye(64), ridge=1e-4,
+                       source_count=5)
+    save_clean_stats(stats, stats_dir / "clean_stats_ch0.f64")
+    return {"n": 128, "stats_dir": str(stats_dir)}
+
+
+@pytest.mark.parametrize("overrides", [
+    lambda _: {"attacks": [{"family": "l9"}]},
+    lambda _: {"attacks": [{"family": "l2", "eta": math.nan}]},
+    lambda _: {"cad": {"k": 33, "feedback": dict(FB)}},
+    _stats_for_n64,
+], ids=["unknown_family", "nan_budget", "k_above_n", "stats_of_other_n"])
+def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, overrides):
+    cfg = _write_config(tmp_path, **overrides(tmp_path))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not (tmp_path / "o" / "report.csv").exists()
 
 
 def test_exit_code_missing_config(tmp_path, capsys):
