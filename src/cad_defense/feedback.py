@@ -123,16 +123,17 @@ def thresholded_count(v: np.ndarray, threshold: float) -> int:
 def mahalanobis(v: np.ndarray, stats: CleanStats) -> float:
     """Distance sqrt((v - mean)^T (C + ridge I)^{-1} (v - mean)).
 
-    Solved through the cached triangular factorization; raises
+    With C + ridge I = L L^T this is ||L^{-1} (v - mean)||_2, one
+    triangular solve against the cached Cholesky factor; raises
     scipy.linalg.LinAlgError naming the offending leading minor when
     C + ridge I is not positive definite.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != stats.mean.shape:
         raise ValueError(f"v must have shape {stats.mean.shape}, got {v.shape}")
-    d = v - stats.mean
-    sol = scipy.linalg.cho_solve(stats.factor(), d)
-    return float(np.sqrt(max(d @ sol, 0.0)))
+    factor, lower = stats.factor()
+    w = scipy.linalg.solve_triangular(factor, v - stats.mean, lower=lower)
+    return float(np.linalg.norm(w))
 
 
 def estimate_clean_stats(clean_signals, op: SensingOperator, k: int,

@@ -96,9 +96,11 @@ class ExperimentConfig:
             if "family" not in a:
                 raise ConfigError(f"attack entry missing family: {a}")
             try:
-                AttackSpec(**{k: v for k, v in a.items() if k != "count"})
+                spec = AttackSpec(**{k: v for k, v in a.items() if k != "count"})
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad attack entry {a}: {exc}") from exc
+            if spec.family == "l0" and spec.tau > n:
+                raise ConfigError(f"bad attack entry {a}: tau={spec.tau} exceeds n={n}")
         for name, k in (("cad.k", cad.k), ("clean.k", clean_k)):
             if not 1 <= k <= n:
                 raise ConfigError(f"{name}={k} must lie in [1, n={n}]")
@@ -201,7 +203,10 @@ def _load_stats(cfg: ExperimentConfig) -> list[CleanStats]:
     stats = []
     for ch in range(cfg.channels):
         path = Path(cfg.stats_dir) / f"clean_stats_ch{ch}.f64"
-        st = load_clean_stats(path)
+        try:
+            st = load_clean_stats(path)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: corrupt stats: {exc!r}") from exc
         if st.n != cfg.n:
             raise ConfigError(f"{path}: stats have n={st.n}, config has n={cfg.n}")
         stats.append(st)

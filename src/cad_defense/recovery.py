@@ -10,7 +10,8 @@ Four recovery behaviours are indexed 0..3 throughout the package:
 
 The l1 ball constraint is ||A z - y||_2 <= radius; the closed set makes the
 minimum attained.  On the full orthonormal operator this collapses to
-soft-thresholding of the analysis coefficients, solved exactly by bisection.
+soft-thresholding of the analysis coefficients, whose threshold has a
+closed form over the sorted coefficient magnitudes.
 The general row-subsampled case runs an operator-splitting iteration.
 """
 
@@ -141,17 +142,15 @@ class L1Result:
     feasibility_gap: float
 
 
-# bisection solves the shrinkage norm to this absolute accuracy
-_BISECT_TOL = 1e-9
-
-
 def l1_min_orthonormal(p: L1Problem) -> np.ndarray:
-    """Exact solution on the full operator via soft-threshold bisection.
+    """Exact solution on the full operator via a sort-based soft threshold.
 
     With orthonormal A, ||A z - y||_2 = ||z - c||_2 for c = F y, so the
     minimizer is the soft-threshold of c whose total shrinkage has l2 norm
-    equal to the radius.  The threshold is found by bisection on
-    g(t) = || min(t, |c|) ||_2, which is continuous and nondecreasing.
+    equal to the radius.  g(t)^2 = || min(t, |c|) ||_2^2 is continuous,
+    nondecreasing and quadratic between the sorted magnitudes |c|; the
+    threshold solves that quadratic on the first segment where g reaches
+    the radius (the l1-ball projection of Duchi et al. 2008).
     """
     if not p.op.is_full:
         raise ValueError("orthonormal path requires the full operator")
@@ -161,18 +160,15 @@ def l1_min_orthonormal(p: L1Problem) -> np.ndarray:
     absc = np.abs(c)
     if p.radius >= np.linalg.norm(c):
         return np.zeros_like(c)
-    lo, hi = 0.0, float(absc.max())
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g = np.linalg.norm(np.minimum(mid, absc))
-        if abs(g - p.radius) <= _BISECT_TOL:
-            lo = hi = mid
-            break
-        if g < p.radius:
-            lo = mid
-        else:
-            hi = mid
-    thr = 0.5 * (lo + hi)
+    knots = np.sort(absc)
+    sq = knots * knots
+    below = np.concatenate(([0.0], np.cumsum(sq[:-1])))  # squares under knot j
+    above = np.arange(knots.size, 0, -1)  # entries at or above knot j
+    r2 = p.radius * p.radius
+    # rounding can leave g(max |c|)^2 short of r2 when the radius is within
+    # an ulp of ||c||; the last segment then holds the threshold
+    j = min(int(np.searchsorted(below + above * sq, r2)), knots.size - 1)
+    thr = math.sqrt((r2 - below[j]) / above[j])
     return np.sign(c) * np.maximum(absc - thr, 0.0)
 
 

@@ -6,6 +6,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cad_defense import (CLAMP_EPS, ActionDistribution, BanditState,
                          penalty_clamped, probabilities, reward,
@@ -77,6 +79,18 @@ def test_simplex_and_floor_invariants():
         assert abs(dist.probs.sum() - 1.0) <= 1e-12
         assert dist.probs.min() >= gamma / 4 - 1e-15
         assert dist.probs.max() <= (1 - gamma) + gamma / 4 + 1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=st.lists(st.floats(-1e300, 1e300), min_size=4, max_size=4),
+       gamma=st.floats(0.0, 1.0, exclude_max=True),
+       sigma=st.floats(1e-3, 1e3))
+def test_probabilities_stay_on_simplex(scores, gamma, sigma):
+    # any finite scores whose scaled values sigma * score stay finite
+    probs = probabilities(_state(scores, gamma=gamma, sigma=sigma)).probs
+    assert np.isfinite(probs).all()
+    assert abs(probs.sum() - 1.0) <= 1e-12
+    assert probs.min() >= gamma / 4 - 1e-15
 
 
 def test_softmax_shift_invariance():

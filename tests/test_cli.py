@@ -95,12 +95,42 @@ def _stats_for_n64(tmp_path):
     return {"n": 128, "stats_dir": str(stats_dir)}
 
 
+def _corrupt_stats(damage):
+    """Stats for the n=32 config, with one file damaged after saving."""
+    def overrides(tmp_path):
+        stats_dir = tmp_path / "stats"
+        stats_dir.mkdir()
+        path = stats_dir / "clean_stats_ch0.f64"
+        save_clean_stats(CleanStats(mean=np.zeros(32), covariance=np.eye(32),
+                                    ridge=1e-4, source_count=5), path)
+        damage(path, path.with_name(path.name + ".json"))
+        return {"stats_dir": str(stats_dir)}
+    return overrides
+
+
+def _drop_key(key):
+    def damage(_, sidecar):
+        meta = json.loads(sidecar.read_text())
+        del meta[key]
+        sidecar.write_text(json.dumps(meta))
+    return damage
+
+
 @pytest.mark.parametrize("overrides", [
     lambda _: {"attacks": [{"family": "l9"}]},
     lambda _: {"attacks": [{"family": "l2", "eta": math.nan}]},
     lambda _: {"cad": {"k": 33, "feedback": dict(FB)}},
     _stats_for_n64,
-], ids=["unknown_family", "nan_budget", "k_above_n", "stats_of_other_n"])
+    lambda _: {"attacks": [{"family": "l0", "tau": 33, "eta_prime": 0.5}]},
+    _corrupt_stats(lambda f64, _: f64.write_bytes(f64.read_bytes()[:-8])),
+    _corrupt_stats(lambda _, sidecar: sidecar.write_text("{not json")),
+    _corrupt_stats(_drop_key("n")),
+    _corrupt_stats(_drop_key("ridge")),
+    _corrupt_stats(_drop_key("source_count")),
+], ids=["unknown_family", "nan_budget", "k_above_n", "stats_of_other_n",
+        "l0_tau_above_n", "stats_short_f64", "stats_sidecar_not_json",
+        "stats_sidecar_without_n", "stats_sidecar_without_ridge",
+        "stats_sidecar_without_source_count"])
 def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, overrides):
     cfg = _write_config(tmp_path, **overrides(tmp_path))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -1,8 +1,15 @@
 """Recovery-action tests: CoSaMP convergence, the two l1 solvers against
-independent oracles, constraint radii, and the bound report."""
+independent oracles, constraint radii, and the bound report.
 
+The SOCP oracle needs cvxpy and skips only its own tests without it; the
+full-operator l1 solver also carries a duality certificate that needs none.
+"""
+
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cad_defense import (A_L0, A_L2, A_LINF, L1Problem, SensingOperator,
                          action_radius, analyze, check_bound, cosamp_run,
@@ -10,11 +17,10 @@ from cad_defense import (A_L0, A_L2, A_LINF, L1Problem, SensingOperator,
                          make_clean_sparse, top_k)
 from cad_defense.recovery import CosampState
 
-cp = pytest.importorskip("cvxpy")
-
 
 def _socp_oracle(A, y, radius):
     """Independent constrained-l1 solve via an interior-point SOCP."""
+    cp = pytest.importorskip("cvxpy")
     z = cp.Variable(A.shape[1])
     prob = cp.Problem(cp.Minimize(cp.norm1(z)), [cp.norm2(A @ z - y) <= radius])
     prob.solve(solver=cp.CLARABEL)
@@ -184,6 +190,63 @@ def test_l1_orthonormal_matches_socp_oracle():
         _, obj = _socp_oracle(op.matrix, y, radius)
         assert abs(np.abs(ours).sum() - obj) <= 1e-6
         assert np.linalg.norm(ours - c) <= radius + 1e-9
+
+
+def test_l1_orthonormal_duality_certificate():
+    # u = (c - z) / ||c - z||_inf has ||u||_inf <= 1, so every feasible z has
+    # ||z||_1 >= <u, c> - r ||u||_2; z is optimal to the gap, in 50 digits
+    rng = np.random.default_rng(18)
+    for trial in range(60):
+        n = int(rng.integers(2, 65))
+        op = SensingOperator(n)
+        c = rng.standard_normal(n)
+        if trial % 3 == 0:
+            c = np.round(c, 1)  # repeated magnitudes and exact zeros
+        c *= float(rng.choice([1e-3, 0.2, 1.0, 5.0, 1e3]))
+        y = op.synthesize(c)
+        radius = float(rng.uniform(0.01, 0.99)) * float(np.linalg.norm(c))
+        z = l1_min_orthonormal(L1Problem(observed=y, op=op, radius=radius))
+        with mp.workdps(50):
+            a = op.matrix
+            c_mp = [mp.fsum(mp.mpf(float(a[i, j])) * mp.mpf(float(y[i]))
+                            for i in range(n)) for j in range(n)]
+            z_mp = [mp.mpf(float(v)) for v in z]
+            d = [ci - zi for ci, zi in zip(c_mp, z_mp)]
+            t = max(abs(di) for di in d)
+            u = [di / t for di in d]
+            r = mp.mpf(radius)
+            dist = mp.sqrt(mp.fsum(di * di for di in d))
+            norm_u = mp.sqrt(mp.fsum(ui * ui for ui in u))
+            l1 = mp.fsum(abs(zi) for zi in z_mp)
+            gap = l1 - (mp.fsum(ui * ci for ui, ci in zip(u, c_mp)) - r * norm_u)
+            assert abs(dist - r) <= 1e-12 * mp.sqrt(mp.fsum(ci * ci for ci in c_mp))
+            assert abs(gap) <= 1e-12 * max(1, l1)
+
+
+# magnitudes whose squares neither overflow nor underflow
+_MAGNITUDE = st.one_of(st.just(0.0), st.floats(1e-100, 1e100))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 64))
+def test_l1_orthonormal_threshold_properties(data, n):
+    mags = np.array(data.draw(st.lists(_MAGNITUDE, min_size=n, max_size=n)))
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                        min_size=n, max_size=n)))
+    op = SensingOperator(n)
+    y = op.synthesize(signs * mags)
+    c = op.analyze(y)
+    norm_c = float(np.linalg.norm(c))
+    # one ulp below ||c|| is where every knot can fall short of the radius
+    radius = data.draw(st.one_of(
+        st.just(float(np.nextafter(norm_c, 0.0))),
+        st.floats(1e-3, 1.0, exclude_max=True).map(lambda f: f * norm_c)))
+    z = l1_min_orthonormal(L1Problem(observed=y, op=op, radius=radius))
+    assert np.all(np.isfinite(z))
+    assert np.all(np.abs(z) <= np.abs(c))
+    assert np.all(z * c >= 0.0)  # no sign flips
+    if radius > 0.0:
+        assert abs(np.linalg.norm(z - c) - radius) <= 1e-12 * norm_c
 
 
 def test_l1_orthonormal_tie_corner_case():

@@ -6,6 +6,8 @@ import itertools
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cad_defense import (SensingOperator, analyze, best_k_term_error,
                          dct_matrix, synthesize, top_k)
@@ -177,6 +179,24 @@ def test_top_k_minimizes_l2_by_enumeration():
             for sup in itertools.combinations(range(n), k)
         )
         assert ours <= best + 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 32))
+def test_top_k_keeps_largest_magnitudes_lower_index_first(data, n):
+    # a small value pool makes ties (and signed zeros) common
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    c = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+    k = data.draw(st.integers(0, n + 2))
+    out = top_k(c, k)
+    assert np.all((out == 0.0) | (out == c))
+    kept = np.flatnonzero(out)
+    assert kept.size == min(k, np.count_nonzero(c))
+    dropped = np.flatnonzero((c != 0.0) & (out == 0.0))
+    i, j = np.ix_(kept, dropped)
+    mag = np.abs(c)
+    assert np.all((mag[i] > mag[j]) | ((mag[i] == mag[j]) & (i < j)))
 
 
 # ---------------------------------------------------------------------------
