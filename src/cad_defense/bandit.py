@@ -67,7 +67,8 @@ class ActionDistribution:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.shape != (N_ACTIONS,):
             raise ValueError(f"probs must have shape ({N_ACTIONS},)")
-        if abs(probs.sum() - 1.0) > 1e-9 or probs.min() < 0.0:
+        # stated as what must hold, so that a NaN entry fails it
+        if not (abs(probs.sum() - 1.0) <= 1e-9 and probs.min() >= 0.0):
             raise ValueError("probs must be a probability vector")
         object.__setattr__(self, "probs", probs)
 

@@ -12,7 +12,9 @@ The l1 ball constraint is ||A z - y||_2 <= radius; the closed set makes the
 minimum attained.  On the full orthonormal operator this collapses to
 soft-thresholding of the analysis coefficients, whose threshold has a
 closed form over the sorted coefficient magnitudes.
-The general row-subsampled case runs an operator-splitting iteration.
+The general row-subsampled case runs a Douglas-Rachford splitting loop
+that validates its inputs once and then applies the measurement matrix and
+its transpose directly, in buffers reused across iterations.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transform import SensingOperator, top_k
+from .transform import SensingOperator, _check_vector, top_k
 
 __all__ = [
     "A_COSAMP",
@@ -172,17 +174,6 @@ def l1_min_orthonormal(p: L1Problem) -> np.ndarray:
     return np.sign(c) * np.maximum(absc - thr, 0.0)
 
 
-def _project_ball(z: np.ndarray, y: np.ndarray, op: SensingOperator,
-                  radius: float) -> np.ndarray:
-    """Project z onto {z : ||A z - y|| <= radius}; exact since A A^* = I."""
-    w = op.synthesize(z) - y
-    nw = np.linalg.norm(w)
-    if nw <= radius:
-        return z
-    scale = 1.0 if radius == 0.0 else 1.0 - radius / nw
-    return z - op.adjoint(scale * w)
-
-
 def l1_min_general(p: L1Problem, x0: np.ndarray | None = None) -> L1Result:
     """Operator-splitting solver for arbitrary row subsets.
 
@@ -192,28 +183,45 @@ def l1_min_general(p: L1Problem, x0: np.ndarray | None = None) -> L1Result:
     ball projection closed-form.  Stops when successive prox outputs agree
     within tolerance; the final iterate's feasibility gap is reported and a
     run that still violates it beyond tolerance is flagged unconverged.
+
+    y and x0 are validated once, on entry; the loop then applies op.matrix
+    and its transpose directly, in reused buffers.  The feasibility check
+    validates the final iterate, so a non-finite one raises there.
     """
     y = np.asarray(p.observed, dtype=np.float64)
     if np.linalg.norm(y) <= p.radius:
         return L1Result(np.zeros(p.op.n), 0, True, 0.0)
+    back = p.op.adjoint(y)
     # prox step length: a fraction of the largest back-projected magnitude
-    step = 0.1 * float(np.abs(p.op.adjoint(y)).max())
+    step = 0.1 * float(np.abs(back).max())
     if step <= 0.0:
         step = 1.0
-    s = np.asarray(x0, dtype=np.float64).copy() if x0 is not None else p.op.adjoint(y)
-    z = np.zeros(p.op.n)
+    s = back if x0 is None else _check_vector(x0, p.op.n, "coefficients").copy()
+    a, radius, tol = p.op.matrix, p.radius, p.tolerance
+    z, z_prev, v, t = np.zeros(p.op.n), np.empty(p.op.n), np.empty(p.op.n), np.empty(p.op.n)
+    r = np.empty(p.op.m)
     converged = False
     it = 0
     for it in range(1, p.max_iters + 1):
-        z_prev = z
-        z = np.sign(s) * np.maximum(np.abs(s) - step, 0.0)
-        w = _project_ball(2.0 * z - s, y, p.op, p.radius)
-        s = s + w - z
-        if it > 1 and np.linalg.norm(z - z_prev) <= p.tolerance * max(1.0, np.linalg.norm(z)):
-            converged = True
-            break
-    gap = max(0.0, float(np.linalg.norm(p.op.synthesize(z) - y)) - p.radius)
-    if gap > p.tolerance:
+        z, z_prev = z_prev, z
+        # z = sign(s) * max(|s| - step, 0)
+        np.maximum(np.subtract(np.abs(s, out=t), step, out=t), 0.0, out=t)
+        np.multiply(np.sign(s, out=z), t, out=z)
+        # v = 2 z - s, projected onto ||A v - y|| <= radius (exact: A A^* = I)
+        np.subtract(np.multiply(z, 2.0, out=v), s, out=v)
+        np.subtract(np.matmul(a, v, out=r), y, out=r)
+        nw = math.sqrt(r.dot(r))
+        if nw > radius:
+            scale = 1.0 if radius == 0.0 else 1.0 - radius / nw
+            np.subtract(v, np.matmul(a.T, np.multiply(r, scale, out=r), out=t), out=v)
+        np.subtract(np.add(s, v, out=s), z, out=s)
+        if it > 1:
+            np.subtract(z, z_prev, out=t)
+            if math.sqrt(t.dot(t)) <= tol * max(1.0, math.sqrt(z.dot(z))):
+                converged = True
+                break
+    gap = max(0.0, float(np.linalg.norm(p.op.synthesize(z) - y)) - radius)
+    if gap > tol:
         converged = False
     return L1Result(coeffs=z, iterations=it, converged=converged, feasibility_gap=gap)
 

@@ -93,6 +93,13 @@ def test_probabilities_stay_on_simplex(scores, gamma, sigma):
     assert probs.min() >= gamma / 4 - 1e-15
 
 
+def test_overflowing_scores_raise_instead_of_nan():
+    # sigma * score overflows to +-inf, and the softmax to NaN
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="probability vector"):
+        probabilities(_state([1e308, -1e308, 0.0, 0.0], sigma=10.0))
+
+
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(2)
     for _ in range(200):
@@ -112,6 +119,8 @@ def test_state_validation():
         _state(np.zeros(4), sigma=0.0)
     with pytest.raises(ValueError):
         ActionDistribution(probs=np.array([0.5, 0.5, 0.5, -0.5]))
+    with pytest.raises(ValueError):
+        ActionDistribution(probs=np.array([np.nan, 0.5, 0.5, 0.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import cad_defense
 from cad_defense.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                              main)
 from cad_defense.feedback import CleanStats, save_clean_stats
@@ -173,8 +174,11 @@ def test_usage_errors_map_to_config_exit(capsys):
 
 def test_log_env_controls_verbosity(tmp_path):
     cfg = _write_config(tmp_path, count=2)
-    env = dict(os.environ, CAD_LOG="info")
-    quiet_env = {k: v for k, v in os.environ.items() if k != "CAD_LOG"}
+    # the child imports the package from where this interpreter found it
+    src = os.path.dirname(os.path.dirname(cad_defense.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, CAD_LOG="info")
+    quiet_env = {k: v for k, v in env.items() if k != "CAD_LOG"}
     cmd = [sys.executable, "-m", "cad_defense.cli", "run",
            "--config", str(cfg), "--out", str(tmp_path / "o")]
     loud = subprocess.run(cmd, env=env, capture_output=True, text=True)

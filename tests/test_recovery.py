@@ -2,7 +2,9 @@
 independent oracles, constraint radii, and the bound report.
 
 The SOCP oracle needs cvxpy and skips only its own tests without it; the
-full-operator l1 solver also carries a duality certificate that needs none.
+full-operator l1 solver also carries a duality certificate that needs none,
+and the buffered subsampled solver is checked bit for bit against a plain
+allocating copy of its loop.
 """
 
 import mpmath as mp
@@ -15,7 +17,7 @@ from cad_defense import (A_L0, A_L2, A_LINF, L1Problem, SensingOperator,
                          action_radius, analyze, check_bound, cosamp_run,
                          cosamp_step, l1_min_general, l1_min_orthonormal,
                          make_clean_sparse, top_k)
-from cad_defense.recovery import CosampState
+from cad_defense.recovery import CosampState, L1Result
 
 
 def _socp_oracle(A, y, radius):
@@ -345,6 +347,91 @@ def test_l1_general_warm_start():
     res = l1_min_general(L1Problem(observed=y, op=op, radius=0.2,
                                    tolerance=1e-8, max_iters=50000), x0=exact)
     assert np.linalg.norm(res.coeffs - exact) <= 1e-6
+
+
+def _reference_project_ball(z, y, op, radius):
+    """Allocating ball projection through the validating operator calls."""
+    w = op.synthesize(z) - y
+    nw = np.linalg.norm(w)
+    if nw <= radius:
+        return z
+    scale = 1.0 if radius == 0.0 else 1.0 - radius / nw
+    return z - op.adjoint(scale * w)
+
+
+def _reference_l1_min_general(p, x0=None):
+    """The allocating Douglas-Rachford loop that l1_min_general must match bit for bit."""
+    y = np.asarray(p.observed, dtype=np.float64)
+    if np.linalg.norm(y) <= p.radius:
+        return L1Result(np.zeros(p.op.n), 0, True, 0.0)
+    step = 0.1 * float(np.abs(p.op.adjoint(y)).max())
+    if step <= 0.0:
+        step = 1.0
+    s = np.asarray(x0, dtype=np.float64).copy() if x0 is not None else p.op.adjoint(y)
+    z = np.zeros(p.op.n)
+    converged = False
+    it = 0
+    for it in range(1, p.max_iters + 1):
+        z_prev = z
+        z = np.sign(s) * np.maximum(np.abs(s) - step, 0.0)
+        w = _reference_project_ball(2.0 * z - s, y, p.op, p.radius)
+        s = s + w - z
+        if it > 1 and np.linalg.norm(z - z_prev) <= p.tolerance * max(1.0, np.linalg.norm(z)):
+            converged = True
+            break
+    gap = max(0.0, float(np.linalg.norm(p.op.synthesize(z) - y)) - p.radius)
+    if gap > p.tolerance:
+        converged = False
+    return L1Result(coeffs=z, iterations=it, converged=converged, feasibility_gap=gap)
+
+
+_ENTRY = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(4, 64))
+def test_l1_general_bit_identical_to_reference_loop(data, n):
+    rows = data.draw(st.one_of(
+        st.none(),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True).map(sorted)))
+    op = SensingOperator(n, rows=rows)
+    y = np.array(data.draw(st.lists(_ENTRY, min_size=op.m, max_size=op.m)))
+    norm_y = float(np.linalg.norm(y))
+    radius = data.draw(st.one_of(
+        st.just(0.0),
+        st.floats(1e-3, 1.0, exclude_max=True).map(lambda f: f * norm_y),
+        st.floats(1.0, 3.0).map(lambda f: f * norm_y)))
+    # the warm start carries signed zeros, which the soft threshold must map
+    # as np.sign does; a single iteration returns that first threshold
+    warm = [-0.0, 0.0] + data.draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0]), _ENTRY), min_size=n - 2, max_size=n - 2))
+    max_iters = data.draw(st.one_of(st.just(1), st.integers(2, 300)))
+    p = L1Problem(observed=y, op=op, radius=radius, max_iters=max_iters)
+    for x0 in (None, np.array(warm)):
+        ours, ref = l1_min_general(p, x0), _reference_l1_min_general(p, x0)
+        assert ours.coeffs.tobytes() == ref.coeffs.tobytes()
+        assert ours.iterations == ref.iterations
+        assert ours.converged == ref.converged
+        assert ours.feasibility_gap == ref.feasibility_gap
+
+
+@pytest.mark.parametrize("which, bad, message", [
+    ("x0", "nan", "coefficients contains non-finite entries"),
+    ("x0", "inf", "coefficients contains non-finite entries"),
+    ("x0", "short", "coefficients must be a length-16 vector"),
+    ("y", "nan", "measurements contains non-finite entries"),
+    ("y", "short", "measurements must be a length-8 vector"),
+])
+def test_l1_general_rejects_bad_input(which, bad, message):
+    sub = SensingOperator(16, rows=np.arange(0, 16, 2))
+    c = np.random.default_rng(16).standard_normal(16)
+    vecs = {"y": sub.synthesize(c), "x0": c}
+    if bad == "short":
+        vecs[which] = vecs[which][:-1]
+    else:
+        vecs[which][3] = np.nan if bad == "nan" else np.inf
+    with pytest.raises(ValueError, match=message):
+        l1_min_general(L1Problem(observed=vecs["y"], op=sub, radius=0.1), x0=vecs["x0"])
 
 
 # ---------------------------------------------------------------------------
