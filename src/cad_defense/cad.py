@@ -6,13 +6,17 @@ and feeds the importance-weighted reward back into the action scores.
 The loop stops once some action's probability concentrates, the residual
 collapses, or the iteration cap is hit.  The best-scoring action, or
 greedy recovery when no action ever earned a positive score, gives the
-final answer: its closed form on the full operator, or a cold full-budget
-run on a row-subsampled one, where in-loop runs warm-start at the current
-estimate with a budget that grows each time the action is selected.
+final answer.  On the full operator each action is a closed form of c = F y,
+analysed once per run, so its evidence (pruned estimate, residual, feedback
+bit, trace fields) is computed when it first runs and reused after, final
+answer included.  On a row-subsampled operator in-loop runs warm-start at
+the current estimate with a budget that grows with each selection, and the
+final answer is a cold run.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +26,8 @@ from .bandit import (BanditState, penalty_clamped, probabilities, reward,
 from .feedback import (CleanStats, FeedbackConfig, feedback_bit, mahalanobis,
                        residual, should_stop, thresholded_count)
 from .recovery import (A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS, L1Problem,
-                       action_radius, cosamp_run, l1_min_general,
-                       l1_min_orthonormal)
+                       _full_analysis, action_radius, cosamp_run,
+                       l1_min_general, l1_min_orthonormal)
 from .transform import SensingOperator, top_k
 
 __all__ = [
@@ -41,6 +45,8 @@ __all__ = [
 
 ACTION_LABELS = ("a1", "a2", "a3", "a4")
 FALLBACK_LABEL = "cosamp_fallback"
+
+log = logging.getLogger("cad_defense")
 
 # iteration budget granted to the general l1 solver per schedule unit
 _GENERAL_ITERS_PER_UNIT = 200
@@ -211,38 +217,50 @@ def inner_iterations(action: int, times_selected: int,
 
 
 def run_action(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
-               budget: int, x_start: np.ndarray | None = None) -> np.ndarray:
+               budget: int, x_start: np.ndarray | None = None, *,
+               coeffs: np.ndarray | None = None) -> np.ndarray:
     """One loop step of an action; returns an unpruned spectrum.
 
-    The full operator takes the closed form; a row-subsampled one runs
-    `budget` CoSaMP steps or 200 * budget splitting iterations from x_start.
+    The full operator takes the closed form of c = F y, read from coeffs
+    when the caller passes its cached c (ValueError on a row-subsampled
+    operator, at the wrong length or with a non-finite entry); a
+    row-subsampled one runs `budget` CoSaMP steps or 200 * budget splitting
+    iterations from x_start.
     """
-    return _solve(action, y, op, cfg, budget, x_start)
+    return _solve(action, y, op, cfg, budget, x_start, coeffs)
 
 
 def _solve(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
-           budget: int | None = None,
-           x_start: np.ndarray | None = None) -> np.ndarray:
+           budget: int | None = None, x_start: np.ndarray | None = None,
+           coeffs: np.ndarray | None = None) -> np.ndarray:
     """Unpruned spectrum of one action; budget None gives the final answer.
 
     On the full operator each action is a closed form of c = F y (CoSaMP's
     least-squares step restricts c, so its pruned iterate is top_k(c); each
     l1 action soft-thresholds c).  A subsampled final answer is a cold run
-    of cfg.final_iters CoSaMP steps or of the splitting solver to its cap.
+    of cfg.final_iters CoSaMP steps or of the splitting solver to its cap;
+    a splitting solve that stops unconverged is logged at debug level.
     """
+    if coeffs is not None and not op.is_full:
+        raise ValueError("cached coefficients need the full operator")
     if action == A_COSAMP:
         if op.is_full:
-            return op.analyze(y)
+            return _full_analysis(y, op, coeffs)
         steps = cfg.final_iters if budget is None else budget
         return cosamp_run(y, op, cfg.k, steps, x0=x_start).final.estimate
     radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                            cfg.eta_dprime, op.n)
     problem = L1Problem(observed=y, op=op, radius=radius)
     if op.is_full:
-        return l1_min_orthonormal(problem)
+        return l1_min_orthonormal(problem, coeffs=coeffs)
     if budget is not None:
         problem.max_iters = _GENERAL_ITERS_PER_UNIT * budget
-    return l1_min_general(problem, x0=x_start).coeffs
+    result = l1_min_general(problem, x0=x_start)
+    if not result.converged:
+        log.debug("%s unconverged after %d of %d iterations, feasibility gap %.3g",
+                  ACTION_LABELS[action], result.iterations, problem.max_iters,
+                  result.feasibility_gap)
+    return result.coeffs
 
 
 def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
@@ -259,6 +277,7 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     else:
         estimate = np.zeros(op.n)
     coeffs = op.analyze(y) if op.is_full else None
+    memo = {}  # full operator: action -> its evidence, fixed for the whole run
     state = BanditState.fresh(cfg.gamma, cfg.sigma, cfg.lam)
     times = [0] * N_ACTIONS
     trace = CadTrace()
@@ -269,23 +288,27 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         a = sample_action(dist, rng)
         times[a] += 1
         budget = inner_iterations(a, times[a], cfg.inner_schedule)
-        raw = run_action(a, y, op, cfg, budget, x_start=estimate)
-        estimate = top_k(raw, cfg.k)
-        v = residual(y, estimate, op)
-        v_spec = coeffs - estimate if coeffs is not None else op.adjoint(v)
-        md = None
-        if a == A_COSAMP and stats is not None:
-            md = mahalanobis(v, stats)
-        f = feedback_bit(a, v, fb, stats=stats, v_spec=v_spec, md=md)
+        raw = run_action(a, y, op, cfg, budget, x_start=estimate, coeffs=coeffs)
+        evidence = memo.get(a)
+        if evidence is None:
+            estimate = top_k(raw, cfg.k)
+            v = residual(y, estimate, op)
+            v_spec = coeffs - estimate if coeffs is not None else op.adjoint(v)
+            md = mahalanobis(v, stats) if a == A_COSAMP and stats is not None else None
+            f = feedback_bit(a, v, fb, stats=stats, v_spec=v_spec, md=md)
+            evidence = (estimate, v, md, f, float(np.linalg.norm(v)),
+                        float(np.abs(v).max()),
+                        thresholded_count(v_spec, fb.count_threshold))
+            if coeffs is not None:
+                memo[a] = evidence
+        estimate, v, md, f, v_l2, v_linf, v_count = evidence
         p = float(dist.probs[a])
         r = reward(a, a, f, p, cfg.lam)
         state = update(state, a, r)
         trace.records.append(CadIterationRecord(
             t=t, action=a, probs=tuple(dist.probs), inner_iters=budget,
             feedback=f, reward=r, scores=tuple(state.scores),
-            residual_l2=float(np.linalg.norm(v)),
-            residual_linf=float(np.abs(v).max()),
-            residual_count=thresholded_count(v_spec, fb.count_threshold),
+            residual_l2=v_l2, residual_linf=v_linf, residual_count=v_count,
             md=md, penalty_clamped=bool(f == 0 and penalty_clamped(p)),
         ))
         if should_stop(dist, v, fb):
@@ -293,7 +316,9 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
             break
     best = int(np.argmax(state.scores))  # ties resolve to the lowest index
     fallback = bool(state.scores.max() <= 0.0)
-    final = top_k(_solve(A_COSAMP if fallback else best, y, op, cfg), cfg.k)
+    chosen = A_COSAMP if fallback else best
+    final = (memo[chosen][0] if chosen in memo
+             else top_k(_solve(chosen, y, op, cfg, coeffs=coeffs), cfg.k))
     return CadOutcome(
         final_method=best, fallback=fallback, estimate=final,
         reconstruction=op.synthesize(final), trace=trace, stopped_at=t,

@@ -101,7 +101,12 @@ def cosamp_step(state: CosampState, y: np.ndarray, op: SensingOperator,
 
 def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
                x0: np.ndarray | None = None) -> CosampRun:
-    """Run n_iters CoSaMP steps from x0 (zero start by default)."""
+    """Run n_iters CoSaMP steps from x0 (zero start by default).
+
+    A step is a function of its state's estimate and residual bytes alone,
+    so once a step reproduces both, every later one would too: the run stops
+    there and repeats that state, numbered up to n_iters, in its history.
+    """
     if not 0 < k <= op.n:
         raise ValueError(f"need 0 < k <= {op.n}, got k={k}")
     if n_iters < 0:
@@ -114,8 +119,14 @@ def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
     state = CosampState(estimate=est, residual=y - op.synthesize(est), iteration=0)
     run = CosampRun(states=[state])
     for _ in range(n_iters):
-        state = cosamp_step(state, y, op, k)
-        run.states.append(state)
+        step = cosamp_step(state, y, op, k)
+        run.states.append(step)
+        if (step.estimate.tobytes() == state.estimate.tobytes()
+                and step.residual.tobytes() == state.residual.tobytes()):
+            run.states.extend(CosampState(step.estimate, step.residual, i)
+                              for i in range(step.iteration + 1, n_iters + 1))
+            break
+        state = step
     return run
 
 
@@ -144,7 +155,16 @@ class L1Result:
     feasibility_gap: float
 
 
-def l1_min_orthonormal(p: L1Problem) -> np.ndarray:
+def _full_analysis(y: np.ndarray, op: SensingOperator,
+                   coeffs: np.ndarray | None = None) -> np.ndarray:
+    """c = F y on the full operator: a fresh analysis, or a checked copy of
+    the caller's cached one (same length, finite)."""
+    if coeffs is None:
+        return op.analyze(y)
+    return _check_vector(coeffs, op.n, "cached coefficients").copy()
+
+
+def l1_min_orthonormal(p: L1Problem, *, coeffs: np.ndarray | None = None) -> np.ndarray:
     """Exact solution on the full operator via a sort-based soft threshold.
 
     With orthonormal A, ||A z - y||_2 = ||z - c||_2 for c = F y, so the
@@ -153,10 +173,14 @@ def l1_min_orthonormal(p: L1Problem) -> np.ndarray:
     nondecreasing and quadratic between the sorted magnitudes |c|; the
     threshold solves that quadratic on the first segment where g reaches
     the radius (the l1-ball projection of Duchi et al. 2008).
+
+    coeffs may pass the caller's F y of p.observed, which then is not
+    recomputed; it is rejected with ValueError on a row-subsampled operator,
+    at the wrong length, or with non-finite entries.
     """
     if not p.op.is_full:
         raise ValueError("orthonormal path requires the full operator")
-    c = p.op.analyze(p.observed)
+    c = _full_analysis(p.observed, p.op, coeffs)
     if p.radius == 0.0:
         return c
     absc = np.abs(c)

@@ -1,6 +1,12 @@
 """Defence-loop tests: stopping, fallback, trace consistency, determinism,
-schedules, and family identification on a calibrated ensemble."""
+schedules, and family identification on a calibrated ensemble.
 
+The loop is also checked bit for bit against a plain copy of the loop that
+recomputes every action's evidence on every iteration.
+"""
+
+import functools
+import logging
 import math
 
 import numpy as np
@@ -16,7 +22,11 @@ from cad_defense import (ACTION_LABELS, FALLBACK_LABEL, AttackSpec,
                          l1_min_general, l1_min_orthonormal,
                          make_clean_compressible, make_clean_sparse, perturb,
                          probabilities, reward, run_action, top_k, update)
-from cad_defense.recovery import A_COSAMP, A_L2
+from cad_defense.bandit import penalty_clamped, sample_action
+from cad_defense.cad import CadIterationRecord, CadOutcome, CadTrace
+from cad_defense.feedback import (feedback_bit, mahalanobis, residual,
+                                  should_stop, thresholded_count)
+from cad_defense.recovery import A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS
 
 MNIST_FB = dict(alpha=8.0, beta=5.0, m=1.8, tau=15, theta=65.0)
 
@@ -113,6 +123,171 @@ def test_subsampled_actions_keep_the_iterative_solvers():
     out = cad_run(y, CadConfig(k=k, feedback=starved, final_iters=3), None, op)
     assert out.fallback
     assert np.array_equal(out.estimate, cosamp_run(y, op, k, 3).final.estimate)
+
+
+@pytest.mark.parametrize("action", [A_COSAMP, A_L0, A_L2, A_LINF])
+def test_run_action_cached_coefficients_give_the_same_bytes(action):
+    op, x, y = _clean_instance()
+    y = y + 0.5 * np.random.default_rng(8).standard_normal(op.m)
+    cfg = CadConfig(k=6, feedback=_fb())
+    c = op.analyze(y)
+    out = run_action(action, y, op, cfg, budget=3, x_start=x, coeffs=c)
+    assert out.tobytes() == run_action(action, y, op, cfg, budget=3, x_start=x).tobytes()
+    out[:] = 7.0  # the result never aliases the caller's coefficients
+    assert c.tobytes() == op.analyze(y).tobytes()
+
+
+@pytest.mark.parametrize("action", [A_COSAMP, A_L0, A_L2, A_LINF])
+def test_run_action_rejects_bad_cached_coefficients(action):
+    op, x, y = _clean_instance()
+    cfg = CadConfig(k=6, feedback=_fb())
+    nan = op.analyze(y)
+    nan[5] = np.nan
+    for bad in (op.analyze(y)[:-1], nan):
+        with pytest.raises(ValueError, match="cached coefficients"):
+            run_action(action, y, op, cfg, budget=3, coeffs=bad)
+    sub = SensingOperator(64, rows=np.arange(0, 64, 2))
+    with pytest.raises(ValueError, match="full operator"):
+        run_action(action, sub.synthesize(x), sub, cfg, budget=3, coeffs=op.analyze(y))
+
+
+def test_unconverged_subsampled_solve_logs_at_debug(caplog):
+    n, k = 64, 4
+    op = SensingOperator(n, rows=np.sort(np.random.default_rng(5).choice(n, 40, replace=False)))
+    y = (op.synthesize(make_clean_sparse(n, k, np.random.default_rng(3)))
+         + np.random.default_rng(1).standard_normal(op.m))  # 200 iterations fall short
+    cfg = CadConfig(k=k, feedback=_fb())
+    with caplog.at_level(logging.WARNING, logger="cad_defense"):
+        quiet = run_action(A_L2, y, op, cfg, budget=1)
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="cad_defense"):
+        loud = run_action(A_L2, y, op, cfg, budget=1)
+    assert loud.tobytes() == quiet.tobytes()
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage().startswith("a3 unconverged after 200 of 200 iterations")
+    assert "feasibility gap" in record.getMessage()
+
+
+# ---------------------------------------------------------------------------
+# the loop against a copy that recomputes every action's evidence
+
+
+def _reference_solve(action, y, op, cfg, budget=None, x_start=None):
+    """The dispatcher as it was before the loop cached F y: analyses y itself."""
+    if action == A_COSAMP:
+        if op.is_full:
+            return op.analyze(y)
+        steps = cfg.final_iters if budget is None else budget
+        return cosamp_run(y, op, cfg.k, steps, x0=x_start).final.estimate
+    radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
+                           cfg.eta_dprime, op.n)
+    problem = L1Problem(observed=y, op=op, radius=radius)
+    if op.is_full:
+        return l1_min_orthonormal(problem)
+    if budget is not None:
+        problem.max_iters = 200 * budget
+    return l1_min_general(problem, x0=x_start).coeffs
+
+
+def _reference_run_single(y, cfg, stats, op, seed):
+    """The loop before the evidence memo: every step and the final answer solve afresh."""
+    y = np.asarray(y, dtype=np.float64)
+    fb = cfg.feedback
+    rng = np.random.default_rng(seed)
+    if cfg.x0_mode == "random":
+        estimate = top_k(rng.standard_normal(op.n), cfg.k)
+    else:
+        estimate = np.zeros(op.n)
+    coeffs = op.analyze(y) if op.is_full else None
+    state = BanditState.fresh(cfg.gamma, cfg.sigma, cfg.lam)
+    times = [0] * N_ACTIONS
+    trace = CadTrace()
+    stop_reason = "t_max"
+    t = 0
+    for t in range(1, fb.t_max + 1):
+        dist = probabilities(state)
+        a = sample_action(dist, rng)
+        times[a] += 1
+        budget = inner_iterations(a, times[a], cfg.inner_schedule)
+        raw = _reference_solve(a, y, op, cfg, budget, x_start=estimate)
+        estimate = top_k(raw, cfg.k)
+        v = residual(y, estimate, op)
+        v_spec = coeffs - estimate if coeffs is not None else op.adjoint(v)
+        md = None
+        if a == A_COSAMP and stats is not None:
+            md = mahalanobis(v, stats)
+        f = feedback_bit(a, v, fb, stats=stats, v_spec=v_spec, md=md)
+        p = float(dist.probs[a])
+        r = reward(a, a, f, p, cfg.lam)
+        state = update(state, a, r)
+        trace.records.append(CadIterationRecord(
+            t=t, action=a, probs=tuple(dist.probs), inner_iters=budget,
+            feedback=f, reward=r, scores=tuple(state.scores),
+            residual_l2=float(np.linalg.norm(v)),
+            residual_linf=float(np.abs(v).max()),
+            residual_count=thresholded_count(v_spec, fb.count_threshold),
+            md=md, penalty_clamped=bool(f == 0 and penalty_clamped(p)),
+        ))
+        if should_stop(dist, v, fb):
+            stop_reason = "prob" if dist.max_prob > fb.delta_prob else "residual"
+            break
+    best = int(np.argmax(state.scores))
+    fallback = bool(state.scores.max() <= 0.0)
+    final = top_k(_reference_solve(A_COSAMP if fallback else best, y, op, cfg), cfg.k)
+    return CadOutcome(
+        final_method=best, fallback=fallback, estimate=final,
+        reconstruction=op.synthesize(final), trace=trace, stopped_at=t,
+        stop_reason=stop_reason, final_scores=tuple(state.scores),
+    )
+
+
+_ORACLE_OPERATORS = {"full16": (16, None), "full64": (64, None), "full128": (128, None),
+                     "rows40of64": (64, 40)}
+_ORACLE_ATTACKS = [AttackSpec("none"), AttackSpec("l0", tau=5, eta_prime=3.0),
+                   AttackSpec("l2", eta=6.0), AttackSpec("linf", eta_dprime=1.5)]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_setup(name):
+    n, m = _ORACLE_OPERATORS[name]
+    rows = None if m is None else np.sort(np.random.default_rng(n).choice(n, m, replace=False))
+    op = SensingOperator(n, rows=rows)
+    rng = np.random.default_rng([66, n])
+    cleans = [op.synthesize(make_clean_compressible(n, n // 8, rng)) for _ in range(16)]
+    return op, estimate_clean_stats(cleans, op, n // 8, ridge=1e-4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(_ORACLE_OPERATORS)),
+       seed=st.integers(0, 2 ** 32 - 1), x0_mode=st.sampled_from(["zero", "random"]),
+       with_stats=st.booleans(), channels=st.sampled_from([1, 3]))
+def test_loop_matches_the_reference_loop_bit_for_bit(data, name, seed, x0_mode,
+                                                     with_stats, channels):
+    op, clean_stats = _oracle_setup(name)
+    n, k = op.n, op.n // 8
+    t_max = data.draw(st.integers(1, 40 if op.is_full else 12))
+    # loose thresholds, so that every action's bit and the fallback occur
+    fb = _fb(alpha=data.draw(st.sampled_from([1.0, 3.0, 8.0])), beta=2.0, m=0.8,
+             tau=data.draw(st.integers(0, n)), theta=float(op.m),
+             delta_res=data.draw(st.sampled_from([0.0, 0.5])), t_max=t_max)
+    cfg = CadConfig(k=k, feedback=fb, x0_mode=x0_mode, channels=channels, seed=seed)
+    rng = np.random.default_rng(seed)
+    ys = []
+    for _ in range(channels):
+        x = make_clean_compressible(n, k, rng)
+        spec = data.draw(st.sampled_from(_ORACLE_ATTACKS))
+        observed = perturb(x, spec, SensingOperator(n)).observed
+        ys.append(observed if op.is_full else observed[op.rows])
+    stats = clean_stats if with_stats else None
+    out = cad_run(np.concatenate(ys), cfg, stats if channels == 1 else (stats,) * 3, op)
+    for ch, ours in enumerate(out.channels if channels == 3 else [out]):
+        ref = _reference_run_single(ys[ch], cfg, stats, op, [seed, ch])
+        assert ours.to_jsonable() == ref.to_jsonable()
+        assert ours.estimate.tobytes() == ref.estimate.tobytes()
+        assert ours.reconstruction.tobytes() == ref.reconstruction.tobytes()
+        assert (ours.stop_reason, ours.stopped_at) == (ref.stop_reason, ref.stopped_at)
+        assert ours.final_scores == ref.final_scores
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,59 @@ def test_cosamp_run_validation():
     assert len(run.states) == 1 and run.final.iteration == 0
 
 
+def _reference_cosamp_states(y, op, k, n_iters, x0=None):
+    """The loop without the fixed-point exit: every one of n_iters steps is computed."""
+    y = np.asarray(y, dtype=np.float64)
+    est = np.zeros(op.n) if x0 is None else top_k(np.asarray(x0, dtype=np.float64), k)
+    state = CosampState(estimate=est, residual=y - op.synthesize(est), iteration=0)
+    states = [state]
+    for _ in range(n_iters):
+        state = cosamp_step(state, y, op, k)
+        states.append(state)
+    return states
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 48))
+def test_cosamp_run_matches_every_step_of_the_reference_loop(data, n):
+    rows = data.draw(st.one_of(
+        st.none(),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True).map(sorted)))
+    op = SensingOperator(n, rows=rows)
+    k = data.draw(st.integers(1, n))
+    # an exactly sparse signal lets the subsampled iterates settle on a fixed point
+    x = np.zeros(n)
+    support = data.draw(st.lists(st.integers(0, n - 1), max_size=k, unique=True))
+    x[support] = data.draw(st.lists(_ENTRY, min_size=len(support), max_size=len(support)))
+    noise = data.draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    y = op.synthesize(x) + noise * np.random.default_rng(n).standard_normal(op.m)
+    warm = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0]), _ENTRY), min_size=n, max_size=n)))
+    n_iters = data.draw(st.integers(0, 12))
+    for x0 in (None, warm):
+        run = cosamp_run(y, op, k, n_iters, x0=x0)
+        ref = _reference_cosamp_states(y, op, k, n_iters, x0=x0)
+        assert len(run.states) == len(ref) == n_iters + 1
+        for ours, theirs in zip(run.states, ref):
+            assert ours.estimate.tobytes() == theirs.estimate.tobytes()
+            assert ours.residual.tobytes() == theirs.residual.tobytes()
+            assert ours.iteration == theirs.iteration
+
+
+def test_cosamp_run_stops_computing_at_a_fixed_point(monkeypatch):
+    # on the full operator the second step from a zero start repeats the first
+    import cad_defense.recovery as recovery
+    op, y = SensingOperator(16), SensingOperator(16).synthesize(np.arange(16.0))
+    steps = []
+    real_step = recovery.cosamp_step
+    monkeypatch.setattr(recovery, "cosamp_step",
+                        lambda *a: steps.append(1) or real_step(*a))
+    run = recovery.cosamp_run(y, op, 4, 10)
+    assert len(steps) == 2
+    assert [s.iteration for s in run.states] == list(range(11))
+    assert run.final.estimate.tobytes() == top_k(op.analyze(y), 4).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # l1 on the full orthonormal operator
 
@@ -267,6 +320,33 @@ def test_l1_orthonormal_rejects_subsampled():
         l1_min_orthonormal(L1Problem(observed=np.zeros(3), op=sub, radius=0.1))
     with pytest.raises(ValueError):
         L1Problem(observed=np.zeros(8), op=SensingOperator(8), radius=-1.0)
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.5, 3.0, 1e3])
+def test_l1_orthonormal_cached_coefficients_give_the_same_bytes(radius):
+    op = SensingOperator(32)
+    y = op.synthesize(np.random.default_rng(17).standard_normal(32))
+    c = op.analyze(y)
+    p = L1Problem(observed=y, op=op, radius=radius)
+    out = l1_min_orthonormal(p, coeffs=c)
+    assert out.tobytes() == l1_min_orthonormal(p).tobytes()
+    out[:] = 7.0  # the result never aliases the caller's coefficients
+    assert c.tobytes() == op.analyze(y).tobytes()
+
+
+def test_l1_orthonormal_rejects_bad_cached_coefficients():
+    op = SensingOperator(8)
+    y = op.synthesize(np.arange(8.0))
+    p = L1Problem(observed=y, op=op, radius=0.1)
+    nan = op.analyze(y)
+    nan[2] = np.nan
+    for bad in (op.analyze(y)[:-1], nan):
+        with pytest.raises(ValueError, match="cached coefficients"):
+            l1_min_orthonormal(p, coeffs=bad)
+    sub = SensingOperator(8, rows=[0, 1, 2])
+    with pytest.raises(ValueError, match="full operator"):
+        l1_min_orthonormal(L1Problem(observed=y[:3], op=sub, radius=0.1),
+                           coeffs=op.analyze(y))
 
 
 # ---------------------------------------------------------------------------
