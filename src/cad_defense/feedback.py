@@ -8,6 +8,8 @@ count, and theta bounding the Mahalanobis distance from clean-residual
 statistics.  The thresholded count is taken on the transform-domain view
 of the residual when the caller supplies one: the sparse attack family is
 sparse in that domain, so that is where its leftover support shows up.
+The Mahalanobis distance needs only numpy: the regularized covariance is
+factored once and its inverse Cholesky factor whitens each residual.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .bandit import ActionDistribution
 from .recovery import A_COSAMP, A_L0, A_L2, A_LINF, cosamp_run
@@ -92,19 +93,47 @@ class CleanStats:
     covariance: np.ndarray
     ridge: float
     source_count: int = 0
-    _factor: tuple | None = field(default=None, repr=False, compare=False)
+    _whitening: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.mean.shape[0]
 
-    def factor(self):
-        """Cached Cholesky factor of C + ridge * I (never an inverse)."""
-        if self._factor is None:
-            reg = self.covariance + self.ridge * np.eye(self.n)
-            # scipy's error names the offending leading minor on failure
-            self._factor = scipy.linalg.cho_factor(reg, lower=True)
-        return self._factor
+    def factor(self) -> np.ndarray:
+        """Cached whitening matrix W = L^{-1}, where C + ridge * I = L L^T.
+
+        Computed once per stats object: one Cholesky factorization and one
+        inverse of the triangular factor.  Non-finite entries raise
+        ValueError; a regularized covariance that is not positive definite
+        raises np.linalg.LinAlgError naming its first failing leading minor.
+        """
+        if self._whitening is None:
+            reg = np.asarray_chkfinite(self.covariance + self.ridge * np.eye(self.n))
+            try:
+                chol = np.linalg.cholesky(reg)
+            except np.linalg.LinAlgError:
+                raise np.linalg.LinAlgError(
+                    f"{_first_failing_minor(reg)}-th leading minor of the array "
+                    "is not positive definite") from None
+            self._whitening = np.linalg.inv(chol)
+        return self._whitening
+
+
+def _first_failing_minor(reg: np.ndarray) -> int:
+    """Order of the smallest leading block of reg that does not factor.
+
+    Only called once reg itself failed.  A block that fails makes every
+    larger one fail, so bisection needs O(log n) factorizations.
+    """
+    ok, bad = 0, reg.shape[0]
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        try:
+            np.linalg.cholesky(reg[:mid, :mid])
+            ok = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    return bad
 
 
 def residual(y: np.ndarray, estimate: np.ndarray, op: SensingOperator) -> np.ndarray:
@@ -123,17 +152,15 @@ def thresholded_count(v: np.ndarray, threshold: float) -> int:
 def mahalanobis(v: np.ndarray, stats: CleanStats) -> float:
     """Distance sqrt((v - mean)^T (C + ridge I)^{-1} (v - mean)).
 
-    With C + ridge I = L L^T this is ||L^{-1} (v - mean)||_2, one
-    triangular solve against the cached Cholesky factor; raises
-    scipy.linalg.LinAlgError naming the offending leading minor when
+    With C + ridge I = L L^T this is ||W (v - mean)||_2 for the cached
+    whitening matrix W = L^{-1}: one matrix-vector product per call.
+    Raises np.linalg.LinAlgError naming the offending leading minor when
     C + ridge I is not positive definite.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != stats.mean.shape:
         raise ValueError(f"v must have shape {stats.mean.shape}, got {v.shape}")
-    factor, lower = stats.factor()
-    w = scipy.linalg.solve_triangular(factor, v - stats.mean, lower=lower)
-    return float(np.linalg.norm(w))
+    return float(np.linalg.norm(stats.factor() @ (v - stats.mean)))
 
 
 def estimate_clean_stats(clean_signals, op: SensingOperator, k: int,

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -304,6 +303,8 @@ def _run_ensemble(cfg: ExperimentConfig, workers: int = 1) -> dict:
     stats = _resolve_stats(cfg, op)
     tasks = _attack_entries(cfg)
     if workers > 1:
+        # imported here so that serial runs do not pay for loading it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(cfg, stats)) as pool:
             results = list(pool.map(_pool_run, tasks, chunksize=4))

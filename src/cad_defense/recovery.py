@@ -68,9 +68,6 @@ class CosampRun:
     def final(self) -> CosampState:
         return self.states[-1]
 
-    def residual_norms(self) -> np.ndarray:
-        return np.array([np.linalg.norm(s.residual) for s in self.states])
-
 
 def cosamp_step(state: CosampState, y: np.ndarray, op: SensingOperator,
                 k: int) -> CosampState:

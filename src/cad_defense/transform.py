@@ -33,10 +33,24 @@ def dct_matrix(n: int) -> np.ndarray:
         raise ValueError(f"transform size must be >= 1, got {n}")
     i = np.arange(n)
     j = i[:, None]
-    mat = np.cos(np.pi * j * (2 * i + 1) / (2.0 * n)) * np.sqrt(2.0 / n)
+    mat = _aligned_empty((n, n))
+    np.cos(np.pi * j * (2 * i + 1) / (2.0 * n), out=mat)
+    mat *= np.sqrt(2.0 / n)
     mat[0] *= np.sqrt(0.5)
     mat.setflags(write=False)
     return mat
+
+
+def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
+    """Uninitialized C-ordered float64 array starting on a 64-byte boundary.
+
+    Matrix-vector products over the operator matrices run measurably faster
+    from such a boundary, and numpy alone does not promise one.
+    """
+    nbytes = shape[0] * shape[1] * 8
+    buf = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -buf.ctypes.data % 64
+    return buf[start:start + nbytes].view(np.float64).reshape(shape)
 
 
 def _check_vector(x, n: int, name: str) -> np.ndarray:
@@ -80,7 +94,8 @@ class SensingOperator:
             if rows.min() < 0 or rows.max() >= self.n:
                 raise ValueError(f"rows must lie in [0, {self.n})")
             self.rows = rows.copy()
-            self._matrix = self._analysis.T[self.rows]
+            self._matrix = np.take(self._analysis.T, self.rows, axis=0,
+                                   out=_aligned_empty((self.rows.size, self.n)))
         self._matrix.setflags(write=False)
 
     @property

@@ -172,12 +172,16 @@ def test_usage_errors_map_to_config_exit(capsys):
     capsys.readouterr()
 
 
-def test_log_env_controls_verbosity(tmp_path):
-    cfg = _write_config(tmp_path, count=2)
-    # the child imports the package from where this interpreter found it
+def _child_env(**extra) -> dict:
+    """Environment for a child interpreter that imports this cad_defense."""
     src = os.path.dirname(os.path.dirname(cad_defense.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, CAD_LOG="info")
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_log_env_controls_verbosity(tmp_path):
+    cfg = _write_config(tmp_path, count=2)
+    env = _child_env(CAD_LOG="info")
     quiet_env = {k: v for k, v in env.items() if k != "CAD_LOG"}
     cmd = [sys.executable, "-m", "cad_defense.cli", "run",
            "--config", str(cfg), "--out", str(tmp_path / "o")]
@@ -186,3 +190,14 @@ def test_log_env_controls_verbosity(tmp_path):
     assert loud.returncode == 0 and quiet.returncode == 0
     assert "run: family=none" in loud.stderr
     assert "run: family=" not in quiet.stderr
+
+
+def test_cli_import_leaves_scipy_and_the_process_pool_unloaded():
+    # both cost start-up time that only tests or pooled runs need
+    code = ("import sys, cad_defense.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' "
+            "or m.startswith('scipy.') or m == 'concurrent.futures.process'))")
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
-"""Feedback-layer tests: residuals, Mahalanobis scoring against an
-explicit-solve oracle, clean statistics, per-action predicates, stopping."""
+"""Feedback-layer tests: residuals, Mahalanobis scoring against explicit-
+and triangular-solve oracles, clean statistics, per-action predicates,
+stopping."""
 
 import numpy as np
 import pytest
@@ -115,6 +116,62 @@ def test_mahalanobis_covariance_scaling_law():
 def test_mahalanobis_rejects_indefinite_covariance():
     stats = _stats(np.zeros(2), np.diag([1.0, -1.0]))
     with pytest.raises(scipy.linalg.LinAlgError, match="leading minor"):
+        mahalanobis(np.ones(2), stats)
+
+
+def test_mahalanobis_matches_triangular_solve_oracle():
+    # harness-shaped: 26 clean residuals in n = 256 and the default ridge
+    n, k = 256, 24
+    op = SensingOperator(n)
+    rng = np.random.default_rng(11)
+    cleans = [op.synthesize(make_clean_compressible(n, k, rng)) for _ in range(26)]
+    stats = estimate_clean_stats(cleans, op, k)
+    reg = stats.covariance + stats.ridge * np.eye(n)
+    cond = np.linalg.cond(reg)
+    assert 1e6 < cond < 1e8
+    chol = np.linalg.cholesky(reg)
+    independent = scipy.linalg.cholesky(reg, lower=True)
+    for t in range(30):
+        r = np.random.default_rng([12, t])
+        x = make_clean_compressible(n, k, r)
+        if t % 2:
+            x = x + draw_perturbation(AttackSpec(family="l2", eta=0.5, seed=t), n)
+        v = cosamp_run(op.synthesize(x), op, k, 5).final.residual
+        d = v - stats.mean
+        md = mahalanobis(v, stats)
+        oracle = np.linalg.norm(scipy.linalg.solve_triangular(chol, d, lower=True))
+        assert abs(md - oracle) <= 1e-12 * oracle
+        # scipy's own factor differs by round-off amplified up to cond * eps
+        other = np.linalg.norm(scipy.linalg.solve_triangular(independent, d, lower=True))
+        assert abs(md - other) <= cond * np.finfo(float).eps * other
+
+
+def test_mahalanobis_names_the_first_failing_minor():
+    stats = _stats(np.zeros(4), np.diag([1.0, 1.0, -1.0, 1.0]))
+    with pytest.raises(np.linalg.LinAlgError, match="3-th leading minor"):
+        mahalanobis(np.ones(4), stats)
+
+
+def test_failing_minor_agrees_with_scipy():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        b = rng.standard_normal((n, n))
+        eig = rng.uniform(0.1, 2.0, n)
+        eig[rng.integers(n)] = -float(rng.uniform(0.1, 2.0))
+        q, _ = np.linalg.qr(b)
+        cov = (q * eig) @ q.T
+        cov = (cov + cov.T) / 2
+        with pytest.raises(scipy.linalg.LinAlgError) as expected:
+            scipy.linalg.cho_factor(cov, lower=True)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            mahalanobis(np.zeros(n), _stats(np.zeros(n), cov))
+        assert str(got.value) == str(expected.value)
+
+
+def test_mahalanobis_rejects_non_finite_covariance():
+    stats = _stats(np.zeros(2), np.diag([1.0, np.nan]))
+    with pytest.raises(ValueError, match="infs or NaNs"):
         mahalanobis(np.ones(2), stats)
 
 

@@ -135,6 +135,18 @@ def test_subsampled_operator_rows():
         SensingOperator(8, rows=[8])
 
 
+@pytest.mark.parametrize("n", [1, 3, 8, 255, 256, 784])
+def test_operator_matrices_start_on_64_byte_boundaries(n):
+    full = SensingOperator(n)
+    rows = np.arange(0, n, 2)
+    sub = SensingOperator(n, rows=rows)
+    for mat in (full.matrix, sub.matrix, dct_matrix(n)):
+        assert mat.ctypes.data % 64 == 0
+        assert not mat.flags.writeable
+    assert sub.matrix.flags.c_contiguous
+    assert np.array_equal(sub.matrix, dct_matrix(n).T[rows])
+
+
 # ---------------------------------------------------------------------------
 # top_k
 
