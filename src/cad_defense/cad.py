@@ -10,8 +10,10 @@ final answer.  On the full operator each action is a closed form of c = F y,
 analysed once per run, so its evidence (pruned estimate, residual, feedback
 bit, trace fields) is computed when it first runs and reused after, final
 answer included.  On a row-subsampled operator in-loop runs warm-start at
-the current estimate with a budget that grows with each selection, and the
-final answer is a cold run.
+the current estimate with a budget that grows with each selection.  An l1
+action's solve is convex, so when one of its in-loop solves carries a
+passing duality certificate the final answer reuses that solve's pruned
+estimate; otherwise, and always for CoSaMP, the final answer is a cold run.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .bandit import (BanditState, penalty_clamped, probabilities, reward,
 from .feedback import (CleanStats, FeedbackConfig, feedback_bit, mahalanobis,
                        residual, should_stop, thresholded_count)
 from .recovery import (A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS, L1Problem,
-                       _full_analysis, action_radius, cosamp_run,
+                       _certify, _full_analysis, action_radius, cosamp_run,
                        l1_min_general, l1_min_orthonormal)
 from .transform import SensingOperator, top_k
 
@@ -224,22 +226,31 @@ def run_action(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
     The full operator takes the closed form of c = F y, read from coeffs
     when the caller passes its cached c (ValueError on a row-subsampled
     operator, at the wrong length or with a non-finite entry); a
-    row-subsampled one runs `budget` CoSaMP steps or 200 * budget splitting
-    iterations from x_start.
+    row-subsampled one runs `budget` CoSaMP steps or at most 200 * budget
+    splitting iterations from x_start.
     """
     return _solve(action, y, op, cfg, budget, x_start, coeffs)
+
+
+def _l1_problem(action: int, y: np.ndarray, op: SensingOperator,
+                cfg: CadConfig) -> L1Problem:
+    """The radius-constrained l1 problem an l1 action solves on y."""
+    radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
+                           cfg.eta_dprime, op.n)
+    return L1Problem(observed=y, op=op, radius=radius)
 
 
 def _solve(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
            budget: int | None = None, x_start: np.ndarray | None = None,
            coeffs: np.ndarray | None = None) -> np.ndarray:
-    """Unpruned spectrum of one action; budget None gives the final answer.
+    """Unpruned spectrum of one action; budget None gives a cold final run.
 
     On the full operator each action is a closed form of c = F y (CoSaMP's
     least-squares step restricts c, so its pruned iterate is top_k(c); each
-    l1 action soft-thresholds c).  A subsampled final answer is a cold run
-    of cfg.final_iters CoSaMP steps or of the splitting solver to its cap;
-    a splitting solve that stops unconverged is logged at debug level.
+    l1 action soft-thresholds c).  A subsampled cold run is cfg.final_iters
+    CoSaMP steps or the splitting solver to its cap; a splitting solve that
+    stops without a passing duality certificate is logged at debug level
+    with its feasibility and duality gaps.
     """
     if coeffs is not None and not op.is_full:
         raise ValueError("cached coefficients need the full operator")
@@ -248,19 +259,25 @@ def _solve(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
             return _full_analysis(y, op, coeffs)
         steps = cfg.final_iters if budget is None else budget
         return cosamp_run(y, op, cfg.k, steps, x0=x_start).final.estimate
-    radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
-                           cfg.eta_dprime, op.n)
-    problem = L1Problem(observed=y, op=op, radius=radius)
+    problem = _l1_problem(action, y, op, cfg)
     if op.is_full:
         return l1_min_orthonormal(problem, coeffs=coeffs)
     if budget is not None:
         problem.max_iters = _GENERAL_ITERS_PER_UNIT * budget
     result = l1_min_general(problem, x0=x_start)
     if not result.converged:
-        log.debug("%s unconverged after %d of %d iterations, feasibility gap %.3g",
-                  ACTION_LABELS[action], result.iterations, problem.max_iters,
-                  result.feasibility_gap)
+        log.debug("%s unconverged after %d of %d iterations, feasibility gap %.3g, "
+                  "duality gap %.3g", ACTION_LABELS[action], result.iterations,
+                  problem.max_iters, result.feasibility_gap, result.duality_gap)
     return result.coeffs
+
+
+def _certified(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
+               spectrum: np.ndarray) -> bool:
+    """Whether an l1 action's row-subsampled spectrum passes the duality
+    certificate its solver stops on (two operator applications)."""
+    problem = _l1_problem(action, y, op, cfg)
+    return _certify(spectrum, y, op.matrix, problem.radius, problem.tolerance)[0]
 
 
 def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
@@ -278,6 +295,7 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         estimate = np.zeros(op.n)
     coeffs = op.analyze(y) if op.is_full else None
     memo = {}  # full operator: action -> its evidence, fixed for the whole run
+    certified = {}  # row subset: l1 action -> pruned estimate of its latest certified solve
     state = BanditState.fresh(cfg.gamma, cfg.sigma, cfg.lam)
     times = [0] * N_ACTIONS
     trace = CadTrace()
@@ -301,6 +319,8 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
                         thresholded_count(v_spec, fb.count_threshold))
             if coeffs is not None:
                 memo[a] = evidence
+            elif a != A_COSAMP and _certified(a, y, op, cfg, raw):
+                certified[a] = estimate
         estimate, v, md, f, v_l2, v_linf, v_count = evidence
         p = float(dist.probs[a])
         r = reward(a, a, f, p, cfg.lam)
@@ -317,8 +337,12 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     best = int(np.argmax(state.scores))  # ties resolve to the lowest index
     fallback = bool(state.scores.max() <= 0.0)
     chosen = A_COSAMP if fallback else best
-    final = (memo[chosen][0] if chosen in memo
-             else top_k(_solve(chosen, y, op, cfg, coeffs=coeffs), cfg.k))
+    if chosen in memo:
+        final = memo[chosen][0]
+    elif chosen in certified:
+        final = certified[chosen]
+    else:
+        final = top_k(_solve(chosen, y, op, cfg, coeffs=coeffs), cfg.k)
     return CadOutcome(
         final_method=best, fallback=fallback, estimate=final,
         reconstruction=op.synthesize(final), trace=trace, stopped_at=t,

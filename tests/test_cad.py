@@ -2,7 +2,8 @@
 schedules, and family identification on a calibrated ensemble.
 
 The loop is also checked bit for bit against a plain copy of the loop that
-recomputes every action's evidence on every iteration.
+recomputes every action's evidence on every iteration and, on a row subset,
+reuses the chosen l1 action's latest converged solve as the final answer.
 """
 
 import functools
@@ -12,6 +13,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+
+import cad_defense.cad
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -167,6 +170,51 @@ def test_unconverged_subsampled_solve_logs_at_debug(caplog):
     assert record.levelno == logging.DEBUG
     assert record.getMessage().startswith("a3 unconverged after 200 of 200 iterations")
     assert "feasibility gap" in record.getMessage()
+    assert "duality gap" in record.getMessage()
+
+
+def test_certified_subsampled_solve_is_the_final_answer(monkeypatch):
+    # an l1 action whose in-loop solve carried a duality certificate answers
+    # with that solve's pruned estimate and no cold run; one that never
+    # certified answers with exactly one cold run
+    n, k = 64, 8
+    op = SensingOperator(n, rows=np.sort(np.random.default_rng(5).choice(n, 40, replace=False)))
+    calls = []
+
+    def counting(problem, x0=None):
+        result = l1_min_general(problem, x0)
+        calls.append((problem.radius, x0 is None, result))
+        return result
+
+    monkeypatch.setattr(cad_defense.cad, "l1_min_general", counting)
+    outcomes = []
+    for schedule in [(3, 2), (1, 0)]:
+        for spec in _ORACLE_ATTACKS[1:]:
+            for seed in range(8):
+                calls.clear()
+                x = make_clean_compressible(n, k, np.random.default_rng([70, seed]))
+                y = perturb(x, spec, SensingOperator(n)).observed[op.rows]
+                fb = _fb(alpha=3.0, beta=2.0, m=0.8, tau=k, theta=float(op.m),
+                         delta_res=0.0, t_max=12)
+                cfg = CadConfig(k=k, feedback=fb, inner_schedule=schedule, seed=seed)
+                out = cad_run(y, cfg, None, op)
+                cold = [res for _, is_cold, res in calls if is_cold]
+                if out.recovery_is_greedy:
+                    assert not cold
+                    continue
+                radius = action_radius(out.final_method, fb.tau, cfg.eta, cfg.eta_prime,
+                                       cfg.eta_dprime, n)
+                solved = [res for r, is_cold, res in calls
+                          if r == radius and not is_cold and res.converged]
+                if solved:
+                    assert not cold
+                    answer = solved[-1]
+                else:
+                    assert len(cold) == 1
+                    answer = cold[0]
+                assert out.estimate.tobytes() == top_k(answer.coeffs, k).tobytes()
+                outcomes.append(bool(solved))
+    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -174,24 +222,30 @@ def test_unconverged_subsampled_solve_logs_at_debug(caplog):
 
 
 def _reference_solve(action, y, op, cfg, budget=None, x_start=None):
-    """The dispatcher as it was before the loop cached F y: analyses y itself."""
+    """The dispatcher as it was before the loop cached F y: analyses y itself.
+
+    Returns the spectrum and whether the subsampled l1 solver converged.
+    """
     if action == A_COSAMP:
         if op.is_full:
-            return op.analyze(y)
+            return op.analyze(y), False
         steps = cfg.final_iters if budget is None else budget
-        return cosamp_run(y, op, cfg.k, steps, x0=x_start).final.estimate
+        return cosamp_run(y, op, cfg.k, steps, x0=x_start).final.estimate, False
     radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                            cfg.eta_dprime, op.n)
     problem = L1Problem(observed=y, op=op, radius=radius)
     if op.is_full:
-        return l1_min_orthonormal(problem)
+        return l1_min_orthonormal(problem), False
     if budget is not None:
         problem.max_iters = 200 * budget
-    return l1_min_general(problem, x0=x_start).coeffs
+    result = l1_min_general(problem, x0=x_start)
+    return result.coeffs, result.converged
 
 
 def _reference_run_single(y, cfg, stats, op, seed):
-    """The loop before the evidence memo: every step and the final answer solve afresh."""
+    """The loop before the evidence memo: every step solves afresh, and the
+    final answer reuses the chosen action's latest converged subsampled l1
+    solve or else solves afresh."""
     y = np.asarray(y, dtype=np.float64)
     fb = cfg.feedback
     rng = np.random.default_rng(seed)
@@ -203,6 +257,7 @@ def _reference_run_single(y, cfg, stats, op, seed):
     state = BanditState.fresh(cfg.gamma, cfg.sigma, cfg.lam)
     times = [0] * N_ACTIONS
     trace = CadTrace()
+    converged = {}
     stop_reason = "t_max"
     t = 0
     for t in range(1, fb.t_max + 1):
@@ -210,8 +265,10 @@ def _reference_run_single(y, cfg, stats, op, seed):
         a = sample_action(dist, rng)
         times[a] += 1
         budget = inner_iterations(a, times[a], cfg.inner_schedule)
-        raw = _reference_solve(a, y, op, cfg, budget, x_start=estimate)
+        raw, solved = _reference_solve(a, y, op, cfg, budget, x_start=estimate)
         estimate = top_k(raw, cfg.k)
+        if solved:
+            converged[a] = estimate
         v = residual(y, estimate, op)
         v_spec = coeffs - estimate if coeffs is not None else op.adjoint(v)
         md = None
@@ -234,7 +291,9 @@ def _reference_run_single(y, cfg, stats, op, seed):
             break
     best = int(np.argmax(state.scores))
     fallback = bool(state.scores.max() <= 0.0)
-    final = top_k(_reference_solve(A_COSAMP if fallback else best, y, op, cfg), cfg.k)
+    chosen = A_COSAMP if fallback else best
+    final = (converged[chosen] if chosen in converged
+             else top_k(_reference_solve(chosen, y, op, cfg)[0], cfg.k))
     return CadOutcome(
         final_method=best, fallback=fallback, estimate=final,
         reconstruction=op.synthesize(final), trace=trace, stopped_at=t,
