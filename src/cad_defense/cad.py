@@ -6,14 +6,16 @@ and feeds the importance-weighted reward back into the action scores.
 The loop stops once some action's probability concentrates, the residual
 collapses, or the iteration cap is hit.  The best-scoring action, or
 greedy recovery when no action ever earned a positive score, gives the
-final answer.  On the full operator each action is a closed form of c = F y,
-analysed once per run, so its evidence (pruned estimate, residual, feedback
-bit, trace fields) is computed when it first runs and reused after, final
-answer included.  On a row-subsampled operator in-loop runs warm-start at
-the current estimate with a budget that grows with each selection.  An l1
-action's solve is convex, so when one of its in-loop solves carries a
-passing duality certificate the final answer reuses that solve's pruned
-estimate; otherwise, and always for CoSaMP, the final answer is a cold run.
+final answer.  Every solve also reports whether it is final, that is,
+whether it may stand as the answer.  On the full operator each action is a
+closed form of c = F y, analysed once per run, so every solve is final and
+its evidence (pruned estimate, residual, feedback bit, trace fields) is
+computed when it first runs and reused after.  On a row-subsampled
+operator in-loop runs warm-start at the current estimate with a budget that
+grows with each selection; an l1 solve is final exactly when the solver
+reports it converged under its own duality certificate, and a CoSaMP solve,
+which is not convex, never is.  The chosen action answers with the pruned
+estimate of its latest final solve, or else with one cold run.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .bandit import (BanditState, penalty_clamped, probabilities, reward,
                      sample_action, update)
 from .feedback import (CleanStats, FeedbackConfig, feedback_bit, mahalanobis,
                        residual, should_stop, thresholded_count)
-from .recovery import (A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS, L1Problem,
-                       _certify, _full_analysis, action_radius, cosamp_run,
-                       l1_min_general, l1_min_orthonormal)
+from .recovery import (A_COSAMP, N_ACTIONS, L1Problem, _full_analysis,
+                       action_radius, cosamp_run, l1_min_general,
+                       l1_min_orthonormal)
 from .transform import SensingOperator, top_k
 
 __all__ = [
@@ -209,8 +211,7 @@ class ChannelsOutcome:
         }
 
 
-def inner_iterations(action: int, times_selected: int,
-                     schedule: tuple[int, int]) -> int:
+def inner_iterations(times_selected: int, schedule: tuple[int, int]) -> int:
     """Arithmetic budget growth: n0 on first selection, +increment after."""
     if times_selected < 1:
         raise ValueError(f"times_selected must be >= 1, got {times_selected}")
@@ -220,8 +221,9 @@ def inner_iterations(action: int, times_selected: int,
 
 def run_action(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
                budget: int, x_start: np.ndarray | None = None, *,
-               coeffs: np.ndarray | None = None) -> np.ndarray:
-    """One loop step of an action; returns an unpruned spectrum.
+               coeffs: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+    """One loop step of an action: its unpruned spectrum, and whether that
+    solve may stand as the final answer (see _solve).
 
     The full operator takes the closed form of c = F y, read from coeffs
     when the caller passes its cached c (ValueError on a row-subsampled
@@ -232,36 +234,32 @@ def run_action(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
     return _solve(action, y, op, cfg, budget, x_start, coeffs)
 
 
-def _l1_problem(action: int, y: np.ndarray, op: SensingOperator,
-                cfg: CadConfig) -> L1Problem:
-    """The radius-constrained l1 problem an l1 action solves on y."""
-    radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
-                           cfg.eta_dprime, op.n)
-    return L1Problem(observed=y, op=op, radius=radius)
-
-
 def _solve(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
            budget: int | None = None, x_start: np.ndarray | None = None,
-           coeffs: np.ndarray | None = None) -> np.ndarray:
-    """Unpruned spectrum of one action; budget None gives a cold final run.
+           coeffs: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+    """Unpruned spectrum of one action and whether it is final; budget None
+    gives a cold final run.
 
     On the full operator each action is a closed form of c = F y (CoSaMP's
     least-squares step restricts c, so its pruned iterate is top_k(c); each
-    l1 action soft-thresholds c).  A subsampled cold run is cfg.final_iters
-    CoSaMP steps or the splitting solver to its cap; a splitting solve that
-    stops without a passing duality certificate is logged at debug level
-    with its feasibility and duality gaps.
+    l1 action soft-thresholds c), so every solve is final.  A subsampled
+    cold run is cfg.final_iters CoSaMP steps or the splitting solver to its
+    cap.  There a CoSaMP solve is never final and a splitting solve is final
+    exactly when the solver reports it converged; one that did not is logged
+    at debug level with its feasibility and duality gaps.
     """
     if coeffs is not None and not op.is_full:
         raise ValueError("cached coefficients need the full operator")
     if action == A_COSAMP:
         if op.is_full:
-            return _full_analysis(y, op, coeffs)
+            return _full_analysis(y, op, coeffs), True
         steps = cfg.final_iters if budget is None else budget
-        return cosamp_run(y, op, cfg.k, steps, x0=x_start).final.estimate
-    problem = _l1_problem(action, y, op, cfg)
+        return cosamp_run(y, op, cfg.k, steps, x0=x_start).final.estimate, False
+    radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
+                           cfg.eta_dprime, op.n)
+    problem = L1Problem(observed=y, op=op, radius=radius)
     if op.is_full:
-        return l1_min_orthonormal(problem, coeffs=coeffs)
+        return l1_min_orthonormal(problem, coeffs=coeffs), True
     if budget is not None:
         problem.max_iters = _GENERAL_ITERS_PER_UNIT * budget
     result = l1_min_general(problem, x0=x_start)
@@ -269,15 +267,7 @@ def _solve(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
         log.debug("%s unconverged after %d of %d iterations, feasibility gap %.3g, "
                   "duality gap %.3g", ACTION_LABELS[action], result.iterations,
                   problem.max_iters, result.feasibility_gap, result.duality_gap)
-    return result.coeffs
-
-
-def _certified(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
-               spectrum: np.ndarray) -> bool:
-    """Whether an l1 action's row-subsampled spectrum passes the duality
-    certificate its solver stops on (two operator applications)."""
-    problem = _l1_problem(action, y, op, cfg)
-    return _certify(spectrum, y, op.matrix, problem.radius, problem.tolerance)[0]
+    return result.coeffs, result.converged
 
 
 def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
@@ -295,7 +285,7 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         estimate = np.zeros(op.n)
     coeffs = op.analyze(y) if op.is_full else None
     memo = {}  # full operator: action -> its evidence, fixed for the whole run
-    certified = {}  # row subset: l1 action -> pruned estimate of its latest certified solve
+    answers = {}  # action -> pruned estimate of its latest final solve
     state = BanditState.fresh(cfg.gamma, cfg.sigma, cfg.lam)
     times = [0] * N_ACTIONS
     trace = CadTrace()
@@ -305,8 +295,8 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         dist = probabilities(state)
         a = sample_action(dist, rng)
         times[a] += 1
-        budget = inner_iterations(a, times[a], cfg.inner_schedule)
-        raw = run_action(a, y, op, cfg, budget, x_start=estimate, coeffs=coeffs)
+        budget = inner_iterations(times[a], cfg.inner_schedule)
+        raw, final = run_action(a, y, op, cfg, budget, x_start=estimate, coeffs=coeffs)
         evidence = memo.get(a)
         if evidence is None:
             estimate = top_k(raw, cfg.k)
@@ -319,8 +309,8 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
                         thresholded_count(v_spec, fb.count_threshold))
             if coeffs is not None:
                 memo[a] = evidence
-            elif a != A_COSAMP and _certified(a, y, op, cfg, raw):
-                certified[a] = estimate
+            if final:
+                answers[a] = estimate
         estimate, v, md, f, v_l2, v_linf, v_count = evidence
         p = float(dist.probs[a])
         r = reward(a, a, f, p, cfg.lam)
@@ -337,15 +327,12 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     best = int(np.argmax(state.scores))  # ties resolve to the lowest index
     fallback = bool(state.scores.max() <= 0.0)
     chosen = A_COSAMP if fallback else best
-    if chosen in memo:
-        final = memo[chosen][0]
-    elif chosen in certified:
-        final = certified[chosen]
-    else:
-        final = top_k(_solve(chosen, y, op, cfg, coeffs=coeffs), cfg.k)
+    answer = answers.get(chosen)
+    if answer is None:
+        answer = top_k(_solve(chosen, y, op, cfg, coeffs=coeffs)[0], cfg.k)
     return CadOutcome(
-        final_method=best, fallback=fallback, estimate=final,
-        reconstruction=op.synthesize(final), trace=trace, stopped_at=t,
+        final_method=best, fallback=fallback, estimate=answer,
+        reconstruction=op.synthesize(answer), trace=trace, stopped_at=t,
         stop_reason=stop_reason, final_scores=tuple(state.scores),
     )
 

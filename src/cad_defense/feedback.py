@@ -75,10 +75,6 @@ class FeedbackConfig:
         if self.tau < 0 or self.t_max < 1:
             raise ValueError("tau must be >= 0 and t_max >= 1")
 
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-        return asdict(self)
-
 
 @dataclass(eq=False)
 class CleanStats:

@@ -214,23 +214,32 @@ def l1_min_orthonormal(p: L1Problem, *, coeffs: np.ndarray | None = None) -> np.
 
 
 def _certify(v: np.ndarray, y: np.ndarray, a: np.ndarray, radius: float,
-             tolerance: float) -> tuple[bool, float, float]:
+             tolerance: float, s: np.ndarray, step: float) -> tuple[bool, float, float]:
     """Whether v is certified, its feasibility gap, and its duality gap.
 
     The rows of a are orthonormal, so for w = y - a v the dual point
     u = w / ||a^T w||_inf has ||a^T u||_inf <= 1, and every feasible z has
-    ||z||_1 >= max(0, <u, y> - radius ||u||) (u = 0 gives the 0).  The gap
-    is ||v||_1 minus that bound; v is certified when it lies within 1e-6 of
-    the ball and its gap is at most tolerance * ||v||_1.
+    ||z||_1 >= max(0, <u, y> - radius ||u||) (u = 0 gives the 0).  At
+    radius 0 that w is rounding noise, so the dual point comes instead from
+    the subgradient g = clip(s / step, -1, 1) of the l1 prox at s with that
+    step: u = a g / max(1, ||a^T a g||_inf), bound max(0, <u, y>); weak
+    duality holds for any g.  The gap is ||v||_1 minus the bound; v is
+    certified when it lies within 1e-6 of the ball and its gap is at most
+    tolerance * ||v||_1.
     """
     w = y - a @ v
     feasibility = max(0.0, math.sqrt(w.dot(w)) - radius)
     l1 = float(np.abs(v).sum())
-    scale = float(np.abs(a.T @ w).max())
-    bound = 0.0
-    if scale > 0.0:
-        u = w / scale
-        bound = max(0.0, float(u.dot(y)) - radius * math.sqrt(u.dot(u)))
+    if radius == 0.0:
+        u = a @ np.clip(s / step, -1.0, 1.0)
+        u /= max(1.0, float(np.abs(a.T @ u).max()))
+        bound = max(0.0, float(u.dot(y)))
+    else:
+        scale = float(np.abs(a.T @ w).max())
+        bound = 0.0
+        if scale > 0.0:
+            u = w / scale
+            bound = max(0.0, float(u.dot(y)) - radius * math.sqrt(u.dot(u)))
     gap = l1 - bound
     return (feasibility <= _FEASIBILITY_TOL and gap <= tolerance * l1,
             feasibility, gap)
@@ -278,12 +287,12 @@ def l1_min_general(p: L1Problem, x0: np.ndarray | None = None) -> L1Result:
             scale = 1.0 if radius == 0.0 else 1.0 - radius / nw
             np.subtract(v, np.matmul(a.T, np.multiply(r, scale, out=r), out=t), out=v)
         if it % _GAP_CHECK_PERIOD == 0:
-            certified, feasibility, gap = _certify(v, y, a, radius, tol)
+            certified, feasibility, gap = _certify(v, y, a, radius, tol, s, step)
             if certified:
                 return L1Result(v, it, True, feasibility, gap)
         np.subtract(np.add(s, v, out=s), z, out=s)
     z = _check_vector(z, p.op.n, "coefficients")
-    certified, feasibility, gap = _certify(z, y, a, radius, tol)
+    certified, feasibility, gap = _certify(z, y, a, radius, tol, s, step)
     return L1Result(coeffs=z, iterations=it, converged=certified,
                     feasibility_gap=feasibility, duality_gap=gap)
 

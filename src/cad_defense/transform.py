@@ -72,15 +72,10 @@ class SensingOperator:
     rows : array_like of int, optional
         Measurement rows kept from the full operator.  None keeps all n rows,
         in which case A is orthonormal and analysis is its exact inverse.
-    kind : str
-        Basis descriptor; only "dct" is supported.
     """
 
-    def __init__(self, n: int, rows=None, kind: str = "dct"):
-        if kind != "dct":
-            raise ValueError(f"unsupported operator kind {kind!r}")
+    def __init__(self, n: int, rows=None):
         self.n = int(n)
-        self.kind = kind
         self._analysis = dct_matrix(self.n)          # F, shape (n, n)
         if rows is None:
             self.rows = None
@@ -134,7 +129,7 @@ class SensingOperator:
 
     def __repr__(self) -> str:
         sub = "full" if self.is_full else f"{self.m} rows"
-        return f"SensingOperator(n={self.n}, {sub}, kind={self.kind!r})"
+        return f"SensingOperator(n={self.n}, {sub})"
 
 
 def analyze(s, op: SensingOperator) -> np.ndarray:

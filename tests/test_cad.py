@@ -51,21 +51,21 @@ def _clean_instance(n=64, k=6, seed=0):
 
 
 def test_schedule_base_and_growth():
-    assert inner_iterations(0, 1, (3, 2)) == 3
-    assert inner_iterations(0, 3, (3, 2)) == 7
-    assert inner_iterations(2, 5, (1, 4)) == 17
+    assert inner_iterations(1, (3, 2)) == 3
+    assert inner_iterations(3, (3, 2)) == 7
+    assert inner_iterations(5, (1, 4)) == 17
 
 
 def test_schedule_constant_when_increment_zero():
     for times in range(1, 6):
-        assert inner_iterations(1, times, (4, 0)) == 4
+        assert inner_iterations(times, (4, 0)) == 4
 
 
 def test_schedule_monotone_and_validated():
-    budgets = [inner_iterations(0, t, (3, 2)) for t in range(1, 10)]
+    budgets = [inner_iterations(t, (3, 2)) for t in range(1, 10)]
     assert budgets == sorted(budgets)
     with pytest.raises(ValueError):
-        inner_iterations(0, 0, (3, 2))
+        inner_iterations(0, (3, 2))
     with pytest.raises(ValueError):
         CadConfig(k=2, feedback=_fb(), inner_schedule=(0, 2))
 
@@ -77,7 +77,7 @@ def test_schedule_monotone_and_validated():
 def test_run_action_l1_matches_direct_solve():
     op, x, y = _clean_instance()
     cfg = CadConfig(k=6, feedback=_fb())
-    out = run_action(A_L2, y, op, cfg, budget=3)
+    out, _ = run_action(A_L2, y, op, cfg, budget=3)
     radius = action_radius(A_L2, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                            cfg.eta_dprime, op.n)
     direct = l1_min_orthonormal(L1Problem(observed=y, op=op, radius=radius))
@@ -87,7 +87,7 @@ def test_run_action_l1_matches_direct_solve():
 def test_run_action_cosamp_continues_from_start():
     op, x, y = _clean_instance()
     cfg = CadConfig(k=6, feedback=_fb())
-    out = run_action(A_COSAMP, y, op, cfg, budget=1, x_start=x)
+    out, _ = run_action(A_COSAMP, y, op, cfg, budget=1, x_start=x)
     assert np.abs(out - x).max() < 1e-10
 
 
@@ -112,11 +112,11 @@ def test_subsampled_actions_keep_the_iterative_solvers():
     y = op.synthesize(x)
     start = top_k(np.random.default_rng(4).standard_normal(n), k)
     cfg = CadConfig(k=k, feedback=_fb())
-    greedy = run_action(A_COSAMP, y, op, cfg, budget=2, x_start=start)
+    greedy, _ = run_action(A_COSAMP, y, op, cfg, budget=2, x_start=start)
     assert np.array_equal(greedy, cosamp_run(y, op, k, 2, x0=start).final.estimate)
     radius = action_radius(A_L2, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                            cfg.eta_dprime, n)
-    convex = run_action(A_L2, y, op, cfg, budget=2, x_start=start)
+    convex, _ = run_action(A_L2, y, op, cfg, budget=2, x_start=start)
     direct = l1_min_general(L1Problem(observed=y, op=op, radius=radius,
                                       max_iters=400), x0=start)
     assert np.array_equal(convex, direct.coeffs)
@@ -128,14 +128,42 @@ def test_subsampled_actions_keep_the_iterative_solvers():
     assert np.array_equal(out.estimate, cosamp_run(y, op, k, 3).final.estimate)
 
 
+def test_run_action_reports_whether_its_solve_is_final():
+    # every full-operator solve is a closed form and final; a subsampled l1
+    # solve is final exactly when its solver converged, CoSaMP never
+    n, k = 64, 4
+    full = SensingOperator(n)
+    sub = SensingOperator(n, rows=np.sort(np.random.default_rng(5).choice(n, 40, replace=False)))
+    x = make_clean_sparse(n, k, np.random.default_rng(3))
+    noise = np.random.default_rng(1).standard_normal(n)
+    start = top_k(np.random.default_rng(4).standard_normal(n), k)
+    cfg = CadConfig(k=k, feedback=_fb())
+    y = full.synthesize(x) + noise
+    for action in (A_COSAMP, A_L0, A_L2, A_LINF):
+        assert run_action(action, y, full, cfg, budget=1, x_start=start)[1] is True
+    y = y[sub.rows]
+    flags = []
+    for budget in (1, 2, 30):
+        assert run_action(A_COSAMP, y, sub, cfg, budget, x_start=start)[1] is False
+        for action in (A_L0, A_L2, A_LINF):
+            radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
+                                   cfg.eta_dprime, n)
+            direct = l1_min_general(L1Problem(observed=y, op=sub, radius=radius,
+                                              max_iters=200 * budget), x0=start)
+            _, final = run_action(action, y, sub, cfg, budget, x_start=start)
+            assert final is direct.converged
+            flags.append(final)
+    assert True in flags and False in flags
+
+
 @pytest.mark.parametrize("action", [A_COSAMP, A_L0, A_L2, A_LINF])
 def test_run_action_cached_coefficients_give_the_same_bytes(action):
     op, x, y = _clean_instance()
     y = y + 0.5 * np.random.default_rng(8).standard_normal(op.m)
     cfg = CadConfig(k=6, feedback=_fb())
     c = op.analyze(y)
-    out = run_action(action, y, op, cfg, budget=3, x_start=x, coeffs=c)
-    assert out.tobytes() == run_action(action, y, op, cfg, budget=3, x_start=x).tobytes()
+    out, _ = run_action(action, y, op, cfg, budget=3, x_start=x, coeffs=c)
+    assert out.tobytes() == run_action(action, y, op, cfg, budget=3, x_start=x)[0].tobytes()
     out[:] = 7.0  # the result never aliases the caller's coefficients
     assert c.tobytes() == op.analyze(y).tobytes()
 
@@ -161,10 +189,10 @@ def test_unconverged_subsampled_solve_logs_at_debug(caplog):
          + np.random.default_rng(1).standard_normal(op.m))  # 200 iterations fall short
     cfg = CadConfig(k=k, feedback=_fb())
     with caplog.at_level(logging.WARNING, logger="cad_defense"):
-        quiet = run_action(A_L2, y, op, cfg, budget=1)
+        quiet, _ = run_action(A_L2, y, op, cfg, budget=1)
     assert not caplog.records
     with caplog.at_level(logging.DEBUG, logger="cad_defense"):
-        loud = run_action(A_L2, y, op, cfg, budget=1)
+        loud, _ = run_action(A_L2, y, op, cfg, budget=1)
     assert loud.tobytes() == quiet.tobytes()
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
@@ -264,7 +292,7 @@ def _reference_run_single(y, cfg, stats, op, seed):
         dist = probabilities(state)
         a = sample_action(dist, rng)
         times[a] += 1
-        budget = inner_iterations(a, times[a], cfg.inner_schedule)
+        budget = inner_iterations(times[a], cfg.inner_schedule)
         raw, solved = _reference_solve(a, y, op, cfg, budget, x_start=estimate)
         estimate = top_k(raw, cfg.k)
         if solved:
@@ -451,8 +479,7 @@ def test_budgets_follow_schedule_per_action():
     seen = [0, 0, 0, 0]
     for rec in out.trace.records:
         seen[rec.action] += 1
-        assert rec.inner_iters == inner_iterations(
-            rec.action, seen[rec.action], cfg.inner_schedule)
+        assert rec.inner_iters == inner_iterations(seen[rec.action], cfg.inner_schedule)
 
 
 def test_md_recorded_only_for_greedy_action_with_stats():

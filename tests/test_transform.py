@@ -118,8 +118,6 @@ def test_dimension_and_finite_errors():
         op.synthesize(np.zeros(9))
     with pytest.raises(ValueError):
         op.analyze(np.full(8, np.nan))
-    with pytest.raises(ValueError):
-        SensingOperator(8, kind="dft")
 
 
 def test_subsampled_operator_rows():
