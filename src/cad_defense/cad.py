@@ -303,7 +303,7 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
             v = residual(y, estimate, op)
             v_spec = coeffs - estimate if coeffs is not None else op.adjoint(v)
             md = mahalanobis(v, stats) if a == A_COSAMP and stats is not None else None
-            f = feedback_bit(a, v, fb, stats=stats, v_spec=v_spec, md=md)
+            f = feedback_bit(a, v, fb, v_spec, md)
             evidence = (estimate, v, md, f, float(np.linalg.norm(v)),
                         float(np.abs(v).max()),
                         thresholded_count(v_spec, fb.count_threshold))
@@ -344,7 +344,9 @@ def cad_run(y: np.ndarray, cfg: CadConfig, stats, op: SensingOperator):
     returning a CadOutcome.  Three-channel configs take the channel-major
     concatenation (length 3n) with a per-channel stats sequence and return
     a ChannelsOutcome whose aggregate call is the majority of per-channel
-    calls, ties resolved toward the first channel.
+    method labels, ties resolved toward the first channel; every fallback
+    is one label, whatever its argmax.  The first channel with the winning
+    label gives the aggregate final_method and fallback.
     """
     if cfg.channels == 1:
         return _run_single(y, cfg, stats, op, [cfg.seed, 0])
@@ -359,10 +361,11 @@ def cad_run(y: np.ndarray, cfg: CadConfig, stats, op: SensingOperator):
         _run_single(y[ch * op.m:(ch + 1) * op.m], cfg, stats[ch], op, [cfg.seed, ch])
         for ch in range(3)
     ]
-    labels = [(o.final_method, o.fallback) for o in outcomes]
-    method, fallback = max(labels, key=labels.count)  # first of the most common
+    labels = [o.method_label for o in outcomes]
+    # max keeps the first of the most common labels
+    winner = outcomes[labels.index(max(labels, key=labels.count))]
     return ChannelsOutcome(
-        channels=outcomes, final_method=method, fallback=fallback,
+        channels=outcomes, final_method=winner.final_method, fallback=winner.fallback,
         estimate=np.concatenate([o.estimate for o in outcomes]),
         reconstruction=np.concatenate([o.reconstruction for o in outcomes]),
     )

@@ -5,11 +5,15 @@ way that action's target attack family would leave it.  Norm thresholds
 follow the per-dataset tuning convention: alpha on the residual l2 norm,
 m and beta bracketing its max entry, tau bounding the thresholded nonzero
 count, and theta bounding the Mahalanobis distance from clean-residual
-statistics.  The thresholded count is taken on the transform-domain view
-of the residual when the caller supplies one: the sparse attack family is
-sparse in that domain, so that is where its leftover support shows up.
-The Mahalanobis distance needs only numpy: the regularized covariance is
-factored once and its inverse Cholesky factor whitens each residual.
+statistics.  Each clause has one reading.  The clean check (action 1)
+accepts a residual that is small, or one that is both statistically clean
+and flat: l2 < alpha or (md < theta and linf < m), where the distance md
+is supplied by the caller and the second clause is false without it.  The
+thresholded count is always taken on the transform-domain view of the
+residual: the sparse attack family is sparse in that domain, so that is
+where its leftover support shows up.  The Mahalanobis distance needs only
+numpy: the regularized covariance is factored once and its inverse
+Cholesky factor whitens each residual.
 """
 
 from __future__ import annotations
@@ -42,15 +46,11 @@ __all__ = [
 class FeedbackConfig:
     """Thresholds for the per-action feedback bits and the stop rule.
 
-    a1_precedence picks how the clean check combines its three clauses:
-    "or_and" (default) accepts when the residual is small OR it is both
-    statistically clean and flat; "and_or" requires flatness always and
-    accepts either smallness or statistical cleanness.
-
-    l0_count_gate, when set, additionally requires the dense-attack
-    actions (2 and 3) to see a thresholded count above the gate; dense
-    perturbations leave residuals with a large number of nonzero entries,
-    so a small count there is evidence against those families.
+    alpha bounds the residual l2 norm, m and beta bracket its max entry,
+    tau bounds the thresholded count (entries above count_threshold) and
+    theta the Mahalanobis distance; delta_prob, delta_res and t_max drive
+    the stop rule.  The clean check reads l2 < alpha or (md < theta and
+    linf < m): a small residual, or a statistically clean and flat one.
     """
 
     alpha: float
@@ -62,12 +62,8 @@ class FeedbackConfig:
     delta_prob: float = 0.8
     delta_res: float = 2.0
     t_max: int = 40
-    l0_count_gate: int | None = None
-    a1_precedence: str = "or_and"
 
     def __post_init__(self):
-        if self.a1_precedence not in ("or_and", "and_or"):
-            raise ValueError(f"unknown a1_precedence {self.a1_precedence!r}")
         for name in ("alpha", "beta", "m", "theta", "count_threshold",
                      "delta_prob", "delta_res"):
             if getattr(self, name) < 0:
@@ -186,38 +182,28 @@ def estimate_clean_stats(clean_signals, op: SensingOperator, k: int,
 
 
 def feedback_bit(action: int, v: np.ndarray, cfg: FeedbackConfig,
-                 stats: CleanStats | None = None,
-                 v_spec: np.ndarray | None = None,
-                 md: float | None = None) -> int:
+                 v_spec: np.ndarray, md: float | None = None) -> int:
     """Success bit for the chosen action given its residual.
 
-    v is the measurement-domain residual; v_spec, when given, is its
-    transform-domain view and carries the thresholded count (see module
-    docstring).  md may pass a precomputed Mahalanobis distance; otherwise
-    it is computed from stats on demand.  Without stats the statistical
-    clause of the clean check is simply unavailable (evaluates false).
+    v is the measurement-domain residual and v_spec its transform-domain
+    view, which carries the thresholded count.  md is the residual's
+    Mahalanobis distance from the clean statistics, or None when there are
+    none; the clean check (action 1) is l2 < alpha or (md < theta and
+    linf < m), its second clause false without a distance.
     """
     v = np.asarray(v, dtype=np.float64)
     l2 = float(np.linalg.norm(v))
     linf = float(np.abs(v).max()) if v.size else 0.0
     if action == A_COSAMP:
-        small = l2 < cfg.alpha
-        flat = linf < cfg.m
-        if md is None and stats is not None:
-            md = mahalanobis(v, stats)
-        clean_md = md is not None and md < cfg.theta
-        if cfg.a1_precedence == "or_and":
-            return int(small or (clean_md and flat))
-        return int((small or clean_md) and flat)
-    count_src = v_spec if v_spec is not None else v
-    count = thresholded_count(count_src, cfg.count_threshold)
+        return int(l2 < cfg.alpha
+                   or (md is not None and md < cfg.theta and linf < cfg.m))
     if action == A_L0:
-        return int(l2 > cfg.alpha and count < cfg.tau)
-    gate_ok = cfg.l0_count_gate is None or count > cfg.l0_count_gate
+        return int(l2 > cfg.alpha
+                   and thresholded_count(v_spec, cfg.count_threshold) < cfg.tau)
     if action == A_L2:
-        return int(l2 > cfg.alpha and cfg.m < linf < cfg.beta and gate_ok)
+        return int(l2 > cfg.alpha and cfg.m < linf < cfg.beta)
     if action == A_LINF:
-        return int(l2 > cfg.alpha and linf > cfg.beta and gate_ok)
+        return int(l2 > cfg.alpha and linf > cfg.beta)
     raise ValueError(f"unknown action {action}")
 
 

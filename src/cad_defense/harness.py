@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,6 +107,7 @@ class ExperimentConfig:
         kind = clean.get("kind", "sparse")
         if kind not in ("sparse", "compressible", "files"):
             raise ConfigError(f"unknown clean kind {kind!r}")
+        _check_stats_section(stats)
         return cls(n=n, channels=channels, seed=seed, clean=clean,
                    attacks=attacks, count=count, cad=cad, stats=stats,
                    stats_dir=stats_dir, bench=bench, raw=d)
@@ -129,6 +131,30 @@ class ExperimentConfig:
         if self.stats:
             out["stats"] = self.stats
         return out
+
+
+def _is_number(value, kind=(int, float)) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_stats_section(stats: dict) -> None:
+    unknown = sorted(set(stats) - {"count", "n_cosamp", "ridge"})
+    if unknown:
+        raise ConfigError(f"unknown stats keys {unknown}")
+    for key, least in (("count", 2), ("n_cosamp", 0)):
+        value = stats.get(key, least)
+        if not _is_number(value, int) or value < least:
+            raise ConfigError(f"stats.{key}={value!r} must be an integer >= {least}")
+    ridge = stats.get("ridge")
+    if ridge is not None and not (_is_number(ridge) and math.isfinite(ridge)
+                                  and ridge >= 0):
+        raise ConfigError(f"stats.ridge={ridge!r} must be null or finite and >= 0")
+
+
+def _require_synthetic(cfg: ExperimentConfig) -> None:
+    """Instances are drawn from the synthetic clean kinds only."""
+    if cfg.clean.get("kind") == "files":
+        raise ConfigError('clean.kind "files" only serves the stats command')
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +213,32 @@ def _stats_signals(cfg: ExperimentConfig, op: SensingOperator, channel: int):
         yield op.synthesize(_draw_clean(cfg, rng))
 
 
+def _file_signals(cfg: ExperimentConfig) -> list[list[np.ndarray]]:
+    paths = sorted(cfg.clean.get("paths", []))
+    if len(paths) < 2:
+        raise ConfigError("files-based stats need at least two input signals")
+    per_channel: list[list[np.ndarray]] = [[] for _ in range(cfg.channels)]
+    for p in paths:
+        vals, channels = load_signal_channels(p)
+        if channels != cfg.channels:
+            raise ConfigError(f"{p}: has {channels} channels, config says {cfg.channels}")
+        if vals.size != cfg.n * cfg.channels:
+            raise ConfigError(f"{p}: expected {cfg.n * cfg.channels} samples")
+        for ch in range(channels):
+            per_channel[ch].append(vals[ch * cfg.n:(ch + 1) * cfg.n])
+    return per_channel
+
+
 def _compute_stats(cfg: ExperimentConfig, op: SensingOperator) -> list[CleanStats]:
+    if cfg.clean.get("kind") == "files":
+        signals = _file_signals(cfg)
+    else:
+        signals = [_stats_signals(cfg, op, ch) for ch in range(cfg.channels)]
     ridge = cfg.stats.get("ridge")
-    n_cosamp = int(cfg.stats.get("n_cosamp", 5))
-    return [
-        estimate_clean_stats(_stats_signals(cfg, op, ch), op, cfg.cad.k,
-                             n_cosamp=n_cosamp,
-                             ridge=None if ridge is None else float(ridge))
-        for ch in range(cfg.channels)
-    ]
+    n_cosamp = cfg.stats.get("n_cosamp", 5)
+    return [estimate_clean_stats(sigs, op, cfg.cad.k, n_cosamp=n_cosamp,
+                                 ridge=None if ridge is None else float(ridge))
+            for sigs in signals]
 
 
 def _load_stats(cfg: ExperimentConfig) -> list[CleanStats]:
@@ -383,6 +426,7 @@ def _config_header(cfg: ExperimentConfig) -> list[str]:
 
 def cmd_gen(cfg: ExperimentConfig, out_dir) -> dict:
     """Materialize the ensemble: one instance JSON per index plus a manifest."""
+    _require_synthetic(cfg)
     out = Path(out_dir)
     inst_dir = out / "instances"
     inst_dir.mkdir(parents=True, exist_ok=True)
@@ -409,13 +453,8 @@ def cmd_stats(cfg: ExperimentConfig, out_dir) -> list[Path]:
     """Estimate per-channel clean-residual statistics and persist them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    op = SensingOperator(cfg.n)
-    if cfg.clean.get("kind") == "files":
-        stats = _stats_from_files(cfg, op)
-    else:
-        stats = _compute_stats(cfg, op)
     paths = []
-    for ch, st in enumerate(stats):
+    for ch, st in enumerate(_compute_stats(cfg, SensingOperator(cfg.n))):
         path = out / f"clean_stats_ch{ch}.f64"
         save_clean_stats(st, path)
         paths.append(path)
@@ -425,26 +464,6 @@ def cmd_stats(cfg: ExperimentConfig, out_dir) -> list[Path]:
               f"mean |residual| = {np.linalg.norm(st.mean):.3e}, "
               f"ridge = {st.ridge:.3e}, cond(C + ridge I) ~ {cond:.3e}")
     return paths
-
-
-def _stats_from_files(cfg: ExperimentConfig, op: SensingOperator) -> list[CleanStats]:
-    paths = sorted(cfg.clean.get("paths", []))
-    if len(paths) < 2:
-        raise ConfigError("files-based stats need at least two input signals")
-    per_channel: list[list[np.ndarray]] = [[] for _ in range(cfg.channels)]
-    for p in paths:
-        vals, channels = load_signal_channels(p)
-        if channels != cfg.channels:
-            raise ConfigError(f"{p}: has {channels} channels, config says {cfg.channels}")
-        if vals.size != cfg.n * cfg.channels:
-            raise ConfigError(f"{p}: expected {cfg.n * cfg.channels} samples")
-        for ch in range(channels):
-            per_channel[ch].append(vals[ch * cfg.n:(ch + 1) * cfg.n])
-    ridge = cfg.stats.get("ridge")
-    n_cosamp = int(cfg.stats.get("n_cosamp", 5))
-    return [estimate_clean_stats(sigs, op, cfg.cad.k, n_cosamp=n_cosamp,
-                                 ridge=None if ridge is None else float(ridge))
-            for sigs in per_channel]
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir, workers: int = 1,
@@ -457,6 +476,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir, workers: int = 1,
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")
+    _require_synthetic(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = _run_ensemble(cfg, workers=workers)
@@ -488,6 +508,7 @@ def cmd_bench(cfg: ExperimentConfig, out_dir, workers: int = 1) -> list[dict]:
     """
     if not cfg.bench:
         raise ConfigError("config has no bench section")
+    _require_synthetic(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid_n = [int(v) for v in cfg.bench.get("n", [cfg.n])]
@@ -505,17 +526,15 @@ def cmd_bench(cfg: ExperimentConfig, out_dir, workers: int = 1) -> list[dict]:
                     sub_raw["clean"] = dict(sub_raw["clean"], k=k)
                 sub = ExperimentConfig.from_dict(sub_raw)
                 res = _run_ensemble(sub, workers=workers)
-                errs = np.array([r["err_l2"] for r in res["instances"]])
+                agg, = res["aggregates"]  # one attack entry: one family
                 ratios = [r["ratio"] for r in res["instances"] if r["ratio"] is not None]
                 iters = np.array([t["iterations"] for t in res["timings"]])
                 per_iter = np.array([t["per_iter_s"] for t in res["timings"]])
-                idents = [r["identified"] for r in res["instances"]
-                          if r["identified"] is not None]
                 cells.append({
                     "n": n, "k": k, "family": entry["family"], "count": count,
-                    "median_err_l2": float(np.median(errs)),
+                    "median_err_l2": agg["median_err_l2"],
                     "mean_ratio": float(np.mean(ratios)) if ratios else None,
-                    "identification_rate": (sum(idents) / len(idents)) if idents else None,
+                    "identification_rate": agg["identification_rate"],
                     "median_iterations": float(np.median(iters)),
                     "median_per_iter_s": float(np.median(per_iter)),
                 })

@@ -302,7 +302,7 @@ def _reference_run_single(y, cfg, stats, op, seed):
         md = None
         if a == A_COSAMP and stats is not None:
             md = mahalanobis(v, stats)
-        f = feedback_bit(a, v, fb, stats=stats, v_spec=v_spec, md=md)
+        f = feedback_bit(a, v, fb, v_spec, md)
         p = float(dist.probs[a])
         r = reward(a, a, f, p, cfg.lam)
         state = update(state, a, r)
@@ -585,15 +585,33 @@ def test_three_channel_aggregation():
     assert len(out.channels) == 3
     assert np.array_equal(
         out.estimate, np.concatenate([o.estimate for o in out.channels]))
-    # aggregate call is the majority of per-channel calls, first channel
-    # breaking ties
-    labels = [(o.final_method, o.fallback) for o in out.channels]
+    # aggregate call is the majority of per-channel method labels, first
+    # channel breaking ties; that channel gives final_method and fallback
+    labels = [o.method_label for o in out.channels]
     counts = {lab: labels.count(lab) for lab in labels}
     top = max(counts.values())
-    expect = next(lab for lab in labels if counts[lab] == top)
-    assert (out.final_method, out.fallback) == expect
+    first = next(o for o in out.channels if counts[o.method_label] == top)
+    assert out.method_label == first.method_label
+    assert (out.final_method, out.fallback) == (first.final_method, first.fallback)
     for ch, o in enumerate(out.channels):
         assert np.linalg.norm(o.estimate - chans[ch]) <= 1e-8
+
+
+def test_three_channel_vote_counts_fallbacks_as_one_label(monkeypatch):
+    # a2 against two fallbacks whose argmaxes differ: the fallbacks win
+    def outcome(final_method, fallback):
+        return CadOutcome(final_method=final_method, fallback=fallback,
+                          estimate=np.zeros(4), reconstruction=np.zeros(4),
+                          trace=CadTrace(), stopped_at=1, stop_reason="t_max",
+                          final_scores=(0.0,) * N_ACTIONS)
+    outcomes = iter([outcome(A_L0, False), outcome(A_COSAMP, True),
+                     outcome(A_L2, True)])
+    monkeypatch.setattr(cad_defense.cad, "_run_single",
+                        lambda *args: next(outcomes))
+    cfg = CadConfig(k=2, feedback=_fb(), channels=3)
+    out = cad_run(np.zeros(12), cfg, None, SensingOperator(4))
+    assert out.method_label == FALLBACK_LABEL
+    assert (out.final_method, out.fallback) == (A_COSAMP, True)
 
 
 def test_three_channel_validation():

@@ -1,11 +1,12 @@
 """Command-line interface tests: subcommands, exit codes, seed override,
-report formats, and log-level control."""
+report formats, log-level control, and the demos run as scripts."""
 
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cad_defense.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
 from cad_defense.feedback import CleanStats, save_clean_stats
 
 FB = {"alpha": 8.0, "beta": 5.0, "m": 1.8, "tau": 15, "theta": 65.0}
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -128,10 +130,17 @@ def _drop_key(key):
     _corrupt_stats(_drop_key("n")),
     _corrupt_stats(_drop_key("ridge")),
     _corrupt_stats(_drop_key("source_count")),
+    lambda _: {"stats": {"count": 8, "ridge": -1}},
+    lambda _: {"stats": {"count": 1}},
+    lambda _: {"stats": {"count": 8, "n_cosamp": -1}},
+    lambda _: {"stats": {"cout": 8}},
+    lambda _: {"cad": {"k": 4, "feedback": dict(FB, a1_precedence="or_and")}},
 ], ids=["unknown_family", "nan_budget", "k_above_n", "stats_of_other_n",
         "l0_tau_above_n", "stats_short_f64", "stats_sidecar_not_json",
         "stats_sidecar_without_n", "stats_sidecar_without_ridge",
-        "stats_sidecar_without_source_count"])
+        "stats_sidecar_without_source_count", "stats_negative_ridge",
+        "stats_count_below_two", "stats_negative_n_cosamp",
+        "stats_unknown_key", "removed_a1_precedence"])
 def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, overrides):
     cfg = _write_config(tmp_path, **overrides(tmp_path))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -139,6 +148,17 @@ def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, overrides):
     assert code == EXIT_CONFIG
     assert len(err) == 1 and err[0].startswith("config error:")
     assert not (tmp_path / "o" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "bench"])
+def test_file_signals_only_serve_stats(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, clean={"kind": "files", "paths": []},
+                        bench={"n": [32], "k": [4], "count": 2})
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_code_missing_config(tmp_path, capsys):
@@ -201,3 +221,10 @@ def test_cli_import_leaves_scipy_and_the_process_pool_unloaded():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(demo):
+    out = subprocess.run([sys.executable, str(DEMOS / demo)], env=_child_env(),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

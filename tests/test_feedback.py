@@ -249,7 +249,7 @@ def test_mahalanobis_separates_clean_from_attacked():
 
 
 def test_a1_zero_residual_succeeds():
-    assert feedback_bit(A_COSAMP, np.zeros(8), _cfg()) == 1
+    assert feedback_bit(A_COSAMP, np.zeros(8), _cfg(), np.zeros(8)) == 1
 
 
 def test_a2_sparse_count_example():
@@ -258,11 +258,11 @@ def test_a2_sparse_count_example():
     v[:12] = 10.0 / np.sqrt(12.0)
     assert abs(np.linalg.norm(v) - 10.0) < 1e-12
     assert thresholded_count(v, 0.5) == 12
-    assert feedback_bit(A_L0, v, _cfg()) == 1
+    assert feedback_bit(A_L0, v, _cfg(), v) == 1
     # over tau entries flips it
     w = np.zeros(64)
     w[:20] = 10.0 / np.sqrt(20.0)
-    assert feedback_bit(A_L0, w, _cfg()) == 0
+    assert feedback_bit(A_L0, w, _cfg(), w) == 0
 
 
 def test_a3_a4_interval_split():
@@ -270,13 +270,13 @@ def test_a3_a4_interval_split():
     v[0] = 6.0
     v[1:] = 8.0 / np.sqrt(63.0)  # fills out the l2 norm past alpha
     assert np.linalg.norm(v) > 8.0 and np.abs(v).max() == 6.0
-    assert feedback_bit(A_LINF, v, _cfg()) == 1
-    assert feedback_bit(A_L2, v, _cfg()) == 0  # max entry above beta
+    assert feedback_bit(A_LINF, v, _cfg(), v) == 1
+    assert feedback_bit(A_L2, v, _cfg(), v) == 0  # max entry above beta
     w = np.zeros(64)
     w[0] = 3.0
     w[1:] = 9.0 / np.sqrt(63.0)
-    assert feedback_bit(A_L2, w, _cfg()) == 1  # max in (m, beta)
-    assert feedback_bit(A_LINF, w, _cfg()) == 0
+    assert feedback_bit(A_L2, w, _cfg(), w) == 1  # max in (m, beta)
+    assert feedback_bit(A_LINF, w, _cfg(), w) == 0
 
 
 def test_a3_a4_mutually_exclusive():
@@ -284,41 +284,37 @@ def test_a3_a4_mutually_exclusive():
     cfg = _cfg()
     for _ in range(200):
         v = rng.standard_normal(32) * float(rng.choice([0.5, 2.0, 8.0]))
-        assert feedback_bit(A_L2, v, cfg) + feedback_bit(A_LINF, v, cfg) <= 1
+        assert feedback_bit(A_L2, v, cfg, v) + feedback_bit(A_LINF, v, cfg, v) <= 1
         if np.abs(v).max() <= cfg.m:
-            assert feedback_bit(A_L2, v, cfg) == 0
-            assert feedback_bit(A_LINF, v, cfg) == 0
+            assert feedback_bit(A_L2, v, cfg, v) == 0
+            assert feedback_bit(A_LINF, v, cfg, v) == 0
 
 
 def test_small_residual_fails_attack_actions():
     v = np.full(16, 0.1)
     cfg = _cfg()
-    assert feedback_bit(A_L0, v, cfg) == 0
-    assert feedback_bit(A_L2, v, cfg) == 0
-    assert feedback_bit(A_LINF, v, cfg) == 0
-
-
-def test_a1_precedence_modes():
-    # small l2 norm but spiky and statistically unusual residual
-    v = np.zeros(16)
-    v[0] = 2.0  # above m = 1.8, l2 norm 2 below alpha = 8
-    stats = _stats(np.zeros(16), np.eye(16))
-    # MD = 2 < theta = 65, so the statistical clause holds here
-    assert feedback_bit(A_COSAMP, v, _cfg(), stats=stats) == 1
-    assert feedback_bit(A_COSAMP, v, _cfg(a1_precedence="and_or"), stats=stats) == 0
-    with pytest.raises(ValueError):
-        _cfg(a1_precedence="or_then_and")
+    assert feedback_bit(A_L0, v, cfg, v) == 0
+    assert feedback_bit(A_L2, v, cfg, v) == 0
+    assert feedback_bit(A_LINF, v, cfg, v) == 0
 
 
 def test_a1_md_clause_requires_stats():
     v = np.zeros(16)
     v[0] = 9.0  # l2 norm above alpha, so only the MD clause could save it
-    assert feedback_bit(A_COSAMP, v, _cfg(m=100.0)) == 0
-    stats = _stats(np.zeros(16), 100.0 * np.eye(16))
-    assert feedback_bit(A_COSAMP, v, _cfg(m=100.0), stats=stats) == 1
-    # a precomputed distance short-circuits the stats computation
-    assert feedback_bit(A_COSAMP, v, _cfg(m=100.0), md=0.9) == 1
-    assert feedback_bit(A_COSAMP, v, _cfg(m=100.0), md=70.0) == 0
+    cfg = _cfg(m=100.0)
+    assert feedback_bit(A_COSAMP, v, cfg, v) == 0  # no distance, no clause
+    md = mahalanobis(v, _stats(np.zeros(16), 100.0 * np.eye(16)))
+    assert md == pytest.approx(0.9)
+    assert feedback_bit(A_COSAMP, v, cfg, v, md) == 1
+    assert feedback_bit(A_COSAMP, v, cfg, v, 70.0) == 0  # not under theta
+    # a small but spiky residual: l2 norm 2 under alpha = 8 but max 2 over
+    # m = 1.8; smallness alone accepts it, whatever its (clean) distance
+    w = np.zeros(16)
+    w[0] = 2.0
+    md = mahalanobis(w, _stats(np.zeros(16), np.eye(16)))
+    assert md == 2.0 < 65.0
+    assert feedback_bit(A_COSAMP, w, _cfg(), w, md) == 1
+    assert feedback_bit(A_COSAMP, w, _cfg(), w) == 1
 
 
 def test_count_taken_from_spectral_view_when_given():
@@ -327,33 +323,15 @@ def test_count_taken_from_spectral_view_when_given():
     v_spec[:5] = 3.0      # sparse in the transform domain: count 5
     # scale v so its l2 norm clears alpha
     v = v * (9.0 / np.linalg.norm(v))
-    assert feedback_bit(A_L0, v, _cfg(), v_spec=v_spec) == 1
-    assert feedback_bit(A_L0, v, _cfg()) == 0  # pixel count 64 over tau
-
-
-def test_l0_count_gate_floors_dense_actions():
-    cfg = _cfg(l0_count_gate=20)
-    v = np.zeros(64)
-    v[0] = 3.0
-    v[1:] = 9.0 / np.sqrt(63.0)  # dense: spectral count high
-    sparse_spec = np.zeros(64)
-    sparse_spec[:5] = 3.0
-    dense_spec = np.full(64, 1.0)
-    assert feedback_bit(A_L2, v, cfg, v_spec=dense_spec) == 1
-    assert feedback_bit(A_L2, v, cfg, v_spec=sparse_spec) == 0
-    w = np.zeros(64)
-    w[0] = 6.0
-    w[1:] = 8.0 / np.sqrt(63.0)
-    assert feedback_bit(A_LINF, w, cfg, v_spec=dense_spec) == 1
-    assert feedback_bit(A_LINF, w, cfg, v_spec=sparse_spec) == 0
-    # the sparse action ignores the gate
-    assert feedback_bit(A_L0, v * (9.0 / np.linalg.norm(v)), cfg,
-                        v_spec=sparse_spec) == 1
+    assert feedback_bit(A_L0, v, _cfg(), v_spec) == 1
+    assert feedback_bit(A_L0, v, _cfg(), v) == 0  # pixel count 64 over tau
+    with pytest.raises(TypeError):
+        feedback_bit(A_L0, v, _cfg())  # the spectral view is required
 
 
 def test_feedback_bit_unknown_action():
     with pytest.raises(ValueError):
-        feedback_bit(7, np.zeros(4), _cfg())
+        feedback_bit(7, np.zeros(4), _cfg(), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -421,3 +399,6 @@ def test_feedback_config_validation():
         _cfg(alpha=-1.0)
     with pytest.raises(ValueError):
         _cfg(t_max=0)
+    for removed in ("a1_precedence", "l0_count_gate"):
+        with pytest.raises(TypeError):
+            _cfg(**{removed: None})

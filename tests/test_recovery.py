@@ -502,8 +502,9 @@ def _reference_certificate(v, y, op, radius, tolerance, s, step):
 def _reference_l1_min_general(p, x0=None):
     """The allocating Douglas-Rachford loop that l1_min_general must match bit for bit."""
     y = np.asarray(p.observed, dtype=np.float64)
-    if np.linalg.norm(y) <= p.radius:
-        return L1Result(np.zeros(p.op.n), 0, True, 0.0, 0.0)
+    excess = float(np.linalg.norm(y)) - p.radius
+    if excess <= 1e-6:
+        return L1Result(np.zeros(p.op.n), 0, True, max(0.0, excess), 0.0)
     step = 0.1 * float(np.abs(p.op.adjoint(y)).max())
     if step <= 0.0:
         step = 1.0
