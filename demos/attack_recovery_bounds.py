@@ -38,7 +38,7 @@ print("   eps    l1 error   greedy error")
 for eps in (0.05, 0.1, 0.2, 0.4):
     inst = perturb(x, AttackSpec(family="l2", eta=eps, seed=2), op)
     z = l1_min_orthonormal(L1Problem(observed=inst.observed, op=op, radius=eps))
-    g = cosamp_run(inst.observed, op, 6, 10).final.estimate
+    g = cosamp_run(inst.observed, op, 6, 10).estimate
     print(f"  {eps:.2f}  {np.linalg.norm(z - x):9.4f}  {np.linalg.norm(g - x):12.4f}")
 
 # The bound report packages the same comparison for harness rows.

@@ -15,9 +15,9 @@ from .attacks import (FAMILIES, AdversarialInstance, AttackSpec,
                       make_clean_compressible, make_clean_sparse, perturb,
                       save_raw, write_pgm)
 from .recovery import (A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS, BoundReport,
-                       CosampRun, CosampState, L1Problem, L1Result,
-                       action_radius, check_bound, cosamp_run, cosamp_step,
-                       l1_min_general, l1_min_orthonormal)
+                       CosampState, L1Problem, L1Result, action_radius,
+                       check_bound, cosamp_run, cosamp_step, l1_min_general,
+                       l1_min_orthonormal)
 from .bandit import (CLAMP_EPS, ActionDistribution, BanditState,
                      penalty_clamped, probabilities, reward, sample_action,
                      update)

@@ -7,15 +7,17 @@ The loop stops once some action's probability concentrates, the residual
 collapses, or the iteration cap is hit.  The best-scoring action, or
 greedy recovery when no action ever earned a positive score, gives the
 final answer.  Every solve also reports whether it is final, that is,
-whether it may stand as the answer.  On the full operator each action is a
-closed form of c = F y, analysed once per run, so every solve is final and
-its evidence (pruned estimate, residual, feedback bit, trace fields) is
-computed when it first runs and reused after.  On a row-subsampled
-operator in-loop runs warm-start at the current estimate with a budget that
-grows with each selection; an l1 solve is final exactly when the solver
-reports it converged under its own duality certificate, and a CoSaMP solve,
-which is not convex, never is.  The chosen action answers with the pruned
-estimate of its latest final solve, or else with one cold run.
+whether it may stand as the answer; the loop keeps the evidence (pruned
+estimate, residual, feedback bit, trace fields) of each action's latest
+final solve.  On the full operator each action is a closed form of
+c = F y, analysed once per run, so every solve is final and an action's
+evidence, computed when it first runs, is reused after.  On a
+row-subsampled operator in-loop runs warm-start at the current estimate
+with a budget that grows with each selection, so a repeat is solved
+again; an l1 solve is final exactly when the solver reports it converged
+under its own duality certificate, and a CoSaMP solve, which is not
+convex, never is.  The chosen action answers with the estimate of its
+latest final solve, or else with one cold run.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ class CadConfig:
     eta_prime: float = 0.15
     eta_dprime: float = 0.04
     inner_schedule: tuple[int, int] = (3, 2)
-    x0_mode: str = "zero"
     channels: int = 1
     seed: int = 0
     final_iters: int = 10
@@ -77,8 +78,6 @@ class CadConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.final_iters < 1:
             raise ValueError(f"final_iters must be >= 1, got {self.final_iters}")
-        if self.x0_mode not in ("zero", "random"):
-            raise ValueError(f"unknown x0_mode {self.x0_mode!r}")
         if self.channels not in (1, 3):
             raise ValueError(f"channels must be 1 or 3, got {self.channels}")
         n0, inc = self.inner_schedule
@@ -163,11 +162,6 @@ class CadOutcome:
     def method_label(self) -> str:
         return FALLBACK_LABEL if self.fallback else ACTION_LABELS[self.final_method]
 
-    @property
-    def recovery_is_greedy(self) -> bool:
-        """True when the final reconstruction came from CoSaMP (chosen or fallback)."""
-        return self.fallback or self.final_method == A_COSAMP
-
     def to_jsonable(self) -> dict:
         return {
             "final_method": self.final_method,
@@ -195,10 +189,6 @@ class ChannelsOutcome:
     @property
     def method_label(self) -> str:
         return FALLBACK_LABEL if self.fallback else ACTION_LABELS[self.final_method]
-
-    @property
-    def recovery_is_greedy(self) -> bool:
-        return self.fallback or self.final_method == A_COSAMP
 
     def to_jsonable(self) -> dict:
         return {
@@ -254,7 +244,7 @@ def _solve(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
         if op.is_full:
             return _full_analysis(y, op, coeffs), True
         steps = cfg.final_iters if budget is None else budget
-        return cosamp_run(y, op, cfg.k, steps, x0=x_start).final.estimate, False
+        return cosamp_run(y, op, cfg.k, steps, x0=x_start).estimate, False
     radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                            cfg.eta_dprime, op.n)
     problem = L1Problem(observed=y, op=op, radius=radius)
@@ -279,13 +269,9 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         raise ValueError(f"k={cfg.k} exceeds the dimension n={op.n}")
     fb = cfg.feedback
     rng = np.random.default_rng(seed)
-    if cfg.x0_mode == "random":
-        estimate = top_k(rng.standard_normal(op.n), cfg.k)
-    else:
-        estimate = np.zeros(op.n)
+    estimate = np.zeros(op.n)
     coeffs = op.analyze(y) if op.is_full else None
-    memo = {}  # full operator: action -> its evidence, fixed for the whole run
-    answers = {}  # action -> pruned estimate of its latest final solve
+    finals = {}  # action -> evidence of its latest final solve
     state = BanditState.fresh(cfg.gamma, cfg.sigma, cfg.lam)
     times = [0] * N_ACTIONS
     trace = CadTrace()
@@ -297,7 +283,9 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         times[a] += 1
         budget = inner_iterations(times[a], cfg.inner_schedule)
         raw, final = run_action(a, y, op, cfg, budget, x_start=estimate, coeffs=coeffs)
-        evidence = memo.get(a)
+        # only full-operator evidence is fixed for the run: on a row subset a
+        # repeat warm-starts a new solve, whose evidence differs
+        evidence = finals.get(a) if coeffs is not None else None
         if evidence is None:
             estimate = top_k(raw, cfg.k)
             v = residual(y, estimate, op)
@@ -307,10 +295,8 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
             evidence = (estimate, v, md, f, float(np.linalg.norm(v)),
                         float(np.abs(v).max()),
                         thresholded_count(v_spec, fb.count_threshold))
-            if coeffs is not None:
-                memo[a] = evidence
             if final:
-                answers[a] = estimate
+                finals[a] = evidence
         estimate, v, md, f, v_l2, v_linf, v_count = evidence
         p = float(dist.probs[a])
         r = reward(a, a, f, p, cfg.lam)
@@ -327,8 +313,9 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     best = int(np.argmax(state.scores))  # ties resolve to the lowest index
     fallback = bool(state.scores.max() <= 0.0)
     chosen = A_COSAMP if fallback else best
-    answer = answers.get(chosen)
-    if answer is None:
+    if chosen in finals:
+        answer = finals[chosen][0]
+    else:
         answer = top_k(_solve(chosen, y, op, cfg, coeffs=coeffs)[0], cfg.k)
     return CadOutcome(
         final_method=best, fallback=fallback, estimate=answer,

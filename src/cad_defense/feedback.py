@@ -165,8 +165,8 @@ def estimate_clean_stats(clean_signals, op: SensingOperator, k: int,
     """
     residuals = []
     for y in clean_signals:
-        run = cosamp_run(np.asarray(y, dtype=np.float64), op, k, n_cosamp)
-        residuals.append(run.final.residual)
+        residuals.append(cosamp_run(np.asarray(y, dtype=np.float64), op, k,
+                                    n_cosamp).residual)
     if len(residuals) < 2:
         raise ValueError("need at least two clean signals for a covariance")
     stack = np.vstack(residuals)

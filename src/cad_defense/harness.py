@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,6 +89,7 @@ class ExperimentConfig:
             stats = dict(d.get("stats", {}))
             stats_dir = d.get("stats_dir")
             bench = d.get("bench")
+            bench = None if bench is None else dict(bench)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
         if n < 1 or count < 1 or channels not in (1, 3):
@@ -107,6 +109,9 @@ class ExperimentConfig:
         kind = clean.get("kind", "sparse")
         if kind not in ("sparse", "compressible", "files"):
             raise ConfigError(f"unknown clean kind {kind!r}")
+        _reject_unknown("clean", clean, {"kind", "amplitude", "tail_norm", "k", "paths"})
+        if bench is not None:
+            _reject_unknown("bench", bench, {"n", "k", "attacks", "count"})
         _check_stats_section(stats)
         return cls(n=n, channels=channels, seed=seed, clean=clean,
                    attacks=attacks, count=count, cad=cad, stats=stats,
@@ -137,10 +142,14 @@ def _is_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _check_stats_section(stats: dict) -> None:
-    unknown = sorted(set(stats) - {"count", "n_cosamp", "ridge"})
+def _reject_unknown(section: str, entries, allowed: set) -> None:
+    unknown = sorted(set(entries) - allowed)
     if unknown:
-        raise ConfigError(f"unknown stats keys {unknown}")
+        raise ConfigError(f"unknown {section} keys {unknown}")
+
+
+def _check_stats_section(stats: dict) -> None:
+    _reject_unknown("stats", stats, {"count", "n_cosamp", "ridge"})
     for key, least in (("count", 2), ("n_cosamp", 0)):
         value = stats.get(key, least)
         if not _is_number(value, int) or value < least:
@@ -330,6 +339,9 @@ def _run_one(cfg: ExperimentConfig, op: SensingOperator,
 
 # module globals for pool workers, set once per process by the initializer
 _POOL = {}
+# read by each worker's BLAS as it loads: one thread per worker, so that a
+# pool does not oversubscribe the cores
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _pool_init(cfg: ExperimentConfig, stats: list[CleanStats] | None):
@@ -346,11 +358,23 @@ def _run_ensemble(cfg: ExperimentConfig, workers: int = 1) -> dict:
     stats = _resolve_stats(cfg, op)
     tasks = _attack_entries(cfg)
     if workers > 1:
-        # imported here so that serial runs do not pay for loading it
+        # imported here so that serial runs do not pay for loading them
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=(cfg, stats)) as pool:
-            results = list(pool.map(_pool_run, tasks, chunksize=4))
+        saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:
+            with ProcessPoolExecutor(max_workers=workers,
+                                     mp_context=multiprocessing.get_context("spawn"),
+                                     initializer=_pool_init,
+                                     initargs=(cfg, stats)) as pool:
+                results = list(pool.map(_pool_run, tasks, chunksize=4))
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    os.environ.pop(var, None)
+                else:
+                    os.environ[var] = value
     else:
         results = [_run_one(cfg, op, stats, i, e) for i, e in tasks]
     results.sort(key=lambda r: r["inst"]["instance"])
@@ -472,7 +496,9 @@ def cmd_run(cfg: ExperimentConfig, out_dir, workers: int = 1,
 
     Writes report.csv (per channel), instances.csv, aggregate.csv (or
     report.json for fmt=json) plus a timings.csv sidecar that carries the
-    only nondeterministic fields.
+    only nondeterministic fields.  workers > 1 spawns worker processes,
+    which import the caller's main script: call it under the
+    `if __name__ == "__main__":` guard.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")

@@ -22,7 +22,7 @@ feasible point and returns that point once the certified gap is small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "A_LINF",
     "N_ACTIONS",
     "CosampState",
-    "CosampRun",
     "cosamp_step",
     "cosamp_run",
     "L1Problem",
@@ -58,22 +57,10 @@ _FEASIBILITY_TOL = 1e-6
 
 @dataclass
 class CosampState:
-    """Iterate of the greedy loop: k-sparse estimate and its residual."""
+    """State of the greedy loop: k-sparse estimate and its residual."""
 
     estimate: np.ndarray
     residual: np.ndarray
-    iteration: int
-
-
-@dataclass
-class CosampRun:
-    """Final state plus the full iterate history for convergence diagnostics."""
-
-    states: list[CosampState] = field(default_factory=list)
-
-    @property
-    def final(self) -> CosampState:
-        return self.states[-1]
 
 
 def cosamp_step(state: CosampState, y: np.ndarray, op: SensingOperator,
@@ -99,17 +86,16 @@ def cosamp_step(state: CosampState, y: np.ndarray, op: SensingOperator,
         b[merged] = sol
     estimate = top_k(b, k)
     residual = y - op.synthesize(estimate)
-    return CosampState(estimate=estimate, residual=residual,
-                       iteration=state.iteration + 1)
+    return CosampState(estimate=estimate, residual=residual)
 
 
 def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
-               x0: np.ndarray | None = None) -> CosampRun:
-    """Run n_iters CoSaMP steps from x0 (zero start by default).
+               x0: np.ndarray | None = None) -> CosampState:
+    """The state n_iters CoSaMP steps from x0 (zero start by default) reach.
 
     A step is a function of its state's estimate and residual bytes alone,
-    so once a step reproduces both, every later one would too: the run stops
-    there and repeats that state, numbered up to n_iters, in its history.
+    so once a step reproduces both, every later one would too: the run
+    stops there and returns that state.
     """
     if not 0 < k <= op.n:
         raise ValueError(f"need 0 < k <= {op.n}, got k={k}")
@@ -120,18 +106,14 @@ def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
         est = np.zeros(op.n)
     else:
         est = top_k(np.asarray(x0, dtype=np.float64), k)
-    state = CosampState(estimate=est, residual=y - op.synthesize(est), iteration=0)
-    run = CosampRun(states=[state])
+    state = CosampState(estimate=est, residual=y - op.synthesize(est))
     for _ in range(n_iters):
         step = cosamp_step(state, y, op, k)
-        run.states.append(step)
         if (step.estimate.tobytes() == state.estimate.tobytes()
                 and step.residual.tobytes() == state.residual.tobytes()):
-            run.states.extend(CosampState(step.estimate, step.residual, i)
-                              for i in range(step.iteration + 1, n_iters + 1))
             break
         state = step
-    return run
+    return state
 
 
 @dataclass

@@ -47,7 +47,7 @@ def test_criterion_1_exact_recovery():
             x = make_clean_sparse(n, k, rng)
             y = op.synthesize(x)
             scale = float(np.linalg.norm(x))
-            greedy = cosamp_run(y, op, k, 10).final.estimate
+            greedy = cosamp_run(y, op, k, 10).estimate
             # a radius of zero makes the three l1 actions the same problem
             pursuit = l1_min_orthonormal(L1Problem(observed=y, op=op, radius=0.0))
             for est in (greedy, pursuit):
@@ -218,7 +218,7 @@ def test_criterion_5_error_budget_dominance():
         z = l1_min_orthonormal(L1Problem(observed=inst.observed, op=op, radius=eps))
         err_l1 = float(np.linalg.norm(z - x))
         err_greedy = float(np.linalg.norm(
-            cosamp_run(inst.observed, op, k, 10).final.estimate - x))
+            cosamp_run(inst.observed, op, k, 10).estimate - x))
         ok &= err_l1 <= 2.0 * eps + 1e-9 and err_greedy <= 3.0 * eps
         worst_l1 = max(worst_l1, err_l1 / eps)
         worst_greedy = max(worst_greedy, err_greedy / eps)

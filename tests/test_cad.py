@@ -100,7 +100,7 @@ def test_full_operator_cosamp_is_top_k_of_analysis(data, n, steps):
     y = data.draw(arrays(np.float64, n, elements=st.floats(-1e150, 1e150)))
     k = data.draw(st.integers(1, n))
     op = SensingOperator(n)
-    greedy = cosamp_run(y, op, k, steps).final.estimate
+    greedy = cosamp_run(y, op, k, steps).estimate
     assert greedy.tobytes() == top_k(op.analyze(y), k).tobytes()
 
 
@@ -113,7 +113,7 @@ def test_subsampled_actions_keep_the_iterative_solvers():
     start = top_k(np.random.default_rng(4).standard_normal(n), k)
     cfg = CadConfig(k=k, feedback=_fb())
     greedy, _ = run_action(A_COSAMP, y, op, cfg, budget=2, x_start=start)
-    assert np.array_equal(greedy, cosamp_run(y, op, k, 2, x0=start).final.estimate)
+    assert np.array_equal(greedy, cosamp_run(y, op, k, 2, x0=start).estimate)
     radius = action_radius(A_L2, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                            cfg.eta_dprime, n)
     convex, _ = run_action(A_L2, y, op, cfg, budget=2, x_start=start)
@@ -125,7 +125,7 @@ def test_subsampled_actions_keep_the_iterative_solvers():
                   delta_res=0.0, t_max=5)
     out = cad_run(y, CadConfig(k=k, feedback=starved, final_iters=3), None, op)
     assert out.fallback
-    assert np.array_equal(out.estimate, cosamp_run(y, op, k, 3).final.estimate)
+    assert np.array_equal(out.estimate, cosamp_run(y, op, k, 3).estimate)
 
 
 def test_run_action_reports_whether_its_solve_is_final():
@@ -227,7 +227,7 @@ def test_certified_subsampled_solve_is_the_final_answer(monkeypatch):
                 cfg = CadConfig(k=k, feedback=fb, inner_schedule=schedule, seed=seed)
                 out = cad_run(y, cfg, None, op)
                 cold = [res for _, is_cold, res in calls if is_cold]
-                if out.recovery_is_greedy:
+                if out.fallback or out.final_method == A_COSAMP:
                     assert not cold
                     continue
                 radius = action_radius(out.final_method, fb.tau, cfg.eta, cfg.eta_prime,
@@ -258,7 +258,7 @@ def _reference_solve(action, y, op, cfg, budget=None, x_start=None):
         if op.is_full:
             return op.analyze(y), False
         steps = cfg.final_iters if budget is None else budget
-        return cosamp_run(y, op, cfg.k, steps, x0=x_start).final.estimate, False
+        return cosamp_run(y, op, cfg.k, steps, x0=x_start).estimate, False
     radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                            cfg.eta_dprime, op.n)
     problem = L1Problem(observed=y, op=op, radius=radius)
@@ -277,10 +277,7 @@ def _reference_run_single(y, cfg, stats, op, seed):
     y = np.asarray(y, dtype=np.float64)
     fb = cfg.feedback
     rng = np.random.default_rng(seed)
-    if cfg.x0_mode == "random":
-        estimate = top_k(rng.standard_normal(op.n), cfg.k)
-    else:
-        estimate = np.zeros(op.n)
+    estimate = np.zeros(op.n)
     coeffs = op.analyze(y) if op.is_full else None
     state = BanditState.fresh(cfg.gamma, cfg.sigma, cfg.lam)
     times = [0] * N_ACTIONS
@@ -347,10 +344,10 @@ def _oracle_setup(name):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), name=st.sampled_from(sorted(_ORACLE_OPERATORS)),
-       seed=st.integers(0, 2 ** 32 - 1), x0_mode=st.sampled_from(["zero", "random"]),
-       with_stats=st.booleans(), channels=st.sampled_from([1, 3]))
-def test_loop_matches_the_reference_loop_bit_for_bit(data, name, seed, x0_mode,
-                                                     with_stats, channels):
+       seed=st.integers(0, 2 ** 32 - 1), with_stats=st.booleans(),
+       channels=st.sampled_from([1, 3]))
+def test_loop_matches_the_reference_loop_bit_for_bit(data, name, seed, with_stats,
+                                                     channels):
     op, clean_stats = _oracle_setup(name)
     n, k = op.n, op.n // 8
     t_max = data.draw(st.integers(1, 40 if op.is_full else 12))
@@ -358,7 +355,7 @@ def test_loop_matches_the_reference_loop_bit_for_bit(data, name, seed, x0_mode,
     fb = _fb(alpha=data.draw(st.sampled_from([1.0, 3.0, 8.0])), beta=2.0, m=0.8,
              tau=data.draw(st.integers(0, n)), theta=float(op.m),
              delta_res=data.draw(st.sampled_from([0.0, 0.5])), t_max=t_max)
-    cfg = CadConfig(k=k, feedback=fb, x0_mode=x0_mode, channels=channels, seed=seed)
+    cfg = CadConfig(k=k, feedback=fb, channels=channels, seed=seed)
     rng = np.random.default_rng(seed)
     ys = []
     for _ in range(channels):
@@ -424,12 +421,12 @@ def test_all_zero_feedback_forces_fallback():
         assert all(r.feedback == 0 for r in out.trace.records)
 
 
-def test_fallback_recovery_is_greedy():
+def test_fallback_answers_with_greedy_recovery():
     fb = _fb(alpha=0.0, theta=0.0, tau=0, m=math.inf, beta=math.inf,
              delta_res=0.0)
     op, x, y = _clean_instance()
     out = cad_run(y, CadConfig(k=6, feedback=fb, seed=1), None, op)
-    assert out.recovery_is_greedy
+    assert out.fallback or out.final_method == A_COSAMP
     # the fallback still recovers the clean spectrum greedily
     assert np.linalg.norm(out.estimate - x) <= 1e-8
 
@@ -522,17 +519,6 @@ def test_different_seeds_explore_differently():
         out, _ = _attacked_run(seed=seed)
         seqs.add(tuple(r.action for r in out.trace.records))
     assert len(seqs) >= 2
-
-
-def test_random_init_mode_runs_and_is_deterministic():
-    op, x, y = _clean_instance()
-    cfg = CadConfig(k=6, feedback=_fb(), x0_mode="random", seed=9)
-    a = cad_run(y, cfg, None, op)
-    b = cad_run(y, cfg, None, op)
-    assert np.array_equal(a.estimate, b.estimate)
-    assert np.count_nonzero(a.estimate) <= 6
-    with pytest.raises(ValueError):
-        CadConfig(k=6, feedback=_fb(), x0_mode="gaussian")
 
 
 # ---------------------------------------------------------------------------

@@ -135,12 +135,16 @@ def _drop_key(key):
     lambda _: {"stats": {"count": 8, "n_cosamp": -1}},
     lambda _: {"stats": {"cout": 8}},
     lambda _: {"cad": {"k": 4, "feedback": dict(FB, a1_precedence="or_and")}},
+    lambda _: {"cad": {"k": 4, "feedback": dict(FB), "x0_mode": "zero"}},
+    lambda _: {"clean": {"kind": "sparse", "amplitud": [1.0, 2.0]}},
+    lambda _: {"bench": {"nn": [16]}},
 ], ids=["unknown_family", "nan_budget", "k_above_n", "stats_of_other_n",
         "l0_tau_above_n", "stats_short_f64", "stats_sidecar_not_json",
         "stats_sidecar_without_n", "stats_sidecar_without_ridge",
         "stats_sidecar_without_source_count", "stats_negative_ridge",
         "stats_count_below_two", "stats_negative_n_cosamp",
-        "stats_unknown_key", "removed_a1_precedence"])
+        "stats_unknown_key", "removed_a1_precedence", "removed_x0_mode",
+        "clean_unknown_key", "bench_unknown_key"])
 def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, overrides):
     cfg = _write_config(tmp_path, **overrides(tmp_path))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -136,7 +136,7 @@ def test_mahalanobis_matches_triangular_solve_oracle():
         x = make_clean_compressible(n, k, r)
         if t % 2:
             x = x + draw_perturbation(AttackSpec(family="l2", eta=0.5, seed=t), n)
-        v = cosamp_run(op.synthesize(x), op, k, 5).final.residual
+        v = cosamp_run(op.synthesize(x), op, k, 5).residual
         d = v - stats.mean
         md = mahalanobis(v, stats)
         oracle = np.linalg.norm(scipy.linalg.solve_triangular(chol, d, lower=True))
@@ -236,10 +236,10 @@ def test_mahalanobis_separates_clean_from_attacked():
     for trial in range(500):
         r = np.random.default_rng([101, trial])
         fresh = op.synthesize(make_clean_compressible(n, k, r, tail_norm=tail))
-        v_clean = cosamp_run(fresh, op, k, 5).final.residual
+        v_clean = cosamp_run(fresh, op, k, 5).residual
         x = make_clean_compressible(n, k, r, tail_norm=tail)
         e = draw_perturbation(AttackSpec(family="l2", eta=0.3, seed=trial), n)
-        v_att = cosamp_run(op.synthesize(x + e), op, k, 5).final.residual
+        v_att = cosamp_run(op.synthesize(x + e), op, k, 5).residual
         wins += mahalanobis(v_clean, stats) < mahalanobis(v_att, stats)
     assert wins >= 0.95 * 500
 

@@ -2,6 +2,7 @@
 benchmarks, and report determinism."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -150,11 +151,17 @@ def test_run_clean_ensemble_and_determinism(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
-def test_run_parallel_matches_serial(tmp_path):
+def test_run_parallel_matches_serial(tmp_path, monkeypatch):
     cfg = ExperimentConfig.from_dict(_raw(n=32, count=8,
                                           cad={"k": 4, "feedback": dict(FB)}))
     cmd_run(cfg, tmp_path / "serial", workers=1)
+    # one BLAS variable set and two unset: both kinds must come back as they were
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    environ = dict(os.environ)
     cmd_run(cfg, tmp_path / "pool", workers=2)
+    assert dict(os.environ) == environ  # the pool's BLAS thread pins are undone
     for name in ("report.csv", "instances.csv", "aggregate.csv"):
         assert (tmp_path / "serial" / name).read_bytes() == \
             (tmp_path / "pool" / name).read_bytes()

@@ -33,11 +33,23 @@ def _socp_oracle(A, y, radius):
 # CoSaMP
 
 
+def _reference_cosamp_states(y, op, k, n_iters, x0=None):
+    """The loop without the fixed-point exit: every one of n_iters steps is computed."""
+    y = np.asarray(y, dtype=np.float64)
+    est = np.zeros(op.n) if x0 is None else top_k(np.asarray(x0, dtype=np.float64), k)
+    state = CosampState(estimate=est, residual=y - op.synthesize(est))
+    states = [state]
+    for _ in range(n_iters):
+        state = cosamp_step(state, y, op, k)
+        states.append(state)
+    return states
+
+
 def test_cosamp_one_step_exact_noiseless():
     op = SensingOperator(32)
     x = make_clean_sparse(32, 4, np.random.default_rng(0))
     y = op.synthesize(x)
-    state = CosampState(estimate=np.zeros(32), residual=y, iteration=0)
+    state = CosampState(estimate=np.zeros(32), residual=y)
     nxt = cosamp_step(state, y, op, 4)
     assert np.abs(nxt.estimate - x).max() < 1e-12
     assert np.linalg.norm(nxt.residual) < 1e-12
@@ -45,9 +57,9 @@ def test_cosamp_one_step_exact_noiseless():
 
 def test_cosamp_zero_input_stays_zero():
     op = SensingOperator(16)
-    run = cosamp_run(np.zeros(16), op, 3, 5)
-    assert not run.final.estimate.any()
-    assert not run.final.residual.any()
+    state = cosamp_run(np.zeros(16), op, 3, 5)
+    assert not state.estimate.any()
+    assert not state.residual.any()
 
 
 def test_cosamp_noiseless_exactness_batch():
@@ -56,8 +68,8 @@ def test_cosamp_noiseless_exactness_batch():
     for _ in range(200):
         k = int(rng.integers(1, 9))
         x = make_clean_sparse(64, k, rng)
-        run = cosamp_run(op.synthesize(x), op, k, 5)
-        rel = np.linalg.norm(run.final.estimate - x) / np.linalg.norm(x)
+        state = cosamp_run(op.synthesize(x), op, k, 5)
+        rel = np.linalg.norm(state.estimate - x) / np.linalg.norm(x)
         assert rel <= 1e-8
 
 
@@ -71,8 +83,8 @@ def test_cosamp_l2_noise_error_within_budget():
         g = rng.standard_normal(16)
         e = 0.1 * g / np.linalg.norm(g)
         y = op.synthesize(x + e)
-        run = cosamp_run(y, op, 2, 10)
-        assert np.linalg.norm(run.final.estimate - x) <= 0.1
+        state = cosamp_run(y, op, 2, 10)
+        assert np.linalg.norm(state.estimate - x) <= 0.1
 
 
 def test_cosamp_error_non_increasing_noiseless():
@@ -80,8 +92,8 @@ def test_cosamp_error_non_increasing_noiseless():
     for seed in range(100):
         rng = np.random.default_rng([4, seed])
         x = make_clean_sparse(32, 5, rng)
-        run = cosamp_run(op.synthesize(x), op, 5, 6)
-        errs = [np.linalg.norm(s.estimate - x) for s in run.states[1:]]
+        states = _reference_cosamp_states(op.synthesize(x), op, 5, 6)
+        errs = [np.linalg.norm(s.estimate - x) for s in states[1:]]
         for a, b in zip(errs, errs[1:]):
             assert b <= a + 1e-12
 
@@ -93,8 +105,7 @@ def test_cosamp_warm_start_stays_noise_bounded():
     e = rng.standard_normal(32)
     e *= 0.05 / np.linalg.norm(e)
     y = op.synthesize(x + e)
-    run = cosamp_run(y, op, 4, 8, x0=x)
-    for state in run.states:
+    for state in _reference_cosamp_states(y, op, 4, 8, x0=x):
         # never drifts beyond the noise scale once started at the answer
         assert np.linalg.norm(state.estimate - x) <= 2 * 0.05
 
@@ -104,8 +115,8 @@ def test_cosamp_iterates_sparse_and_merge_bounded():
     rng = np.random.default_rng(6)
     x = make_clean_sparse(64, 6, rng)
     y = op.synthesize(x + 0.3 * rng.standard_normal(64) / 8.0)
-    run = cosamp_run(y, op, 6, 6)
-    for prev, cur in zip(run.states, run.states[1:]):
+    states = _reference_cosamp_states(y, op, 6, 6)
+    for prev, cur in zip(states, states[1:]):
         assert np.count_nonzero(cur.estimate) <= 6
         proxy = op.adjoint(prev.residual)
         omega = np.argsort(-np.abs(proxy), kind="stable")[:12]
@@ -121,8 +132,8 @@ def test_cosamp_subsampled_least_squares_route():
     for seed in range(50):
         r = np.random.default_rng([2, seed])
         x = make_clean_sparse(32, 2, r)
-        run = cosamp_run(sub.synthesize(x), sub, 2, 10)
-        assert np.linalg.norm(run.final.estimate - x) < 1e-6
+        state = cosamp_run(sub.synthesize(x), sub, 2, 10)
+        assert np.linalg.norm(state.estimate - x) < 1e-6
 
 
 def test_cosamp_run_validation():
@@ -131,20 +142,10 @@ def test_cosamp_run_validation():
         cosamp_run(np.zeros(8), op, 0, 3)
     with pytest.raises(ValueError):
         cosamp_run(np.zeros(8), op, 2, -1)
-    run = cosamp_run(np.zeros(8), op, 2, 0)
-    assert len(run.states) == 1 and run.final.iteration == 0
-
-
-def _reference_cosamp_states(y, op, k, n_iters, x0=None):
-    """The loop without the fixed-point exit: every one of n_iters steps is computed."""
-    y = np.asarray(y, dtype=np.float64)
-    est = np.zeros(op.n) if x0 is None else top_k(np.asarray(x0, dtype=np.float64), k)
-    state = CosampState(estimate=est, residual=y - op.synthesize(est), iteration=0)
-    states = [state]
-    for _ in range(n_iters):
-        state = cosamp_step(state, y, op, k)
-        states.append(state)
-    return states
+    y = np.arange(8.0)
+    start = cosamp_run(y, op, 2, 0)
+    assert not start.estimate.any()
+    assert start.residual.tobytes() == y.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,13 +166,10 @@ def test_cosamp_run_matches_every_step_of_the_reference_loop(data, n):
         st.one_of(st.sampled_from([0.0, -0.0]), _ENTRY), min_size=n, max_size=n)))
     n_iters = data.draw(st.integers(0, 12))
     for x0 in (None, warm):
-        run = cosamp_run(y, op, k, n_iters, x0=x0)
-        ref = _reference_cosamp_states(y, op, k, n_iters, x0=x0)
-        assert len(run.states) == len(ref) == n_iters + 1
-        for ours, theirs in zip(run.states, ref):
-            assert ours.estimate.tobytes() == theirs.estimate.tobytes()
-            assert ours.residual.tobytes() == theirs.residual.tobytes()
-            assert ours.iteration == theirs.iteration
+        ours = cosamp_run(y, op, k, n_iters, x0=x0)
+        theirs = _reference_cosamp_states(y, op, k, n_iters, x0=x0)[-1]
+        assert ours.estimate.tobytes() == theirs.estimate.tobytes()
+        assert ours.residual.tobytes() == theirs.residual.tobytes()
 
 
 def test_cosamp_run_stops_computing_at_a_fixed_point(monkeypatch):
@@ -182,10 +180,9 @@ def test_cosamp_run_stops_computing_at_a_fixed_point(monkeypatch):
     real_step = recovery.cosamp_step
     monkeypatch.setattr(recovery, "cosamp_step",
                         lambda *a: steps.append(1) or real_step(*a))
-    run = recovery.cosamp_run(y, op, 4, 10)
+    state = recovery.cosamp_run(y, op, 4, 10)
     assert len(steps) == 2
-    assert [s.iteration for s in run.states] == list(range(11))
-    assert run.final.estimate.tobytes() == top_k(op.analyze(y), 4).tobytes()
+    assert state.estimate.tobytes() == top_k(op.analyze(y), 4).tobytes()
 
 
 # ---------------------------------------------------------------------------
