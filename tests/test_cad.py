@@ -374,6 +374,40 @@ def test_loop_matches_the_reference_loop_bit_for_bit(data, name, seed, with_stat
         assert ours.final_scores == ref.final_scores
 
 
+def test_full_operator_run_reaches_no_row_subset_solver(monkeypatch):
+    # every action is a closed form of F y on the full operator, and so is
+    # CoSaMP's fit behind the clean statistics: apart from the one Cholesky
+    # factorization that whitens those statistics, neither they nor a run
+    # reach the least-squares fit, a Cholesky factorization or the splitting
+    # solver that row subsets use
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row-subset solver ran on the full operator")
+
+    cholesky = np.linalg.cholesky
+    for module, name in ((np.linalg, "lstsq"), (np.linalg, "cholesky"),
+                         (cad_defense.cad, "l1_min_general")):
+        monkeypatch.setattr(module, name, refuse)
+    op = SensingOperator(64)
+    rng = np.random.default_rng([66, 64])
+    stats = estimate_clean_stats(
+        [op.synthesize(make_clean_compressible(64, 8, rng)) for _ in range(16)],
+        op, 8, ridge=1e-4)
+    with monkeypatch.context() as whitening:
+        whitening.setattr(np.linalg, "cholesky", cholesky)
+        stats.factor()
+    fb = _fb(alpha=3.0, beta=2.0, m=0.8, tau=8, theta=64.0, t_max=40)
+    actions, answers = set(), set()
+    for spec in _ORACLE_ATTACKS:
+        for seed in range(4):
+            x = make_clean_compressible(64, 8, np.random.default_rng([71, seed]))
+            out = cad_run(perturb(x, spec, op).observed,
+                          CadConfig(k=8, feedback=fb, seed=seed), stats, op)
+            actions.update(record.action for record in out.trace.records)
+            answers.add(out.method_label)
+    assert actions == set(range(N_ACTIONS))
+    assert len(answers) > 1
+
+
 # ---------------------------------------------------------------------------
 # clean-input behaviour
 

@@ -4,7 +4,11 @@ independent oracles, constraint radii, and the bound report.
 The SOCP oracle needs cvxpy and skips only its own tests without it; both
 l1 solvers also carry a duality certificate that needs none, and the
 buffered subsampled solver, which stops on that certificate's gap, is
-checked bit for bit against a plain allocating copy of its loop.
+checked bit for bit against a plain allocating copy of its over-relaxed
+loop; the same copy with relaxation 1 is the plain Douglas-Rachford loop
+whose iteration count the relaxation must beat.  CoSaMP's Gram solve on
+row subsets is checked against lstsq's residual, and each of its fallbacks
+to lstsq is pinned by a deterministic case.
 """
 
 import mpmath as mp
@@ -16,8 +20,9 @@ from hypothesis import strategies as st
 from cad_defense import (A_L0, A_L2, A_LINF, L1Problem, SensingOperator,
                          action_radius, analyze, check_bound, cosamp_run,
                          cosamp_step, l1_min_general, l1_min_orthonormal,
-                         make_clean_sparse, top_k)
-from cad_defense.recovery import CosampState, L1Result
+                         make_clean_compressible, make_clean_sparse, top_k)
+from cad_defense.recovery import (_RELAXATION, CosampState, L1Result,
+                                  _least_squares)
 
 
 def _socp_oracle(A, y, radius):
@@ -134,6 +139,70 @@ def test_cosamp_subsampled_least_squares_route():
         x = make_clean_sparse(32, 2, r)
         state = cosamp_run(sub.synthesize(x), sub, 2, 10)
         assert np.linalg.norm(state.estimate - x) < 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 48))
+def test_least_squares_residual_matches_lstsq(data, n):
+    # the Gram solve, or its lstsq fallback on wide or numerically dependent
+    # supports, fits as well as lstsq on any support of any row subset
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                              unique=True).map(sorted))
+    op = SensingOperator(n, rows=rows)
+    support = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                 unique=True).map(sorted))
+    sub = op.columns(np.array(support))
+    y = np.array(data.draw(st.lists(_ENTRY, min_size=op.m, max_size=op.m)))
+    ours = np.linalg.norm(sub @ _least_squares(sub, y) - y)
+    theirs = np.linalg.norm(sub @ np.linalg.lstsq(sub, y, rcond=None)[0] - y)
+    assert abs(ours - theirs) <= 1e-7 * np.linalg.norm(y)
+
+
+def _tangent_columns(eps):
+    """Columns e0, e0 + eps e1 (at angle about eps to e0) and e2, in four rows."""
+    sub = np.zeros((4, 3))
+    sub[0, 0] = sub[2, 2] = 1.0
+    sub[0, 1], sub[1, 1] = 1.0, eps
+    return sub
+
+
+@pytest.mark.parametrize("case, factored, gram", [
+    ("well_conditioned", 1, True),
+    ("wider_than_rows", 0, False),
+    ("cholesky_raises", 1, False),
+    ("small_pivot", 1, False),
+    ("rank_deficient_rows", 1, False),
+])
+def test_least_squares_falls_back_to_lstsq(monkeypatch, case, factored, gram):
+    # the Gram solve answers a well-conditioned support; lstsq answers a
+    # support wider than the rows without factoring, one whose Gram matrix
+    # is singular, and one whose Cholesky pivots span more than 1 / 1e-3.
+    # Rows 5 and 11 of the n=17 operator agree on columns 8, 10 and 14, yet
+    # their Gram factor keeps a pivot ratio near 1.5e-6; there a Gram solve's
+    # residual on this y is 0.36 ||y|| above lstsq's
+    sub = {"well_conditioned": _tangent_columns(1.0),
+           "wider_than_rows": SensingOperator(8, rows=[0, 3, 5]).columns(np.arange(5)),
+           "cholesky_raises": _tangent_columns(0.0),
+           "small_pivot": _tangent_columns(1e-7),
+           "rank_deficient_rows": SensingOperator(17, rows=[5, 7, 11]).columns(
+               np.array([8, 10, 14]))}[case]
+    y = np.arange(1.0, sub.shape[0] + 1)
+    expected = np.linalg.lstsq(sub, y, rcond=None)[0]
+    calls = []
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+        return lambda *a, **kw: calls.append(name) or real(*a, **kw)
+
+    for name in ("lstsq", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    ours = _least_squares(sub, y)
+    assert calls.count("cholesky") == factored
+    assert calls.count("lstsq") == (0 if gram else 1)
+    if gram:
+        assert np.abs(ours - expected).max() <= 1e-12
+    else:
+        assert ours.tobytes() == expected.tobytes()
 
 
 def test_cosamp_run_validation():
@@ -478,7 +547,9 @@ def _reference_project_ball(z, y, op, radius):
 
 def _reference_certificate(v, y, op, radius, tolerance, s, step):
     """Allocating duality certificate through the validating operator calls;
-    at radius 0 its dual point comes from the prox subgradient at s."""
+    at radius 0 its dual point comes from the prox subgradient at s.  The
+    feasibility tolerance is 1e-6 at unit scale and above and 1e-6 * ||y||
+    below it."""
     w = y - op.synthesize(v)
     feasibility = max(0.0, float(np.linalg.norm(w)) - radius)
     l1 = float(np.abs(v).sum())
@@ -493,14 +564,16 @@ def _reference_certificate(v, y, op, radius, tolerance, s, step):
             u = w / scale
             bound = max(0.0, float(u @ y) - radius * float(np.linalg.norm(u)))
     gap = l1 - bound
-    return feasibility <= 1e-6 and gap <= tolerance * l1, feasibility, gap
+    feasible = feasibility <= 1e-6 * min(1.0, float(np.linalg.norm(y)))
+    return feasible and gap <= tolerance * l1, feasibility, gap
 
 
-def _reference_l1_min_general(p, x0=None):
-    """The allocating Douglas-Rachford loop that l1_min_general must match bit for bit."""
+def _reference_l1_min_general(p, x0=None, relaxation=_RELAXATION):
+    """The allocating over-relaxed Douglas-Rachford loop that l1_min_general
+    must match bit for bit; relaxation=1.0 is the plain loop."""
     y = np.asarray(p.observed, dtype=np.float64)
     excess = float(np.linalg.norm(y)) - p.radius
-    if excess <= 1e-6:
+    if excess <= 1e-6 * min(1.0, float(np.linalg.norm(y))):
         return L1Result(np.zeros(p.op.n), 0, True, max(0.0, excess), 0.0)
     step = 0.1 * float(np.abs(p.op.adjoint(y)).max())
     if step <= 0.0:
@@ -516,7 +589,7 @@ def _reference_l1_min_general(p, x0=None):
                                                                  p.tolerance, s, step)
             if certified:
                 return L1Result(v, it, True, feasibility, gap)
-        s = s + v - z
+        s = s + relaxation * (v - z)
     return L1Result(z, it, *_reference_certificate(z, y, p.op, p.radius, p.tolerance,
                                                    s, step))
 
@@ -606,6 +679,41 @@ def test_l1_general_converged_means_certified(data, n):
     back = np.abs(op.matrix.T @ w).max()
     bound = 0.0 if back == 0.0 else max(0.0, (w @ y - radius * np.linalg.norm(w)) / back)
     assert l1 - bound <= (p.tolerance + 1e-9) * l1
+
+
+def test_l1_general_over_relaxation_saves_iterations():
+    # the relaxed loop needs at most 0.8x the iterations of the plain
+    # Douglas-Rachford loop on a fixed batch of energy-bounded problems
+    rng = np.random.default_rng(22)
+    op = SensingOperator(64, rows=np.sort(rng.choice(64, size=40, replace=False)))
+    relaxed = plain = 0
+    for _ in range(24):
+        e = rng.standard_normal(64)
+        eta = float(rng.uniform(0.5, 4.0))
+        y = op.synthesize(make_clean_compressible(64, 8, rng) + eta * e / np.linalg.norm(e))
+        p = L1Problem(observed=y, op=op, radius=eta)
+        ours = l1_min_general(p)
+        assert ours.converged
+        relaxed += ours.iterations
+        plain += _reference_l1_min_general(p, relaxation=1.0).iterations
+    assert relaxed <= 0.8 * plain
+
+
+def test_l1_general_is_scale_invariant_below_unit_scale():
+    # the feasibility tolerance shrinks with ||y|| below unit scale, so a
+    # tiny problem is solved like a large one instead of returning zero
+    op = SensingOperator(8, rows=[1, 4, 6])
+    y = np.random.default_rng(3).standard_normal(3)
+    solves = []
+    for exponent in range(4, -13, -1):
+        scaled = 10.0 ** exponent * y
+        res = l1_min_general(L1Problem(observed=scaled, op=op,
+                                       radius=0.5 * float(np.linalg.norm(scaled))))
+        assert res.converged
+        solves.append((res.iterations, float(np.abs(res.coeffs).sum()) / 10.0 ** exponent))
+    assert {its for its, _ in solves} == {solves[0][0]}
+    for _, l1 in solves:
+        assert abs(l1 - solves[0][1]) <= 1e-12 * solves[0][1]
 
 
 @pytest.mark.parametrize("which, bad, message", [
