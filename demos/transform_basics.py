@@ -10,16 +10,16 @@ into the best k-term approximation in the l2 sense.
 
 import numpy as np
 
-from cad_defense import (SensingOperator, analyze, best_k_term_error,
-                         make_clean_compressible, synthesize, top_k)
+from cad_defense import (SensingOperator, best_k_term_error,
+                         make_clean_compressible, top_k)
 
 rng = np.random.default_rng(0)
 op = SensingOperator(64)
 
 # A round trip through the basis is exact to machine precision.
 coeffs = rng.standard_normal(64)
-signal = synthesize(coeffs, op)
-back = analyze(signal, op)
+signal = op.synthesize(coeffs)
+back = op.analyze(signal)
 print(f"round-trip error      : {np.abs(back - coeffs).max():.3e}")
 print(f"energy ratio          : {np.linalg.norm(signal) / np.linalg.norm(coeffs):.12f}")
 

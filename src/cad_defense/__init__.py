@@ -8,10 +8,9 @@ attack family's budget; residual feedback rewards the action whose
 assumptions fit the data.
 """
 
-from .transform import (SensingOperator, analyze, best_k_term_error,
-                        dct_matrix, synthesize, top_k)
+from .transform import SensingOperator, best_k_term_error, dct_matrix, top_k
 from .attacks import (FAMILIES, AdversarialInstance, AttackSpec,
-                      draw_perturbation, load_signal, load_signal_channels,
+                      draw_perturbation, load_signal_channels,
                       make_clean_compressible, make_clean_sparse, perturb,
                       save_raw, write_pgm)
 from .recovery import (A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS, BoundReport,

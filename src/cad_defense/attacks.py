@@ -10,7 +10,7 @@ clipping silently breaks the declared budget.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "make_clean_compressible",
     "draw_perturbation",
     "perturb",
-    "load_signal",
     "load_signal_channels",
     "save_raw",
     "write_pgm",
@@ -71,10 +70,6 @@ class AttackSpec:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AttackSpec":
-        return cls(**d)
-
 
 @dataclass
 class AdversarialInstance:
@@ -101,7 +96,7 @@ class AdversarialInstance:
         d = json.loads(text)
         return cls(
             n=int(d["n"]),
-            spec=AttackSpec.from_dict(d["spec"]),
+            spec=AttackSpec(**d["spec"]),
             clean_spectral=np.asarray(d["clean_spectral"], dtype=np.float64),
             perturbation=np.asarray(d["perturbation"], dtype=np.float64),
             observed=np.asarray(d["observed"], dtype=np.float64),
@@ -264,11 +259,6 @@ def load_signal_channels(path, fmt: str | None = None) -> tuple[np.ndarray, int]
             raise ValueError(f"{path}: values outside [0, 1]")
         return vals, channels
     raise ValueError(f"unknown signal format {fmt!r}")
-
-
-def load_signal(path, fmt: str | None = None) -> np.ndarray:
-    """Load a pixel-domain signal scaled to [0, 1] (channel-major if RGB)."""
-    return load_signal_channels(path, fmt)[0]
 
 
 def save_raw(path, values: np.ndarray, n: int, channels: int) -> None:

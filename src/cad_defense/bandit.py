@@ -40,7 +40,6 @@ class BanditState:
     gamma: float
     sigma: float
     lam: float
-    t: int = 0
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64)
@@ -122,4 +121,4 @@ def update(state: BanditState, chosen: int, r: float) -> BanditState:
         raise ValueError(f"chosen must index an action, got {chosen}")
     scores = state.scores.copy()
     scores[chosen] += r
-    return replace(state, scores=scores, t=state.t + 1)
+    return replace(state, scores=scores)

@@ -56,6 +56,8 @@ log = logging.getLogger("cad_defense")
 
 # iteration budget granted to the general l1 solver per schedule unit
 _GENERAL_ITERS_PER_UNIT = 200
+# CoSaMP steps of a cold final run on a row-subsampled operator
+_FINAL_COSAMP_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -71,13 +73,10 @@ class CadConfig:
     inner_schedule: tuple[int, int] = (3, 2)
     channels: int = 1
     seed: int = 0
-    final_iters: int = 10
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.final_iters < 1:
-            raise ValueError(f"final_iters must be >= 1, got {self.final_iters}")
         if self.channels not in (1, 3):
             raise ValueError(f"channels must be 1 or 3, got {self.channels}")
         n0, inc = self.inner_schedule
@@ -137,9 +136,6 @@ class CadIterationRecord:
 @dataclass
 class CadTrace:
     records: list[CadIterationRecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
     def to_jsonable(self) -> list[dict]:
         return [r.to_dict() for r in self.records]
@@ -233,17 +229,17 @@ def _solve(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
     On the full operator each action is a closed form of c = F y (CoSaMP's
     least-squares step restricts c, so its pruned iterate is top_k(c); each
     l1 action soft-thresholds c), so every solve is final.  A subsampled
-    cold run is cfg.final_iters CoSaMP steps or the splitting solver to its
-    cap.  There a CoSaMP solve is never final and a splitting solve is final
-    exactly when the solver reports it converged; one that did not is logged
-    at debug level with its feasibility and duality gaps.
+    cold run is _FINAL_COSAMP_STEPS CoSaMP steps or the splitting solver to
+    its iteration cap.  There a CoSaMP solve is never final and a splitting
+    solve is final exactly when the solver reports it converged; one that
+    did not is logged at debug level with its feasibility and duality gaps.
     """
     if coeffs is not None and not op.is_full:
         raise ValueError("cached coefficients need the full operator")
     if action == A_COSAMP:
         if op.is_full:
             return _full_analysis(y, op, coeffs), True
-        steps = cfg.final_iters if budget is None else budget
+        steps = _FINAL_COSAMP_STEPS if budget is None else budget
         return cosamp_run(y, op, cfg.k, steps, x0=x_start).estimate, False
     radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                            cfg.eta_dprime, op.n)

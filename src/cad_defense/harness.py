@@ -31,7 +31,6 @@ from .transform import SensingOperator
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "RunReport",
     "designated_action",
     "cmd_gen",
     "cmd_stats",
@@ -73,45 +72,45 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         try:
-            n = int(d["n"])
-            channels = int(d.get("channels", 1))
-            seed = int(d.get("seed", 0))
+            n = d["n"]
+            channels = d.get("channels", 1)
+            seed = d.get("seed", 0)
             clean = dict(d.get("clean", {"kind": "sparse", "amplitude": [1.0, 2.0]}))
             attacks = [dict(a) for a in d.get("attacks", [{"family": "none"}])]
-            count = int(d.get("count", 1))
+            count = d.get("count", 1)
             cad_d = dict(d["cad"])
             fb = FeedbackConfig(**cad_d.pop("feedback"))
-            bandit = tuple(cad_d.pop("bandit_params", (0.07, 1.01, 1.25)))
-            schedule = tuple(cad_d.pop("inner_schedule", (3, 2)))
-            cad = CadConfig(feedback=fb, bandit_params=bandit,
-                            inner_schedule=schedule, channels=channels, **cad_d)
-            clean_k = int(clean.get("k", cad.k))
+            for key in ("bandit_params", "inner_schedule"):
+                if key in cad_d:
+                    cad_d[key] = tuple(cad_d[key])
+            cad = CadConfig(feedback=fb, channels=channels, **cad_d)
             stats = dict(d.get("stats", {}))
             stats_dir = d.get("stats_dir")
             bench = d.get("bench")
             bench = None if bench is None else dict(bench)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
-        if n < 1 or count < 1 or channels not in (1, 3):
-            raise ConfigError(f"bad n={n} / count={count} / channels={channels}")
+        for name, value, least in (("n", n, 1), ("count", count, 1), ("seed", seed, 0)):
+            _require_int(name, value, least)
+        if not (_is_number(channels, int) and channels in (1, 3)):
+            raise ConfigError(f"channels={channels!r} must be 1 or 3")
+        if stats_dir is not None and not isinstance(stats_dir, str):
+            raise ConfigError(f"stats_dir={stats_dir!r} must be a string")
         for a in attacks:
             if "family" not in a:
                 raise ConfigError(f"attack entry missing family: {a}")
             try:
-                spec = AttackSpec(**{k: v for k, v in a.items() if k != "count"})
+                spec = AttackSpec(seed=0, **a)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad attack entry {a}: {exc}") from exc
             if spec.family == "l0" and spec.tau > n:
                 raise ConfigError(f"bad attack entry {a}: tau={spec.tau} exceeds n={n}")
-        for name, k in (("cad.k", cad.k), ("clean.k", clean_k)):
-            if not 1 <= k <= n:
-                raise ConfigError(f"{name}={k} must lie in [1, n={n}]")
-        kind = clean.get("kind", "sparse")
-        if kind not in ("sparse", "compressible", "files"):
-            raise ConfigError(f"unknown clean kind {kind!r}")
-        _reject_unknown("clean", clean, {"kind", "amplitude", "tail_norm", "k", "paths"})
+        for name, k in (("cad.k", cad.k), ("clean.k", clean.get("k", cad.k))):
+            if not (_is_number(k, int) and 1 <= k <= n):
+                raise ConfigError(f"{name}={k!r} must be an integer in [1, n={n}]")
+        _check_clean_section(clean)
         if bench is not None:
-            _reject_unknown("bench", bench, {"n", "k", "attacks", "count"})
+            _check_bench_section(bench)
         _check_stats_section(stats)
         return cls(n=n, channels=channels, seed=seed, clean=clean,
                    attacks=attacks, count=count, cad=cad, stats=stats,
@@ -142,21 +141,57 @@ def _is_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
+
+
+def _require_int(name: str, value, least: int) -> None:
+    if not _is_number(value, int) or value < least:
+        raise ConfigError(f"{name}={value!r} must be an integer >= {least}")
+
+
 def _reject_unknown(section: str, entries, allowed: set) -> None:
     unknown = sorted(set(entries) - allowed)
     if unknown:
         raise ConfigError(f"unknown {section} keys {unknown}")
 
 
+def _check_clean_section(clean: dict) -> None:
+    kind = clean.get("kind", "sparse")
+    if kind not in ("sparse", "compressible", "files"):
+        raise ConfigError(f"unknown clean kind {kind!r}")
+    _reject_unknown("clean", clean, {"kind", "amplitude", "tail_norm", "k", "paths"})
+    if kind == "files":
+        return
+    # absent keys take the generators' defaults
+    if "amplitude" in clean:
+        amp = clean["amplitude"]
+        if not (isinstance(amp, (list, tuple)) and len(amp) == 2
+                and all(_is_finite(a) for a in amp) and 0 < amp[0] <= amp[1]):
+            raise ConfigError(f"clean.amplitude={amp!r} must be two finite "
+                              "numbers lo, hi with 0 < lo <= hi")
+    if "tail_norm" in clean:
+        tail_norm = clean["tail_norm"]
+        if not (_is_finite(tail_norm) and tail_norm >= 0):
+            raise ConfigError(f"clean.tail_norm={tail_norm!r} must be finite and >= 0")
+
+
+def _check_bench_section(bench: dict) -> None:
+    _reject_unknown("bench", bench, {"n", "k", "attacks", "count"})
+    for key in ("n", "k"):
+        grid = bench.get(key, [])
+        if not (isinstance(grid, list) and all(_is_number(v, int) for v in grid)):
+            raise ConfigError(f"bench.{key}={grid!r} must be a list of integers")
+    if "count" in bench:
+        _require_int("bench.count", bench["count"], 1)
+
+
 def _check_stats_section(stats: dict) -> None:
     _reject_unknown("stats", stats, {"count", "n_cosamp", "ridge"})
     for key, least in (("count", 2), ("n_cosamp", 0)):
-        value = stats.get(key, least)
-        if not _is_number(value, int) or value < least:
-            raise ConfigError(f"stats.{key}={value!r} must be an integer >= {least}")
+        _require_int(f"stats.{key}", stats.get(key, least), least)
     ridge = stats.get("ridge")
-    if ridge is not None and not (_is_number(ridge) and math.isfinite(ridge)
-                                  and ridge >= 0):
+    if ridge is not None and not (_is_finite(ridge) and ridge >= 0):
         raise ConfigError(f"stats.ridge={ridge!r} must be null or finite and >= 0")
 
 
@@ -181,7 +216,7 @@ def _attack_seed(cfg: ExperimentConfig, index: int, channel: int) -> int:
 def _draw_clean(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     kind = cfg.clean.get("kind", "sparse")
     amp = tuple(cfg.clean.get("amplitude", (1.0, 2.0)))
-    k = int(cfg.clean.get("k", cfg.cad.k))
+    k = cfg.clean.get("k", cfg.cad.k)
     if kind == "compressible":
         return make_clean_compressible(cfg.n, k, rng, amp,
                                        float(cfg.clean.get("tail_norm", 0.5)))
@@ -204,8 +239,7 @@ def _build_instance(cfg: ExperimentConfig, op: SensingOperator, index: int,
     """Per-channel adversarial instances for one index, fully seed-derived."""
     insts = []
     for ch in range(cfg.channels):
-        spec = AttackSpec(seed=_attack_seed(cfg, index, ch),
-                          **{k: v for k, v in entry.items() if k != "count"})
+        spec = AttackSpec(seed=_attack_seed(cfg, index, ch), **entry)
         clean = _draw_clean(cfg, _clean_rng(cfg, index, ch))
         insts.append(perturb(clean, spec, op))
     return insts
@@ -316,7 +350,7 @@ def _run_one(cfg: ExperimentConfig, op: SensingOperator,
             "fallback": int(o.fallback), "stop_reason": o.stop_reason,
             "stopped_at": o.stopped_at,
             "err_l2": float(np.linalg.norm(o.estimate - insts[ch].clean_spectral)),
-            "residual_l2": o.trace.records[-1].residual_l2 if len(o.trace) else 0.0,
+            "residual_l2": o.trace.records[-1].residual_l2,
         })
     inst_row = {
         "instance": index, "family": family,
@@ -537,10 +571,10 @@ def cmd_bench(cfg: ExperimentConfig, out_dir, workers: int = 1) -> list[dict]:
     _require_synthetic(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid_n = [int(v) for v in cfg.bench.get("n", [cfg.n])]
-    grid_k = [int(v) for v in cfg.bench.get("k", [cfg.cad.k])]
+    grid_n = cfg.bench.get("n", [cfg.n])
+    grid_k = cfg.bench.get("k", [cfg.cad.k])
     grid_attacks = cfg.bench.get("attacks", cfg.attacks)
-    count = int(cfg.bench.get("count", cfg.count))
+    count = cfg.bench.get("count", cfg.count)
     cells = []
     for n in grid_n:
         for k in grid_k:
@@ -566,45 +600,3 @@ def cmd_bench(cfg: ExperimentConfig, out_dir, workers: int = 1) -> list[dict]:
                 })
     _write_csv(out / "bench.csv", cells, _config_header(cfg))
     return cells
-
-
-@dataclass
-class RunReport:
-    """In-memory view of a finished run, reloadable from the CSV outputs."""
-
-    rows: list[dict]
-    instances: list[dict]
-    aggregates: list[dict]
-
-    @classmethod
-    def from_dir(cls, out_dir) -> "RunReport":
-        out = Path(out_dir)
-        return cls(rows=_read_csv(out / "report.csv"),
-                   instances=_read_csv(out / "instances.csv"),
-                   aggregates=_read_csv(out / "aggregate.csv"))
-
-
-def _read_csv(path: Path) -> list[dict]:
-    rows = []
-    cols = None
-    for line in Path(path).read_text().splitlines():
-        if not line or line.startswith("#"):
-            continue
-        if cols is None:
-            cols = line.split(",")
-            continue
-        vals = line.split(",")
-        row = {}
-        for c, v in zip(cols, vals):
-            if v == "":
-                row[c] = None
-            else:
-                try:
-                    row[c] = int(v)
-                except ValueError:
-                    try:
-                        row[c] = float(v)
-                    except ValueError:
-                        row[c] = v
-        rows.append(row)
-    return rows

@@ -366,15 +366,6 @@ class BoundReport:
     sigma_k_l1: float
     ratio: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "empirical_l2_error": self.empirical_l2_error,
-            "empirical_l1_error": self.empirical_l1_error,
-            "budget": self.budget,
-            "sigma_k_l1": self.sigma_k_l1,
-            "ratio": self.ratio,
-        }
-
 
 def check_bound(clean: np.ndarray, recovered: np.ndarray, k: int,
                 budget: float) -> BoundReport:

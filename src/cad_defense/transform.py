@@ -15,8 +15,6 @@ import numpy as np
 __all__ = [
     "dct_matrix",
     "SensingOperator",
-    "analyze",
-    "synthesize",
     "top_k",
     "best_k_term_error",
 ]
@@ -130,16 +128,6 @@ class SensingOperator:
     def __repr__(self) -> str:
         sub = "full" if self.is_full else f"{self.m} rows"
         return f"SensingOperator(n={self.n}, {sub})"
-
-
-def analyze(s, op: SensingOperator) -> np.ndarray:
-    """Forward transform F s; energy-preserving since F is orthonormal."""
-    return op.analyze(s)
-
-
-def synthesize(c, op: SensingOperator) -> np.ndarray:
-    """Inverse transform A c restricted to op's measurement rows."""
-    return op.synthesize(c)
 
 
 def top_k(c, k: int) -> np.ndarray:

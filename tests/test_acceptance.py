@@ -160,8 +160,7 @@ def test_criterion_4_probability_and_reward_conformance():
         scores = rng.uniform(-40.0, 40.0, size=4)
         gamma = float(rng.uniform(0.0, 0.99))
         sigma = float(rng.uniform(0.1, 3.0))
-        state = BanditState(scores=scores, gamma=gamma, sigma=sigma,
-                            lam=1.25, t=0)
+        state = BanditState(scores=scores, gamma=gamma, sigma=sigma, lam=1.25)
         probs = probabilities(state).probs
         worst = max(worst, float(np.abs(probs - _oracle_probs(scores, gamma, sigma)).max()))
         simplex_ok &= abs(float(probs.sum()) - 1.0) <= 1e-12
@@ -181,7 +180,7 @@ def test_criterion_4_probability_and_reward_conformance():
                     reward_ok &= abs(r + 1.0 / (1.0 - p)) <= 1e-15
 
     state = BanditState(scores=np.array([0.3, -0.7, 1.1, 0.2]),
-                        gamma=0.07, sigma=1.01, lam=1.25, t=0)
+                        gamma=0.07, sigma=1.01, lam=1.25)
     dist = probabilities(state)
     target = int(np.argmin(dist.probs))
     p = float(dist.probs[target])

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from cad_defense import (AdversarialInstance, AttackSpec, SensingOperator,
-                         analyze, draw_perturbation, load_signal,
-                         load_signal_channels, make_clean_compressible,
-                         make_clean_sparse, perturb, save_raw, write_pgm)
+                         draw_perturbation, load_signal_channels,
+                         make_clean_compressible, make_clean_sparse, perturb,
+                         save_raw, write_pgm)
 
 N = 64
 N_DRAWS = 1000
@@ -162,7 +162,7 @@ def test_perturb_composition_identity():
     rng = np.random.default_rng(3)
     clean = make_clean_sparse(N, 6, rng)
     inst = perturb(clean, _spec("l2", 7, eta=0.5), op)
-    recon = analyze(inst.observed, op)
+    recon = op.analyze(inst.observed)
     assert np.abs(recon - (inst.clean_spectral + inst.perturbation)).max() < 1e-10
 
 
@@ -210,14 +210,14 @@ def test_pgm_round_trip_quantized(tmp_path):
     orig = rng.random(64)
     path = tmp_path / "img.pgm"
     write_pgm(path, orig, 8, 8)
-    vals = load_signal(path)
+    vals, _ = load_signal_channels(path)
     assert np.abs(vals - orig).max() <= 0.5 / 255 + 1e-12
 
 
 def test_pgm_16bit_maxval(tmp_path):
     path = tmp_path / "deep.pgm"
     write_pgm(path, np.linspace(0.0, 1.0, 16), 4, 4, maxval=65535)
-    vals = load_signal(path)
+    vals, _ = load_signal_channels(path)
     assert np.abs(vals - np.linspace(0.0, 1.0, 16)).max() <= 0.5 / 65535 + 1e-12
 
 
@@ -225,7 +225,7 @@ def test_pgm_comment_header(tmp_path):
     body = bytes(range(4))
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# a comment line\n2 2\n255\n" + body)
-    vals = load_signal(path)
+    vals, _ = load_signal_channels(path)
     assert np.allclose(vals, np.arange(4) / 255.0)
 
 
@@ -243,15 +243,15 @@ def test_malformed_headers_error(tmp_path):
     bad_magic = tmp_path / "bad.pgm"
     bad_magic.write_bytes(b"P4\n2 2\n255\n" + bytes(4))
     with pytest.raises(ValueError):
-        load_signal(bad_magic)
+        load_signal_channels(bad_magic)
     truncated = tmp_path / "short.pgm"
     truncated.write_bytes(b"P5\n2 2\n255\n" + bytes(2))
     with pytest.raises(ValueError):
-        load_signal(truncated)
+        load_signal_channels(truncated)
     token = tmp_path / "tok.pgm"
     token.write_bytes(b"P5\nx 2\n255\n" + bytes(4))
     with pytest.raises(ValueError):
-        load_signal(token)
+        load_signal_channels(token)
 
 
 def test_raw_round_trip(tmp_path):
@@ -270,11 +270,11 @@ def test_raw_out_of_range_rejected(tmp_path):
     np.array([-0.5, 0.5]).astype("<f8").tofile(path)
     (tmp_path / "neg.raw.json").write_text(json.dumps({"n": 2, "channels": 1}))
     with pytest.raises(ValueError):
-        load_signal(path)
+        load_signal_channels(path)
 
 
 def test_raw_missing_sidecar(tmp_path):
     path = tmp_path / "lone.raw"
     np.zeros(4).astype("<f8").tofile(path)
     with pytest.raises(ValueError):
-        load_signal(path)
+        load_signal_channels(path)

@@ -24,9 +24,9 @@ def oracle_probs(scores, gamma, sigma, dps=50):
         return np.array([float((1 - g) * w / total + g / 4) for w in ws])
 
 
-def _state(scores, gamma=0.07, sigma=1.01, lam=1.25, t=0):
+def _state(scores, gamma=0.07, sigma=1.01, lam=1.25):
     return BanditState(scores=np.asarray(scores, dtype=np.float64),
-                       gamma=gamma, sigma=sigma, lam=lam, t=t)
+                       gamma=gamma, sigma=sigma, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +187,9 @@ def test_update_moves_only_chosen_score():
     state = BanditState.fresh(0.07, 1.01, 1.25)
     nxt = update(state, 1, 2.5)
     assert np.array_equal(nxt.scores, np.array([0.0, 2.5, 0.0, 0.0]))
-    assert nxt.t == 1
     assert not state.scores.any()  # original untouched
     same = update(state, 2, 0.0)
-    assert np.array_equal(same.scores, state.scores) and same.t == 1
+    assert np.array_equal(same.scores, state.scores)
     with pytest.raises(ValueError):
         update(state, 4, 1.0)
 
@@ -204,7 +203,6 @@ def test_update_scores_are_additive():
     for chosen, r in rewards:
         expected[chosen] += r
     assert np.allclose(state.scores, expected, atol=0.0)
-    assert state.t == len(rewards)
 
 
 # ---------------------------------------------------------------------------

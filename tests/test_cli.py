@@ -136,15 +136,41 @@ def _drop_key(key):
     lambda _: {"stats": {"cout": 8}},
     lambda _: {"cad": {"k": 4, "feedback": dict(FB, a1_precedence="or_and")}},
     lambda _: {"cad": {"k": 4, "feedback": dict(FB), "x0_mode": "zero"}},
+    lambda _: {"cad": {"k": 4, "feedback": dict(FB), "final_iters": 10}},
     lambda _: {"clean": {"kind": "sparse", "amplitud": [1.0, 2.0]}},
     lambda _: {"bench": {"nn": [16]}},
+    lambda _: {"attacks": [{"family": "none", "count": 5}]},
+    lambda _: {"attacks": [{"family": "none", "seed": 3}]},
+    lambda _: {"clean": {"kind": "sparse", "amplitude": [1.0]}},
+    lambda _: {"clean": {"kind": "sparse", "amplitude": [-1.0, 2.0]}},
+    lambda _: {"clean": {"kind": "sparse", "amplitude": [2.0, 1.0]}},
+    lambda _: {"clean": {"kind": "compressible", "amplitude": [1.0, 2.0],
+                         "tail_norm": -1}},
+    lambda _: {"n": 32.9},
+    lambda _: {"n": "32"},
+    lambda _: {"count": 2.7},
+    lambda _: {"seed": 5.5},
+    lambda _: {"seed": -1},
+    lambda _: {"channels": 1.0},
+    lambda _: {"cad": {"k": 4.5, "feedback": dict(FB)}},
+    lambda _: {"clean": {"kind": "sparse", "amplitude": [1.0, 2.0], "k": 4.5}},
+    lambda _: {"bench": {"n": [32.5]}},
+    lambda _: {"bench": {"k": [4.5]}},
+    lambda _: {"bench": {"count": 2.5}},
+    lambda _: {"stats_dir": 5},
 ], ids=["unknown_family", "nan_budget", "k_above_n", "stats_of_other_n",
         "l0_tau_above_n", "stats_short_f64", "stats_sidecar_not_json",
         "stats_sidecar_without_n", "stats_sidecar_without_ridge",
         "stats_sidecar_without_source_count", "stats_negative_ridge",
         "stats_count_below_two", "stats_negative_n_cosamp",
         "stats_unknown_key", "removed_a1_precedence", "removed_x0_mode",
-        "clean_unknown_key", "bench_unknown_key"])
+        "removed_final_iters", "clean_unknown_key", "bench_unknown_key",
+        "entry_count", "entry_seed", "clean_one_amplitude",
+        "clean_negative_amplitude", "clean_reversed_amplitude",
+        "clean_negative_tail_norm", "n_float", "n_string", "count_float",
+        "seed_float", "seed_negative", "channels_float", "cad_k_float",
+        "clean_k_float", "bench_n_float", "bench_k_float", "bench_count_float",
+        "stats_dir_not_string"])
 def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, overrides):
     cfg = _write_config(tmp_path, **overrides(tmp_path))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -1,6 +1,7 @@
 """Harness tests: ensemble generation, stats estimation, runs, aggregates,
 benchmarks, and report determinism."""
 
+import csv
 import json
 import os
 from pathlib import Path
@@ -10,9 +11,9 @@ import pytest
 
 from cad_defense.attacks import AdversarialInstance
 from cad_defense.feedback import load_clean_stats
-from cad_defense.harness import (ConfigError, ExperimentConfig, RunReport,
-                                 _build_instance, _read_csv, _write_csv,
-                                 cmd_bench, cmd_gen, cmd_run, cmd_stats,
+from cad_defense.harness import (ConfigError, ExperimentConfig,
+                                 _build_instance, _write_csv, cmd_bench,
+                                 cmd_gen, cmd_run, cmd_stats,
                                  designated_action)
 from cad_defense.transform import SensingOperator
 
@@ -28,6 +29,12 @@ def _raw(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def _csv_rows(path):
+    """The data rows of a report CSV as strings, past its '#' header lines."""
+    lines = [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
+    return list(csv.DictReader(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +148,9 @@ def test_run_clean_ensemble_and_determinism(tmp_path):
     assert "gamma=0.07 sigma=1.01 lambda=1.25" in header[2]
     assert "eta=0.3 eta_prime=0.15 eta_dprime=0.04" in header[3]
 
-    timings = _read_csv(tmp_path / "a" / "timings.csv")
+    timings = _csv_rows(tmp_path / "a" / "timings.csv")
     assert len(timings) == 20
-    assert all(row["wall_s"] >= 0.0 for row in timings)
+    assert all(float(row["wall_s"]) >= 0.0 for row in timings)
 
     cmd_run(cfg, tmp_path / "b")
     for name in ("report.csv", "instances.csv", "aggregate.csv"):
@@ -185,23 +192,25 @@ def test_aggregate_recomputable_from_instances(tmp_path):
                                  {"family": "l2", "eta": 0.5},
                                  {"family": "gradient_proxy", "eta_dprime": 0.2}])
     cmd_run(ExperimentConfig.from_dict(raw), tmp_path)
-    report = RunReport.from_dir(tmp_path)
-    assert len(report.instances) == 18 and len(report.rows) == 18
-    by_family = {a["family"]: a for a in report.aggregates}
+    instances = _csv_rows(tmp_path / "instances.csv")
+    assert len(instances) == 18 and len(_csv_rows(tmp_path / "report.csv")) == 18
+    by_family = {a["family"]: a for a in _csv_rows(tmp_path / "aggregate.csv")}
     assert set(by_family) == {"none", "l2", "gradient_proxy"}
-    assert by_family["gradient_proxy"]["identification_rate"] is None
+    assert by_family["gradient_proxy"]["identification_rate"] == ""
     for family, agg in by_family.items():
-        rows = [r for r in report.instances if r["family"] == family]
-        assert agg["count"] == len(rows) == 6
-        idents = [r["identified"] for r in rows if r["identified"] is not None]
+        rows = [r for r in instances if r["family"] == family]
+        assert int(agg["count"]) == len(rows) == 6
+        idents = [int(r["identified"]) for r in rows if r["identified"]]
         if idents:
-            assert abs(agg["identification_rate"] - sum(idents) / len(idents)) <= 1e-12
-        errs = np.array([r["err_l2"] for r in rows])
-        assert abs(agg["mean_err_l2"] - errs.mean()) <= 1e-12
-        assert abs(agg["median_err_l2"] - np.median(errs)) <= 1e-12
-        assert abs(agg["fallback_rate"] - np.mean([r["fallback"] for r in rows])) <= 1e-12
+            assert abs(float(agg["identification_rate"])
+                       - sum(idents) / len(idents)) <= 1e-12
+        errs = np.array([float(r["err_l2"]) for r in rows])
+        assert abs(float(agg["mean_err_l2"]) - errs.mean()) <= 1e-12
+        assert abs(float(agg["median_err_l2"]) - np.median(errs)) <= 1e-12
+        assert abs(float(agg["fallback_rate"])
+                   - np.mean([int(r["fallback"]) for r in rows])) <= 1e-12
         for label in ("a1", "a2", "a3", "a4", "cosamp_fallback"):
-            assert agg[f"method_{label}"] == sum(
+            assert int(agg[f"method_{label}"]) == sum(
                 r["method_label"] == label for r in rows)
 
 
@@ -210,9 +219,14 @@ def test_csv_round_trip_preserves_types(tmp_path):
             {"i": -2, "x": 1e-17, "s": "cosamp_fallback", "none": 3.5}]
     path = tmp_path / "t.csv"
     _write_csv(path, rows, ["hdr line"])
-    back = _read_csv(path)
-    assert back == rows
-    assert path.read_text().startswith("# hdr line\n")
+    assert path.read_text() == ("# hdr line\n"
+                                "i,x,s,none\n"
+                                "7,0.30000000000000004,a3,\n"
+                                "-2,1e-17,cosamp_fallback,3.5\n")
+    # repr floats read back exactly
+    assert [float(r["x"]) for r in _csv_rows(path)] == [0.1 + 0.2, 1e-17]
+    _write_csv(path, [], ["one", "two"])
+    assert path.read_text() == "# one\n# two\n"
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +246,8 @@ def test_bench_single_cell_matches_run(tmp_path):
     errs = np.array([r["err_l2"] for r in res["instances"]])
     assert cells[0]["median_err_l2"] == float(np.median(errs))
     assert cells[0]["n"] == 32 and cells[0]["k"] == 4 and cells[0]["count"] == 6
-    rows = _read_csv(tmp_path / "bench" / "bench.csv")
-    assert rows[0]["median_err_l2"] == cells[0]["median_err_l2"]
+    rows = _csv_rows(tmp_path / "bench" / "bench.csv")
+    assert float(rows[0]["median_err_l2"]) == cells[0]["median_err_l2"]
 
 
 def test_bench_eta_sweep_errors_monotone(tmp_path):

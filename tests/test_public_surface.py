@@ -1,0 +1,32 @@
+"""Public-surface tests: each module's __all__ names only what the module
+defines, and the package re-exports only names its modules list as public."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import cad_defense
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(cad_defense.__path__))
+
+
+def test_every_name_in_all_resolves():
+    missing = []
+    for name in MODULES:
+        module = importlib.import_module(f"cad_defense.{name}")
+        missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
+                    if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_package_reexports_only_public_names():
+    tree = ast.parse(Path(cad_defense.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports and all(node.level == 1 for node in imports)
+    stray = []
+    for node in imports:
+        public = importlib.import_module(f"cad_defense.{node.module}").__all__
+        stray += [f"{node.module}.{alias.name}" for alias in node.names
+                  if alias.name not in public]
+    assert stray == []

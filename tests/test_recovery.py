@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cad_defense import (A_L0, A_L2, A_LINF, L1Problem, SensingOperator,
-                         action_radius, analyze, check_bound, cosamp_run,
+                         action_radius, check_bound, cosamp_run,
                          cosamp_step, l1_min_general, l1_min_orthonormal,
                          make_clean_compressible, make_clean_sparse, top_k)
 from cad_defense.recovery import (_RELAXATION, CosampState, L1Result,

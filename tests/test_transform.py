@@ -9,8 +9,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cad_defense import (SensingOperator, analyze, best_k_term_error,
-                         dct_matrix, synthesize, top_k)
+from cad_defense import SensingOperator, best_k_term_error, dct_matrix, top_k
 
 
 # ---------------------------------------------------------------------------
@@ -45,20 +44,20 @@ def test_dct_matrix_is_cached_and_readonly():
 
 def test_analyze_zero_is_zero():
     op = SensingOperator(8)
-    assert np.array_equal(analyze(np.zeros(8), op), np.zeros(8))
+    assert np.array_equal(op.analyze(np.zeros(8)), np.zeros(8))
 
 
 def test_analyze_constant_ones_n8():
     # a constant signal concentrates all energy at coefficient 0: sqrt(8)
     op = SensingOperator(8)
-    c = analyze(np.ones(8), op)
+    c = op.analyze(np.ones(8))
     assert abs(c[0] - np.sqrt(8.0)) < 1e-12
     assert np.abs(c[1:]).max() < 1e-12
 
 
 def test_synthesize_zero_is_zero():
     op = SensingOperator(8)
-    assert np.array_equal(synthesize(np.zeros(8), op), np.zeros(8))
+    assert np.array_equal(op.synthesize(np.zeros(8)), np.zeros(8))
 
 
 def test_synthesize_first_atom_is_constant_half():
@@ -66,7 +65,7 @@ def test_synthesize_first_atom_is_constant_half():
     op = SensingOperator(4)
     e0 = np.zeros(4)
     e0[0] = 1.0
-    assert np.allclose(synthesize(e0, op), np.full(4, 0.5), atol=1e-12)
+    assert np.allclose(op.synthesize(e0), np.full(4, 0.5), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 64, 100, 784])
@@ -74,9 +73,9 @@ def test_round_trip_identity(n):
     rng = np.random.default_rng(7)
     op = SensingOperator(n)
     s = rng.standard_normal(n)
-    assert np.abs(synthesize(analyze(s, op), op) - s).max() < 1e-10
+    assert np.abs(op.synthesize(op.analyze(s)) - s).max() < 1e-10
     c = rng.standard_normal(n)
-    assert np.abs(analyze(synthesize(c, op), op) - c).max() < 1e-10
+    assert np.abs(op.analyze(op.synthesize(c)) - c).max() < 1e-10
 
 
 @pytest.mark.parametrize("n", [8, 64, 784])
@@ -86,7 +85,7 @@ def test_energy_preservation_batch(n):
     for _ in range(1000 if n <= 64 else 100):
         s = rng.standard_normal(n)
         ns = np.linalg.norm(s)
-        assert abs(np.linalg.norm(analyze(s, op)) - ns) <= 1e-10 * max(ns, 1.0)
+        assert abs(np.linalg.norm(op.analyze(s)) - ns) <= 1e-10 * max(ns, 1.0)
 
 
 def test_adjoint_consistency():
@@ -95,7 +94,7 @@ def test_adjoint_consistency():
     for op in (SensingOperator(16), SensingOperator(16, rows=np.arange(12))):
         c = rng.standard_normal(16)
         v = rng.standard_normal(op.m)
-        assert abs(synthesize(c, op) @ v - c @ op.adjoint(v)) < 1e-10
+        assert abs(op.synthesize(c) @ v - c @ op.adjoint(v)) < 1e-10
 
 
 def test_spectral_l2_linf_chain():
@@ -103,7 +102,7 @@ def test_spectral_l2_linf_chain():
     rng = np.random.default_rng(3)
     op = SensingOperator(32)
     e = rng.standard_normal(32)
-    ae = np.linalg.norm(synthesize(e, op))
+    ae = np.linalg.norm(op.synthesize(e))
     assert abs(ae - np.linalg.norm(e)) < 1e-10
     assert ae <= np.sqrt(32.0) * np.abs(e).max() + 1e-10
     flat = 0.7 * rng.choice((-1.0, 1.0), size=32)
