@@ -10,6 +10,7 @@ clipping silently breaks the declared budget.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -39,7 +40,8 @@ class AttackSpec:
 
     tau / eta_prime bound the l0 family (support size / entry magnitude),
     eta is the l1 or l2 energy budget, eta_dprime the per-entry amplitude
-    for linf and gradient_proxy.  Unused budgets may stay None.
+    for linf and gradient_proxy.  Unused budgets may stay None; a tau that
+    is given must be an integer, and the two flags must be booleans.
     """
 
     family: str
@@ -54,6 +56,12 @@ class AttackSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown attack family {self.family!r}")
+        if self.tau is not None and not (isinstance(self.tau, numbers.Integral)
+                                         and not isinstance(self.tau, bool)):
+            raise ValueError(f"tau must be an integer, got {self.tau!r}")
+        for name in ("low_freq_bias", "clip"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a boolean, got {getattr(self, name)!r}")
         need = {
             "none": (),
             "l0": ("tau", "eta_prime"),

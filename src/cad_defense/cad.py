@@ -7,17 +7,20 @@ The loop stops once some action's probability concentrates, the residual
 collapses, or the iteration cap is hit.  The best-scoring action, or
 greedy recovery when no action ever earned a positive score, gives the
 final answer.  Every solve also reports whether it is final, that is,
-whether it may stand as the answer; the loop keeps the evidence (pruned
-estimate, residual, feedback bit, trace fields) of each action's latest
-final solve.  On the full operator each action is a closed form of
-c = F y, analysed once per run, so every solve is final and an action's
-evidence, computed when it first runs, is reused after.  On a
+whether it may stand as the answer, and on both operators the loop keeps
+the evidence (pruned estimate, residual, feedback bit, trace fields) of
+each action's latest final solve: a repeat of that action reuses it
+without solving, and the chosen action answers with its estimate, or
+else with one cold run.  On the full operator each action is a closed
+form of c = F y, analysed once per run, so every solve is final.  On a
 row-subsampled operator in-loop runs warm-start at the current estimate
-with a budget that grows with each selection, so a repeat is solved
-again; an l1 solve is final exactly when the solver reports it converged
-under its own duality certificate, and a CoSaMP solve, which is not
-convex, never is.  The chosen action answers with the estimate of its
-latest final solve, or else with one cold run.
+with a budget that grows with each selection; an l1 solve is final
+exactly when the solver reports it converged under its own duality
+certificate, and a CoSaMP solve, which is not convex, never is, so
+CoSaMP is solved again on every selection.  Each l1 action is one fixed
+convex program, and a certified solve's l1 norm lies within the certified
+gap of that program's optimum; a warm re-solve from another start lands
+on another point within the same gap, so it would carry no new evidence.
 """
 
 from __future__ import annotations
@@ -207,16 +210,21 @@ def inner_iterations(times_selected: int, schedule: tuple[int, int]) -> int:
 
 def run_action(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
                budget: int, x_start: np.ndarray | None = None, *,
-               coeffs: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+               coeffs: np.ndarray | None = None,
+               known: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
     """One loop step of an action: its unpruned spectrum, and whether that
     solve may stand as the final answer (see _solve).
 
-    The full operator takes the closed form of c = F y, read from coeffs
-    when the caller passes its cached c (ValueError on a row-subsampled
-    operator, at the wrong length or with a non-finite entry); a
-    row-subsampled one runs `budget` CoSaMP steps or at most 200 * budget
-    splitting iterations from x_start.
+    known is the pruned estimate of this action's latest final solve in
+    the run, if it has one; it is handed back as final without solving.
+    Otherwise the full operator takes the closed form of c = F y, read from
+    coeffs when the caller passes its cached c (ValueError on a
+    row-subsampled operator, at the wrong length or with a non-finite
+    entry), and a row-subsampled one runs `budget` CoSaMP steps or at most
+    200 * budget splitting iterations from x_start.
     """
+    if known is not None:
+        return known, True
     return _solve(action, y, op, cfg, budget, x_start, coeffs)
 
 
@@ -278,10 +286,9 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         a = sample_action(dist, rng)
         times[a] += 1
         budget = inner_iterations(times[a], cfg.inner_schedule)
-        raw, final = run_action(a, y, op, cfg, budget, x_start=estimate, coeffs=coeffs)
-        # only full-operator evidence is fixed for the run: on a row subset a
-        # repeat warm-starts a new solve, whose evidence differs
-        evidence = finals.get(a) if coeffs is not None else None
+        evidence = finals.get(a)
+        raw, final = run_action(a, y, op, cfg, budget, x_start=estimate, coeffs=coeffs,
+                                known=None if evidence is None else evidence[0])
         if evidence is None:
             estimate = top_k(raw, cfg.k)
             v = residual(y, estimate, op)

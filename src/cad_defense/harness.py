@@ -569,13 +569,12 @@ def cmd_bench(cfg: ExperimentConfig, out_dir, workers: int = 1) -> list[dict]:
     if not cfg.bench:
         raise ConfigError("config has no bench section")
     _require_synthetic(cfg)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid_n = cfg.bench.get("n", [cfg.n])
     grid_k = cfg.bench.get("k", [cfg.cad.k])
     grid_attacks = cfg.bench.get("attacks", cfg.attacks)
     count = cfg.bench.get("count", cfg.count)
-    cells = []
+    # every cell's config is checked before the first cell runs
+    subs = []
     for n in grid_n:
         for k in grid_k:
             for entry in grid_attacks:
@@ -584,19 +583,24 @@ def cmd_bench(cfg: ExperimentConfig, out_dir, workers: int = 1) -> list[dict]:
                 sub_raw["cad"] = dict(cfg.raw["cad"], k=k)
                 if "clean" in sub_raw and "k" in sub_raw.get("clean", {}):
                     sub_raw["clean"] = dict(sub_raw["clean"], k=k)
-                sub = ExperimentConfig.from_dict(sub_raw)
-                res = _run_ensemble(sub, workers=workers)
-                agg, = res["aggregates"]  # one attack entry: one family
-                ratios = [r["ratio"] for r in res["instances"] if r["ratio"] is not None]
-                iters = np.array([t["iterations"] for t in res["timings"]])
-                per_iter = np.array([t["per_iter_s"] for t in res["timings"]])
-                cells.append({
-                    "n": n, "k": k, "family": entry["family"], "count": count,
-                    "median_err_l2": agg["median_err_l2"],
-                    "mean_ratio": float(np.mean(ratios)) if ratios else None,
-                    "identification_rate": agg["identification_rate"],
-                    "median_iterations": float(np.median(iters)),
-                    "median_per_iter_s": float(np.median(per_iter)),
-                })
+                subs.append(ExperimentConfig.from_dict(sub_raw))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    cells = []
+    for sub in subs:
+        res = _run_ensemble(sub, workers=workers)
+        agg, = res["aggregates"]  # one attack entry: one family
+        ratios = [r["ratio"] for r in res["instances"] if r["ratio"] is not None]
+        iters = np.array([t["iterations"] for t in res["timings"]])
+        per_iter = np.array([t["per_iter_s"] for t in res["timings"]])
+        cells.append({
+            "n": sub.n, "k": sub.cad.k, "family": sub.attacks[0]["family"],
+            "count": sub.count,
+            "median_err_l2": agg["median_err_l2"],
+            "mean_ratio": float(np.mean(ratios)) if ratios else None,
+            "identification_rate": agg["identification_rate"],
+            "median_iterations": float(np.median(iters)),
+            "median_per_iter_s": float(np.median(per_iter)),
+        })
     _write_csv(out / "bench.csv", cells, _config_header(cfg))
     return cells

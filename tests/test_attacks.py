@@ -155,6 +155,13 @@ def test_attack_spec_validation():
             AttackSpec(family="l0", tau=4, eta_prime=bad)
     with pytest.raises(ValueError):
         draw_perturbation(AttackSpec(family="l0", tau=65, eta_prime=0.1), N)
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="tau must be an integer"):
+            AttackSpec(family="l0", tau=bad, eta_prime=0.1)
+    for flag in ("low_freq_bias", "clip"):
+        with pytest.raises(ValueError, match=f"{flag} must be a boolean"):
+            AttackSpec(family="l2", eta=1.0, **{flag: "yes"})
+    assert AttackSpec(family="l0", tau=np.int64(4), eta_prime=0.1, clip=np.bool_(True)).clip
 
 
 def test_perturb_composition_identity():

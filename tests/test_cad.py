@@ -2,8 +2,9 @@
 schedules, and family identification on a calibrated ensemble.
 
 The loop is also checked bit for bit against a plain copy of the loop that
-recomputes every action's evidence on every iteration and, on a row subset,
-reuses the chosen l1 action's latest converged solve as the final answer.
+recomputes every action's evidence on every iteration, except that on a row
+subset an l1 action whose solve converged reuses that solve on its repeats
+and as the final answer.
 """
 
 import functools
@@ -245,6 +246,83 @@ def test_certified_subsampled_solve_is_the_final_answer(monkeypatch):
     assert outcomes.count(True) >= 10 and outcomes.count(False) >= 5
 
 
+_SUBSET_K = 8
+
+
+def _subset_runs(monkeypatch):
+    """Defence runs on a row subset, each with the actions of its
+    l1_min_general results (and whether each converged) and its run_action
+    calls as (action, known, spectrum, final)."""
+    n, k = 64, _SUBSET_K
+    op = SensingOperator(n, rows=np.sort(np.random.default_rng(5).choice(n, 40, replace=False)))
+    fb = _fb(alpha=3.0, beta=2.0, m=0.8, tau=k, theta=float(op.m), delta_res=0.0, t_max=12)
+    cfg = CadConfig(k=k, feedback=fb)
+    by_radius = {action_radius(a, fb.tau, cfg.eta, cfg.eta_prime, cfg.eta_dprime, n): a
+                 for a in (A_L0, A_L2, A_LINF)}
+    assert len(by_radius) == 3
+
+    def solving(problem, x0=None):
+        result = l1_min_general(problem, x0)
+        solves.append((by_radius[problem.radius], result.converged))
+        return result
+
+    def stepping(action, *args, **kwargs):
+        raw, final = run_action(action, *args, **kwargs)
+        steps.append((action, kwargs.get("known"), raw, final))
+        return raw, final
+
+    monkeypatch.setattr(cad_defense.cad, "l1_min_general", solving)
+    monkeypatch.setattr(cad_defense.cad, "run_action", stepping)
+    runs = []
+    for spec in _ORACLE_ATTACKS[1:]:
+        for seed in range(8):
+            solves, steps = [], []
+            x = make_clean_compressible(n, k, np.random.default_rng([70, seed]))
+            y = perturb(x, spec, SensingOperator(n)).observed[op.rows]
+            out = cad_run(y, CadConfig(k=k, feedback=fb, seed=seed), None, op)
+            runs.append((out, solves, steps))
+    return runs
+
+
+def test_certified_subset_l1_action_is_never_solved_again(monkeypatch):
+    # a certified solve stands for the rest of the run: the action's repeats,
+    # and its final answer, reach the splitting solver no more
+    reused = 0
+    for out, solves, _ in _subset_runs(monkeypatch):
+        certified = set()
+        for action, converged in solves:
+            assert action not in certified
+            if converged:
+                certified.add(action)
+        reused += (sum(r.action in certified for r in out.trace.records)
+                   - sum(a in certified for a, _ in solves))
+    assert reused >= 10
+
+
+def test_subset_repeats_still_call_run_action_once_per_iteration(monkeypatch):
+    # every iteration makes one run_action call; a repeat of an action with a
+    # final solve passes that solve's pruned estimate and gets it back as
+    # final, with the same evidence in the trace
+    repeats = 0
+    for out, _, steps in _subset_runs(monkeypatch):
+        assert len(steps) == out.stopped_at
+        assert [s[0] for s in steps] == [r.action for r in out.trace.records]
+        finals = {}
+        for record, (action, known, raw, final) in zip(out.trace.records, steps):
+            if action in finals:
+                estimate, first = finals[action]
+                assert known.tobytes() == estimate.tobytes()
+                assert raw is known and final
+                assert ((record.feedback, record.residual_l2, record.residual_count)
+                        == (first.feedback, first.residual_l2, first.residual_count))
+                repeats += 1
+            else:
+                assert known is None
+                if final:
+                    finals[action] = top_k(raw, _SUBSET_K), record
+    assert repeats >= 10
+
+
 # ---------------------------------------------------------------------------
 # the loop against a copy that recomputes every action's evidence
 
@@ -271,9 +349,9 @@ def _reference_solve(action, y, op, cfg, budget=None, x_start=None):
 
 
 def _reference_run_single(y, cfg, stats, op, seed):
-    """The loop before the evidence memo: every step solves afresh, and the
-    final answer reuses the chosen action's latest converged subsampled l1
-    solve or else solves afresh."""
+    """The loop before the evidence memo: every step solves afresh unless
+    the action has a converged subsampled l1 solve, which its repeats and
+    the final answer reuse."""
     y = np.asarray(y, dtype=np.float64)
     fb = cfg.feedback
     rng = np.random.default_rng(seed)
@@ -290,7 +368,8 @@ def _reference_run_single(y, cfg, stats, op, seed):
         a = sample_action(dist, rng)
         times[a] += 1
         budget = inner_iterations(times[a], cfg.inner_schedule)
-        raw, solved = _reference_solve(a, y, op, cfg, budget, x_start=estimate)
+        raw, solved = ((converged[a], True) if a in converged
+                       else _reference_solve(a, y, op, cfg, budget, x_start=estimate))
         estimate = top_k(raw, cfg.k)
         if solved:
             converged[a] = estimate

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cad_defense
+import cad_defense.harness
 from cad_defense.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                              main)
 from cad_defense.feedback import CleanStats, save_clean_stats
@@ -158,6 +159,11 @@ def _drop_key(key):
     lambda _: {"bench": {"k": [4.5]}},
     lambda _: {"bench": {"count": 2.5}},
     lambda _: {"stats_dir": 5},
+    lambda _: {"attacks": [{"family": "l0", "tau": 2.5, "eta_prime": 0.5}]},
+    lambda _: {"attacks": [{"family": "l0", "tau": True, "eta_prime": 0.5}]},
+    lambda _: {"attacks": [{"family": "l2", "eta": 0.5, "clip": "yes"}]},
+    lambda _: {"attacks": [{"family": "l0", "tau": 3, "eta_prime": 0.5,
+                            "low_freq_bias": 1}]},
 ], ids=["unknown_family", "nan_budget", "k_above_n", "stats_of_other_n",
         "l0_tau_above_n", "stats_short_f64", "stats_sidecar_not_json",
         "stats_sidecar_without_n", "stats_sidecar_without_ridge",
@@ -170,7 +176,8 @@ def _drop_key(key):
         "clean_negative_tail_norm", "n_float", "n_string", "count_float",
         "seed_float", "seed_negative", "channels_float", "cad_k_float",
         "clean_k_float", "bench_n_float", "bench_k_float", "bench_count_float",
-        "stats_dir_not_string"])
+        "stats_dir_not_string", "l0_tau_float", "l0_tau_bool", "clip_string",
+        "low_freq_bias_int"])
 def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, overrides):
     cfg = _write_config(tmp_path, **overrides(tmp_path))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -189,6 +196,20 @@ def test_file_signals_only_serve_stats(tmp_path, capsys, command):
     assert code == EXIT_CONFIG
     assert len(err) == 1 and err[0].startswith("config error:")
     assert not (tmp_path / "o").exists()
+
+
+def test_bench_checks_every_cell_before_running_one(tmp_path, capsys, monkeypatch):
+    # the (8, 10) cell has k above n; the three cells before it must not run
+    runs = []
+    monkeypatch.setattr(cad_defense.harness, "_run_ensemble",
+                        lambda *args, **kwargs: runs.append(args))
+    cfg = _write_config(tmp_path, bench={"n": [32, 8], "k": [4, 10], "count": 20})
+    code = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("config error: cad.k=10")
+    assert not runs
+    assert not (tmp_path / "o" / "bench.csv").exists()
 
 
 def test_exit_code_missing_config(tmp_path, capsys):

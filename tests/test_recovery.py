@@ -14,7 +14,7 @@ to lstsq is pinned by a deterministic case.
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cad_defense import (A_L0, A_L2, A_LINF, L1Problem, SensingOperator,
@@ -679,6 +679,29 @@ def test_l1_general_converged_means_certified(data, n):
     back = np.abs(op.matrix.T @ w).max()
     bound = 0.0 if back == 0.0 else max(0.0, (w @ y - radius * np.linalg.norm(w)) / back)
     assert l1 - bound <= (p.tolerance + 1e-9) * l1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(4, 48))
+def test_l1_general_certified_solves_from_two_starts_agree(data, n):
+    # the defence loop lets an action's certified solve stand for the run: a
+    # re-solve from another warm start is certified against the same optimum,
+    # so the two l1 norms lie within the certified gap of each other
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1,
+                              unique=True).map(sorted))
+    op = SensingOperator(n, rows=rows)
+    y = np.array(data.draw(st.lists(_ENTRY, min_size=op.m, max_size=op.m)))
+    norm_y = float(np.linalg.norm(y))
+    radius = data.draw(st.one_of(
+        st.just(0.0), st.floats(1e-3, 1.0, exclude_max=True).map(lambda f: f * norm_y)))
+    p = L1Problem(observed=y, op=op, radius=radius,
+                  tolerance=data.draw(st.sampled_from([1e-2, 1e-4, 1e-6])))
+    starts = [data.draw(st.one_of(st.none(), st.lists(_ENTRY, min_size=n, max_size=n)))
+              for _ in range(2)]
+    solves = [l1_min_general(p, None if x0 is None else np.array(x0)) for x0 in starts]
+    assume(all(res.converged for res in solves))
+    l1 = [float(np.abs(res.coeffs).sum()) for res in solves]
+    assert abs(l1[0] - l1[1]) <= p.tolerance * max(l1)
 
 
 def test_l1_general_over_relaxation_saves_iterations():
