@@ -25,6 +25,6 @@ from .feedback import (CleanStats, FeedbackConfig, estimate_clean_stats,
                        save_clean_stats, should_stop, thresholded_count)
 from .cad import (ACTION_LABELS, FALLBACK_LABEL, CadConfig,
                   CadIterationRecord, CadOutcome, CadTrace, ChannelsOutcome,
-                  cad_run, inner_iterations, run_action)
+                  cad_run, inner_iterations)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .transform import SensingOperator
+from .transform import SensingOperator, _is_number
 
 __all__ = [
     "FAMILIES",
@@ -56,8 +56,7 @@ class AttackSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown attack family {self.family!r}")
-        if self.tau is not None and not (isinstance(self.tau, numbers.Integral)
-                                         and not isinstance(self.tau, bool)):
+        if self.tau is not None and not _is_number(self.tau, numbers.Integral):
             raise ValueError(f"tau must be an integer, got {self.tau!r}")
         for name in ("low_freq_bias", "clip"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):

@@ -1,31 +1,35 @@
 """The adaptive defence loop tying recovery, feedback, and the bandit together.
 
-Each iteration samples one of the four recovery actions, runs it, prunes
-to k terms, scores the residual with that action's feedback predicate,
-and feeds the importance-weighted reward back into the action scores.
-The loop stops once some action's probability concentrates, the residual
-collapses, or the iteration cap is hit.  The best-scoring action, or
-greedy recovery when no action ever earned a positive score, gives the
-final answer.  Every solve also reports whether it is final, that is,
-whether it may stand as the answer, and on both operators the loop keeps
-the evidence (pruned estimate, residual, feedback bit, trace fields) of
-each action's latest final solve: a repeat of that action reuses it
-without solving, and the chosen action answers with its estimate, or
-else with one cold run.  On the full operator each action is a closed
-form of c = F y, analysed once per run, so every solve is final.  On a
-row-subsampled operator in-loop runs warm-start at the current estimate
-with a budget that grows with each selection; an l1 solve is final
-exactly when the solver reports it converged under its own duality
-certificate, and a CoSaMP solve, which is not convex, never is, so
-CoSaMP is solved again on every selection.  Each l1 action is one fixed
-convex program, and a certified solve's l1 norm lies within the certified
-gap of that program's optimum; a warm re-solve from another start lands
-on another point within the same gap, so it would carry no new evidence.
+Each iteration samples one of the four recovery actions and takes one step
+of it (run_action): solve, prune to k terms, and compute the residual's
+features once (l2 and max norms, the thresholded count of its
+transform-domain view, and its Mahalanobis distance when CoSaMP runs with
+clean statistics).  The feedback bit, the stop rule and the trace record
+read those same values, and the bit's importance-weighted reward updates
+the action scores.  The loop stops once some action's probability
+concentrates, the residual collapses, or the iteration cap is hit.  The
+best-scoring action, or greedy recovery when no action ever earned a
+positive score, gives the final answer.  Every solve reports whether it is
+final, that is, whether it may stand as the answer, and the loop keeps the
+evidence of each action's latest final solve: a later step of that action
+returns it without solving, and the chosen action answers with its
+estimate, or else with one cold run.  On the full operator each action is
+a closed form of c = F y, analysed once per run, so every solve is final.
+On a row-subsampled operator in-loop runs warm-start at the current
+estimate with a budget that grows with each selection; an l1 solve is
+final exactly when the solver reports it converged under its own duality
+certificate, and a CoSaMP solve, which is not convex, never is, so CoSaMP
+is solved again on every selection.  Each l1 action is one fixed convex
+program, and a certified solve's l1 norm lies within the certified gap of
+that program's optimum; a warm re-solve from another start lands on
+another point within the same gap, so it would carry no new evidence.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +38,9 @@ from .bandit import (BanditState, penalty_clamped, probabilities, reward,
                      sample_action, update)
 from .feedback import (CleanStats, FeedbackConfig, feedback_bit, mahalanobis,
                        residual, should_stop, thresholded_count)
-from .recovery import (A_COSAMP, N_ACTIONS, L1Problem, _full_analysis,
-                       action_radius, cosamp_run, l1_min_general,
-                       l1_min_orthonormal)
-from .transform import SensingOperator, top_k
+from .recovery import (A_COSAMP, N_ACTIONS, L1Problem, action_radius,
+                       cosamp_run, l1_min_general, l1_min_orthonormal)
+from .transform import SensingOperator, _is_number, top_k
 
 __all__ = [
     "ACTION_LABELS",
@@ -48,7 +51,6 @@ __all__ = [
     "CadOutcome",
     "ChannelsOutcome",
     "inner_iterations",
-    "run_action",
     "cad_run",
 ]
 
@@ -78,15 +80,22 @@ class CadConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.channels not in (1, 3):
-            raise ValueError(f"channels must be 1 or 3, got {self.channels}")
+        if not (_is_number(self.k, numbers.Integral) and self.k >= 1):
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        if not (_is_number(self.channels, numbers.Integral) and self.channels in (1, 3)):
+            raise ValueError(f"channels must be 1 or 3, got {self.channels!r}")
         n0, inc = self.inner_schedule
-        if n0 < 1 or inc < 0:
+        if not (_is_number(n0, numbers.Integral) and _is_number(inc, numbers.Integral)
+                and n0 >= 1 and inc >= 0):
             raise ValueError(f"bad inner schedule {self.inner_schedule}")
+        for name in ("eta", "eta_prime", "eta_dprime"):
+            value = getattr(self, name)
+            if not (_is_number(value) and 0 <= value < math.inf):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         gamma, sigma, lam = self.bandit_params
-        if not 0.0 <= gamma < 1.0 or sigma <= 0 or lam <= 0:
+        # stated as what must hold, so that a NaN fails it
+        if not (all(_is_number(v) for v in self.bandit_params)
+                and 0.0 <= gamma < 1.0 and 0 < sigma < math.inf and 0 < lam < math.inf):
             raise ValueError(f"bad bandit params {self.bandit_params}")
 
     @property
@@ -209,51 +218,60 @@ def inner_iterations(times_selected: int, schedule: tuple[int, int]) -> int:
 
 
 def run_action(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
-               budget: int, x_start: np.ndarray | None = None, *,
-               coeffs: np.ndarray | None = None,
-               known: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
-    """One loop step of an action: its unpruned spectrum, and whether that
-    solve may stand as the final answer (see _solve).
+               stats: CleanStats | None, c: np.ndarray | None, finals: dict,
+               budget: int, x_start: np.ndarray) -> tuple:
+    """One loop step of an action: its evidence (pruned estimate, md,
+    feedback bit, residual l2, l-inf and thresholded count).
 
-    known is the pruned estimate of this action's latest final solve in
-    the run, if it has one; it is handed back as final without solving.
-    Otherwise the full operator takes the closed form of c = F y, read from
-    coeffs when the caller passes its cached c (ValueError on a
-    row-subsampled operator, at the wrong length or with a non-finite
-    entry), and a row-subsampled one runs `budget` CoSaMP steps or at most
-    200 * budget splitting iterations from x_start.
+    An action whose latest solve in the run was final hands back that
+    solve's evidence from finals.  Otherwise the action is solved (_solve,
+    with c = F y on the full operator and None on a row subset), pruned to
+    k terms and scored, each feature computed once; the count is taken on
+    the residual's transform-domain view.  Evidence of a final solve is
+    stored in finals.
     """
-    if known is not None:
-        return known, True
-    return _solve(action, y, op, cfg, budget, x_start, coeffs)
+    evidence = finals.get(action)
+    if evidence is not None:
+        return evidence
+    raw, final = _solve(action, y, op, cfg, c, budget, x_start)
+    estimate = top_k(raw, cfg.k)
+    v = residual(y, estimate, op)
+    v_spec = c - estimate if c is not None else op.adjoint(v)
+    md = mahalanobis(v, stats) if action == A_COSAMP and stats is not None else None
+    l2, linf = float(np.linalg.norm(v)), float(np.abs(v).max())
+    count = thresholded_count(v_spec, cfg.feedback.count_threshold)
+    evidence = (estimate, md, feedback_bit(action, l2, linf, count, cfg.feedback, md),
+                l2, linf, count)
+    if final:
+        finals[action] = evidence
+    return evidence
 
 
 def _solve(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
-           budget: int | None = None, x_start: np.ndarray | None = None,
-           coeffs: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+           c: np.ndarray | None, budget: int | None = None,
+           x_start: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
     """Unpruned spectrum of one action and whether it is final; budget None
     gives a cold final run.
 
-    On the full operator each action is a closed form of c = F y (CoSaMP's
-    least-squares step restricts c, so its pruned iterate is top_k(c); each
-    l1 action soft-thresholds c), so every solve is final.  A subsampled
-    cold run is _FINAL_COSAMP_STEPS CoSaMP steps or the splitting solver to
-    its iteration cap.  There a CoSaMP solve is never final and a splitting
+    On the full operator each action is a closed form of the run's
+    c = F y (CoSaMP's least-squares step restricts c, so its pruned iterate
+    is top_k(c) and c itself is returned; each l1 action soft-thresholds
+    c), so every solve is final.  A subsampled cold run is
+    _FINAL_COSAMP_STEPS CoSaMP steps or the splitting solver to its
+    iteration cap.  There a CoSaMP solve is never final and a splitting
     solve is final exactly when the solver reports it converged; one that
     did not is logged at debug level with its feasibility and duality gaps.
     """
-    if coeffs is not None and not op.is_full:
-        raise ValueError("cached coefficients need the full operator")
     if action == A_COSAMP:
         if op.is_full:
-            return _full_analysis(y, op, coeffs), True
+            return c, True
         steps = _FINAL_COSAMP_STEPS if budget is None else budget
         return cosamp_run(y, op, cfg.k, steps, x0=x_start).estimate, False
     radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                            cfg.eta_dprime, op.n)
     problem = L1Problem(observed=y, op=op, radius=radius)
     if op.is_full:
-        return l1_min_orthonormal(problem, coeffs=coeffs), True
+        return l1_min_orthonormal(problem, coeffs=c), True
     if budget is not None:
         problem.max_iters = _GENERAL_ITERS_PER_UNIT * budget
     result = l1_min_general(problem, x0=x_start)
@@ -274,7 +292,7 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     fb = cfg.feedback
     rng = np.random.default_rng(seed)
     estimate = np.zeros(op.n)
-    coeffs = op.analyze(y) if op.is_full else None
+    c = op.analyze(y) if op.is_full else None
     finals = {}  # action -> evidence of its latest final solve
     state = BanditState.fresh(cfg.gamma, cfg.sigma, cfg.lam)
     times = [0] * N_ACTIONS
@@ -286,21 +304,8 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         a = sample_action(dist, rng)
         times[a] += 1
         budget = inner_iterations(times[a], cfg.inner_schedule)
-        evidence = finals.get(a)
-        raw, final = run_action(a, y, op, cfg, budget, x_start=estimate, coeffs=coeffs,
-                                known=None if evidence is None else evidence[0])
-        if evidence is None:
-            estimate = top_k(raw, cfg.k)
-            v = residual(y, estimate, op)
-            v_spec = coeffs - estimate if coeffs is not None else op.adjoint(v)
-            md = mahalanobis(v, stats) if a == A_COSAMP and stats is not None else None
-            f = feedback_bit(a, v, fb, v_spec, md)
-            evidence = (estimate, v, md, f, float(np.linalg.norm(v)),
-                        float(np.abs(v).max()),
-                        thresholded_count(v_spec, fb.count_threshold))
-            if final:
-                finals[a] = evidence
-        estimate, v, md, f, v_l2, v_linf, v_count = evidence
+        estimate, md, f, v_l2, v_linf, v_count = run_action(
+            a, y, op, cfg, stats, c, finals, budget, estimate)
         p = float(dist.probs[a])
         r = reward(a, a, f, p, cfg.lam)
         state = update(state, a, r)
@@ -310,7 +315,7 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
             residual_l2=v_l2, residual_linf=v_linf, residual_count=v_count,
             md=md, penalty_clamped=bool(f == 0 and penalty_clamped(p)),
         ))
-        if should_stop(dist, v, fb):
+        if should_stop(dist, v_l2, fb):
             stop_reason = "prob" if dist.max_prob > fb.delta_prob else "residual"
             break
     best = int(np.argmax(state.scores))  # ties resolve to the lowest index
@@ -319,7 +324,7 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     if chosen in finals:
         answer = finals[chosen][0]
     else:
-        answer = top_k(_solve(chosen, y, op, cfg, coeffs=coeffs)[0], cfg.k)
+        answer = top_k(_solve(chosen, y, op, cfg, c)[0], cfg.k)
     return CadOutcome(
         final_method=best, fallback=fallback, estimate=answer,
         reconstruction=op.synthesize(answer), trace=trace, stopped_at=t,

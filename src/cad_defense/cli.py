@@ -67,6 +67,8 @@ def main(argv=None) -> int:
         # argparse already printed the usage message; fold into config errors
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(f"--workers={args.workers} must be >= 1")
         cfg = ExperimentConfig.from_json(args.config)
         if args.seed is not None:
             raw = dict(cfg.raw, seed=args.seed)

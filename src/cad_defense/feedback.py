@@ -9,16 +9,17 @@ statistics.  Each clause has one reading.  The clean check (action 1)
 accepts a residual that is small, or one that is both statistically clean
 and flat: l2 < alpha or (md < theta and linf < m), where the distance md
 is supplied by the caller and the second clause is false without it.  The
-thresholded count is always taken on the transform-domain view of the
-residual: the sparse attack family is sparse in that domain, so that is
-where its leftover support shows up.  The Mahalanobis distance needs only
-numpy: the regularized covariance is factored once and its inverse
-Cholesky factor whitens each residual.
+predicates read features of the residual (its l2 and max norms, its
+thresholded count and its distance), each computed once by the caller,
+so the bit and the stop rule see the values the trace records.  The
+Mahalanobis distance needs only numpy: the regularized covariance is
+factored once and its inverse Cholesky factor whitens each residual.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .bandit import ActionDistribution
 from .recovery import A_COSAMP, A_L0, A_L2, A_LINF, cosamp_run
-from .transform import SensingOperator
+from .transform import SensingOperator, _is_number
 
 __all__ = [
     "FeedbackConfig",
@@ -66,11 +67,14 @@ class FeedbackConfig:
     def __post_init__(self):
         for name in ("alpha", "beta", "m", "theta", "count_threshold",
                      "delta_prob", "delta_res"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.tau < 0 or self.t_max < 1:
-            raise ValueError("tau must be >= 0 and t_max >= 1")
-
+            value = getattr(self, name)
+            # NaN fails the comparison; infinity passes, and starves a clause
+            if not (_is_number(value) and value >= 0):
+                raise ValueError(f"{name} must be a number >= 0, got {value!r}")
+        for name, least in (("tau", 0), ("t_max", 1)):
+            value = getattr(self, name)
+            if not (_is_number(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 @dataclass(eq=False)
 class CleanStats:
@@ -181,25 +185,22 @@ def estimate_clean_stats(clean_signals, op: SensingOperator, k: int,
                       source_count=len(residuals))
 
 
-def feedback_bit(action: int, v: np.ndarray, cfg: FeedbackConfig,
-                 v_spec: np.ndarray, md: float | None = None) -> int:
-    """Success bit for the chosen action given its residual.
+def feedback_bit(action: int, l2: float, linf: float, count: int,
+                 cfg: FeedbackConfig, md: float | None = None) -> int:
+    """Success bit for the chosen action given its residual's features.
 
-    v is the measurement-domain residual and v_spec its transform-domain
-    view, which carries the thresholded count.  md is the residual's
-    Mahalanobis distance from the clean statistics, or None when there are
-    none; the clean check (action 1) is l2 < alpha or (md < theta and
-    linf < m), its second clause false without a distance.
+    l2 and linf are the measurement-domain residual's norms, count its
+    thresholded count (entries above cfg.count_threshold) on the
+    transform-domain view, and md its Mahalanobis distance from the clean
+    statistics, or None when there are none; the clean check (action 1) is
+    l2 < alpha or (md < theta and linf < m), its second clause false
+    without a distance.
     """
-    v = np.asarray(v, dtype=np.float64)
-    l2 = float(np.linalg.norm(v))
-    linf = float(np.abs(v).max()) if v.size else 0.0
     if action == A_COSAMP:
         return int(l2 < cfg.alpha
                    or (md is not None and md < cfg.theta and linf < cfg.m))
     if action == A_L0:
-        return int(l2 > cfg.alpha
-                   and thresholded_count(v_spec, cfg.count_threshold) < cfg.tau)
+        return int(l2 > cfg.alpha and count < cfg.tau)
     if action == A_L2:
         return int(l2 > cfg.alpha and cfg.m < linf < cfg.beta)
     if action == A_LINF:
@@ -207,11 +208,10 @@ def feedback_bit(action: int, v: np.ndarray, cfg: FeedbackConfig,
     raise ValueError(f"unknown action {action}")
 
 
-def should_stop(dist: ActionDistribution, v: np.ndarray, cfg: FeedbackConfig) -> int:
+def should_stop(dist: ActionDistribution, l2: float, cfg: FeedbackConfig) -> int:
     """1 iff some action's probability exceeds delta_prob or the residual
     l2 norm fell below delta_res."""
-    return int(dist.max_prob > cfg.delta_prob
-               or float(np.linalg.norm(v)) < cfg.delta_res)
+    return int(dist.max_prob > cfg.delta_prob or l2 < cfg.delta_res)
 
 
 def save_clean_stats(stats: CleanStats, path) -> None:

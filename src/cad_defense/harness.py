@@ -26,7 +26,7 @@ from .cad import CadConfig, cad_run
 from .feedback import (CleanStats, FeedbackConfig, estimate_clean_stats,
                        load_clean_stats, save_clean_stats)
 from .recovery import A_COSAMP, A_L0, A_L2, A_LINF, check_bound
-from .transform import SensingOperator
+from .transform import SensingOperator, _is_number
 
 __all__ = [
     "ConfigError",
@@ -79,6 +79,11 @@ class ExperimentConfig:
             attacks = [dict(a) for a in d.get("attacks", [{"family": "none"}])]
             count = d.get("count", 1)
             cad_d = dict(d["cad"])
+            # instance seeds derive from the master seed, and channels is one setting
+            misplaced = sorted({"seed", "channels"} & set(cad_d))
+            if misplaced:
+                raise ConfigError(f"cad.{misplaced[0]} is not a cad key: set the "
+                                  f"top-level {misplaced[0]}")
             fb = FeedbackConfig(**cad_d.pop("feedback"))
             for key in ("bandit_params", "inner_schedule"):
                 if key in cad_d:
@@ -135,10 +140,6 @@ class ExperimentConfig:
         if self.stats:
             out["stats"] = self.stats
         return out
-
-
-def _is_number(value, kind=(int, float)) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _is_finite(value) -> bool:

@@ -195,15 +195,6 @@ class L1Result:
     duality_gap: float
 
 
-def _full_analysis(y: np.ndarray, op: SensingOperator,
-                   coeffs: np.ndarray | None = None) -> np.ndarray:
-    """c = F y on the full operator: a fresh analysis, or a checked copy of
-    the caller's cached one (same length, finite)."""
-    if coeffs is None:
-        return op.analyze(y)
-    return _check_vector(coeffs, op.n, "cached coefficients").copy()
-
-
 def l1_min_orthonormal(p: L1Problem, *, coeffs: np.ndarray | None = None) -> np.ndarray:
     """Exact solution on the full operator via a sort-based soft threshold.
 
@@ -220,7 +211,10 @@ def l1_min_orthonormal(p: L1Problem, *, coeffs: np.ndarray | None = None) -> np.
     """
     if not p.op.is_full:
         raise ValueError("orthonormal path requires the full operator")
-    c = _full_analysis(p.observed, p.op, coeffs)
+    if coeffs is None:
+        c = p.op.analyze(p.observed)
+    else:
+        c = _check_vector(coeffs, p.op.n, "cached coefficients").copy()
     if p.radius == 0.0:
         return c
     absc = np.abs(c)

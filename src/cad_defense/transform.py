@@ -8,6 +8,7 @@ deliberate and is what the per-iteration complexity accounting assumes.
 
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -49,6 +50,11 @@ def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
     buf = np.empty(nbytes + 64, dtype=np.uint8)
     start = -buf.ctypes.data % 64
     return buf[start:start + nbytes].view(np.float64).reshape(shape)
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether value is an instance of kind (a type or numbers ABC), bools excluded."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _check_vector(x, n: int, name: str) -> np.ndarray:

@@ -2,9 +2,10 @@
 schedules, and family identification on a calibrated ensemble.
 
 The loop is also checked bit for bit against a plain copy of the loop that
-recomputes every action's evidence on every iteration, except that on a row
-subset an l1 action whose solve converged reuses that solve on its repeats
-and as the final answer.
+recomputes every action's evidence on every iteration and scores the
+residual vectors with copies of the vector-based feedback predicate and
+stop rule, except that on a row subset an l1 action whose solve converged
+reuses that solve on its repeats and as the final answer.
 """
 
 import functools
@@ -25,9 +26,10 @@ from cad_defense import (ACTION_LABELS, FALLBACK_LABEL, AttackSpec,
                          estimate_clean_stats, inner_iterations,
                          l1_min_general, l1_min_orthonormal,
                          make_clean_compressible, make_clean_sparse, perturb,
-                         probabilities, reward, run_action, top_k, update)
-from cad_defense.bandit import penalty_clamped, sample_action
-from cad_defense.cad import CadIterationRecord, CadOutcome, CadTrace
+                         probabilities, reward, top_k, update)
+from cad_defense.bandit import ActionDistribution, penalty_clamped, sample_action
+from cad_defense.cad import (CadIterationRecord, CadOutcome, CadTrace, _solve,
+                             run_action)
 from cad_defense.feedback import (feedback_bit, mahalanobis, residual,
                                   should_stop, thresholded_count)
 from cad_defense.recovery import A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS
@@ -72,24 +74,31 @@ def test_schedule_monotone_and_validated():
 
 
 # ---------------------------------------------------------------------------
-# run_action mirrors the underlying solvers
+# one loop step: _solve mirrors the underlying solvers, run_action scores it
+
+
+def _step(action, y, op, cfg, budget, x_start=None, stats=None, finals=None):
+    """run_action with the loop's c = F y (None on a row subset)."""
+    c = op.analyze(y) if op.is_full else None
+    return run_action(action, y, op, cfg, stats, c, {} if finals is None else finals,
+                      budget, np.zeros(op.n) if x_start is None else x_start)
 
 
 def test_run_action_l1_matches_direct_solve():
     op, x, y = _clean_instance()
     cfg = CadConfig(k=6, feedback=_fb())
-    out, _ = run_action(A_L2, y, op, cfg, budget=3)
     radius = action_radius(A_L2, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                            cfg.eta_dprime, op.n)
     direct = l1_min_orthonormal(L1Problem(observed=y, op=op, radius=radius))
-    assert np.array_equal(out, direct)
+    spectrum, final = _solve(A_L2, y, op, cfg, op.analyze(y), budget=3)
+    assert np.array_equal(spectrum, direct) and final
+    assert np.array_equal(_step(A_L2, y, op, cfg, budget=3)[0], top_k(direct, 6))
 
 
 def test_run_action_cosamp_continues_from_start():
     op, x, y = _clean_instance()
     cfg = CadConfig(k=6, feedback=_fb())
-    out, _ = run_action(A_COSAMP, y, op, cfg, budget=1, x_start=x)
-    assert np.abs(out - x).max() < 1e-10
+    assert np.abs(_step(A_COSAMP, y, op, cfg, budget=1, x_start=x)[0] - x).max() < 1e-10
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,11 +122,11 @@ def test_subsampled_actions_keep_the_iterative_solvers():
     y = op.synthesize(x)
     start = top_k(np.random.default_rng(4).standard_normal(n), k)
     cfg = CadConfig(k=k, feedback=_fb())
-    greedy, _ = run_action(A_COSAMP, y, op, cfg, budget=2, x_start=start)
+    greedy, _ = _solve(A_COSAMP, y, op, cfg, None, budget=2, x_start=start)
     assert np.array_equal(greedy, cosamp_run(y, op, k, 2, x0=start).estimate)
     radius = action_radius(A_L2, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                            cfg.eta_dprime, n)
-    convex, _ = run_action(A_L2, y, op, cfg, budget=2, x_start=start)
+    convex, _ = _solve(A_L2, y, op, cfg, None, budget=2, x_start=start)
     direct = l1_min_general(L1Problem(observed=y, op=op, radius=radius,
                                       max_iters=400), x0=start)
     assert np.array_equal(convex, direct.coeffs)
@@ -131,7 +140,8 @@ def test_subsampled_actions_keep_the_iterative_solvers():
 
 def test_run_action_reports_whether_its_solve_is_final():
     # every full-operator solve is a closed form and final; a subsampled l1
-    # solve is final exactly when its solver converged, CoSaMP never
+    # solve is final exactly when its solver converged, CoSaMP never; a step
+    # stores its evidence exactly when its solve is final
     n, k = 64, 4
     full = SensingOperator(n)
     sub = SensingOperator(n, rows=np.sort(np.random.default_rng(5).choice(n, 40, replace=False)))
@@ -141,46 +151,47 @@ def test_run_action_reports_whether_its_solve_is_final():
     cfg = CadConfig(k=k, feedback=_fb())
     y = full.synthesize(x) + noise
     for action in (A_COSAMP, A_L0, A_L2, A_LINF):
-        assert run_action(action, y, full, cfg, budget=1, x_start=start)[1] is True
+        assert _solve(action, y, full, cfg, full.analyze(y), 1, start)[1] is True
+        finals = {}
+        assert _step(action, y, full, cfg, 1, start, finals=finals) is finals[action]
     y = y[sub.rows]
     flags = []
     for budget in (1, 2, 30):
-        assert run_action(A_COSAMP, y, sub, cfg, budget, x_start=start)[1] is False
+        assert _solve(A_COSAMP, y, sub, cfg, None, budget, start)[1] is False
+        finals = {}
+        _step(A_COSAMP, y, sub, cfg, budget, start, finals=finals)
+        assert not finals
         for action in (A_L0, A_L2, A_LINF):
             radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                                    cfg.eta_dprime, n)
             direct = l1_min_general(L1Problem(observed=y, op=sub, radius=radius,
                                               max_iters=200 * budget), x0=start)
-            _, final = run_action(action, y, sub, cfg, budget, x_start=start)
+            _, final = _solve(action, y, sub, cfg, None, budget, start)
             assert final is direct.converged
+            evidence = _step(action, y, sub, cfg, budget, start, finals=finals)
+            assert (finals.get(action) is evidence) is final
             flags.append(final)
     assert True in flags and False in flags
 
 
 @pytest.mark.parametrize("action", [A_COSAMP, A_L0, A_L2, A_LINF])
 def test_run_action_cached_coefficients_give_the_same_bytes(action):
+    # the run's cached c gives the bytes of a fresh analysis, and a step
+    # neither writes to c nor hands back an estimate that aliases it
     op, x, y = _clean_instance()
     y = y + 0.5 * np.random.default_rng(8).standard_normal(op.m)
     cfg = CadConfig(k=6, feedback=_fb())
     c = op.analyze(y)
-    out, _ = run_action(action, y, op, cfg, budget=3, x_start=x, coeffs=c)
-    assert out.tobytes() == run_action(action, y, op, cfg, budget=3, x_start=x)[0].tobytes()
-    out[:] = 7.0  # the result never aliases the caller's coefficients
+    estimate = run_action(action, y, op, cfg, None, c, {}, 3, x)[0]
+    if action == A_COSAMP:
+        fresh = op.analyze(y)
+    else:
+        radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
+                               cfg.eta_dprime, op.n)
+        fresh = l1_min_orthonormal(L1Problem(observed=y, op=op, radius=radius))
+    assert estimate.tobytes() == top_k(fresh, 6).tobytes()
+    estimate[:] = 7.0
     assert c.tobytes() == op.analyze(y).tobytes()
-
-
-@pytest.mark.parametrize("action", [A_COSAMP, A_L0, A_L2, A_LINF])
-def test_run_action_rejects_bad_cached_coefficients(action):
-    op, x, y = _clean_instance()
-    cfg = CadConfig(k=6, feedback=_fb())
-    nan = op.analyze(y)
-    nan[5] = np.nan
-    for bad in (op.analyze(y)[:-1], nan):
-        with pytest.raises(ValueError, match="cached coefficients"):
-            run_action(action, y, op, cfg, budget=3, coeffs=bad)
-    sub = SensingOperator(64, rows=np.arange(0, 64, 2))
-    with pytest.raises(ValueError, match="full operator"):
-        run_action(action, sub.synthesize(x), sub, cfg, budget=3, coeffs=op.analyze(y))
 
 
 def test_unconverged_subsampled_solve_logs_at_debug(caplog):
@@ -190,10 +201,10 @@ def test_unconverged_subsampled_solve_logs_at_debug(caplog):
          + np.random.default_rng(1).standard_normal(op.m))  # 200 iterations fall short
     cfg = CadConfig(k=k, feedback=_fb())
     with caplog.at_level(logging.WARNING, logger="cad_defense"):
-        quiet, _ = run_action(A_L2, y, op, cfg, budget=1)
+        quiet, _ = _solve(A_L2, y, op, cfg, None, budget=1)
     assert not caplog.records
     with caplog.at_level(logging.DEBUG, logger="cad_defense"):
-        loud, _ = run_action(A_L2, y, op, cfg, budget=1)
+        loud, _ = _solve(A_L2, y, op, cfg, None, budget=1)
     assert loud.tobytes() == quiet.tobytes()
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
@@ -251,8 +262,9 @@ _SUBSET_K = 8
 
 def _subset_runs(monkeypatch):
     """Defence runs on a row subset, each with the actions of its
-    l1_min_general results (and whether each converged) and its run_action
-    calls as (action, known, spectrum, final)."""
+    l1_min_general results (and whether each converged) and its loop steps
+    as (action, stored evidence before the step, returned evidence, solver
+    calls during the step, stored evidence after it)."""
     n, k = 64, _SUBSET_K
     op = SensingOperator(n, rows=np.sort(np.random.default_rng(5).choice(n, 40, replace=False)))
     fb = _fb(alpha=3.0, beta=2.0, m=0.8, tau=k, theta=float(op.m), delta_res=0.0, t_max=12)
@@ -266,12 +278,18 @@ def _subset_runs(monkeypatch):
         solves.append((by_radius[problem.radius], result.converged))
         return result
 
-    def stepping(action, *args, **kwargs):
-        raw, final = run_action(action, *args, **kwargs)
-        steps.append((action, kwargs.get("known"), raw, final))
-        return raw, final
+    def greedy(*args, **kwargs):
+        solves.append((A_COSAMP, False))
+        return cosamp_run(*args, **kwargs)
+
+    def stepping(action, y, op, cfg, stats, c, finals, budget, x_start):
+        stored, before = finals.get(action), len(solves)
+        evidence = run_action(action, y, op, cfg, stats, c, finals, budget, x_start)
+        steps.append((action, stored, evidence, solves[before:], finals.get(action)))
+        return evidence
 
     monkeypatch.setattr(cad_defense.cad, "l1_min_general", solving)
+    monkeypatch.setattr(cad_defense.cad, "cosamp_run", greedy)
     monkeypatch.setattr(cad_defense.cad, "run_action", stepping)
     runs = []
     for spec in _ORACLE_ATTACKS[1:]:
@@ -280,7 +298,7 @@ def _subset_runs(monkeypatch):
             x = make_clean_compressible(n, k, np.random.default_rng([70, seed]))
             y = perturb(x, spec, SensingOperator(n)).observed[op.rows]
             out = cad_run(y, CadConfig(k=k, feedback=fb, seed=seed), None, op)
-            runs.append((out, solves, steps))
+            runs.append((out, [s for s in solves if s[0] != A_COSAMP], steps))
     return runs
 
 
@@ -301,25 +319,25 @@ def test_certified_subset_l1_action_is_never_solved_again(monkeypatch):
 
 def test_subset_repeats_still_call_run_action_once_per_iteration(monkeypatch):
     # every iteration makes one run_action call; a repeat of an action with a
-    # final solve passes that solve's pruned estimate and gets it back as
-    # final, with the same evidence in the trace
+    # final solve gets the identical stored evidence back and calls no
+    # solver, any other step makes one solver call and stores its evidence
+    # exactly when that solve certified; the trace records that evidence
     repeats = 0
     for out, _, steps in _subset_runs(monkeypatch):
         assert len(steps) == out.stopped_at
         assert [s[0] for s in steps] == [r.action for r in out.trace.records]
-        finals = {}
-        for record, (action, known, raw, final) in zip(out.trace.records, steps):
-            if action in finals:
-                estimate, first = finals[action]
-                assert known.tobytes() == estimate.tobytes()
-                assert raw is known and final
-                assert ((record.feedback, record.residual_l2, record.residual_count)
-                        == (first.feedback, first.residual_l2, first.residual_count))
+        for record, (action, stored, evidence, calls, after) in zip(out.trace.records, steps):
+            if stored is not None:
+                assert evidence is stored and after is stored and not calls
                 repeats += 1
             else:
-                assert known is None
-                if final:
-                    finals[action] = top_k(raw, _SUBSET_K), record
+                [(solver, converged)] = calls
+                assert solver == action
+                assert (after is evidence) is converged
+            estimate, md, f, l2, linf, count = evidence
+            assert ((record.md, record.feedback, record.residual_l2,
+                     record.residual_linf, record.residual_count)
+                    == (md, f, l2, linf, count))
     assert repeats >= 10
 
 
@@ -346,6 +364,30 @@ def _reference_solve(action, y, op, cfg, budget=None, x_start=None):
         problem.max_iters = 200 * budget
     result = l1_min_general(problem, x0=x_start)
     return result.coeffs, result.converged
+
+
+def _reference_feedback_bit(action, v, cfg, v_spec, md=None):
+    """The vector-based predicate as it was before it read features."""
+    v = np.asarray(v, dtype=np.float64)
+    l2 = float(np.linalg.norm(v))
+    linf = float(np.abs(v).max()) if v.size else 0.0
+    if action == A_COSAMP:
+        return int(l2 < cfg.alpha
+                   or (md is not None and md < cfg.theta and linf < cfg.m))
+    if action == A_L0:
+        return int(l2 > cfg.alpha
+                   and thresholded_count(v_spec, cfg.count_threshold) < cfg.tau)
+    if action == A_L2:
+        return int(l2 > cfg.alpha and cfg.m < linf < cfg.beta)
+    if action == A_LINF:
+        return int(l2 > cfg.alpha and linf > cfg.beta)
+    raise ValueError(f"unknown action {action}")
+
+
+def _reference_should_stop(dist, v, cfg):
+    """The vector-based stop rule as it was before it read features."""
+    return int(dist.max_prob > cfg.delta_prob
+               or float(np.linalg.norm(v)) < cfg.delta_res)
 
 
 def _reference_run_single(y, cfg, stats, op, seed):
@@ -378,7 +420,7 @@ def _reference_run_single(y, cfg, stats, op, seed):
         md = None
         if a == A_COSAMP and stats is not None:
             md = mahalanobis(v, stats)
-        f = feedback_bit(a, v, fb, v_spec, md)
+        f = _reference_feedback_bit(a, v, fb, v_spec, md)
         p = float(dist.probs[a])
         r = reward(a, a, f, p, cfg.lam)
         state = update(state, a, r)
@@ -390,7 +432,7 @@ def _reference_run_single(y, cfg, stats, op, seed):
             residual_count=thresholded_count(v_spec, fb.count_threshold),
             md=md, penalty_clamped=bool(f == 0 and penalty_clamped(p)),
         ))
-        if should_stop(dist, v, fb):
+        if _reference_should_stop(dist, v, fb):
             stop_reason = "prob" if dist.max_prob > fb.delta_prob else "residual"
             break
     best = int(np.argmax(state.scores))
@@ -584,6 +626,49 @@ def test_stop_reason_matches_trace_values():
             assert out.stopped_at == cfg.feedback.t_max
 
 
+@pytest.mark.parametrize("name,with_stats,channels", [
+    ("full64", True, 1), ("full64", False, 1), ("full64", True, 3),
+    ("full64", False, 3), ("rows40of64", False, 1), ("rows40of64", False, 3)])
+def test_trace_record_explains_its_call(name, with_stats, channels):
+    # each record's bit is the predicate of that record's features, and the
+    # stop rule, read from the record's probabilities and residual norm,
+    # fires on the last record only, for the stated reason
+    op, clean_stats = _oracle_setup(name)
+    n, k = op.n, op.n // 8
+    stats = clean_stats if with_stats else None
+    bits, reasons = set(), set()
+    for seed in range(9):
+        # every third run is cut short by the iteration cap
+        fb = _fb(alpha=3.0, beta=2.0, m=0.8, tau=k, theta=float(op.m),
+                 delta_res=0.5 if seed % 2 else 0.0, t_max=3 if seed % 3 == 2 else 12)
+        rng = np.random.default_rng([72, seed])
+        ys = []
+        for ch in range(channels):
+            spec = _ORACLE_ATTACKS[(seed + ch) % len(_ORACLE_ATTACKS)]
+            observed = perturb(make_clean_compressible(n, k, rng), spec,
+                               SensingOperator(n)).observed
+            ys.append(observed if op.is_full else observed[op.rows])
+        cfg = CadConfig(k=k, feedback=fb, channels=channels, seed=seed)
+        out = cad_run(np.concatenate(ys), cfg, stats if channels == 1 else (stats,) * 3, op)
+        for run in (out.channels if channels == 3 else [out]):
+            for i, rec in enumerate(run.trace.records, 1):
+                assert rec.feedback == feedback_bit(rec.action, rec.residual_l2,
+                                                    rec.residual_linf,
+                                                    rec.residual_count, fb, rec.md)
+                stop = should_stop(ActionDistribution(probs=np.array(rec.probs)),
+                                   rec.residual_l2, fb)
+                if i < run.stopped_at:
+                    assert not stop
+                elif run.stop_reason == "t_max":
+                    assert not stop and i == fb.t_max
+                else:
+                    assert stop
+                    assert (run.stop_reason == "prob") == (max(rec.probs) > fb.delta_prob)
+                bits.add(rec.feedback)
+            reasons.add(run.stop_reason)
+    assert bits == {0, 1} and {"prob", "t_max"} <= reasons
+
+
 def test_budgets_follow_schedule_per_action():
     out, cfg = _attacked_run(seed=2)
     seen = [0, 0, 0, 0]
@@ -738,6 +823,19 @@ def test_config_validation():
         CadConfig(k=2, feedback=_fb(), channels=2)
     with pytest.raises(ValueError):
         CadConfig(k=2, feedback=_fb(), bandit_params=(1.0, 1.0, 1.0))
+    bad = [dict(k=2.5), dict(k=True), dict(channels=True),
+           dict(eta=-1.0), dict(eta="x"), dict(eta=math.nan), dict(eta=True),
+           dict(eta_prime=math.inf), dict(eta_dprime=math.nan),
+           dict(bandit_params=(0.07, math.nan, 1.25)),
+           dict(bandit_params=(0.07, 1.01, math.inf)),
+           dict(bandit_params=(0.07, 1.01, math.nan)),
+           dict(inner_schedule=(2.5, 1)), dict(inner_schedule=(True, 2)),
+           dict(inner_schedule=(3, 0.5))]
+    for fields in bad:
+        with pytest.raises(ValueError):
+            CadConfig(**{"k": 2, "feedback": _fb(), **fields})
+    CadConfig(k=2, feedback=_fb(), eta=0, eta_prime=np.float64(0.5),
+              inner_schedule=(np.int64(1), 0))
 
 
 def test_action_labels_cover_methods():

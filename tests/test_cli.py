@@ -120,6 +120,27 @@ def _drop_key(key):
     return damage
 
 
+def _cad(**entries):
+    """The cad section of the default config, with entries set."""
+    return lambda _: {"cad": {"k": 4, "feedback": dict(FB), **entries}}
+
+
+# values the loop cannot use; each must fail as a config error, not run
+BAD_CAD_VALUES = [
+    ("eta", -1), ("eta", "x"), ("eta", math.nan), ("eta", True),
+    ("eta_prime", math.inf), ("eta_dprime", -0.5),
+    ("bandit_params", [0.07, math.nan, 1.25]), ("bandit_params", [0.07, 1.01, math.nan]),
+    ("bandit_params", [0.07, 1.01, math.inf]), ("bandit_params", [math.nan, 1.01, 1.25]),
+    ("inner_schedule", [2.5, 1]), ("inner_schedule", [True, 2]),
+    ("inner_schedule", [3, 0.5]),
+]
+BAD_FEEDBACK_VALUES = [
+    ("t_max", 2.5), ("t_max", True), ("tau", 2.5), ("tau", True),
+    ("alpha", math.nan), ("theta", math.nan), ("delta_res", math.nan),
+    ("m", "big"), ("beta", True),
+]
+
+
 @pytest.mark.parametrize("overrides", [
     lambda _: {"attacks": [{"family": "l9"}]},
     lambda _: {"attacks": [{"family": "l2", "eta": math.nan}]},
@@ -164,6 +185,9 @@ def _drop_key(key):
     lambda _: {"attacks": [{"family": "l2", "eta": 0.5, "clip": "yes"}]},
     lambda _: {"attacks": [{"family": "l0", "tau": 3, "eta_prime": 0.5,
                             "low_freq_bias": 1}]},
+    *[_cad(**{key: value}) for key, value in BAD_CAD_VALUES],
+    *[_cad(feedback=dict(FB, **{key: value})) for key, value in BAD_FEEDBACK_VALUES],
+    *[_cad(seed=value) for value in (0, 99, -5, 2.5, "not-an-int")],
 ], ids=["unknown_family", "nan_budget", "k_above_n", "stats_of_other_n",
         "l0_tau_above_n", "stats_short_f64", "stats_sidecar_not_json",
         "stats_sidecar_without_n", "stats_sidecar_without_ridge",
@@ -177,7 +201,10 @@ def _drop_key(key):
         "seed_float", "seed_negative", "channels_float", "cad_k_float",
         "clean_k_float", "bench_n_float", "bench_k_float", "bench_count_float",
         "stats_dir_not_string", "l0_tau_float", "l0_tau_bool", "clip_string",
-        "low_freq_bias_int"])
+        "low_freq_bias_int",
+        *[f"cad_{key}_{value}" for key, value in BAD_CAD_VALUES],
+        *[f"feedback_{key}_{value}" for key, value in BAD_FEEDBACK_VALUES],
+        *[f"cad_seed_{value}" for value in (0, 99, -5, 2.5, "not-an-int")]])
 def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, overrides):
     cfg = _write_config(tmp_path, **overrides(tmp_path))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -185,6 +212,29 @@ def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, overrides):
     assert code == EXIT_CONFIG
     assert len(err) == 1 and err[0].startswith("config error:")
     assert not (tmp_path / "o" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["seed", "channels"])
+def test_cad_seed_and_channels_name_the_top_level_key(tmp_path, capsys, key):
+    # the loop's seed derives from the master seed, and channels is set once
+    cfg = _write_config(tmp_path, cad={"k": 4, "feedback": dict(FB), key: 1})
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith(f"config error: cad.{key}")
+    assert f"top-level {key}" in err[0]
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_fail_fast_with_one_line(tmp_path, capsys, command, workers):
+    cfg = _write_config(tmp_path, bench={"n": [32], "k": [4], "count": 2})
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--workers", workers])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert err == [f"config error: --workers={workers} must be >= 1"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["gen", "run", "bench"])

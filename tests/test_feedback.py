@@ -248,8 +248,16 @@ def test_mahalanobis_separates_clean_from_attacked():
 # per-action feedback predicates
 
 
+def _bit(action, v, cfg, v_spec=None, md=None):
+    """The predicate on v's features, its count taken on v_spec (default v)."""
+    v_spec = v if v_spec is None else v_spec
+    return feedback_bit(action, float(np.linalg.norm(v)), float(np.abs(v).max()),
+                        thresholded_count(v_spec, cfg.count_threshold), cfg, md)
+
+
 def test_a1_zero_residual_succeeds():
-    assert feedback_bit(A_COSAMP, np.zeros(8), _cfg(), np.zeros(8)) == 1
+    assert _bit(A_COSAMP, np.zeros(8), _cfg()) == 1
+    assert feedback_bit(A_COSAMP, 0.0, 0.0, 0, _cfg()) == 1
 
 
 def test_a2_sparse_count_example():
@@ -258,11 +266,11 @@ def test_a2_sparse_count_example():
     v[:12] = 10.0 / np.sqrt(12.0)
     assert abs(np.linalg.norm(v) - 10.0) < 1e-12
     assert thresholded_count(v, 0.5) == 12
-    assert feedback_bit(A_L0, v, _cfg(), v) == 1
+    assert _bit(A_L0, v, _cfg()) == 1
     # over tau entries flips it
     w = np.zeros(64)
     w[:20] = 10.0 / np.sqrt(20.0)
-    assert feedback_bit(A_L0, w, _cfg(), w) == 0
+    assert _bit(A_L0, w, _cfg()) == 0
 
 
 def test_a3_a4_interval_split():
@@ -270,13 +278,13 @@ def test_a3_a4_interval_split():
     v[0] = 6.0
     v[1:] = 8.0 / np.sqrt(63.0)  # fills out the l2 norm past alpha
     assert np.linalg.norm(v) > 8.0 and np.abs(v).max() == 6.0
-    assert feedback_bit(A_LINF, v, _cfg(), v) == 1
-    assert feedback_bit(A_L2, v, _cfg(), v) == 0  # max entry above beta
+    assert _bit(A_LINF, v, _cfg()) == 1
+    assert _bit(A_L2, v, _cfg()) == 0  # max entry above beta
     w = np.zeros(64)
     w[0] = 3.0
     w[1:] = 9.0 / np.sqrt(63.0)
-    assert feedback_bit(A_L2, w, _cfg(), w) == 1  # max in (m, beta)
-    assert feedback_bit(A_LINF, w, _cfg(), w) == 0
+    assert _bit(A_L2, w, _cfg()) == 1  # max in (m, beta)
+    assert _bit(A_LINF, w, _cfg()) == 0
 
 
 def test_a3_a4_mutually_exclusive():
@@ -284,37 +292,37 @@ def test_a3_a4_mutually_exclusive():
     cfg = _cfg()
     for _ in range(200):
         v = rng.standard_normal(32) * float(rng.choice([0.5, 2.0, 8.0]))
-        assert feedback_bit(A_L2, v, cfg, v) + feedback_bit(A_LINF, v, cfg, v) <= 1
+        assert _bit(A_L2, v, cfg) + _bit(A_LINF, v, cfg) <= 1
         if np.abs(v).max() <= cfg.m:
-            assert feedback_bit(A_L2, v, cfg, v) == 0
-            assert feedback_bit(A_LINF, v, cfg, v) == 0
+            assert _bit(A_L2, v, cfg) == 0
+            assert _bit(A_LINF, v, cfg) == 0
 
 
 def test_small_residual_fails_attack_actions():
     v = np.full(16, 0.1)
     cfg = _cfg()
-    assert feedback_bit(A_L0, v, cfg, v) == 0
-    assert feedback_bit(A_L2, v, cfg, v) == 0
-    assert feedback_bit(A_LINF, v, cfg, v) == 0
+    assert _bit(A_L0, v, cfg) == 0
+    assert _bit(A_L2, v, cfg) == 0
+    assert _bit(A_LINF, v, cfg) == 0
 
 
 def test_a1_md_clause_requires_stats():
     v = np.zeros(16)
     v[0] = 9.0  # l2 norm above alpha, so only the MD clause could save it
     cfg = _cfg(m=100.0)
-    assert feedback_bit(A_COSAMP, v, cfg, v) == 0  # no distance, no clause
+    assert _bit(A_COSAMP, v, cfg) == 0  # no distance, no clause
     md = mahalanobis(v, _stats(np.zeros(16), 100.0 * np.eye(16)))
     assert md == pytest.approx(0.9)
-    assert feedback_bit(A_COSAMP, v, cfg, v, md) == 1
-    assert feedback_bit(A_COSAMP, v, cfg, v, 70.0) == 0  # not under theta
+    assert _bit(A_COSAMP, v, cfg, md=md) == 1
+    assert _bit(A_COSAMP, v, cfg, md=70.0) == 0  # not under theta
     # a small but spiky residual: l2 norm 2 under alpha = 8 but max 2 over
     # m = 1.8; smallness alone accepts it, whatever its (clean) distance
     w = np.zeros(16)
     w[0] = 2.0
     md = mahalanobis(w, _stats(np.zeros(16), np.eye(16)))
     assert md == 2.0 < 65.0
-    assert feedback_bit(A_COSAMP, w, _cfg(), w, md) == 1
-    assert feedback_bit(A_COSAMP, w, _cfg(), w) == 1
+    assert _bit(A_COSAMP, w, _cfg(), md=md) == 1
+    assert _bit(A_COSAMP, w, _cfg()) == 1
 
 
 def test_count_taken_from_spectral_view_when_given():
@@ -323,15 +331,15 @@ def test_count_taken_from_spectral_view_when_given():
     v_spec[:5] = 3.0      # sparse in the transform domain: count 5
     # scale v so its l2 norm clears alpha
     v = v * (9.0 / np.linalg.norm(v))
-    assert feedback_bit(A_L0, v, _cfg(), v_spec) == 1
-    assert feedback_bit(A_L0, v, _cfg(), v) == 0  # pixel count 64 over tau
+    assert _bit(A_L0, v, _cfg(), v_spec) == 1
+    assert _bit(A_L0, v, _cfg()) == 0  # pixel count 64 over tau
     with pytest.raises(TypeError):
-        feedback_bit(A_L0, v, _cfg())  # the spectral view is required
+        feedback_bit(A_L0, 9.0, 1.2, _cfg())  # the count is required
 
 
 def test_feedback_bit_unknown_action():
     with pytest.raises(ValueError):
-        feedback_bit(7, np.zeros(4), _cfg(), np.zeros(4))
+        feedback_bit(7, 0.0, 0.0, 0, _cfg())
 
 
 # ---------------------------------------------------------------------------
@@ -344,28 +352,23 @@ def _dist(p_max):
 
 
 def test_stop_on_probability():
-    assert should_stop(_dist(0.85), np.full(4, 10.0), _cfg()) == 1
+    assert should_stop(_dist(0.85), 20.0, _cfg()) == 1
 
 
 def test_stop_on_residual():
-    v = np.zeros(8)
-    v[0] = 1.5
-    assert should_stop(_dist(0.25), v, _cfg()) == 1
+    assert should_stop(_dist(0.25), 1.5, _cfg()) == 1
 
 
 def test_continue_when_neither_fires():
-    v = np.zeros(8)
-    v[0] = 10.0
-    assert should_stop(_dist(0.25), v, _cfg()) == 0
+    assert should_stop(_dist(0.25), 10.0, _cfg()) == 0
+    assert should_stop(_dist(0.25), _cfg().delta_res, _cfg()) == 0  # strict
 
 
 def test_stop_monotone():
     cfg = _cfg()
-    v_big = np.full(8, 4.0)
-    v_small = np.full(8, 0.1)
-    assert should_stop(_dist(0.85), v_big, cfg) == 1
-    assert should_stop(_dist(0.95), v_big, cfg) == 1  # larger max still stops
-    assert should_stop(_dist(0.85), v_small, cfg) == 1  # smaller norm still stops
+    assert should_stop(_dist(0.85), 11.3, cfg) == 1
+    assert should_stop(_dist(0.95), 11.3, cfg) == 1  # larger max still stops
+    assert should_stop(_dist(0.85), 0.28, cfg) == 1  # smaller norm still stops
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +402,14 @@ def test_feedback_config_validation():
         _cfg(alpha=-1.0)
     with pytest.raises(ValueError):
         _cfg(t_max=0)
+    bad = [dict(t_max=2.5), dict(t_max=True), dict(tau=2.5), dict(tau=True),
+           dict(alpha=np.nan), dict(theta=np.nan), dict(delta_res=np.nan),
+           dict(count_threshold=np.nan), dict(m="big"), dict(beta=True)]
+    for fields in bad:
+        with pytest.raises(ValueError):
+            _cfg(**fields)
+    # infinity starves a clause, which the fallback tests rely on
+    _cfg(alpha=np.inf, beta=np.inf, m=np.inf, theta=np.inf, tau=np.int64(3))
     for removed in ("a1_precedence", "l0_count_gate"):
         with pytest.raises(TypeError):
             _cfg(**{removed: None})
