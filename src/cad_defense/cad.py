@@ -14,7 +14,9 @@ final, that is, whether it may stand as the answer, and the loop keeps the
 evidence of each action's latest final solve: a later step of that action
 returns it without solving, and the chosen action answers with its
 estimate, or else with one cold run.  On the full operator each action is
-a closed form of c = F y, analysed once per run, so every solve is final.
+a closed form of c = F y, analysed once per run, so every solve is final,
+and the magnitudes of c are sorted once per run as well: that order prunes
+every estimate of the run (_prune), with top_k's bytes.
 On a row-subsampled operator in-loop runs warm-start at the current
 estimate with a budget that grows with each selection; an l1 solve is
 final exactly when the solver reports it converged under its own duality
@@ -160,7 +162,6 @@ class CadOutcome:
     final_method: int
     fallback: bool
     estimate: np.ndarray
-    reconstruction: np.ndarray
     trace: CadTrace
     stopped_at: int
     stop_reason: str
@@ -179,7 +180,6 @@ class CadOutcome:
             "stop_reason": self.stop_reason,
             "final_scores": list(self.final_scores),
             "estimate": self.estimate.tolist(),
-            "reconstruction": self.reconstruction.tolist(),
             "trace": self.trace.to_jsonable(),
         }
 
@@ -192,7 +192,6 @@ class ChannelsOutcome:
     final_method: int
     fallback: bool
     estimate: np.ndarray
-    reconstruction: np.ndarray
 
     @property
     def method_label(self) -> str:
@@ -204,7 +203,6 @@ class ChannelsOutcome:
             "method_label": self.method_label,
             "fallback": self.fallback,
             "estimate": self.estimate.tolist(),
-            "reconstruction": self.reconstruction.tolist(),
             "channels": [c.to_jsonable() for c in self.channels],
         }
 
@@ -218,8 +216,9 @@ def inner_iterations(times_selected: int, schedule: tuple[int, int]) -> int:
 
 
 def run_action(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
-               stats: CleanStats | None, c: np.ndarray | None, finals: dict,
-               budget: int, x_start: np.ndarray) -> tuple:
+               stats: CleanStats | None, c: np.ndarray | None,
+               order: np.ndarray | None, finals: dict, budget: int,
+               x_start: np.ndarray) -> tuple:
     """One loop step of an action: its evidence (pruned estimate, md,
     feedback bit, residual l2, l-inf and thresholded count).
 
@@ -227,14 +226,17 @@ def run_action(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
     solve's evidence from finals.  Otherwise the action is solved (_solve,
     with c = F y on the full operator and None on a row subset), pruned to
     k terms and scored, each feature computed once; the count is taken on
-    the residual's transform-domain view.  Evidence of a final solve is
-    stored in finals.
+    the residual's transform-domain view.  order is the run's one stable
+    descending order of |c| (None on a row subset), through which _prune
+    keeps top_k's bytes without sorting again wherever the k-th and
+    (k+1)-th entries along it differ in magnitude.  Evidence of a final
+    solve is stored in finals.
     """
     evidence = finals.get(action)
     if evidence is not None:
         return evidence
     raw, final = _solve(action, y, op, cfg, c, budget, x_start)
-    estimate = top_k(raw, cfg.k)
+    estimate = _prune(action, raw, cfg.k, order)
     v = residual(y, estimate, op)
     v_spec = c - estimate if c is not None else op.adjoint(v)
     md = mahalanobis(v, stats) if action == A_COSAMP and stats is not None else None
@@ -245,6 +247,26 @@ def run_action(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
     if final:
         finals[action] = evidence
     return evidence
+
+
+def _prune(action: int, raw: np.ndarray, k: int, order: np.ndarray | None) -> np.ndarray:
+    """top_k(raw, k), read off the run's order of |c| where that is exact.
+
+    On the full operator CoSaMP's raw spectrum is c itself, so order[:k]
+    is what top_k keeps.  Each l1 action soft-thresholds c, which is
+    monotone in |c|: |raw| does not increase along order, so when the k-th
+    entry along it is strictly larger in magnitude than the (k+1)-th, the
+    k largest entries of raw are exactly order[:k].  At a tie there the
+    two tie-breaks differ (top_k keeps the lower index, order the larger
+    |c|, and every thresholded-away entry ties at zero), so top_k decides.
+    """
+    if order is not None and k < order.size:
+        keep = order[:k]
+        if action == A_COSAMP or abs(raw[keep[-1]]) > abs(raw[order[k]]):
+            out = np.zeros(raw.size)
+            out[keep] = raw[keep]
+            return out
+    return top_k(raw, k)
 
 
 def _solve(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
@@ -293,6 +315,8 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     rng = np.random.default_rng(seed)
     estimate = np.zeros(op.n)
     c = op.analyze(y) if op.is_full else None
+    # stable, so that it is the order top_k takes on c
+    order = np.argsort(-np.abs(c), kind="stable") if c is not None else None
     finals = {}  # action -> evidence of its latest final solve
     state = BanditState.fresh(cfg.gamma, cfg.sigma, cfg.lam)
     times = [0] * N_ACTIONS
@@ -305,7 +329,7 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         times[a] += 1
         budget = inner_iterations(times[a], cfg.inner_schedule)
         estimate, md, f, v_l2, v_linf, v_count = run_action(
-            a, y, op, cfg, stats, c, finals, budget, estimate)
+            a, y, op, cfg, stats, c, order, finals, budget, estimate)
         p = float(dist.probs[a])
         r = reward(a, a, f, p, cfg.lam)
         state = update(state, a, r)
@@ -324,11 +348,10 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     if chosen in finals:
         answer = finals[chosen][0]
     else:
-        answer = top_k(_solve(chosen, y, op, cfg, c)[0], cfg.k)
+        answer = _prune(chosen, _solve(chosen, y, op, cfg, c)[0], cfg.k, order)
     return CadOutcome(
-        final_method=best, fallback=fallback, estimate=answer,
-        reconstruction=op.synthesize(answer), trace=trace, stopped_at=t,
-        stop_reason=stop_reason, final_scores=tuple(state.scores),
+        final_method=best, fallback=fallback, estimate=answer, trace=trace,
+        stopped_at=t, stop_reason=stop_reason, final_scores=tuple(state.scores),
     )
 
 
@@ -362,5 +385,4 @@ def cad_run(y: np.ndarray, cfg: CadConfig, stats, op: SensingOperator):
     return ChannelsOutcome(
         channels=outcomes, final_method=winner.final_method, fallback=winner.fallback,
         estimate=np.concatenate([o.estimate for o in outcomes]),
-        reconstruction=np.concatenate([o.reconstruction for o in outcomes]),
     )

@@ -391,6 +391,10 @@ def _pool_run(task: tuple[int, dict]) -> dict:
 def _run_ensemble(cfg: ExperimentConfig, workers: int = 1) -> dict:
     op = SensingOperator(cfg.n)
     stats = _resolve_stats(cfg, op)
+    # whitened here, once: pool workers unpickle these bytes rather than
+    # re-deriving them under another BLAS thread count
+    for st in stats or ():
+        st.factor()
     tasks = _attack_entries(cfg)
     if workers > 1:
         # imported here so that serial runs do not pay for loading them

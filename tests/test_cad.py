@@ -77,11 +77,21 @@ def test_schedule_monotone_and_validated():
 # one loop step: _solve mirrors the underlying solvers, run_action scores it
 
 
+def _analysis(y, op):
+    """The loop's c = F y and its stable descending order of |c| (both None
+    on a row subset)."""
+    if not op.is_full:
+        return None, None
+    c = op.analyze(y)
+    return c, np.argsort(-np.abs(c), kind="stable")
+
+
 def _step(action, y, op, cfg, budget, x_start=None, stats=None, finals=None):
-    """run_action with the loop's c = F y (None on a row subset)."""
-    c = op.analyze(y) if op.is_full else None
-    return run_action(action, y, op, cfg, stats, c, {} if finals is None else finals,
-                      budget, np.zeros(op.n) if x_start is None else x_start)
+    """run_action with the loop's c = F y and order of |c| (None on a row subset)."""
+    c, order = _analysis(y, op)
+    return run_action(action, y, op, cfg, stats, c, order,
+                      {} if finals is None else finals, budget,
+                      np.zeros(op.n) if x_start is None else x_start)
 
 
 def test_run_action_l1_matches_direct_solve():
@@ -112,6 +122,37 @@ def test_full_operator_cosamp_is_top_k_of_analysis(data, n, steps):
     op = SensingOperator(n)
     greedy = cosamp_run(y, op, k, steps).estimate
     assert greedy.tobytes() == top_k(op.analyze(y), k).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(4, 39))
+def test_loop_prune_gives_the_bytes_of_top_k(data, n):
+    # the loop prunes every estimate with its one order of |c|; magnitudes
+    # from a small set, exact zeros and radii on or beside the knots of the
+    # soft threshold make shrunk magnitudes tie, thresholded-away entries
+    # keep the sign of c as a signed zero, and some estimates have fewer
+    # than k nonzeros: in every case the pruned bytes are top_k's
+    magnitudes = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]), min_size=n, max_size=n)))
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                        min_size=n, max_size=n)))
+    c = signs * magnitudes
+    k = data.draw(st.integers(1, n - 1))
+    knots = np.sort(magnitudes)
+    at_knots = np.sqrt([float(np.sum(np.minimum(t, magnitudes) ** 2)) for t in knots])
+    radius = float(data.draw(st.one_of(
+        st.sampled_from(sorted(at_knots)).flatmap(lambda r: st.sampled_from(
+            [r, np.nextafter(r, 0.0), np.nextafter(r, np.inf)])),
+        st.floats(0.05, 0.95).map(lambda f: f * float(np.linalg.norm(c))))))
+    op = SensingOperator(n)
+    y = op.synthesize(c)
+    cfg = CadConfig(k=k, feedback=_fb(tau=1), eta=radius, eta_prime=radius,
+                    eta_dprime=radius / math.sqrt(n))
+    order = np.argsort(-np.abs(c), kind="stable")
+    for action in range(N_ACTIONS):
+        raw = _solve(action, y, op, cfg, c)[0]
+        estimate = run_action(action, y, op, cfg, None, c, order, {}, 1, np.zeros(n))[0]
+        assert estimate.tobytes() == top_k(raw, k).tobytes()
 
 
 def test_subsampled_actions_keep_the_iterative_solvers():
@@ -181,8 +222,8 @@ def test_run_action_cached_coefficients_give_the_same_bytes(action):
     op, x, y = _clean_instance()
     y = y + 0.5 * np.random.default_rng(8).standard_normal(op.m)
     cfg = CadConfig(k=6, feedback=_fb())
-    c = op.analyze(y)
-    estimate = run_action(action, y, op, cfg, None, c, {}, 3, x)[0]
+    c, order = _analysis(y, op)
+    estimate = run_action(action, y, op, cfg, None, c, order, {}, 3, x)[0]
     if action == A_COSAMP:
         fresh = op.analyze(y)
     else:
@@ -282,9 +323,10 @@ def _subset_runs(monkeypatch):
         solves.append((A_COSAMP, False))
         return cosamp_run(*args, **kwargs)
 
-    def stepping(action, y, op, cfg, stats, c, finals, budget, x_start):
+    def stepping(action, y, op, cfg, stats, c, order, finals, budget, x_start):
         stored, before = finals.get(action), len(solves)
-        evidence = run_action(action, y, op, cfg, stats, c, finals, budget, x_start)
+        evidence = run_action(action, y, op, cfg, stats, c, order, finals, budget,
+                              x_start)
         steps.append((action, stored, evidence, solves[before:], finals.get(action)))
         return evidence
 
@@ -441,9 +483,8 @@ def _reference_run_single(y, cfg, stats, op, seed):
     final = (converged[chosen] if chosen in converged
              else top_k(_reference_solve(chosen, y, op, cfg)[0], cfg.k))
     return CadOutcome(
-        final_method=best, fallback=fallback, estimate=final,
-        reconstruction=op.synthesize(final), trace=trace, stopped_at=t,
-        stop_reason=stop_reason, final_scores=tuple(state.scores),
+        final_method=best, fallback=fallback, estimate=final, trace=trace,
+        stopped_at=t, stop_reason=stop_reason, final_scores=tuple(state.scores),
     )
 
 
@@ -490,7 +531,6 @@ def test_loop_matches_the_reference_loop_bit_for_bit(data, name, seed, with_stat
         ref = _reference_run_single(ys[ch], cfg, stats, op, [seed, ch])
         assert ours.to_jsonable() == ref.to_jsonable()
         assert ours.estimate.tobytes() == ref.estimate.tobytes()
-        assert ours.reconstruction.tobytes() == ref.reconstruction.tobytes()
         assert (ours.stop_reason, ours.stopped_at) == (ref.stop_reason, ref.stopped_at)
         assert ours.final_scores == ref.final_scores
 
@@ -538,10 +578,9 @@ def test_clean_run_stops_on_residual_and_recovers():
     cfg = CadConfig(k=6, feedback=_fb(), seed=3)
     out = cad_run(y, cfg, None, op)
     assert out.stop_reason == "residual"
-    assert np.linalg.norm(out.reconstruction - y) <= 1e-8
+    assert np.linalg.norm(op.synthesize(out.estimate) - y) <= 1e-8
     assert np.linalg.norm(out.estimate - x) <= 1e-8
     assert np.count_nonzero(out.estimate) <= 6
-    assert np.allclose(out.reconstruction, op.synthesize(out.estimate))
     assert out.stopped_at == len(out.trace.records)
 
 
@@ -705,7 +744,6 @@ def test_identical_seeds_reproduce_bitwise():
     a, _ = _attacked_run(seed=7)
     b, _ = _attacked_run(seed=7)
     assert np.array_equal(a.estimate, b.estimate)
-    assert np.array_equal(a.reconstruction, b.reconstruction)
     assert a.stop_reason == b.stop_reason and a.stopped_at == b.stopped_at
     assert [r.to_dict() for r in a.trace.records] == [
         r.to_dict() for r in b.trace.records]
@@ -785,9 +823,8 @@ def test_three_channel_vote_counts_fallbacks_as_one_label(monkeypatch):
     # a2 against two fallbacks whose argmaxes differ: the fallbacks win
     def outcome(final_method, fallback):
         return CadOutcome(final_method=final_method, fallback=fallback,
-                          estimate=np.zeros(4), reconstruction=np.zeros(4),
-                          trace=CadTrace(), stopped_at=1, stop_reason="t_max",
-                          final_scores=(0.0,) * N_ACTIONS)
+                          estimate=np.zeros(4), trace=CadTrace(), stopped_at=1,
+                          stop_reason="t_max", final_scores=(0.0,) * N_ACTIONS)
     outcomes = iter([outcome(A_L0, False), outcome(A_COSAMP, True),
                      outcome(A_L2, True)])
     monkeypatch.setattr(cad_defense.cad, "_run_single",

@@ -285,6 +285,20 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_singular_clean_stats_fail_before_the_first_instance(tmp_path, capsys):
+    # three clean residuals leave a 16-dimensional covariance singular, and
+    # with no ridge it does not factor: the run fails up front, although no
+    # instance of this clean-only ensemble (seed 3) plays CoSaMP, the one
+    # action that reads the distance
+    cfg = _write_config(tmp_path, n=16, seed=3, stats={"count": 3, "ridge": 0.0})
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_NUMERICAL
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert not (out / "report.csv").exists()
+
+
 def test_usage_errors_map_to_config_exit(capsys):
     assert main([]) == EXIT_CONFIG
     assert main(["frobnicate"]) == EXIT_CONFIG

@@ -1,19 +1,22 @@
 """Harness tests: ensemble generation, stats estimation, runs, aggregates,
 benchmarks, and report determinism."""
 
+import concurrent.futures
 import csv
 import json
 import os
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cad_defense.harness
 from cad_defense.attacks import AdversarialInstance
 from cad_defense.feedback import load_clean_stats
 from cad_defense.harness import (ConfigError, ExperimentConfig,
-                                 _build_instance, _write_csv, cmd_bench,
-                                 cmd_gen, cmd_run, cmd_stats,
+                                 _build_instance, _resolve_stats, _write_csv,
+                                 cmd_bench, cmd_gen, cmd_run, cmd_stats,
                                  designated_action)
 from cad_defense.transform import SensingOperator
 
@@ -172,6 +175,44 @@ def test_run_parallel_matches_serial(tmp_path, monkeypatch):
     for name in ("report.csv", "instances.csv", "aggregate.csv"):
         assert (tmp_path / "serial" / name).read_bytes() == \
             (tmp_path / "pool" / name).read_bytes()
+
+
+def test_pool_workers_receive_the_parents_whitening(tmp_path, monkeypatch):
+    # the clean statistics are factored once, in the parent, before the pool
+    # starts: a worker unpickles the parent's whitening bytes and factors
+    # nothing itself, whatever BLAS thread count it runs under
+    cfg = ExperimentConfig.from_dict(_raw(
+        n=32, count=8, attacks=[{"family": "none"}, {"family": "l2", "eta": 3.0}],
+        cad={"k": 4, "feedback": dict(FB)}, stats={"count": 8, "ridge": 1e-4}))
+    parent = _resolve_stats(cfg, SensingOperator(cfg.n))[0].factor()
+    seen = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool worker factored the clean statistics")
+
+    class SpawnedPool:
+        """Pickles the initializer's arguments, as spawning a worker does,
+        and runs the worker in this process."""
+
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            monkeypatch.setattr(np.linalg, "cholesky", refuse)
+            initializer(*pickle.loads(pickle.dumps(initargs)))
+            seen.append(cad_defense.harness._POOL["stats"][0]._whitening)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(cad_defense.harness, "_POOL", {})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnedPool)
+    cmd_run(cfg, tmp_path / "pool", workers=2)
+    [whitening] = seen
+    assert whitening is not None and whitening.tobytes() == parent.tobytes()
 
 
 def test_run_json_format(tmp_path):

@@ -214,7 +214,10 @@ def test_cosamp_run_validation():
     y = np.arange(8.0)
     start = cosamp_run(y, op, 2, 0)
     assert not start.estimate.any()
-    assert start.residual.tobytes() == y.tobytes()
+    assert start.residual.tobytes() == y.tobytes() and start.residual is not y
+    for bad in (np.ones(5), np.full(8, np.nan)):  # checked before any step
+        with pytest.raises(ValueError):
+            cosamp_run(bad, op, 2, 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -246,8 +249,8 @@ def test_cosamp_run_stops_computing_at_a_fixed_point(monkeypatch):
     import cad_defense.recovery as recovery
     op, y = SensingOperator(16), SensingOperator(16).synthesize(np.arange(16.0))
     steps = []
-    real_step = recovery.cosamp_step
-    monkeypatch.setattr(recovery, "cosamp_step",
+    real_step = recovery._cosamp_step
+    monkeypatch.setattr(recovery, "_cosamp_step",
                         lambda *a: steps.append(1) or real_step(*a))
     state = recovery.cosamp_run(y, op, 4, 10)
     assert len(steps) == 2
