@@ -65,6 +65,10 @@ log = logging.getLogger("cad_defense")
 _GENERAL_ITERS_PER_UNIT = 200
 # CoSaMP steps of a cold final run on a row-subsampled operator
 _FINAL_COSAMP_STEPS = 10
+# in-loop budget (n0, increment) of an action, in CoSaMP steps or units of
+# _GENERAL_ITERS_PER_UNIT: n0 on its first selection, increment more on each
+# later one; full-operator solves are closed forms and ignore it
+_INNER_SCHEDULE = (3, 2)
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,6 @@ class CadConfig:
     eta: float = 0.3
     eta_prime: float = 0.15
     eta_dprime: float = 0.04
-    inner_schedule: tuple[int, int] = (3, 2)
     channels: int = 1
     seed: int = 0
 
@@ -86,10 +89,6 @@ class CadConfig:
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if not (_is_number(self.channels, numbers.Integral) and self.channels in (1, 3)):
             raise ValueError(f"channels must be 1 or 3, got {self.channels!r}")
-        n0, inc = self.inner_schedule
-        if not (_is_number(n0, numbers.Integral) and _is_number(inc, numbers.Integral)
-                and n0 >= 1 and inc >= 0):
-            raise ValueError(f"bad inner schedule {self.inner_schedule}")
         for name in ("eta", "eta_prime", "eta_dprime"):
             value = getattr(self, name)
             if not (_is_number(value) and 0 <= value < math.inf):
@@ -327,7 +326,7 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         dist = probabilities(state)
         a = sample_action(dist, rng)
         times[a] += 1
-        budget = inner_iterations(times[a], cfg.inner_schedule)
+        budget = inner_iterations(times[a], _INNER_SCHEDULE)
         estimate, md, f, v_l2, v_linf, v_count = run_action(
             a, y, op, cfg, stats, c, order, finals, budget, estimate)
         p = float(dist.probs[a])

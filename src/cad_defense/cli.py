@@ -3,8 +3,9 @@
 Subcommands mirror the harness: gen (materialize an ensemble), stats
 (clean-residual statistics), run (defence over an ensemble), bench
 (parameter sweep).  Exit codes: 0 success, 1 configuration error, 2 IO
-error, 3 numerical failure.  Set CAD_LOG=debug|info|warning to control
-logging verbosity.
+error, 3 numerical failure (a matrix that does not factor, or a floating
+point overflow or invalid value anywhere in the command).  Set
+CAD_LOG=debug|info|warning to control logging verbosity.
 """
 
 from __future__ import annotations
@@ -73,14 +74,17 @@ def main(argv=None) -> int:
         if args.seed is not None:
             raw = dict(cfg.raw, seed=args.seed)
             cfg = ExperimentConfig.from_dict(raw)
-        if args.command == "gen":
-            cmd_gen(cfg, args.out)
-        elif args.command == "stats":
-            cmd_stats(cfg, args.out)
-        elif args.command == "run":
-            cmd_run(cfg, args.out, workers=args.workers, fmt=args.format)
-        elif args.command == "bench":
-            cmd_bench(cfg, args.out, workers=args.workers)
+        # an overflow or an invalid value fails the command instead of
+        # carrying inf or nan into its outputs
+        with np.errstate(over="raise", invalid="raise"):
+            if args.command == "gen":
+                cmd_gen(cfg, args.out)
+            elif args.command == "stats":
+                cmd_stats(cfg, args.out)
+            elif args.command == "run":
+                cmd_run(cfg, args.out, workers=args.workers, fmt=args.format)
+            elif args.command == "bench":
+                cmd_bench(cfg, args.out, workers=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -224,11 +224,16 @@ def save_clean_stats(stats: CleanStats, path) -> None:
 
 
 def load_clean_stats(path) -> CleanStats:
+    """Statistics written by save_clean_stats; ValueError when the values
+    are not n + n^2 finite float64 numbers with a finite ridge."""
     path = Path(path)
     meta = json.loads(Path(str(path) + ".json").read_text())
     n = int(meta["n"])
     buf = np.fromfile(path, dtype="<f8")
     if buf.size != n + n * n:
         raise ValueError(f"{path}: expected {n + n * n} float64 values, got {buf.size}")
+    ridge = float(meta["ridge"])
+    if not (np.isfinite(buf).all() and np.isfinite(ridge)):
+        raise ValueError(f"{path}: non-finite statistics")
     return CleanStats(mean=buf[:n], covariance=buf[n:].reshape(n, n),
-                      ridge=float(meta["ridge"]), source_count=int(meta["source_count"]))
+                      ridge=ridge, source_count=int(meta["source_count"]))

@@ -85,9 +85,8 @@ class ExperimentConfig:
                 raise ConfigError(f"cad.{misplaced[0]} is not a cad key: set the "
                                   f"top-level {misplaced[0]}")
             fb = FeedbackConfig(**cad_d.pop("feedback"))
-            for key in ("bandit_params", "inner_schedule"):
-                if key in cad_d:
-                    cad_d[key] = tuple(cad_d[key])
+            if "bandit_params" in cad_d:
+                cad_d["bandit_params"] = tuple(cad_d["bandit_params"])
             cad = CadConfig(feedback=fb, channels=channels, **cad_d)
             stats = dict(d.get("stats", {}))
             stats_dir = d.get("stats_dir")
@@ -379,7 +378,10 @@ _POOL = {}
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _pool_init(cfg: ExperimentConfig, stats: list[CleanStats] | None):
+def _pool_init(cfg: ExperimentConfig, stats: list[CleanStats] | None,
+               errors: dict):
+    # a spawned process starts from numpy's default error handling
+    np.seterr(**errors)
     _POOL.update(cfg=cfg, op=SensingOperator(cfg.n), stats=stats)
 
 
@@ -406,7 +408,7 @@ def _run_ensemble(cfg: ExperimentConfig, workers: int = 1) -> dict:
             with ProcessPoolExecutor(max_workers=workers,
                                      mp_context=multiprocessing.get_context("spawn"),
                                      initializer=_pool_init,
-                                     initargs=(cfg, stats)) as pool:
+                                     initargs=(cfg, stats, np.geterr())) as pool:
                 results = list(pool.map(_pool_run, tasks, chunksize=4))
         finally:
             for var, value in saved.items():
@@ -536,7 +538,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir, workers: int = 1,
     Writes report.csv (per channel), instances.csv, aggregate.csv (or
     report.json for fmt=json) plus a timings.csv sidecar that carries the
     only nondeterministic fields.  workers > 1 spawns worker processes,
-    which import the caller's main script: call it under the
+    which run under the caller's numpy error handling (np.geterr) and
+    import the caller's main script: call it under the
     `if __name__ == "__main__":` guard.
     """
     if fmt not in ("csv", "json"):

@@ -20,12 +20,13 @@ dual certificate at its feasible point and returns that point once the
 certified gap is small.  Its feasibility tolerance is absolute at unit
 scale and above and relative to ||y|| below it.
 
-CoSaMP's least-squares fit restricts F y on the full operator, which a run
-computes once for all its steps.  On a row subset it solves the normal
-equations from a Cholesky factor of the support's Gram matrix, well
-conditioned under the restricted isometry property (Needell & Tropp 2009,
-section 5), and falls back to an SVD-based np.linalg.lstsq for wide or
-numerically dependent supports.
+CoSaMP's least-squares fit restricts F y on the full operator, so a cold
+run there lands on its fixed point top_k(F y) in one step and returns that
+point directly.  On a row subset the fit solves the normal equations from
+a Cholesky factor of the support's Gram matrix, well conditioned under the
+restricted isometry property (Needell & Tropp 2009, section 5), and falls
+back to an SVD-based np.linalg.lstsq for wide or numerically dependent
+supports.
 """
 
 from __future__ import annotations
@@ -93,20 +94,13 @@ def cosamp_step(state: CosampState, y: np.ndarray, op: SensingOperator,
     A^* y, which is used as a fast path; on a row subset the fit comes from
     _least_squares (a Cholesky Gram solve, lstsq on ill-posed supports).
     """
-    return _cosamp_step(state, y, op, k, op.adjoint(y) if op.is_full else None)
-
-
-def _cosamp_step(state: CosampState, y: np.ndarray, op: SensingOperator, k: int,
-                 back: np.ndarray | None) -> CosampState:
-    """cosamp_step with A^* y given as back on the full operator (None on a
-    row subset), so that a run computes it once."""
     proxy = op.adjoint(state.residual)
     order = np.argsort(-np.abs(proxy), kind="stable")
     omega = order[: 2 * k]
     merged = np.union1d(omega, np.flatnonzero(state.estimate))
     b = np.zeros(op.n)
-    if back is not None:
-        b[merged] = back[merged]
+    if op.is_full:
+        b[merged] = op.adjoint(y)[merged]
     else:
         b[merged] = _least_squares(op.columns(merged), y)
     estimate = top_k(b, k)
@@ -145,8 +139,10 @@ def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
 
     A step is a function of its state's estimate and residual bytes alone,
     so once a step reproduces both, every later one would too: the run
-    stops there and returns that state.  y must be a finite vector of
-    length op.m (ValueError otherwise).
+    stops there and returns that state.  On the full operator a cold run
+    (x0 None, n_iters >= 1) returns its fixed point top_k(A^* y) directly:
+    the first step reaches it, as its fit restricts A^* y.  y must be a
+    finite vector of length op.m (ValueError otherwise).
     """
     if not 0 < k <= op.n:
         raise ValueError(f"need 0 < k <= {op.n}, got k={k}")
@@ -154,14 +150,16 @@ def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
         raise ValueError(f"n_iters must be >= 0, got {n_iters}")
     y = _check_vector(y, op.m, "measurements")
     if x0 is None:
+        if op.is_full and n_iters:
+            est = top_k(op.adjoint(y), k)
+            return CosampState(estimate=est, residual=y - op.synthesize(est))
         # A 0 is +0.0 throughout, and y - (+0.0) is y itself
         state = CosampState(estimate=np.zeros(op.n), residual=y.copy())
     else:
         est = top_k(np.asarray(x0, dtype=np.float64), k)
         state = CosampState(estimate=est, residual=y - op.synthesize(est))
-    back = op.adjoint(y) if op.is_full and n_iters else None
     for _ in range(n_iters):
-        step = _cosamp_step(state, y, op, k, back)
+        step = cosamp_step(state, y, op, k)
         if (step.estimate.tobytes() == state.estimate.tobytes()
                 and step.residual.tobytes() == state.residual.tobytes()):
             break

@@ -69,8 +69,6 @@ def test_schedule_monotone_and_validated():
     assert budgets == sorted(budgets)
     with pytest.raises(ValueError):
         inner_iterations(0, (3, 2))
-    with pytest.raises(ValueError):
-        CadConfig(k=2, feedback=_fb(), inner_schedule=(0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +268,7 @@ def test_certified_subsampled_solve_is_the_final_answer(monkeypatch):
     monkeypatch.setattr(cad_defense.cad, "l1_min_general", counting)
     outcomes = []
     for schedule in [(3, 2), (1, 0)]:
+        monkeypatch.setattr(cad_defense.cad, "_INNER_SCHEDULE", schedule)
         for spec in _ORACLE_ATTACKS[1:]:
             for seed in range(8):
                 calls.clear()
@@ -277,7 +276,7 @@ def test_certified_subsampled_solve_is_the_final_answer(monkeypatch):
                 y = perturb(x, spec, SensingOperator(n)).observed[op.rows]
                 fb = _fb(alpha=3.0, beta=2.0, m=0.8, tau=k, theta=float(op.m),
                          delta_res=0.0, t_max=12)
-                cfg = CadConfig(k=k, feedback=fb, inner_schedule=schedule, seed=seed)
+                cfg = CadConfig(k=k, feedback=fb, seed=seed)
                 out = cad_run(y, cfg, None, op)
                 cold = [res for _, is_cold, res in calls if is_cold]
                 if out.fallback or out.final_method == A_COSAMP:
@@ -451,7 +450,7 @@ def _reference_run_single(y, cfg, stats, op, seed):
         dist = probabilities(state)
         a = sample_action(dist, rng)
         times[a] += 1
-        budget = inner_iterations(times[a], cfg.inner_schedule)
+        budget = inner_iterations(times[a], cad_defense.cad._INNER_SCHEDULE)
         raw, solved = ((converged[a], True) if a in converged
                        else _reference_solve(a, y, op, cfg, budget, x_start=estimate))
         estimate = top_k(raw, cfg.k)
@@ -713,7 +712,8 @@ def test_budgets_follow_schedule_per_action():
     seen = [0, 0, 0, 0]
     for rec in out.trace.records:
         seen[rec.action] += 1
-        assert rec.inner_iters == inner_iterations(seen[rec.action], cfg.inner_schedule)
+        assert rec.inner_iters == inner_iterations(seen[rec.action],
+                                                   cad_defense.cad._INNER_SCHEDULE)
 
 
 def test_md_recorded_only_for_greedy_action_with_stats():
@@ -865,14 +865,11 @@ def test_config_validation():
            dict(eta_prime=math.inf), dict(eta_dprime=math.nan),
            dict(bandit_params=(0.07, math.nan, 1.25)),
            dict(bandit_params=(0.07, 1.01, math.inf)),
-           dict(bandit_params=(0.07, 1.01, math.nan)),
-           dict(inner_schedule=(2.5, 1)), dict(inner_schedule=(True, 2)),
-           dict(inner_schedule=(3, 0.5))]
+           dict(bandit_params=(0.07, 1.01, math.nan))]
     for fields in bad:
         with pytest.raises(ValueError):
             CadConfig(**{"k": 2, "feedback": _fb(), **fields})
-    CadConfig(k=2, feedback=_fb(), eta=0, eta_prime=np.float64(0.5),
-              inner_schedule=(np.int64(1), 0))
+    CadConfig(k=2, feedback=_fb(), eta=0, eta_prime=np.float64(0.5))
 
 
 def test_action_labels_cover_methods():

@@ -131,6 +131,7 @@ BAD_CAD_VALUES = [
     ("eta_prime", math.inf), ("eta_dprime", -0.5),
     ("bandit_params", [0.07, math.nan, 1.25]), ("bandit_params", [0.07, 1.01, math.nan]),
     ("bandit_params", [0.07, 1.01, math.inf]), ("bandit_params", [math.nan, 1.01, 1.25]),
+    # inner_schedule is no cad key (the schedule is fixed), whatever its value
     ("inner_schedule", [2.5, 1]), ("inner_schedule", [True, 2]),
     ("inner_schedule", [3, 0.5]),
 ]
@@ -159,6 +160,7 @@ BAD_FEEDBACK_VALUES = [
     lambda _: {"cad": {"k": 4, "feedback": dict(FB, a1_precedence="or_and")}},
     lambda _: {"cad": {"k": 4, "feedback": dict(FB), "x0_mode": "zero"}},
     lambda _: {"cad": {"k": 4, "feedback": dict(FB), "final_iters": 10}},
+    lambda _: {"cad": {"k": 4, "feedback": dict(FB), "inner_schedule": [3, 2]}},
     lambda _: {"clean": {"kind": "sparse", "amplitud": [1.0, 2.0]}},
     lambda _: {"bench": {"nn": [16]}},
     lambda _: {"attacks": [{"family": "none", "count": 5}]},
@@ -194,7 +196,8 @@ BAD_FEEDBACK_VALUES = [
         "stats_sidecar_without_source_count", "stats_negative_ridge",
         "stats_count_below_two", "stats_negative_n_cosamp",
         "stats_unknown_key", "removed_a1_precedence", "removed_x0_mode",
-        "removed_final_iters", "clean_unknown_key", "bench_unknown_key",
+        "removed_final_iters", "removed_inner_schedule", "clean_unknown_key",
+        "bench_unknown_key",
         "entry_count", "entry_seed", "clean_one_amplitude",
         "clean_negative_amplitude", "clean_reversed_amplitude",
         "clean_negative_tail_norm", "n_float", "n_string", "count_float",
@@ -283,6 +286,49 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+# each overflows float64 somewhere between instance generation and the
+# reports, which must not carry the inf or nan that follows
+OVERFLOWING = {
+    "l2_eta_1e308": ("run", {"attacks": [{"family": "l2", "eta": 1e308}]}),
+    "l2_eta_1e200": ("run", {"attacks": [{"family": "l2", "eta": 1e200}]}),
+    "clean_amplitude_1e305": ("run", {"clean": {"kind": "sparse",
+                                                "amplitude": [1e300, 1e305]}}),
+    "linf_gen": ("gen", {"attacks": [{"family": "linf", "eta_dprime": 1e308}]}),
+}
+
+
+@pytest.mark.parametrize("case, workers", [
+    (case, workers) for case, (command, _) in sorted(OVERFLOWING.items())
+    for workers in ((1, 2) if command == "run" else (1,))])
+def test_overflow_is_a_numerical_failure(tmp_path, capsys, case, workers):
+    command, overrides = OVERFLOWING[case]
+    cfg = _write_config(tmp_path, n=16, **overrides)
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    code = main(argv + (["--workers", str(workers)] if command == "run" else []))
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_NUMERICAL
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert not (out / "report.csv").exists() and not (out / "manifest.json").exists()
+
+
+def test_non_finite_stats_file_is_a_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, stats={"count": 8, "ridge": 1e-4})
+    stats_dir = tmp_path / "stats"
+    assert main(["stats", "--config", str(cfg), "--out", str(stats_dir)]) == EXIT_OK
+    capsys.readouterr()
+    f64 = stats_dir / "clean_stats_ch0.f64"
+    values = np.fromfile(f64, dtype="<f8")
+    values[40] = np.nan  # a covariance entry
+    values.tofile(f64)
+    cfg = _write_config(tmp_path, stats_dir=str(stats_dir))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert "corrupt stats" in err[0]
 
 
 def test_singular_clean_stats_fail_before_the_first_instance(tmp_path, capsys):

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from cad_defense import (A_L0, A_L2, A_LINF, L1Problem, SensingOperator,
                          action_radius, check_bound, cosamp_run,
                          cosamp_step, l1_min_general, l1_min_orthonormal,
-                         make_clean_compressible, make_clean_sparse, top_k)
+                         estimate_clean_stats, make_clean_compressible,
+                         make_clean_sparse, top_k)
 from cad_defense.recovery import (_RELAXATION, CosampState, L1Result,
                                   _least_squares)
 
@@ -245,16 +246,42 @@ def test_cosamp_run_matches_every_step_of_the_reference_loop(data, n):
 
 
 def test_cosamp_run_stops_computing_at_a_fixed_point(monkeypatch):
-    # on the full operator the second step from a zero start repeats the first
+    # on the full operator the second step from a zero start repeats the
+    # first; a cold run returns that fixed point without stepping
     import cad_defense.recovery as recovery
     op, y = SensingOperator(16), SensingOperator(16).synthesize(np.arange(16.0))
     steps = []
-    real_step = recovery._cosamp_step
-    monkeypatch.setattr(recovery, "_cosamp_step",
+    real_step = recovery.cosamp_step
+    monkeypatch.setattr(recovery, "cosamp_step",
                         lambda *a: steps.append(1) or real_step(*a))
-    state = recovery.cosamp_run(y, op, 4, 10)
+    warm = recovery.cosamp_run(y, op, 4, 10, x0=np.zeros(16))
     assert len(steps) == 2
-    assert state.estimate.tobytes() == top_k(op.analyze(y), 4).tobytes()
+    steps.clear()
+    cold = recovery.cosamp_run(y, op, 4, 10)
+    assert not steps
+    expected = top_k(op.analyze(y), 4).tobytes()
+    for state in (warm, cold):
+        assert state.estimate.tobytes() == expected
+    assert cold.residual.tobytes() == warm.residual.tobytes()
+
+
+def test_cold_full_operator_cosamp_applies_the_operator_twice(monkeypatch):
+    # one adjoint of y, one synthesis of the pruned estimate; the stats fit
+    # recovers each signal with such a run
+    op = SensingOperator(64)
+    rng = np.random.default_rng(31)
+    signals = [op.synthesize(make_clean_compressible(64, 8, rng)) for _ in range(6)]
+    calls = []
+    for name in ("analyze", "synthesize", "adjoint"):
+        real = getattr(SensingOperator, name)
+        monkeypatch.setattr(SensingOperator, name,
+                            lambda self, v, real=real, name=name:
+                            calls.append(name) or real(self, v))
+    cosamp_run(signals[0], op, 8, 5)
+    assert calls == ["adjoint", "synthesize"]
+    calls.clear()
+    estimate_clean_stats(signals, op, 8, n_cosamp=5, ridge=1e-4)
+    assert len(calls) == 2 * len(signals)
 
 
 # ---------------------------------------------------------------------------
