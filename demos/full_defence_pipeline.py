@@ -49,6 +49,6 @@ out = cad_run(inst.observed, CadConfig(k=k, feedback=fb, seed=0), None, op)
 print(f"\nlinf instance, seed 0: stopped after {out.stopped_at} iterations "
       f"({out.stop_reason}), call {out.method_label}")
 print("  t  action  feedback  ||v||_2   max prob")
-for t, rec in enumerate(out.trace.records, start=1):
+for t, rec in enumerate(out.trace, start=1):
     print(f"{t:3d}     a{rec.action + 1}  {rec.feedback:8d}  "
           f"{rec.residual_l2:8.2f}  {max(rec.probs):9.4f}")

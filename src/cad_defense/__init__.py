@@ -24,7 +24,6 @@ from .feedback import (CleanStats, FeedbackConfig, estimate_clean_stats,
                        feedback_bit, load_clean_stats, mahalanobis, residual,
                        save_clean_stats, should_stop, thresholded_count)
 from .cad import (ACTION_LABELS, FALLBACK_LABEL, CadConfig,
-                  CadIterationRecord, CadOutcome, CadTrace, ChannelsOutcome,
-                  cad_run, inner_iterations)
+                  CadIterationRecord, CadOutcome, ChannelsOutcome, cad_run)
 
 __version__ = "0.1.0"

@@ -226,9 +226,9 @@ def _read_pnm(path: Path, channels: int) -> np.ndarray:
     width, height, maxval, pos = _read_pnm_header(data, magic, path)
     count = width * height * channels
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    raw = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-    if raw.size != count:
+    if len(data) - pos < count * dtype.itemsize:
         raise ValueError(f"{path}: expected {count} samples, file too short")
+    raw = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
     vals = raw.astype(np.float64) / maxval
     if channels == 1:
         return vals
@@ -262,7 +262,8 @@ def load_signal_channels(path, fmt: str | None = None) -> tuple[np.ndarray, int]
         vals = np.fromfile(path, dtype="<f8")
         if vals.size != n * channels:
             raise ValueError(f"{path}: expected {n * channels} float64 values, got {vals.size}")
-        if vals.min() < -1e-9 or vals.max() > 1.0 + 1e-9:
+        # stated as what must hold, so that a NaN fails it
+        if not ((vals >= -1e-9) & (vals <= 1.0 + 1e-9)).all():
             raise ValueError(f"{path}: values outside [0, 1]")
         return vals, channels
     raise ValueError(f"unknown signal format {fmt!r}")

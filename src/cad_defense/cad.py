@@ -6,8 +6,9 @@ features once (l2 and max norms, the thresholded count of its
 transform-domain view, and its Mahalanobis distance when CoSaMP runs with
 clean statistics).  The feedback bit, the stop rule and the trace record
 read those same values, and the bit's importance-weighted reward updates
-the action scores.  The loop stops once some action's probability
-concentrates, the residual collapses, or the iteration cap is hit.  The
+the action scores.  The loop stops on the clause the stop rule names (some
+action's probability concentrates, or the residual collapses) or at the
+iteration cap; the trace is the plain list of per-iteration records.  The
 best-scoring action, or greedy recovery when no action ever earned a
 positive score, gives the final answer.  Every solve reports whether it is
 final, that is, whether it may stand as the answer, and the loop keeps the
@@ -29,10 +30,11 @@ another point within the same gap, so it would carry no new evidence.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +51,8 @@ __all__ = [
     "FALLBACK_LABEL",
     "CadConfig",
     "CadIterationRecord",
-    "CadTrace",
     "CadOutcome",
     "ChannelsOutcome",
-    "inner_iterations",
     "cad_run",
 ]
 
@@ -81,14 +81,11 @@ class CadConfig:
     eta: float = 0.3
     eta_prime: float = 0.15
     eta_dprime: float = 0.04
-    channels: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if not (_is_number(self.k, numbers.Integral) and self.k >= 1):
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        if not (_is_number(self.channels, numbers.Integral) and self.channels in (1, 3)):
-            raise ValueError(f"channels must be 1 or 3, got {self.channels!r}")
         for name in ("eta", "eta_prime", "eta_dprime"):
             value = getattr(self, name)
             if not (_is_number(value) and 0 <= value < math.inf):
@@ -129,30 +126,6 @@ class CadIterationRecord:
     md: float | None
     penalty_clamped: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "action": self.action,
-            "probs": list(self.probs),
-            "inner_iters": self.inner_iters,
-            "feedback": self.feedback,
-            "reward": self.reward,
-            "scores": list(self.scores),
-            "residual_l2": self.residual_l2,
-            "residual_linf": self.residual_linf,
-            "residual_count": self.residual_count,
-            "md": self.md,
-            "penalty_clamped": self.penalty_clamped,
-        }
-
-
-@dataclass
-class CadTrace:
-    records: list[CadIterationRecord] = field(default_factory=list)
-
-    def to_jsonable(self) -> list[dict]:
-        return [r.to_dict() for r in self.records]
-
 
 @dataclass
 class CadOutcome:
@@ -161,7 +134,7 @@ class CadOutcome:
     final_method: int
     fallback: bool
     estimate: np.ndarray
-    trace: CadTrace
+    trace: list[CadIterationRecord]
     stopped_at: int
     stop_reason: str
     final_scores: tuple
@@ -179,7 +152,7 @@ class CadOutcome:
             "stop_reason": self.stop_reason,
             "final_scores": list(self.final_scores),
             "estimate": self.estimate.tolist(),
-            "trace": self.trace.to_jsonable(),
+            "trace": [dataclasses.asdict(r) for r in self.trace],
         }
 
 
@@ -204,14 +177,6 @@ class ChannelsOutcome:
             "estimate": self.estimate.tolist(),
             "channels": [c.to_jsonable() for c in self.channels],
         }
-
-
-def inner_iterations(times_selected: int, schedule: tuple[int, int]) -> int:
-    """Arithmetic budget growth: n0 on first selection, +increment after."""
-    if times_selected < 1:
-        raise ValueError(f"times_selected must be >= 1, got {times_selected}")
-    n0, inc = schedule
-    return n0 + inc * (times_selected - 1)
 
 
 def run_action(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
@@ -319,27 +284,28 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     finals = {}  # action -> evidence of its latest final solve
     state = BanditState.fresh(cfg.gamma, cfg.sigma, cfg.lam)
     times = [0] * N_ACTIONS
-    trace = CadTrace()
-    stop_reason = "t_max"
+    n0, inc = _INNER_SCHEDULE
+    trace = []
+    stop_reason = None
     t = 0
     for t in range(1, fb.t_max + 1):
         dist = probabilities(state)
         a = sample_action(dist, rng)
         times[a] += 1
-        budget = inner_iterations(times[a], _INNER_SCHEDULE)
+        budget = n0 + inc * (times[a] - 1)
         estimate, md, f, v_l2, v_linf, v_count = run_action(
             a, y, op, cfg, stats, c, order, finals, budget, estimate)
         p = float(dist.probs[a])
         r = reward(a, a, f, p, cfg.lam)
         state = update(state, a, r)
-        trace.records.append(CadIterationRecord(
+        trace.append(CadIterationRecord(
             t=t, action=a, probs=tuple(dist.probs), inner_iters=budget,
             feedback=f, reward=r, scores=tuple(state.scores),
             residual_l2=v_l2, residual_linf=v_linf, residual_count=v_count,
             md=md, penalty_clamped=bool(f == 0 and penalty_clamped(p)),
         ))
-        if should_stop(dist, v_l2, fb):
-            stop_reason = "prob" if dist.max_prob > fb.delta_prob else "residual"
+        stop_reason = should_stop(dist.max_prob, v_l2, fb)
+        if stop_reason is not None:
             break
     best = int(np.argmax(state.scores))  # ties resolve to the lowest index
     fallback = bool(state.scores.max() <= 0.0)
@@ -350,26 +316,26 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         answer = _prune(chosen, _solve(chosen, y, op, cfg, c)[0], cfg.k, order)
     return CadOutcome(
         final_method=best, fallback=fallback, estimate=answer, trace=trace,
-        stopped_at=t, stop_reason=stop_reason, final_scores=tuple(state.scores),
+        stopped_at=t, stop_reason=stop_reason or "t_max",
+        final_scores=tuple(state.scores),
     )
 
 
 def cad_run(y: np.ndarray, cfg: CadConfig, stats, op: SensingOperator):
-    """Run the defence on one observation.
+    """Run the defence on one observation; its length sets the channels.
 
-    Single-channel configs take y of length n and optional CleanStats,
-    returning a CadOutcome.  Three-channel configs take the channel-major
-    concatenation (length 3n) with a per-channel stats sequence and return
-    a ChannelsOutcome whose aggregate call is the majority of per-channel
-    method labels, ties resolved toward the first channel; every fallback
-    is one label, whatever its argmax.  The first channel with the winning
-    label gives the aggregate final_method and fallback.
+    A y of op.m samples, with optional CleanStats, is one channel and
+    returns a CadOutcome.  A y of 3 * op.m samples is the channel-major
+    concatenation of three channels: it takes a per-channel stats sequence
+    (or None) and returns a ChannelsOutcome whose aggregate call is the
+    majority of per-channel method labels, ties resolved toward the first
+    channel; every fallback is one label, whatever its argmax.  The first
+    channel with the winning label gives the aggregate final_method and
+    fallback.  Any other length raises ValueError.
     """
-    if cfg.channels == 1:
-        return _run_single(y, cfg, stats, op, [cfg.seed, 0])
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (3 * op.m,):
-        raise ValueError(f"expected {3 * op.m} samples for 3 channels, got {y.shape}")
+        return _run_single(y, cfg, stats, op, [cfg.seed, 0])
     if stats is None:
         stats = (None, None, None)
     if len(stats) != 3:

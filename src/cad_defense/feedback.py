@@ -11,9 +11,11 @@ and flat: l2 < alpha or (md < theta and linf < m), where the distance md
 is supplied by the caller and the second clause is false without it.  The
 predicates read features of the residual (its l2 and max norms, its
 thresholded count and its distance), each computed once by the caller,
-so the bit and the stop rule see the values the trace records.  The
-Mahalanobis distance needs only numpy: the regularized covariance is
-factored once and its inverse Cholesky factor whitens each residual.
+so the bit and the stop rule see the values the trace records.  The stop
+rule reads the largest action probability and the residual's l2 norm,
+and names the clause that fired.  The Mahalanobis distance needs only
+numpy: the regularized covariance is factored once and its inverse
+Cholesky factor whitens each residual.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandit import ActionDistribution
 from .recovery import A_COSAMP, A_L0, A_L2, A_LINF, cosamp_run
 from .transform import SensingOperator, _is_number
 
@@ -208,10 +209,15 @@ def feedback_bit(action: int, l2: float, linf: float, count: int,
     raise ValueError(f"unknown action {action}")
 
 
-def should_stop(dist: ActionDistribution, l2: float, cfg: FeedbackConfig) -> int:
-    """1 iff some action's probability exceeds delta_prob or the residual
-    l2 norm fell below delta_res."""
-    return int(dist.max_prob > cfg.delta_prob or l2 < cfg.delta_res)
+def should_stop(max_prob: float, l2: float, cfg: FeedbackConfig) -> str | None:
+    """The stop clause that holds, or None: "prob" when the largest action
+    probability exceeds delta_prob, else "residual" when the residual l2
+    norm fell below delta_res."""
+    if max_prob > cfg.delta_prob:
+        return "prob"
+    if l2 < cfg.delta_res:
+        return "residual"
+    return None
 
 
 def save_clean_stats(stats: CleanStats, path) -> None:

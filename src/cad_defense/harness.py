@@ -22,7 +22,7 @@ import numpy as np
 
 from .attacks import (AdversarialInstance, AttackSpec, load_signal_channels,
                       make_clean_compressible, make_clean_sparse, perturb)
-from .cad import CadConfig, cad_run
+from .cad import ACTION_LABELS, FALLBACK_LABEL, CadConfig, cad_run
 from .feedback import (CleanStats, FeedbackConfig, estimate_clean_stats,
                        load_clean_stats, save_clean_stats)
 from .recovery import A_COSAMP, A_L0, A_L2, A_LINF, check_bound
@@ -87,7 +87,7 @@ class ExperimentConfig:
             fb = FeedbackConfig(**cad_d.pop("feedback"))
             if "bandit_params" in cad_d:
                 cad_d["bandit_params"] = tuple(cad_d["bandit_params"])
-            cad = CadConfig(feedback=fb, channels=channels, **cad_d)
+            cad = CadConfig(feedback=fb, **cad_d)
             stats = dict(d.get("stats", {}))
             stats_dir = d.get("stats_dir")
             bench = d.get("bench")
@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ConfigError(f"channels={channels!r} must be 1 or 3")
         if stats_dir is not None and not isinstance(stats_dir, str):
             raise ConfigError(f"stats_dir={stats_dir!r} must be a string")
+        if not attacks:
+            raise ConfigError("attacks must list at least one attack entry")
         for a in attacks:
             if "family" not in a:
                 raise ConfigError(f"attack entry missing family: {a}")
@@ -162,6 +164,9 @@ def _check_clean_section(clean: dict) -> None:
         raise ConfigError(f"unknown clean kind {kind!r}")
     _reject_unknown("clean", clean, {"kind", "amplitude", "tail_norm", "k", "paths"})
     if kind == "files":
+        paths = clean.get("paths", [])
+        if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
+            raise ConfigError(f"clean.paths={paths!r} must be a list of strings")
         return
     # absent keys take the generators' defaults
     if "amplitude" in clean:
@@ -178,10 +183,13 @@ def _check_clean_section(clean: dict) -> None:
 
 def _check_bench_section(bench: dict) -> None:
     _reject_unknown("bench", bench, {"n", "k", "attacks", "count"})
+    # an empty axis would make an empty grid
+    for key in ("n", "k", "attacks"):
+        if key in bench and not (isinstance(bench[key], list) and bench[key]):
+            raise ConfigError(f"bench.{key}={bench[key]!r} must be a non-empty list")
     for key in ("n", "k"):
-        grid = bench.get(key, [])
-        if not (isinstance(grid, list) and all(_is_number(v, int) for v in grid)):
-            raise ConfigError(f"bench.{key}={grid!r} must be a list of integers")
+        if not all(_is_number(v, int) for v in bench.get(key, [])):
+            raise ConfigError(f"bench.{key}={bench[key]!r} must be a list of integers")
     if "count" in bench:
         _require_int("bench.count", bench["count"], 1)
 
@@ -262,7 +270,10 @@ def _file_signals(cfg: ExperimentConfig) -> list[list[np.ndarray]]:
         raise ConfigError("files-based stats need at least two input signals")
     per_channel: list[list[np.ndarray]] = [[] for _ in range(cfg.channels)]
     for p in paths:
-        vals, channels = load_signal_channels(p)
+        try:
+            vals, channels = load_signal_channels(p)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{p}: bad signal file: {exc}") from exc
         if channels != cfg.channels:
             raise ConfigError(f"{p}: has {channels} channels, config says {cfg.channels}")
         if vals.size != cfg.n * cfg.channels:
@@ -350,7 +361,7 @@ def _run_one(cfg: ExperimentConfig, op: SensingOperator,
             "fallback": int(o.fallback), "stop_reason": o.stop_reason,
             "stopped_at": o.stopped_at,
             "err_l2": float(np.linalg.norm(o.estimate - insts[ch].clean_spectral)),
-            "residual_l2": o.trace.records[-1].residual_l2,
+            "residual_l2": o.trace[-1].residual_l2,
         })
     inst_row = {
         "instance": index, "family": family,
@@ -442,7 +453,7 @@ def _aggregate(inst_rows: list[dict]) -> list[dict]:
             "mean_err_l2": float(errs.mean()),
             "median_err_l2": float(np.median(errs)),
         }
-        for label in ("a1", "a2", "a3", "a4", "cosamp_fallback"):
+        for label in (*ACTION_LABELS, FALLBACK_LABEL):
             agg[f"method_{label}"] = sum(r["method_label"] == label for r in rows)
         out.append(agg)
     return out

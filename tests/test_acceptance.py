@@ -287,7 +287,7 @@ def test_criterion_7_fallback_and_stopping():
 
     consistent = 0
     for out, fb in runs:
-        last = out.trace.records[-1]
+        last = out.trace[-1]
         if out.stop_reason == "prob":
             consistent += int(max(last.probs) > fb.delta_prob)
         elif out.stop_reason == "residual":

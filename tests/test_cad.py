@@ -8,6 +8,7 @@ stop rule, except that on a row subset an l1 action whose solve converged
 reuses that solve on its repeats and as the final answer.
 """
 
+import dataclasses
 import functools
 import logging
 import math
@@ -23,13 +24,12 @@ from hypothesis.extra.numpy import arrays
 from cad_defense import (ACTION_LABELS, FALLBACK_LABEL, AttackSpec,
                          BanditState, CadConfig, FeedbackConfig, L1Problem,
                          SensingOperator, action_radius, cad_run, cosamp_run,
-                         estimate_clean_stats, inner_iterations,
-                         l1_min_general, l1_min_orthonormal,
+                         estimate_clean_stats, l1_min_general, l1_min_orthonormal,
                          make_clean_compressible, make_clean_sparse, perturb,
                          probabilities, reward, top_k, update)
-from cad_defense.bandit import ActionDistribution, penalty_clamped, sample_action
-from cad_defense.cad import (CadIterationRecord, CadOutcome, CadTrace, _solve,
-                             run_action)
+from cad_defense.bandit import penalty_clamped, sample_action
+from cad_defense.cad import (_INNER_SCHEDULE, CadIterationRecord, CadOutcome,
+                             _run_single, _solve, run_action)
 from cad_defense.feedback import (feedback_bit, mahalanobis, residual,
                                   should_stop, thresholded_count)
 from cad_defense.recovery import A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS
@@ -53,22 +53,30 @@ def _clean_instance(n=64, k=6, seed=0):
 # inner-iteration schedule
 
 
+def _budget(times_selected):
+    """An action's in-loop budget on its times_selected-th selection."""
+    n0, inc = _INNER_SCHEDULE
+    return n0 + inc * (times_selected - 1)
+
+
 def test_schedule_base_and_growth():
-    assert inner_iterations(1, (3, 2)) == 3
-    assert inner_iterations(3, (3, 2)) == 7
-    assert inner_iterations(5, (1, 4)) == 17
+    assert _INNER_SCHEDULE == (3, 2)
+    assert [_budget(t) for t in (1, 2, 3)] == [3, 5, 7]
 
 
-def test_schedule_constant_when_increment_zero():
-    for times in range(1, 6):
-        assert inner_iterations(times, (4, 0)) == 4
+def test_schedule_constant_when_increment_zero(monkeypatch):
+    # the loop reads the schedule when a run starts, so a patched constant
+    # sizes every budget of the run
+    monkeypatch.setattr(cad_defense.cad, "_INNER_SCHEDULE", (4, 0))
+    out, _ = _attacked_run(seed=2)
+    assert {rec.inner_iters for rec in out.trace} == {4}
 
 
 def test_schedule_monotone_and_validated():
-    budgets = [inner_iterations(t, (3, 2)) for t in range(1, 10)]
+    n0, inc = _INNER_SCHEDULE
+    assert isinstance(n0, int) and isinstance(inc, int) and n0 >= 1 and inc >= 0
+    budgets = [_budget(t) for t in range(1, 10)]
     assert budgets == sorted(budgets)
-    with pytest.raises(ValueError):
-        inner_iterations(0, (3, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +361,7 @@ def test_certified_subset_l1_action_is_never_solved_again(monkeypatch):
             assert action not in certified
             if converged:
                 certified.add(action)
-        reused += (sum(r.action in certified for r in out.trace.records)
+        reused += (sum(r.action in certified for r in out.trace)
                    - sum(a in certified for a, _ in solves))
     assert reused >= 10
 
@@ -366,8 +374,8 @@ def test_subset_repeats_still_call_run_action_once_per_iteration(monkeypatch):
     repeats = 0
     for out, _, steps in _subset_runs(monkeypatch):
         assert len(steps) == out.stopped_at
-        assert [s[0] for s in steps] == [r.action for r in out.trace.records]
-        for record, (action, stored, evidence, calls, after) in zip(out.trace.records, steps):
+        assert [s[0] for s in steps] == [r.action for r in out.trace]
+        for record, (action, stored, evidence, calls, after) in zip(out.trace, steps):
             if stored is not None:
                 assert evidence is stored and after is stored and not calls
                 repeats += 1
@@ -442,7 +450,7 @@ def _reference_run_single(y, cfg, stats, op, seed):
     coeffs = op.analyze(y) if op.is_full else None
     state = BanditState.fresh(cfg.gamma, cfg.sigma, cfg.lam)
     times = [0] * N_ACTIONS
-    trace = CadTrace()
+    trace = []
     converged = {}
     stop_reason = "t_max"
     t = 0
@@ -450,7 +458,8 @@ def _reference_run_single(y, cfg, stats, op, seed):
         dist = probabilities(state)
         a = sample_action(dist, rng)
         times[a] += 1
-        budget = inner_iterations(times[a], cad_defense.cad._INNER_SCHEDULE)
+        n0, inc = cad_defense.cad._INNER_SCHEDULE
+        budget = n0 + inc * (times[a] - 1)
         raw, solved = ((converged[a], True) if a in converged
                        else _reference_solve(a, y, op, cfg, budget, x_start=estimate))
         estimate = top_k(raw, cfg.k)
@@ -465,7 +474,7 @@ def _reference_run_single(y, cfg, stats, op, seed):
         p = float(dist.probs[a])
         r = reward(a, a, f, p, cfg.lam)
         state = update(state, a, r)
-        trace.records.append(CadIterationRecord(
+        trace.append(CadIterationRecord(
             t=t, action=a, probs=tuple(dist.probs), inner_iters=budget,
             feedback=f, reward=r, scores=tuple(state.scores),
             residual_l2=float(np.linalg.norm(v)),
@@ -516,7 +525,7 @@ def test_loop_matches_the_reference_loop_bit_for_bit(data, name, seed, with_stat
     fb = _fb(alpha=data.draw(st.sampled_from([1.0, 3.0, 8.0])), beta=2.0, m=0.8,
              tau=data.draw(st.integers(0, n)), theta=float(op.m),
              delta_res=data.draw(st.sampled_from([0.0, 0.5])), t_max=t_max)
-    cfg = CadConfig(k=k, feedback=fb, channels=channels, seed=seed)
+    cfg = CadConfig(k=k, feedback=fb, seed=seed)
     rng = np.random.default_rng(seed)
     ys = []
     for _ in range(channels):
@@ -562,7 +571,7 @@ def test_full_operator_run_reaches_no_row_subset_solver(monkeypatch):
             x = make_clean_compressible(64, 8, np.random.default_rng([71, seed]))
             out = cad_run(perturb(x, spec, op).observed,
                           CadConfig(k=8, feedback=fb, seed=seed), stats, op)
-            actions.update(record.action for record in out.trace.records)
+            actions.update(record.action for record in out.trace)
             answers.add(out.method_label)
     assert actions == set(range(N_ACTIONS))
     assert len(answers) > 1
@@ -580,7 +589,7 @@ def test_clean_run_stops_on_residual_and_recovers():
     assert np.linalg.norm(op.synthesize(out.estimate) - y) <= 1e-8
     assert np.linalg.norm(out.estimate - x) <= 1e-8
     assert np.count_nonzero(out.estimate) <= 6
-    assert out.stopped_at == len(out.trace.records)
+    assert out.stopped_at == len(out.trace)
 
 
 def test_clean_runs_stop_on_residual_across_seeds():
@@ -611,7 +620,7 @@ def test_all_zero_feedback_forces_fallback():
         assert out.fallback
         assert out.method_label == FALLBACK_LABEL
         assert max(out.final_scores) <= 0.0
-        assert all(r.feedback == 0 for r in out.trace.records)
+        assert all(r.feedback == 0 for r in out.trace)
 
 
 def test_fallback_answers_with_greedy_recovery():
@@ -641,7 +650,7 @@ def _attacked_run(seed=0, t_max=40):
 def test_trace_replays_through_bandit_update():
     out, cfg = _attacked_run()
     state = BanditState.fresh(cfg.gamma, cfg.sigma, cfg.lam)
-    for rec in out.trace.records:
+    for rec in out.trace:
         dist = probabilities(state)
         assert np.abs(np.asarray(rec.probs) - dist.probs).max() < 1e-15
         r = reward(rec.action, rec.action, rec.feedback,
@@ -655,7 +664,7 @@ def test_trace_replays_through_bandit_update():
 def test_stop_reason_matches_trace_values():
     for seed in range(10):
         out, cfg = _attacked_run(seed=seed)
-        last = out.trace.records[-1]
+        last = out.trace[-1]
         if out.stop_reason == "prob":
             assert max(last.probs) > cfg.feedback.delta_prob
         elif out.stop_reason == "residual":
@@ -686,21 +695,20 @@ def test_trace_record_explains_its_call(name, with_stats, channels):
             observed = perturb(make_clean_compressible(n, k, rng), spec,
                                SensingOperator(n)).observed
             ys.append(observed if op.is_full else observed[op.rows])
-        cfg = CadConfig(k=k, feedback=fb, channels=channels, seed=seed)
+        cfg = CadConfig(k=k, feedback=fb, seed=seed)
         out = cad_run(np.concatenate(ys), cfg, stats if channels == 1 else (stats,) * 3, op)
         for run in (out.channels if channels == 3 else [out]):
-            for i, rec in enumerate(run.trace.records, 1):
+            for i, rec in enumerate(run.trace, 1):
                 assert rec.feedback == feedback_bit(rec.action, rec.residual_l2,
                                                     rec.residual_linf,
                                                     rec.residual_count, fb, rec.md)
-                stop = should_stop(ActionDistribution(probs=np.array(rec.probs)),
-                                   rec.residual_l2, fb)
+                stop = should_stop(max(rec.probs), rec.residual_l2, fb)
                 if i < run.stopped_at:
                     assert not stop
                 elif run.stop_reason == "t_max":
                     assert not stop and i == fb.t_max
                 else:
-                    assert stop
+                    assert stop == run.stop_reason
                     assert (run.stop_reason == "prob") == (max(rec.probs) > fb.delta_prob)
                 bits.add(rec.feedback)
             reasons.add(run.stop_reason)
@@ -710,10 +718,9 @@ def test_trace_record_explains_its_call(name, with_stats, channels):
 def test_budgets_follow_schedule_per_action():
     out, cfg = _attacked_run(seed=2)
     seen = [0, 0, 0, 0]
-    for rec in out.trace.records:
+    for rec in out.trace:
         seen[rec.action] += 1
-        assert rec.inner_iters == inner_iterations(seen[rec.action],
-                                                   cad_defense.cad._INNER_SCHEDULE)
+        assert rec.inner_iters == _budget(seen[rec.action])
 
 
 def test_md_recorded_only_for_greedy_action_with_stats():
@@ -727,7 +734,7 @@ def test_md_recorded_only_for_greedy_action_with_stats():
     for seed in range(10):
         cfg = CadConfig(k=4, feedback=_fb(alpha=1.0, delta_res=0.1, t_max=30),
                         seed=seed)
-        records.extend(cad_run(inst.observed, cfg, stats, op).trace.records)
+        records.extend(cad_run(inst.observed, cfg, stats, op).trace)
     assert any(r.action == A_COSAMP for r in records)
     for rec in records:
         if rec.action == A_COSAMP:
@@ -745,15 +752,15 @@ def test_identical_seeds_reproduce_bitwise():
     b, _ = _attacked_run(seed=7)
     assert np.array_equal(a.estimate, b.estimate)
     assert a.stop_reason == b.stop_reason and a.stopped_at == b.stopped_at
-    assert [r.to_dict() for r in a.trace.records] == [
-        r.to_dict() for r in b.trace.records]
+    assert ([dataclasses.asdict(r) for r in a.trace]
+            == [dataclasses.asdict(r) for r in b.trace])
 
 
 def test_different_seeds_explore_differently():
     seqs = set()
     for seed in range(5):
         out, _ = _attacked_run(seed=seed)
-        seqs.add(tuple(r.action for r in out.trace.records))
+        seqs.add(tuple(r.action for r in out.trace))
     assert len(seqs) >= 2
 
 
@@ -802,7 +809,7 @@ def test_three_channel_aggregation():
     chans = [make_clean_sparse(n, 4, np.random.default_rng([64, ch]))
              for ch in range(3)]
     y = np.concatenate([op.synthesize(c) for c in chans])
-    cfg = CadConfig(k=4, feedback=_fb(), channels=3, seed=11)
+    cfg = CadConfig(k=4, feedback=_fb(), seed=11)
     out = cad_run(y, cfg, None, op)
     assert len(out.channels) == 3
     assert np.array_equal(
@@ -819,17 +826,33 @@ def test_three_channel_aggregation():
         assert np.linalg.norm(o.estimate - chans[ch]) <= 1e-8
 
 
+def test_three_channel_length_runs_each_channel_on_its_own_seed():
+    # 3 * m samples are three channel-major channels, each run as a
+    # single-channel loop seeded [seed, channel] with its own stats entry
+    op, stats = _oracle_setup("full64")
+    rng = np.random.default_rng(65)
+    ys = [perturb(make_clean_compressible(64, 8, rng), spec, op).observed
+          for spec in _ORACLE_ATTACKS[1:]]
+    per_channel = (stats, None, stats)
+    cfg = CadConfig(k=8, feedback=_fb(alpha=3.0, beta=2.0, m=0.8, tau=8), seed=13)
+    out = cad_run(np.concatenate(ys), cfg, per_channel, op)
+    for ch, ours in enumerate(out.channels):
+        ref = _run_single(ys[ch], cfg, per_channel[ch], op, [cfg.seed, ch])
+        assert ours.to_jsonable() == ref.to_jsonable()
+    assert cad_run(ys[0], cfg, stats, op).to_jsonable() == out.channels[0].to_jsonable()
+
+
 def test_three_channel_vote_counts_fallbacks_as_one_label(monkeypatch):
     # a2 against two fallbacks whose argmaxes differ: the fallbacks win
     def outcome(final_method, fallback):
         return CadOutcome(final_method=final_method, fallback=fallback,
-                          estimate=np.zeros(4), trace=CadTrace(), stopped_at=1,
+                          estimate=np.zeros(4), trace=[], stopped_at=1,
                           stop_reason="t_max", final_scores=(0.0,) * N_ACTIONS)
     outcomes = iter([outcome(A_L0, False), outcome(A_COSAMP, True),
                      outcome(A_L2, True)])
     monkeypatch.setattr(cad_defense.cad, "_run_single",
                         lambda *args: next(outcomes))
-    cfg = CadConfig(k=2, feedback=_fb(), channels=3)
+    cfg = CadConfig(k=2, feedback=_fb())
     out = cad_run(np.zeros(12), cfg, None, SensingOperator(4))
     assert out.method_label == FALLBACK_LABEL
     assert (out.final_method, out.fallback) == (A_COSAMP, True)
@@ -837,9 +860,7 @@ def test_three_channel_vote_counts_fallbacks_as_one_label(monkeypatch):
 
 def test_three_channel_validation():
     op = SensingOperator(16)
-    cfg = CadConfig(k=2, feedback=_fb(), channels=3)
-    with pytest.raises(ValueError):
-        cad_run(np.zeros(16), cfg, None, op)  # needs 3 * 16 samples
+    cfg = CadConfig(k=2, feedback=_fb())
     with pytest.raises(ValueError):
         cad_run(np.zeros(48), cfg, [None, None], op)
 
@@ -857,10 +878,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CadConfig(k=0, feedback=_fb())
     with pytest.raises(ValueError):
-        CadConfig(k=2, feedback=_fb(), channels=2)
-    with pytest.raises(ValueError):
         CadConfig(k=2, feedback=_fb(), bandit_params=(1.0, 1.0, 1.0))
-    bad = [dict(k=2.5), dict(k=True), dict(channels=True),
+    bad = [dict(k=2.5), dict(k=True),
            dict(eta=-1.0), dict(eta="x"), dict(eta=math.nan), dict(eta=True),
            dict(eta_prime=math.inf), dict(eta_dprime=math.nan),
            dict(bandit_params=(0.07, math.nan, 1.25)),

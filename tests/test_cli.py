@@ -15,6 +15,7 @@ import cad_defense
 import cad_defense.harness
 from cad_defense.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                              main)
+from cad_defense.attacks import save_raw, write_pgm
 from cad_defense.feedback import CleanStats, save_clean_stats
 
 FB = {"alpha": 8.0, "beta": 5.0, "m": 1.8, "tau": 15, "theta": 65.0}
@@ -251,6 +252,83 @@ def test_file_signals_only_serve_stats(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+# each would run nothing and write reports holding only their header lines
+EMPTY_LISTS = {
+    "attacks": ("run", {"attacks": []}),
+    "bench_n": ("bench", {"bench": {"n": []}}),
+    "bench_k": ("bench", {"bench": {"k": []}}),
+    "bench_attacks": ("bench", {"bench": {"attacks": []}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_LISTS))
+def test_empty_lists_fail_fast_with_one_line(tmp_path, capsys, case):
+    command, overrides = EMPTY_LISTS[case]
+    cfg = _write_config(tmp_path, **overrides)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not (tmp_path / "o").exists()
+
+
+def _good_and(write_bad):
+    """clean.paths of a good 32-sample PGM and a bad file write_bad makes."""
+    def paths(tmp_path):
+        good = tmp_path / "good.pgm"
+        write_pgm(good, np.full(32, 0.5), 4, 8)
+        return [str(good), str(write_bad(tmp_path, good))]
+    return paths
+
+
+def _txt_signal(tmp_path, _):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0.5\n" * 32)
+    return bad
+
+
+def _truncated_pgm(tmp_path, good):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(good.read_bytes()[:-4])
+    return bad
+
+
+def _raw_without_channels(tmp_path, _):
+    bad = tmp_path / "bad.raw"
+    save_raw(bad, np.full(32, 0.5), 32, 1)
+    bad.with_name("bad.raw.json").write_text(json.dumps({"n": 32}))
+    return bad
+
+
+def _raw_with_nan(tmp_path, _):
+    bad = tmp_path / "bad.raw"
+    save_raw(bad, np.r_[np.full(31, 0.5), np.nan], 32, 1)
+    return bad
+
+
+BAD_SIGNAL_PATHS = {
+    "paths_string": lambda _: "ab",
+    "paths_numbers": lambda _: [1, 2],
+    "txt_suffix": _good_and(_txt_signal),
+    "truncated_pgm": _good_and(_truncated_pgm),
+    "raw_sidecar_without_channels": _good_and(_raw_without_channels),
+    "raw_nan": _good_and(_raw_with_nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIGNAL_PATHS))
+def test_bad_signal_files_fail_stats_with_one_line(tmp_path, capsys, case):
+    paths = BAD_SIGNAL_PATHS[case](tmp_path)
+    cfg = _write_config(tmp_path, clean={"kind": "files", "paths": paths})
+    code = main(["stats", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("config error:")
+    if isinstance(paths, list) and all(isinstance(p, str) for p in paths):
+        assert Path(paths[1]).name in err[0]
+    assert not list((tmp_path / "o").glob("clean_stats_*"))
+
+
 def test_bench_checks_every_cell_before_running_one(tmp_path, capsys, monkeypatch):
     # the (8, 10) cell has k above n; the three cells before it must not run
     runs = []
@@ -389,3 +467,14 @@ def test_demo_runs(demo):
     out = subprocess.run([sys.executable, str(DEMOS / demo)], env=_child_env(),
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_readme_quickstart_runs():
+    # the README's Python quickstart, run as written, keeps its printed call
+    readme = (DEMOS.parent / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "a4"

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cad_defense import (ActionDistribution, AttackSpec, CleanStats,
-                         FeedbackConfig, SensingOperator, cosamp_run,
-                         draw_perturbation, estimate_clean_stats, feedback_bit,
-                         load_clean_stats, mahalanobis,
-                         make_clean_compressible, make_clean_sparse, residual,
-                         save_clean_stats, should_stop, thresholded_count)
+from cad_defense import (AttackSpec, CleanStats, FeedbackConfig,
+                         SensingOperator, cosamp_run, draw_perturbation,
+                         estimate_clean_stats, feedback_bit, load_clean_stats,
+                         mahalanobis, make_clean_compressible,
+                         make_clean_sparse, residual, save_clean_stats,
+                         should_stop, thresholded_count)
 from cad_defense.recovery import A_COSAMP, A_L0, A_L2, A_LINF
 
 MNIST_THRESHOLDS = dict(alpha=8.0, beta=5.0, m=1.8, tau=15, theta=65.0)
@@ -346,29 +346,29 @@ def test_feedback_bit_unknown_action():
 # stopping rule
 
 
-def _dist(p_max):
-    rest = (1.0 - p_max) / 3.0
-    return ActionDistribution(probs=np.array([p_max, rest, rest, rest]))
-
-
 def test_stop_on_probability():
-    assert should_stop(_dist(0.85), 20.0, _cfg()) == 1
+    assert should_stop(0.85, 20.0, _cfg()) == "prob"
 
 
 def test_stop_on_residual():
-    assert should_stop(_dist(0.25), 1.5, _cfg()) == 1
+    assert should_stop(0.25, 1.5, _cfg()) == "residual"
 
 
 def test_continue_when_neither_fires():
-    assert should_stop(_dist(0.25), 10.0, _cfg()) == 0
-    assert should_stop(_dist(0.25), _cfg().delta_res, _cfg()) == 0  # strict
+    assert should_stop(0.25, 10.0, _cfg()) is None
+    assert should_stop(0.25, _cfg().delta_res, _cfg()) is None  # strict
+    assert should_stop(_cfg().delta_prob, 10.0, _cfg()) is None  # strict
 
 
 def test_stop_monotone():
     cfg = _cfg()
-    assert should_stop(_dist(0.85), 11.3, cfg) == 1
-    assert should_stop(_dist(0.95), 11.3, cfg) == 1  # larger max still stops
-    assert should_stop(_dist(0.85), 0.28, cfg) == 1  # smaller norm still stops
+    assert should_stop(0.85, 11.3, cfg) == "prob"
+    assert should_stop(0.95, 11.3, cfg) == "prob"  # larger max still stops
+    assert should_stop(0.85, 0.28, cfg) == "prob"  # smaller norm still stops
+
+
+def test_probability_clause_wins_when_both_hold():
+    assert should_stop(0.95, 0.1, _cfg()) == "prob"
 
 
 # ---------------------------------------------------------------------------

@@ -30,3 +30,13 @@ def test_package_reexports_only_public_names():
         stray += [f"{node.module}.{alias.name}" for alias in node.names
                   if alias.name not in public]
     assert stray == []
+
+
+def test_feedback_does_not_import_the_bandit():
+    # the stop rule reads the largest probability, not a distribution
+    tree = ast.parse(Path(cad_defense.feedback.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names}
+    assert not imported & {"bandit", "cad_defense.bandit"}
