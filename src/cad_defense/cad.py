@@ -14,18 +14,22 @@ positive score, gives the final answer.  Every solve reports whether it is
 final, that is, whether it may stand as the answer, and the loop keeps the
 evidence of each action's latest final solve: a later step of that action
 returns it without solving, and the chosen action answers with its
-estimate, or else with one cold run.  On the full operator each action is
+estimate, or else with one more run.  On the full operator each action is
 a closed form of c = F y, analysed once per run, so every solve is final,
 and the magnitudes of c are sorted once per run as well: that order prunes
 every estimate of the run (_prune), with top_k's bytes.
-On a row-subsampled operator in-loop runs warm-start at the current
-estimate with a budget that grows with each selection; an l1 solve is
-final exactly when the solver reports it converged under its own duality
-certificate, and a CoSaMP solve, which is not convex, never is, so CoSaMP
-is solved again on every selection.  Each l1 action is one fixed convex
-program, and a certified solve's l1 norm lies within the certified gap of
-that program's optimum; a warm re-solve from another start lands on
-another point within the same gap, so it would carry no new evidence.
+On a row-subsampled operator in-loop runs get a budget that grows with each
+selection.  CoSaMP starts at the current estimate; it is not convex, so its
+solve is never final and it is solved again on every selection.  The three
+l1 actions share one Douglas-Rachford state per run: each l1 solve, the
+final answer's included, continues from the latest state any l1 solve of
+the run left, not from the pruned estimate, so iterations spent under one
+radius carry over to the next.  An l1 solve is final exactly when the
+solver reports it converged under its own duality certificate, which is
+the only stop rule: a certified solve's l1 norm lies within the certified
+gap of its program's optimum whatever its start, so a re-solve would carry
+no new evidence.  Each record of a step that ran the splitting solver
+carries that solve's iterations and certificate flag.
 """
 
 from __future__ import annotations
@@ -117,6 +121,10 @@ class CadIterationRecord:
     action: int
     probs: tuple
     inner_iters: int
+    # iterations and certificate flag of the step's splitting solve; None
+    # where the step ran none (closed forms, reused evidence, CoSaMP)
+    solver_iters: int | None
+    certified: bool | None
     feedback: int
     reward: float
     scores: tuple
@@ -125,6 +133,16 @@ class CadIterationRecord:
     residual_count: int
     md: float | None
     penalty_clamped: bool
+
+
+class _RunMemo(dict):
+    """What one run keeps across its loop steps: action -> evidence of the
+    action's latest final solve, and for its row-subset l1 solves the
+    latest Douglas-Rachford state (state; None before the first) and the
+    result of the latest splitting solve (solved)."""
+
+    state = None
+    solved = None
 
 
 @dataclass
@@ -193,13 +211,15 @@ def run_action(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
     the residual's transform-domain view.  order is the run's one stable
     descending order of |c| (None on a row subset), through which _prune
     keeps top_k's bytes without sorting again wherever the k-th and
-    (k+1)-th entries along it differ in magnitude.  Evidence of a final
-    solve is stored in finals.
+    (k+1)-th entries along it differ in magnitude.  x_start is the
+    estimate a row-subset CoSaMP solve starts from; a row-subset l1 solve
+    continues from, and records itself in, the run's memo finals (a
+    _RunMemo, see _solve).  Evidence of a final solve is stored in finals.
     """
     evidence = finals.get(action)
     if evidence is not None:
         return evidence
-    raw, final = _solve(action, y, op, cfg, c, budget, x_start)
+    raw, final = _solve(action, y, op, cfg, c, budget, x_start, finals)
     estimate = _prune(action, raw, cfg.k, order)
     v = residual(y, estimate, op)
     v_spec = c - estimate if c is not None else op.adjoint(v)
@@ -235,15 +255,22 @@ def _prune(action: int, raw: np.ndarray, k: int, order: np.ndarray | None) -> np
 
 def _solve(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
            c: np.ndarray | None, budget: int | None = None,
-           x_start: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+           x_start: np.ndarray | None = None,
+           memo: _RunMemo | None = None) -> tuple[np.ndarray, bool]:
     """Unpruned spectrum of one action and whether it is final; budget None
-    gives a cold final run.
+    gives a final run.
 
     On the full operator each action is a closed form of the run's
     c = F y (CoSaMP's least-squares step restricts c, so its pruned iterate
     is top_k(c) and c itself is returned; each l1 action soft-thresholds
-    c), so every solve is final.  A subsampled cold run is
-    _FINAL_COSAMP_STEPS CoSaMP steps or the splitting solver to its
+    c), so every solve is final.  On a row subset x_start is where the
+    solve starts: CoSaMP's estimate (None: zero), or an l1 action's
+    splitting state (None: the solver's cold start).  Given the run's memo,
+    an l1 solve starts from memo.state instead, stores its result in
+    memo.solved and, unless it returned at once, its state in memo.state;
+    the solver's step depends on y alone, the same for all three radii, so
+    a state carries over between actions unscaled.  A subsampled final run
+    is _FINAL_COSAMP_STEPS CoSaMP steps or the splitting solver to its
     iteration cap.  There a CoSaMP solve is never final and a splitting
     solve is final exactly when the solver reports it converged; one that
     did not is logged at debug level with its feasibility and duality gaps.
@@ -259,8 +286,12 @@ def _solve(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
     if op.is_full:
         return l1_min_orthonormal(problem, coeffs=c), True
     if budget is not None:
-        problem.max_iters = _GENERAL_ITERS_PER_UNIT * budget
-    result = l1_min_general(problem, x0=x_start)
+        problem = dataclasses.replace(problem, max_iters=_GENERAL_ITERS_PER_UNIT * budget)
+    result = l1_min_general(problem, x0=x_start if memo is None else memo.state)
+    if memo is not None:
+        memo.solved = result
+        if result.state is not None:
+            memo.state = result.state
     if not result.converged:
         log.debug("%s unconverged after %d of %d iterations, feasibility gap %.3g, "
                   "duality gap %.3g", ACTION_LABELS[action], result.iterations,
@@ -281,7 +312,7 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     c = op.analyze(y) if op.is_full else None
     # stable, so that it is the order top_k takes on c
     order = np.argsort(-np.abs(c), kind="stable") if c is not None else None
-    finals = {}  # action -> evidence of its latest final solve
+    finals = _RunMemo()
     state = BanditState.fresh(cfg.gamma, cfg.sigma, cfg.lam)
     times = [0] * N_ACTIONS
     n0, inc = _INNER_SCHEDULE
@@ -293,13 +324,17 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         a = sample_action(dist, rng)
         times[a] += 1
         budget = n0 + inc * (times[a] - 1)
+        finals.solved = None
         estimate, md, f, v_l2, v_linf, v_count = run_action(
             a, y, op, cfg, stats, c, order, finals, budget, estimate)
+        solved = finals.solved
         p = float(dist.probs[a])
         r = reward(a, a, f, p, cfg.lam)
         state = update(state, a, r)
         trace.append(CadIterationRecord(
             t=t, action=a, probs=tuple(dist.probs), inner_iters=budget,
+            solver_iters=None if solved is None else solved.iterations,
+            certified=None if solved is None else solved.converged,
             feedback=f, reward=r, scores=tuple(state.scores),
             residual_l2=v_l2, residual_linf=v_linf, residual_count=v_count,
             md=md, penalty_clamped=bool(f == 0 and penalty_clamped(p)),
@@ -313,7 +348,8 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     if chosen in finals:
         answer = finals[chosen][0]
     else:
-        answer = _prune(chosen, _solve(chosen, y, op, cfg, c)[0], cfg.k, order)
+        answer = _prune(chosen, _solve(chosen, y, op, cfg, c, memo=finals)[0], cfg.k,
+                        order)
     return CadOutcome(
         final_method=best, fallback=fallback, estimate=answer, trace=trace,
         stopped_at=t, stop_reason=stop_reason or "t_max",

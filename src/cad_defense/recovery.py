@@ -32,11 +32,13 @@ supports.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import SensingOperator, _check_vector, best_k_term_error, top_k
+from .transform import (SensingOperator, _check_vector, _is_number, best_k_term_error,
+                        top_k)
 
 __all__ = [
     "A_COSAMP",
@@ -64,6 +66,12 @@ _GAP_CHECK_PERIOD = 10
 # over-relaxation of the splitting update s += lambda (v - z); any value in
 # (0, 2) converges (Eckstein & Bertsekas 1992), 1 is plain Douglas-Rachford
 _RELAXATION = 1.8
+# prox step length as a fraction of max |A^T y|, probed at that relaxation:
+# in sub256 defence runs 0.14 takes 12-16% fewer iterations than 0.1 and
+# about 1% more than 0.15, the best of a 0.1-0.3 grid on most seeds; from
+# 0.15 up the relaxation saves under a fifth of the plain loop's
+# iterations on energy-bounded problems
+_STEP_FRACTION = 0.14
 # excess of ||A z - y|| over the radius that still counts as feasible, in
 # units of min(1, ||y||)
 _FEASIBILITY_TOL = 1e-6
@@ -167,13 +175,17 @@ def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
     return state
 
 
-@dataclass
+@dataclass(frozen=True)
 class L1Problem:
     """min ||z||_1 subject to ||A z - y||_2 <= radius.
 
     tolerance is the relative duality gap at which l1_min_general stops: a
     returned z with gap <= tolerance * ||z||_1 is within that fraction of
-    the optimal objective.  max_iters caps its iterations.
+    the optimal objective.  max_iters caps its iterations.  radius must be
+    >= 0 (inf makes zero the minimiser), tolerance finite and >= 0, and
+    max_iters an integer >= 1; anything else, NaN included, raises
+    ValueError.  The problem is frozen, so the checks hold for its life
+    (dataclasses.replace makes a checked copy).
     """
 
     observed: np.ndarray
@@ -183,8 +195,13 @@ class L1Problem:
     max_iters: int = 5000
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
+        # stated as what must hold, so that a NaN fails it
+        if not (_is_number(self.radius) and self.radius >= 0):
+            raise ValueError(f"radius must be >= 0, got {self.radius!r}")
+        if not (_is_number(self.tolerance) and 0 <= self.tolerance < math.inf):
+            raise ValueError(f"tolerance must be a finite number >= 0, got {self.tolerance!r}")
+        if not (_is_number(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass
@@ -194,7 +211,10 @@ class L1Result:
     feasibility_gap is max(0, ||A coeffs - y|| - radius) and duality_gap the
     certified bound on ||coeffs||_1 minus the optimum; converged means the
     first is at most 1e-6 * min(1, ||y||) and the second at most
-    tolerance * ||coeffs||_1.
+    tolerance * ||coeffs||_1.  state is the splitting variable s at return,
+    from which a later solve (x0=state) continues exactly where this one
+    stopped; it is None when zero lay within the ball and the solver
+    returned at once.
     """
 
     coeffs: np.ndarray
@@ -202,6 +222,7 @@ class L1Result:
     converged: bool
     feasibility_gap: float
     duality_gap: float
+    state: np.ndarray | None = None
 
 
 def l1_min_orthonormal(p: L1Problem, *, coeffs: np.ndarray | None = None) -> np.ndarray:
@@ -293,6 +314,14 @@ def l1_min_general(p: L1Problem, x0: np.ndarray | None = None) -> L1Result:
     * min(1, ||y||): absolute at unit scale and above, relative below it,
     so a problem scaled below unit scale is solved as at unit scale.
 
+    x0 is the splitting variable s to start from, as L1Result.state hands
+    it back (None: the cold start s = A^T y).  The step is
+    _STEP_FRACTION * max|A^T y|, a function of y alone, so a state carries
+    over unscaled between problems that differ only in radius, and a run
+    resumed from a capped run's state repeats the iterations one longer run
+    would take, provided the first run's cap is a multiple of
+    _GAP_CHECK_PERIOD.
+
     y and x0 are validated once, on entry; the loop then applies op.matrix
     and its transpose directly, in reused buffers.  A run that reaches its
     cap validates its final iterate, so a non-finite one raises there.
@@ -307,8 +336,7 @@ def l1_min_general(p: L1Problem, x0: np.ndarray | None = None) -> L1Result:
     if excess <= feasibility_tol:
         return L1Result(np.zeros(p.op.n), 0, True, max(0.0, excess), 0.0)
     back = p.op.adjoint(y)
-    # prox step length: a fraction of the largest back-projected magnitude
-    step = 0.1 * float(np.abs(back).max())
+    step = _STEP_FRACTION * float(np.abs(back).max())
     if step <= 0.0:
         step = 1.0
     s = back if x0 is None else _check_vector(x0, p.op.n, "coefficients").copy()
@@ -317,11 +345,12 @@ def l1_min_general(p: L1Problem, x0: np.ndarray | None = None) -> L1Result:
     r = np.empty(p.op.m)
     it = 0
     for it in range(1, p.max_iters + 1):
-        # z = sign(s) * max(|s| - step, 0)
-        np.maximum(np.subtract(np.abs(s, out=t), step, out=t), 0.0, out=t)
-        np.multiply(np.sign(s, out=z), t, out=z)
-        # v = 2 z - s, projected onto ||A v - y|| <= radius (exact: A A^* = I)
-        np.subtract(np.multiply(z, 2.0, out=v), s, out=v)
+        # t = clip(s, -step, step), so z = s - t is the soft threshold of s
+        # (np.clip costs several times the two calls here)
+        np.maximum(np.minimum(s, step, out=t), -step, out=t)
+        np.subtract(s, t, out=z)
+        # v = z - t = 2 z - s, projected onto ||A v - y|| <= radius (exact: A A^* = I)
+        np.subtract(z, t, out=v)
         np.subtract(np.matmul(a, v, out=r), y, out=r)
         nw = math.sqrt(r.dot(r))
         if nw > radius:
@@ -331,14 +360,14 @@ def l1_min_general(p: L1Problem, x0: np.ndarray | None = None) -> L1Result:
             certified, feasibility, gap = _certify(v, y, a, radius, tol, s, step,
                                                    feasibility_tol)
             if certified:
-                return L1Result(v, it, True, feasibility, gap)
+                return L1Result(v, it, True, feasibility, gap, s)
         # s += lambda (v - z)
         np.add(s, np.multiply(np.subtract(v, z, out=t), _RELAXATION, out=t), out=s)
     z = _check_vector(z, p.op.n, "coefficients")
     certified, feasibility, gap = _certify(z, y, a, radius, tol, s, step,
                                            feasibility_tol)
     return L1Result(coeffs=z, iterations=it, converged=certified,
-                    feasibility_gap=feasibility, duality_gap=gap)
+                    feasibility_gap=feasibility, duality_gap=gap, state=s)
 
 
 def action_radius(action: int, tau: int, eta: float, eta_prime: float,

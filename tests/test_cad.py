@@ -5,7 +5,8 @@ The loop is also checked bit for bit against a plain copy of the loop that
 recomputes every action's evidence on every iteration and scores the
 residual vectors with copies of the vector-based feedback predicate and
 stop rule, except that on a row subset an l1 action whose solve converged
-reuses that solve on its repeats and as the final answer.
+reuses that solve on its repeats and as the final answer, and every l1
+solve there continues from the latest splitting state of the run.
 """
 
 import dataclasses
@@ -29,7 +30,7 @@ from cad_defense import (ACTION_LABELS, FALLBACK_LABEL, AttackSpec,
                          probabilities, reward, top_k, update)
 from cad_defense.bandit import penalty_clamped, sample_action
 from cad_defense.cad import (_INNER_SCHEDULE, CadIterationRecord, CadOutcome,
-                             _run_single, _solve, run_action)
+                             _run_single, _RunMemo, _solve, run_action)
 from cad_defense.feedback import (feedback_bit, mahalanobis, residual,
                                   should_stop, thresholded_count)
 from cad_defense.recovery import A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS
@@ -185,10 +186,13 @@ def test_subsampled_actions_keep_the_iterative_solvers():
     assert np.array_equal(out.estimate, cosamp_run(y, op, k, 10).estimate)
 
 
-def test_run_action_reports_whether_its_solve_is_final():
+def test_run_action_reports_whether_its_solve_is_final(monkeypatch):
     # every full-operator solve is a closed form and final; a subsampled l1
-    # solve is final exactly when its solver converged, CoSaMP never; a step
-    # stores its evidence exactly when its solve is final
+    # solve, which starts from the run's latest splitting state and leaves
+    # its own there, is final exactly when its solver converged, CoSaMP
+    # never; a step stores its evidence exactly when its solve is final.
+    # 20-iteration budget units leave some subsampled solves uncertified
+    monkeypatch.setattr(cad_defense.cad, "_GENERAL_ITERS_PER_UNIT", 20)
     n, k = 64, 4
     full = SensingOperator(n)
     sub = SensingOperator(n, rows=np.sort(np.random.default_rng(5).choice(n, 40, replace=False)))
@@ -205,17 +209,19 @@ def test_run_action_reports_whether_its_solve_is_final():
     flags = []
     for budget in (1, 2, 30):
         assert _solve(A_COSAMP, y, sub, cfg, None, budget, start)[1] is False
-        finals = {}
+        finals = _RunMemo()
         _step(A_COSAMP, y, sub, cfg, budget, start, finals=finals)
-        assert not finals
+        assert not finals and finals.state is None and finals.solved is None
         for action in (A_L0, A_L2, A_LINF):
             radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                                    cfg.eta_dprime, n)
             direct = l1_min_general(L1Problem(observed=y, op=sub, radius=radius,
-                                              max_iters=200 * budget), x0=start)
-            _, final = _solve(action, y, sub, cfg, None, budget, start)
+                                              max_iters=20 * budget), x0=finals.state)
+            _, final = _solve(action, y, sub, cfg, None, budget, finals.state)
             assert final is direct.converged
             evidence = _step(action, y, sub, cfg, budget, start, finals=finals)
+            assert finals.solved.coeffs.tobytes() == direct.coeffs.tobytes()
+            assert finals.state.tobytes() == direct.state.tobytes()
             assert (finals.get(action) is evidence) is final
             flags.append(final)
     assert True in flags and False in flags
@@ -262,21 +268,24 @@ def test_unconverged_subsampled_solve_logs_at_debug(caplog):
 
 def test_certified_subsampled_solve_is_the_final_answer(monkeypatch):
     # an l1 action whose in-loop solve carried a duality certificate answers
-    # with that solve's pruned estimate and no cold run; one that never
-    # certified answers with exactly one cold run
+    # with that solve's pruned estimate and no further run; one that never
+    # certified answers with exactly one run of the solver's default cap,
+    # from the run's latest splitting state; 10-iteration budgets leave
+    # some chosen actions uncertified
     n, k = 64, 8
     op = SensingOperator(n, rows=np.sort(np.random.default_rng(5).choice(n, 40, replace=False)))
     calls = []
 
     def counting(problem, x0=None):
         result = l1_min_general(problem, x0)
-        calls.append((problem.radius, x0 is None, result))
+        calls.append((problem.radius, x0, problem.max_iters, result))
         return result
 
     monkeypatch.setattr(cad_defense.cad, "l1_min_general", counting)
     outcomes = []
-    for schedule in [(3, 2), (1, 0)]:
+    for schedule, per_unit in [((3, 2), 200), ((1, 0), 200), ((1, 0), 10)]:
         monkeypatch.setattr(cad_defense.cad, "_INNER_SCHEDULE", schedule)
+        monkeypatch.setattr(cad_defense.cad, "_GENERAL_ITERS_PER_UNIT", per_unit)
         for spec in _ORACLE_ATTACKS[1:]:
             for seed in range(8):
                 calls.clear()
@@ -286,20 +295,27 @@ def test_certified_subsampled_solve_is_the_final_answer(monkeypatch):
                          delta_res=0.0, t_max=12)
                 cfg = CadConfig(k=k, feedback=fb, seed=seed)
                 out = cad_run(y, cfg, None, op)
-                cold = [res for _, is_cold, res in calls if is_cold]
+                in_loop = sum(r.solver_iters is not None for r in out.trace)
+                final_runs = calls[in_loop:]
                 if out.fallback or out.final_method == A_COSAMP:
-                    assert not cold
+                    assert not final_runs
                     continue
                 radius = action_radius(out.final_method, fb.tau, cfg.eta, cfg.eta_prime,
                                        cfg.eta_dprime, n)
-                solved = [res for r, is_cold, res in calls
-                          if r == radius and not is_cold and res.converged]
+                solved = [res for r, _, _, res in calls[:in_loop]
+                          if r == radius and res.converged]
                 if solved:
-                    assert not cold
+                    assert not final_runs
                     answer = solved[-1]
                 else:
-                    assert len(cold) == 1
-                    answer = cold[0]
+                    [(r, x0, cap, answer)] = final_runs
+                    states = [res.state for *_, res in calls[:in_loop]
+                              if res.state is not None]
+                    assert (r, cap) == (radius, 5000)
+                    if states:
+                        assert x0.tobytes() == states[-1].tobytes()
+                    else:
+                        assert x0 is None
                 assert out.estimate.tobytes() == top_k(answer.coeffs, k).tobytes()
                 outcomes.append(bool(solved))
     assert outcomes.count(True) >= 10 and outcomes.count(False) >= 5
@@ -390,6 +406,70 @@ def test_subset_repeats_still_call_run_action_once_per_iteration(monkeypatch):
     assert repeats >= 10
 
 
+def test_subset_l1_solves_continue_the_runs_splitting_state(monkeypatch):
+    # a run's first l1 solve starts cold, and every later one, the final
+    # answer's included, from the bytes of the latest state returned before
+    # it; a solve that returned at once (a4's ball holds zero here) leaves
+    # that state as it was.  10-iteration budget units leave some chosen
+    # actions uncertified, so that the final answer solves
+    n, k = 64, _SUBSET_K
+    op = SensingOperator(n, rows=np.sort(np.random.default_rng(5).choice(n, 40, replace=False)))
+    calls = []
+
+    def solving(problem, x0=None):
+        result = l1_min_general(problem, x0)
+        calls.append((x0, result))
+        return result
+
+    monkeypatch.setattr(cad_defense.cad, "l1_min_general", solving)
+    monkeypatch.setattr(cad_defense.cad, "_GENERAL_ITERS_PER_UNIT", 10)
+    fb = _fb(alpha=3.0, beta=2.0, m=0.8, tau=k, theta=float(op.m), delta_res=0.0, t_max=12)
+    at_once = final_runs = 0
+    for spec in _ORACLE_ATTACKS:
+        for seed in range(8):
+            calls.clear()
+            x = make_clean_compressible(n, k, np.random.default_rng([70, seed]))
+            y = perturb(x, spec, SensingOperator(n)).observed[op.rows]
+            cfg = CadConfig(k=k, feedback=fb, seed=seed,
+                            eta_dprime=float(np.linalg.norm(y)) / math.sqrt(n))
+            out = cad_run(y, cfg, None, op)
+            latest = None
+            for x0, result in calls:
+                if latest is None:
+                    assert x0 is None
+                else:
+                    assert x0.tobytes() == latest.tobytes()
+                if result.state is None:
+                    assert result.iterations == 0
+                    at_once += 1
+                else:
+                    latest = result.state
+            final_runs += len(calls) > sum(r.solver_iters is not None for r in out.trace)
+    assert at_once >= 5 and final_runs >= 5
+
+
+def test_trace_records_each_steps_splitting_solve(monkeypatch):
+    # a record carries the iterations and certificate flag of its step's
+    # splitting solve, and None for both where the step ran none: CoSaMP
+    # steps, repeats that reused final evidence, and every full-operator step
+    solved = skipped = 0
+    for out, _, steps in _subset_runs(monkeypatch):
+        for record, (action, _, _, calls, _) in zip(out.trace, steps):
+            if action != A_COSAMP and calls:
+                [(_, converged)] = calls
+                assert record.certified is converged
+                assert isinstance(record.solver_iters, int) and record.solver_iters >= 0
+                solved += 1
+            else:
+                assert record.solver_iters is None and record.certified is None
+                skipped += 1
+        assert all(key in row for row in out.to_jsonable()["trace"]
+                   for key in ("solver_iters", "certified"))
+    assert solved >= 10 and skipped >= 10
+    out, _ = _attacked_run(seed=2)
+    assert all(r.solver_iters is None and r.certified is None for r in out.trace)
+
+
 # ---------------------------------------------------------------------------
 # the loop against a copy that recomputes every action's evidence
 
@@ -397,22 +477,23 @@ def test_subset_repeats_still_call_run_action_once_per_iteration(monkeypatch):
 def _reference_solve(action, y, op, cfg, budget=None, x_start=None):
     """The dispatcher as it was before the loop cached F y: analyses y itself.
 
-    Returns the spectrum and whether the subsampled l1 solver converged.
+    Returns the spectrum, whether the subsampled l1 solver converged, and
+    that solver's result (None for every other solve).
     """
     if action == A_COSAMP:
         if op.is_full:
-            return op.analyze(y), False
+            return op.analyze(y), False, None
         steps = 10 if budget is None else budget
-        return cosamp_run(y, op, cfg.k, steps, x0=x_start).estimate, False
+        return cosamp_run(y, op, cfg.k, steps, x0=x_start).estimate, False, None
     radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                            cfg.eta_dprime, op.n)
     problem = L1Problem(observed=y, op=op, radius=radius)
     if op.is_full:
-        return l1_min_orthonormal(problem), False
+        return l1_min_orthonormal(problem), False, None
     if budget is not None:
-        problem.max_iters = 200 * budget
+        problem = dataclasses.replace(problem, max_iters=200 * budget)
     result = l1_min_general(problem, x0=x_start)
-    return result.coeffs, result.converged
+    return result.coeffs, result.converged, result
 
 
 def _reference_feedback_bit(action, v, cfg, v_spec, md=None):
@@ -442,7 +523,9 @@ def _reference_should_stop(dist, v, cfg):
 def _reference_run_single(y, cfg, stats, op, seed):
     """The loop before the evidence memo: every step solves afresh unless
     the action has a converged subsampled l1 solve, which its repeats and
-    the final answer reuse."""
+    the final answer reuse.  CoSaMP starts from the current estimate and
+    every subsampled l1 solve, the final answer's included, from the
+    latest splitting state any of them returned."""
     y = np.asarray(y, dtype=np.float64)
     fb = cfg.feedback
     rng = np.random.default_rng(seed)
@@ -452,6 +535,7 @@ def _reference_run_single(y, cfg, stats, op, seed):
     times = [0] * N_ACTIONS
     trace = []
     converged = {}
+    splitting = None
     stop_reason = "t_max"
     t = 0
     for t in range(1, fb.t_max + 1):
@@ -460,8 +544,14 @@ def _reference_run_single(y, cfg, stats, op, seed):
         times[a] += 1
         n0, inc = cad_defense.cad._INNER_SCHEDULE
         budget = n0 + inc * (times[a] - 1)
-        raw, solved = ((converged[a], True) if a in converged
-                       else _reference_solve(a, y, op, cfg, budget, x_start=estimate))
+        solver = None
+        if a in converged:
+            raw, solved = converged[a], True
+        else:
+            start = estimate if a == A_COSAMP else splitting
+            raw, solved, solver = _reference_solve(a, y, op, cfg, budget, x_start=start)
+            if solver is not None and solver.state is not None:
+                splitting = solver.state
         estimate = top_k(raw, cfg.k)
         if solved:
             converged[a] = estimate
@@ -476,6 +566,8 @@ def _reference_run_single(y, cfg, stats, op, seed):
         state = update(state, a, r)
         trace.append(CadIterationRecord(
             t=t, action=a, probs=tuple(dist.probs), inner_iters=budget,
+            solver_iters=None if solver is None else solver.iterations,
+            certified=None if solver is None else solver.converged,
             feedback=f, reward=r, scores=tuple(state.scores),
             residual_l2=float(np.linalg.norm(v)),
             residual_linf=float(np.abs(v).max()),
@@ -489,7 +581,8 @@ def _reference_run_single(y, cfg, stats, op, seed):
     fallback = bool(state.scores.max() <= 0.0)
     chosen = A_COSAMP if fallback else best
     final = (converged[chosen] if chosen in converged
-             else top_k(_reference_solve(chosen, y, op, cfg)[0], cfg.k))
+             else top_k(_reference_solve(chosen, y, op, cfg, x_start=(
+                 None if chosen == A_COSAMP else splitting))[0], cfg.k))
     return CadOutcome(
         final_method=best, fallback=fallback, estimate=final, trace=trace,
         stopped_at=t, stop_reason=stop_reason, final_scores=tuple(state.scores),

@@ -11,6 +11,8 @@ row subsets is checked against lstsq's residual, and each of its fallbacks
 to lstsq is pinned by a deterministic case.
 """
 
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ from cad_defense import (A_L0, A_L2, A_LINF, L1Problem, SensingOperator,
                          cosamp_step, l1_min_general, l1_min_orthonormal,
                          estimate_clean_stats, make_clean_compressible,
                          make_clean_sparse, top_k)
-from cad_defense.recovery import (_RELAXATION, CosampState, L1Result,
-                                  _least_squares)
+from cad_defense.recovery import (_GAP_CHECK_PERIOD, _RELAXATION, CosampState,
+                                  L1Result, _least_squares)
 
 
 def _socp_oracle(A, y, radius):
@@ -600,28 +602,31 @@ def _reference_certificate(v, y, op, radius, tolerance, s, step):
 
 def _reference_l1_min_general(p, x0=None, relaxation=_RELAXATION):
     """The allocating over-relaxed Douglas-Rachford loop that l1_min_general
-    must match bit for bit; relaxation=1.0 is the plain loop."""
+    must match bit for bit; relaxation=1.0 is the plain loop.  The soft
+    threshold of s is s - clip(s, -step, step), and 2 z - s is z minus
+    that clip."""
     y = np.asarray(p.observed, dtype=np.float64)
     excess = float(np.linalg.norm(y)) - p.radius
     if excess <= 1e-6 * min(1.0, float(np.linalg.norm(y))):
         return L1Result(np.zeros(p.op.n), 0, True, max(0.0, excess), 0.0)
-    step = 0.1 * float(np.abs(p.op.adjoint(y)).max())
+    step = 0.14 * float(np.abs(p.op.adjoint(y)).max())
     if step <= 0.0:
         step = 1.0
     s = np.asarray(x0, dtype=np.float64).copy() if x0 is not None else p.op.adjoint(y)
     z = np.zeros(p.op.n)
     it = 0
     for it in range(1, p.max_iters + 1):
-        z = np.sign(s) * np.maximum(np.abs(s) - step, 0.0)
-        v = _reference_project_ball(2.0 * z - s, y, p.op, p.radius)
+        t = np.clip(s, -step, step)
+        z = s - t
+        v = _reference_project_ball(z - t, y, p.op, p.radius)
         if it % 10 == 0:  # the certificate is evaluated every tenth iteration
             certified, feasibility, gap = _reference_certificate(v, y, p.op, p.radius,
                                                                  p.tolerance, s, step)
             if certified:
-                return L1Result(v, it, True, feasibility, gap)
+                return L1Result(v, it, True, feasibility, gap, s)
         s = s + relaxation * (v - z)
     return L1Result(z, it, *_reference_certificate(z, y, p.op, p.radius, p.tolerance,
-                                                   s, step))
+                                                   s, step), s)
 
 
 _ENTRY = st.floats(-1e3, 1e3)
@@ -670,6 +675,10 @@ def test_l1_general_bit_identical_to_reference_loop(data, n):
         assert ours.converged == ref.converged
         assert ours.feasibility_gap == ref.feasibility_gap
         assert ours.duality_gap == ref.duality_gap
+        if ref.state is None:
+            assert ours.state is None
+        else:
+            assert ours.state.tobytes() == ref.state.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -734,6 +743,40 @@ def test_l1_general_certified_solves_from_two_starts_agree(data, n):
     assert abs(l1[0] - l1[1]) <= p.tolerance * max(l1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(4, 48))
+def test_l1_general_resumes_exactly_from_its_state(data, n):
+    # a run capped at a multiple of the certificate period, uncertified,
+    # and resumed from its state for more iterations gives the bytes of one
+    # run of both caps together: the defence loop's budgets (multiples of
+    # 200) lose nothing when an l1 solve continues a run's state
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1,
+                              unique=True).map(sorted))
+    op = SensingOperator(n, rows=rows)
+    y = np.array(data.draw(st.lists(_ENTRY, min_size=op.m, max_size=op.m)))
+    norm_y = float(np.linalg.norm(y))
+    radius = data.draw(st.one_of(
+        st.just(0.0), st.floats(1e-3, 1.0, exclude_max=True).map(lambda f: f * norm_y)))
+    tolerance = data.draw(st.sampled_from([1e-6, 1e-8, 1e-10]))
+    first_cap = _GAP_CHECK_PERIOD * data.draw(st.integers(1, 20))
+    second_cap = data.draw(st.integers(1, 300))
+    x0 = data.draw(st.one_of(st.none(), st.lists(_ENTRY, min_size=n, max_size=n)))
+    x0 = None if x0 is None else np.array(x0)
+
+    def solve(cap, start):
+        return l1_min_general(L1Problem(observed=y, op=op, radius=radius,
+                                        tolerance=tolerance, max_iters=cap), start)
+
+    first = solve(first_cap, x0)
+    assume(not first.converged)
+    resumed, whole = solve(second_cap, first.state), solve(first_cap + second_cap, x0)
+    assert first.iterations + resumed.iterations == whole.iterations
+    assert resumed.coeffs.tobytes() == whole.coeffs.tobytes()
+    assert resumed.state.tobytes() == whole.state.tobytes()
+    assert (resumed.converged, resumed.feasibility_gap, resumed.duality_gap) == (
+        whole.converged, whole.feasibility_gap, whole.duality_gap)
+
+
 def test_l1_general_over_relaxation_saves_iterations():
     # the relaxed loop needs at most 0.8x the iterations of the plain
     # Douglas-Rachford loop on a fixed batch of energy-bounded problems
@@ -786,6 +829,37 @@ def test_l1_general_rejects_bad_input(which, bad, message):
         vecs[which][3] = np.nan if bad == "nan" else np.inf
     with pytest.raises(ValueError, match=message):
         l1_min_general(L1Problem(observed=vecs["y"], op=sub, radius=0.1), x0=vecs["x0"])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("radius", np.nan), ("radius", -1e-9), ("radius", -np.inf),
+    ("max_iters", 0), ("max_iters", -3), ("max_iters", 2.5), ("max_iters", True),
+    ("tolerance", np.nan), ("tolerance", -1.0), ("tolerance", np.inf),
+])
+def test_l1_problem_rejects_values_that_void_its_certificate(field, value):
+    # a NaN radius once returned zero as a certified solve, a cap below one
+    # returned a negative duality gap, and a NaN or negative tolerance never
+    # certified; a checked problem cannot take such a value later either
+    sub = SensingOperator(16, rows=np.arange(0, 16, 2))
+    y = sub.synthesize(np.random.default_rng(17).standard_normal(16))
+    kwargs = {"radius": 0.1, field: value}
+    with pytest.raises(ValueError, match=field):
+        L1Problem(observed=y, op=sub, **kwargs)
+    checked = L1Problem(observed=y, op=sub, radius=0.1)
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(checked, **{field: value})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(checked, field, value)
+
+
+def test_l1_problem_infinite_radius_is_solved_by_zero():
+    c = np.random.default_rng(18).standard_normal(16)
+    full, sub = SensingOperator(16), SensingOperator(16, rows=np.arange(0, 16, 2))
+    assert not l1_min_orthonormal(L1Problem(observed=full.synthesize(c), op=full,
+                                            radius=np.inf)).any()
+    res = l1_min_general(L1Problem(observed=sub.synthesize(c), op=sub, radius=np.inf))
+    assert res.converged and res.iterations == 0 and res.state is None
+    assert not res.coeffs.any()
 
 
 # ---------------------------------------------------------------------------
