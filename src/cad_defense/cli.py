@@ -3,8 +3,8 @@
 Subcommands mirror the harness: gen (materialize an ensemble), stats
 (clean-residual statistics), run (defence over an ensemble), bench
 (parameter sweep).  Exit codes: 0 success, 1 configuration error, 2 IO
-error, 3 numerical failure (a matrix that does not factor, or a floating
-point overflow or invalid value anywhere in the command).  Set
+error, 3 numerical failure (clean statistics singular at ridge 0, or a
+floating point overflow or invalid value anywhere in the command).  Set
 CAD_LOG=debug|info|warning to control logging verbosity.
 """
 

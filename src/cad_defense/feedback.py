@@ -2,25 +2,21 @@
 
 Each loop iteration checks whether the chosen action's residual looks the
 way that action's target attack family would leave it.  Norm thresholds
-follow the per-dataset tuning convention: alpha on the residual l2 norm,
-m and beta bracketing its max entry, tau bounding the thresholded nonzero
-count, and theta bounding the Mahalanobis distance from clean-residual
-statistics.  Each clause has one reading.  The clean check (action 1)
-accepts a residual that is small, or one that is both statistically clean
-and flat: l2 < alpha or (md < theta and linf < m), where the distance md
-is supplied by the caller and the second clause is false without it.  The
-predicates read features of the residual (its l2 and max norms, its
-thresholded count and its distance), each computed once by the caller,
-so the bit and the stop rule see the values the trace records.  The stop
-rule reads the largest action probability and the residual's l2 norm,
-and names the clause that fired.  The Mahalanobis distance needs only
-numpy: the regularized covariance is factored once and its inverse
-Cholesky factor whitens each residual.
+follow the per-dataset tuning convention (see FeedbackConfig), and each
+clause has one reading.  The predicates read features of the residual (its
+l2 and max norms, its thresholded count and its Mahalanobis distance),
+each computed once by the caller, so the bit and the stop rule see the
+values the trace records.  The stop rule reads the largest action
+probability and the residual's l2 norm, and names the clause that fired.
+Clean statistics hold only what they are fitted from, the clean residuals
+and a ridge; the distance reads the thin SVD of their deviations, taken
+once, so no n x n covariance is ever formed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,58 +75,54 @@ class FeedbackConfig:
 
 @dataclass(eq=False)
 class CleanStats:
-    """Mean and covariance of clean recovery residuals, plus the ridge.
+    """Clean recovery residuals, one per row, and the ridge.
 
-    The covariance is regularized as C + ridge * I before factorization;
-    sample counts near the dimension leave C singular, so a positive
-    ridge is required there.
+    The mean, the source count N and the factor derive from them.  The
+    regularized covariance is C + ridge I, where C = X^T X for the scaled
+    deviations X = (residuals - mean) / sqrt(N - 1) has rank at most N - 1.
     """
 
-    mean: np.ndarray
-    covariance: np.ndarray
+    residuals: np.ndarray
     ridge: float
-    source_count: int = 0
-    _whitening: np.ndarray | None = field(default=None, repr=False, compare=False)
+    mean: np.ndarray = field(init=False, repr=False)
+    _factor: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.residuals = np.asarray(self.residuals, dtype=np.float64)
+        if not (self.residuals.ndim == 2 and len(self.residuals) >= 2
+                and np.isfinite(self.residuals).all()):
+            raise ValueError("clean statistics need a 2-D stack of at least two finite "
+                             f"residuals, got shape {self.residuals.shape}")
+        # NaN fails the comparison
+        if not (_is_number(self.ridge) and 0 <= self.ridge < math.inf):
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge!r}")
+        self.ridge = float(self.ridge)
+        self.mean = self.residuals.mean(axis=0)
 
     @property
     def n(self) -> int:
-        return self.mean.shape[0]
+        return self.residuals.shape[1]
 
-    def factor(self) -> np.ndarray:
-        """Cached whitening matrix W = L^{-1}, where C + ridge * I = L L^T.
+    @property
+    def source_count(self) -> int:
+        return self.residuals.shape[0]
 
-        Computed once per stats object: one Cholesky factorization and one
-        inverse of the triangular factor.  Non-finite entries raise
-        ValueError; a regularized covariance that is not positive definite
-        raises np.linalg.LinAlgError naming its first failing leading minor.
-        """
-        if self._whitening is None:
-            reg = np.asarray_chkfinite(self.covariance + self.ridge * np.eye(self.n))
-            try:
-                chol = np.linalg.cholesky(reg)
-            except np.linalg.LinAlgError:
+    def factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached (V^T, s^2 + ridge) of the thin SVD X = U S V^T, so that
+        C + ridge I = V (S^2 + ridge) V^T + ridge (I - V V^T); at ridge 0 that
+        is singular when N - 1 < n or a singular value is zero, which raises
+        np.linalg.LinAlgError."""
+        if self._factor is None:
+            count, n = self.residuals.shape
+            x = (self.residuals - self.mean) / math.sqrt(count - 1)
+            _, s, vt = np.linalg.svd(x, full_matrices=False)
+            scale = s * s + self.ridge
+            if self.ridge == 0 and (count - 1 < n or not scale.all()):
                 raise np.linalg.LinAlgError(
-                    f"{_first_failing_minor(reg)}-th leading minor of the array "
-                    "is not positive definite") from None
-            self._whitening = np.linalg.inv(chol)
-        return self._whitening
-
-
-def _first_failing_minor(reg: np.ndarray) -> int:
-    """Order of the smallest leading block of reg that does not factor.
-
-    Only called once reg itself failed.  A block that fails makes every
-    larger one fail, so bisection needs O(log n) factorizations.
-    """
-    ok, bad = 0, reg.shape[0]
-    while bad - ok > 1:
-        mid = (ok + bad) // 2
-        try:
-            np.linalg.cholesky(reg[:mid, :mid])
-            ok = mid
-        except np.linalg.LinAlgError:
-            bad = mid
-    return bad
+                    f"the covariance of {count} clean residuals in dimension {n} is "
+                    "singular at ridge 0: set a positive ridge")
+            self._factor = (vt, scale)
+        return self._factor
 
 
 def residual(y: np.ndarray, estimate: np.ndarray, op: SensingOperator) -> np.ndarray:
@@ -147,17 +139,24 @@ def thresholded_count(v: np.ndarray, threshold: float) -> int:
 
 
 def mahalanobis(v: np.ndarray, stats: CleanStats) -> float:
-    """Distance sqrt((v - mean)^T (C + ridge I)^{-1} (v - mean)).
+    """Distance sqrt(d^T (C + ridge I)^{-1} d) of v from the clean mean.
 
-    With C + ridge I = L L^T this is ||W (v - mean)||_2 for the cached
-    whitening matrix W = L^{-1}: one matrix-vector product per call.
-    Raises np.linalg.LinAlgError naming the offending leading minor when
-    C + ridge I is not positive definite.
+    With d = v - mean and p = V^T d for the cached factor, md^2 =
+    sum(p^2 / (s^2 + ridge)) + ||d - V p||^2 / ridge, two products with the
+    N x n factor; at ridge 0 the factor spans every dimension and the second
+    term is zero.  Raises np.linalg.LinAlgError when C + ridge I is singular.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != stats.mean.shape:
         raise ValueError(f"v must have shape {stats.mean.shape}, got {v.shape}")
-    return float(np.linalg.norm(stats.factor() @ (v - stats.mean)))
+    vt, scale = stats.factor()
+    d = v - stats.mean
+    p = vt @ d
+    md2 = float(p @ (p / scale))
+    if stats.ridge > 0:
+        rest = d - p @ vt
+        md2 += float(rest @ rest) / stats.ridge
+    return math.sqrt(md2)
 
 
 def estimate_clean_stats(clean_signals, op: SensingOperator, k: int,
@@ -165,25 +164,15 @@ def estimate_clean_stats(clean_signals, op: SensingOperator, k: int,
     """Fit residual statistics from greedy recoveries of clean signals.
 
     Each signal is recovered by n_cosamp CoSaMP steps and the final
-    residuals feed a sample mean and covariance.  ridge=None applies the
-    default 1e-6 * trace(C) / n.
+    residuals are the statistics' rows.  ridge=None applies the default
+    1e-6 * trace(C) / n, the sum of the residuals' sample variances.
     """
-    residuals = []
-    for y in clean_signals:
-        residuals.append(cosamp_run(np.asarray(y, dtype=np.float64), op, k,
-                                    n_cosamp).residual)
-    if len(residuals) < 2:
-        raise ValueError("need at least two clean signals for a covariance")
-    stack = np.vstack(residuals)
-    mean = stack.mean(axis=0)
-    cov = np.cov(stack, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
+    residuals = [cosamp_run(y, op, k, n_cosamp).residual for y in clean_signals]
+    stats = CleanStats(np.reshape(residuals, (-1, op.m)), 0.0 if ridge is None else ridge)
     if ridge is None:
-        ridge = 1e-6 * float(np.trace(cov)) / op.m
-    if ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
-    return CleanStats(mean=mean, covariance=cov, ridge=float(ridge),
-                      source_count=len(residuals))
+        trace = float(np.var(stats.residuals, axis=0, ddof=1).sum())
+        stats = CleanStats(stats.residuals, 1e-6 * trace / stats.n)
+    return stats
 
 
 def feedback_bit(action: int, l2: float, linf: float, count: int,
@@ -221,25 +210,19 @@ def should_stop(max_prob: float, l2: float, cfg: FeedbackConfig) -> str | None:
 
 
 def save_clean_stats(stats: CleanStats, path) -> None:
-    """Little-endian float64 mean then row-major covariance, plus sidecar."""
-    path = Path(path)
-    buf = np.concatenate([stats.mean, stats.covariance.reshape(-1)])
-    buf.astype("<f8").tofile(path)
-    sidecar = {"n": stats.n, "ridge": stats.ridge, "source_count": stats.source_count}
+    """Little-endian float64 residual rows, row-major, plus a JSON sidecar
+    {"n", "rows", "ridge"}."""
+    stats.residuals.astype("<f8").tofile(path)
+    sidecar = {"n": stats.n, "rows": stats.source_count, "ridge": stats.ridge}
     Path(str(path) + ".json").write_text(json.dumps(sidecar))
 
 
 def load_clean_stats(path) -> CleanStats:
-    """Statistics written by save_clean_stats; ValueError when the values
-    are not n + n^2 finite float64 numbers with a finite ridge."""
-    path = Path(path)
+    """Statistics written by save_clean_stats; ValueError when the file does
+    not hold rows x n float64 values or CleanStats rejects them."""
     meta = json.loads(Path(str(path) + ".json").read_text())
-    n = int(meta["n"])
+    n, rows = int(meta["n"]), int(meta["rows"])
     buf = np.fromfile(path, dtype="<f8")
-    if buf.size != n + n * n:
-        raise ValueError(f"{path}: expected {n + n * n} float64 values, got {buf.size}")
-    ridge = float(meta["ridge"])
-    if not (np.isfinite(buf).all() and np.isfinite(ridge)):
-        raise ValueError(f"{path}: non-finite statistics")
-    return CleanStats(mean=buf[:n], covariance=buf[n:].reshape(n, n),
-                      ridge=ridge, source_count=int(meta["source_count"]))
+    if buf.size != rows * n:
+        raise ValueError(f"{path}: expected {rows} x {n} float64 values, got {buf.size}")
+    return CleanStats(buf.reshape(rows, n), float(meta["ridge"]))

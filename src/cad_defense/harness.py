@@ -44,6 +44,10 @@ log = logging.getLogger("cad_defense")
 _DESIGNATED = {"none": A_COSAMP, "l0": A_L0, "l1": A_L2, "l2": A_L2, "linf": A_LINF}
 
 
+# the largest n a config may set: the n x n float64 DCT matrix alone is 2 GiB
+_MAX_N = 16_384
+
+
 class ConfigError(Exception):
     """Invalid or inconsistent experiment configuration."""
 
@@ -71,6 +75,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"the config must be a JSON object, got {d!r}")
+        for key in ("clean", "cad", "stats", "bench", "attacks"):
+            kind, noun = (list, "an array") if key == "attacks" else (dict, "an object")
+            if d.get(key) is not None and not isinstance(d[key], kind):
+                raise ConfigError(f"{key}={d[key]!r} must be {noun}")
         try:
             n = d["n"]
             channels = d.get("channels", 1)
@@ -96,6 +106,8 @@ class ExperimentConfig:
             raise ConfigError(f"bad experiment config: {exc}") from exc
         for name, value, least in (("n", n, 1), ("count", count, 1), ("seed", seed, 0)):
             _require_int(name, value, least)
+        if n > _MAX_N:
+            raise ConfigError(f"n={n} exceeds the largest supported n={_MAX_N}")
         if not (_is_number(channels, int) and channels in (1, 3)):
             raise ConfigError(f"channels={channels!r} must be 1 or 3")
         if stats_dir is not None and not isinstance(stats_dir, str):
@@ -190,6 +202,8 @@ def _check_bench_section(bench: dict) -> None:
     for key in ("n", "k"):
         if not all(_is_number(v, int) for v in bench.get(key, [])):
             raise ConfigError(f"bench.{key}={bench[key]!r} must be a list of integers")
+    if any(n > _MAX_N for n in bench.get("n", [])):
+        raise ConfigError(f"bench.n={bench['n']!r} exceeds the largest supported n={_MAX_N}")
     if "count" in bench:
         _require_int("bench.count", bench["count"], 1)
 
@@ -404,7 +418,7 @@ def _pool_run(task: tuple[int, dict]) -> dict:
 def _run_ensemble(cfg: ExperimentConfig, workers: int = 1) -> dict:
     op = SensingOperator(cfg.n)
     stats = _resolve_stats(cfg, op)
-    # whitened here, once: pool workers unpickle these bytes rather than
+    # factored here, once: pool workers unpickle these bytes rather than
     # re-deriving them under another BLAS thread count
     for st in stats or ():
         st.factor()
@@ -531,11 +545,13 @@ def cmd_stats(cfg: ExperimentConfig, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for ch, st in enumerate(_compute_stats(cfg, SensingOperator(cfg.n))):
+        # eigenvalues s^2 + ridge, and ridge off the factor's span when that
+        # is not all of R^n; a fit no run could use fails before it is saved
+        _, scale = st.factor()
+        cond = float(scale.max() / (scale.min() if len(scale) == st.n else st.ridge))
         path = out / f"clean_stats_ch{ch}.f64"
         save_clean_stats(st, path)
         paths.append(path)
-        reg = st.covariance + st.ridge * np.eye(st.n)
-        cond = float(np.linalg.cond(reg))
         print(f"channel {ch}: {st.source_count} residuals, "
               f"mean |residual| = {np.linalg.norm(st.mean):.3e}, "
               f"ridge = {st.ridge:.3e}, cond(C + ridge I) ~ {cond:.3e}")

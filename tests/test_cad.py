@@ -16,14 +16,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import cad_defense.cad
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cad_defense import (ACTION_LABELS, FALLBACK_LABEL, AttackSpec,
-                         BanditState, CadConfig, FeedbackConfig, L1Problem,
+                         BanditState, CadConfig, CleanStats, FeedbackConfig, L1Problem,
                          SensingOperator, action_radius, cad_run, cosamp_run,
                          estimate_clean_stats, l1_min_general, l1_min_orthonormal,
                          make_clean_compressible, make_clean_sparse, perturb,
@@ -636,16 +636,82 @@ def test_loop_matches_the_reference_loop_bit_for_bit(data, name, seed, with_stat
         assert ours.final_scores == ref.final_scores
 
 
+# ---------------------------------------------------------------------------
+# exact metamorphic relations of the whole loop
+#
+# A sign flip and a power-of-two scale commute with every IEEE rounding away
+# from overflow and subnormals, orders by magnitude keep their ties, and the
+# bandit reads only bits.  So flipping the observation and the clean
+# residuals flips the estimate exactly; doubling them, with the ridge x4 and
+# every absolute threshold and budget x2, doubles the estimate and every
+# residual norm exactly and leaves md, the bits and the labels as they were.
+# l1_min_general's feasibility tolerance is absolute above ||y|| = 1, so on
+# row subsets the relations are drawn with ||y|| > 1 at both scales.
+
+
+def _doubled(cfg):
+    fb = cfg.feedback
+    return dataclasses.replace(
+        cfg, eta=2 * cfg.eta, eta_prime=2 * cfg.eta_prime, eta_dprime=2 * cfg.eta_dprime,
+        feedback=dataclasses.replace(
+            fb, alpha=2 * fb.alpha, beta=2 * fb.beta, m=2 * fb.m,
+            count_threshold=2 * fb.count_threshold, delta_res=2 * fb.delta_res))
+
+
+def _drawn_run(data, name, seed, with_stats):
+    """(y, cfg, stats, op) of one drawn single-channel run."""
+    op, clean_stats = _oracle_setup(name)
+    n, k = op.n, op.n // 8
+    fb = _fb(alpha=data.draw(st.sampled_from([1.0, 3.0, 8.0])), beta=2.0, m=0.8,
+             tau=data.draw(st.integers(0, n)), theta=float(op.m),
+             delta_res=data.draw(st.sampled_from([0.0, 0.5])),
+             t_max=data.draw(st.integers(1, 40 if op.is_full else 12)))
+    x = make_clean_compressible(n, k, np.random.default_rng(seed))
+    y = perturb(x, data.draw(st.sampled_from(_ORACLE_ATTACKS)), SensingOperator(n)).observed
+    y = y if op.is_full else y[op.rows]
+    assume(op.is_full or np.linalg.norm(y) > 1.0)
+    return y, CadConfig(k=k, feedback=fb, seed=seed), clean_stats if with_stats else None, op
+
+
+def _assert_equivariant(base, mapped, factor):
+    assert np.array_equal(mapped.estimate, factor * base.estimate)
+    assert (mapped.final_method, mapped.fallback, mapped.method_label) == \
+        (base.final_method, base.fallback, base.method_label)
+    assert (mapped.stopped_at, mapped.stop_reason) == (base.stopped_at, base.stop_reason)
+    assert mapped.final_scores == base.final_scores
+    for ours, ref in zip(mapped.trace, base.trace, strict=True):
+        ref = dataclasses.replace(ref, residual_l2=abs(factor) * ref.residual_l2,
+                                  residual_linf=abs(factor) * ref.residual_linf)
+        assert dataclasses.asdict(ours) == dataclasses.asdict(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(_ORACLE_OPERATORS)),
+       seed=st.integers(0, 2 ** 32 - 1), with_stats=st.booleans())
+def test_loop_is_odd_in_the_observation(data, name, seed, with_stats):
+    y, cfg, stats, op = _drawn_run(data, name, seed, with_stats)
+    flipped = None if stats is None else CleanStats(-stats.residuals, stats.ridge)
+    _assert_equivariant(cad_run(y, cfg, stats, op), cad_run(-y, cfg, flipped, op), -1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(_ORACLE_OPERATORS)),
+       seed=st.integers(0, 2 ** 32 - 1), with_stats=st.booleans())
+def test_loop_commutes_with_a_power_of_two_scale(data, name, seed, with_stats):
+    y, cfg, stats, op = _drawn_run(data, name, seed, with_stats)
+    doubled = None if stats is None else CleanStats(2.0 * stats.residuals, 4.0 * stats.ridge)
+    _assert_equivariant(cad_run(y, cfg, stats, op),
+                        cad_run(2.0 * y, _doubled(cfg), doubled, op), 2.0)
+
+
 def test_full_operator_run_reaches_no_row_subset_solver(monkeypatch):
     # every action is a closed form of F y on the full operator, and so is
-    # CoSaMP's fit behind the clean statistics: apart from the one Cholesky
-    # factorization that whitens those statistics, neither they nor a run
-    # reach the least-squares fit, a Cholesky factorization or the splitting
-    # solver that row subsets use
+    # CoSaMP's fit behind the clean statistics: neither they (nor their thin
+    # SVD) nor a run reach the least-squares fit, a Cholesky factorization
+    # or the splitting solver that row subsets use
     def refuse(*args, **kwargs):
         raise AssertionError("a row-subset solver ran on the full operator")
 
-    cholesky = np.linalg.cholesky
     for module, name in ((np.linalg, "lstsq"), (np.linalg, "cholesky"),
                          (cad_defense.cad, "l1_min_general")):
         monkeypatch.setattr(module, name, refuse)
@@ -654,9 +720,6 @@ def test_full_operator_run_reaches_no_row_subset_solver(monkeypatch):
     stats = estimate_clean_stats(
         [op.synthesize(make_clean_compressible(64, 8, rng)) for _ in range(16)],
         op, 8, ridge=1e-4)
-    with monkeypatch.context() as whitening:
-        whitening.setattr(np.linalg, "cholesky", cholesky)
-        stats.factor()
     fb = _fb(alpha=3.0, beta=2.0, m=0.8, tau=8, theta=64.0, t_max=40)
     actions, answers = set(), set()
     for spec in _ORACLE_ATTACKS:

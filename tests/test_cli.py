@@ -94,8 +94,7 @@ def test_exit_code_bad_config(tmp_path, capsys):
 def _stats_for_n64(tmp_path):
     stats_dir = tmp_path / "stats"
     stats_dir.mkdir()
-    stats = CleanStats(mean=np.zeros(64), covariance=np.eye(64), ridge=1e-4,
-                       source_count=5)
+    stats = CleanStats(np.random.default_rng(0).standard_normal((5, 64)), 1e-4)
     save_clean_stats(stats, stats_dir / "clean_stats_ch0.f64")
     return {"n": 128, "stats_dir": str(stats_dir)}
 
@@ -106,8 +105,8 @@ def _corrupt_stats(damage):
         stats_dir = tmp_path / "stats"
         stats_dir.mkdir()
         path = stats_dir / "clean_stats_ch0.f64"
-        save_clean_stats(CleanStats(mean=np.zeros(32), covariance=np.eye(32),
-                                    ridge=1e-4, source_count=5), path)
+        save_clean_stats(CleanStats(np.random.default_rng(0).standard_normal((5, 32)),
+                                    1e-4), path)
         damage(path, path.with_name(path.name + ".json"))
         return {"stats_dir": str(stats_dir)}
     return overrides
@@ -117,6 +116,14 @@ def _drop_key(key):
     def damage(_, sidecar):
         meta = json.loads(sidecar.read_text())
         del meta[key]
+        sidecar.write_text(json.dumps(meta))
+    return damage
+
+
+def _set_key(key, value):
+    def damage(_, sidecar):
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
         sidecar.write_text(json.dumps(meta))
     return damage
 
@@ -153,7 +160,9 @@ BAD_FEEDBACK_VALUES = [
     _corrupt_stats(lambda _, sidecar: sidecar.write_text("{not json")),
     _corrupt_stats(_drop_key("n")),
     _corrupt_stats(_drop_key("ridge")),
-    _corrupt_stats(_drop_key("source_count")),
+    _corrupt_stats(_drop_key("rows")),
+    _corrupt_stats(_set_key("ridge", -1.0)),
+    _corrupt_stats(_set_key("rows", 4)),
     lambda _: {"stats": {"count": 8, "ridge": -1}},
     lambda _: {"stats": {"count": 1}},
     lambda _: {"stats": {"count": 8, "n_cosamp": -1}},
@@ -191,10 +200,22 @@ BAD_FEEDBACK_VALUES = [
     *[_cad(**{key: value}) for key, value in BAD_CAD_VALUES],
     *[_cad(feedback=dict(FB, **{key: value})) for key, value in BAD_FEEDBACK_VALUES],
     *[_cad(seed=value) for value in (0, 99, -5, 2.5, "not-an-int")],
+    # n above the bound: refused before any n x n matrix is built
+    lambda _: {"n": 16385},
+    lambda _: {"n": 1000000000000},
+    lambda _: {"bench": {"n": [32, 1000000000000]}},
+    lambda _: {"clean": "sparse"},
+    lambda _: {"cad": [4]},
+    lambda _: {"cad": {"k": 4, "feedback": "paper"}},
+    lambda _: {"stats": 8},
+    lambda _: {"bench": [32]},
+    lambda _: {"attacks": {"family": "none"}},
+    lambda _: {"attacks": ["none"]},
 ], ids=["unknown_family", "nan_budget", "k_above_n", "stats_of_other_n",
         "l0_tau_above_n", "stats_short_f64", "stats_sidecar_not_json",
         "stats_sidecar_without_n", "stats_sidecar_without_ridge",
-        "stats_sidecar_without_source_count", "stats_negative_ridge",
+        "stats_sidecar_without_rows", "stats_sidecar_negative_ridge",
+        "stats_sidecar_other_rows", "stats_negative_ridge",
         "stats_count_below_two", "stats_negative_n_cosamp",
         "stats_unknown_key", "removed_a1_precedence", "removed_x0_mode",
         "removed_final_iters", "removed_inner_schedule", "clean_unknown_key",
@@ -208,7 +229,10 @@ BAD_FEEDBACK_VALUES = [
         "low_freq_bias_int",
         *[f"cad_{key}_{value}" for key, value in BAD_CAD_VALUES],
         *[f"feedback_{key}_{value}" for key, value in BAD_FEEDBACK_VALUES],
-        *[f"cad_seed_{value}" for value in (0, 99, -5, 2.5, "not-an-int")]])
+        *[f"cad_seed_{value}" for value in (0, 99, -5, 2.5, "not-an-int")],
+        "n_above_bound", "n_huge", "bench_n_huge", "clean_not_object",
+        "cad_not_object", "feedback_not_object", "stats_not_object",
+        "bench_not_object", "attacks_not_list", "attack_entry_not_object"])
 def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, overrides):
     cfg = _write_config(tmp_path, **overrides(tmp_path))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -351,19 +375,21 @@ def test_exit_code_missing_config(tmp_path, capsys):
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):
-    # stats whose covariance is not positive definite fail factorization
+    # five residuals in 16 dimensions leave the covariance singular, and
+    # with no ridge the statistics do not factor
     stats_dir = tmp_path / "stats"
     stats_dir.mkdir()
-    bad = CleanStats(mean=np.zeros(16), covariance=-np.eye(16), ridge=0.0,
-                     source_count=5)
+    bad = CleanStats(np.random.default_rng(1).standard_normal((5, 16)), 0.0)
     save_clean_stats(bad, stats_dir / "clean_stats_ch0.f64")
     cfg = _write_config(
         tmp_path, n=16, count=1, stats_dir=str(stats_dir),
         attacks=[{"family": "l2", "eta": 4.0}],
         cad={"k": 2, "feedback": dict(FB, alpha=1.0, delta_res=0.0)})
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
     assert code == EXIT_NUMERICAL
-    assert "numerical failure" in capsys.readouterr().err
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert "5 clean residuals in dimension 16" in err[0]
 
 
 # each overflows float64 somewhere between instance generation and the
@@ -399,7 +425,7 @@ def test_non_finite_stats_file_is_a_config_error(tmp_path, capsys):
     capsys.readouterr()
     f64 = stats_dir / "clean_stats_ch0.f64"
     values = np.fromfile(f64, dtype="<f8")
-    values[40] = np.nan  # a covariance entry
+    values[40] = np.nan  # a residual entry
     values.tofile(f64)
     cfg = _write_config(tmp_path, stats_dir=str(stats_dir))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -421,6 +447,50 @@ def test_singular_clean_stats_fail_before_the_first_instance(tmp_path, capsys):
     assert code == EXIT_NUMERICAL
     assert len(err) == 1 and err[0].startswith("numerical failure: ")
     assert not (out / "report.csv").exists()
+    # nor does the stats command write statistics no run could use
+    code = main(["stats", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_NUMERICAL
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert not list((tmp_path / "s").glob("clean_stats_*"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stats_file_runs_give_the_reports_of_in_run_stats(tmp_path, capsys, workers):
+    stats = {"count": 12, "n_cosamp": 5, "ridge": 1e-4}
+    attacks = [{"family": "none"}, {"family": "l2", "eta": 3.0},
+               {"family": "linf", "eta_dprime": 0.8}]
+    fitted = _write_config(tmp_path, "fitted.json", stats=stats, attacks=attacks)
+    assert main(["stats", "--config", str(fitted), "--out", str(tmp_path / "s")]) == EXIT_OK
+    loaded = _write_config(tmp_path, "loaded.json", stats_dir=str(tmp_path / "s"),
+                           attacks=attacks)
+    for cfg, out in ((fitted, "in_run"), (loaded, "from_file")):
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / out),
+                     "--workers", str(workers)]) == EXIT_OK
+    capsys.readouterr()
+    for name in ("report.csv", "instances.csv", "aggregate.csv"):
+        assert (tmp_path / "in_run" / name).read_bytes() == \
+            (tmp_path / "from_file" / name).read_bytes()
+
+
+def test_stats_directory_of_the_old_covariance_layout_is_a_config_error(tmp_path, capsys):
+    # n + n^2 values of a mean and a covariance: at n = 39 that is 40 rows
+    # of 39, the size 40 residuals would have, but the sidecar has no rows
+    n = 39
+    stats_dir = tmp_path / "stats"
+    stats_dir.mkdir()
+    path = stats_dir / "clean_stats_ch0.f64"
+    np.concatenate([np.zeros(n), np.eye(n).ravel()]).astype("<f8").tofile(path)
+    (stats_dir / "clean_stats_ch0.f64.json").write_text(
+        json.dumps({"n": n, "ridge": 1e-4, "source_count": 40}))
+    assert path.stat().st_size == 40 * n * 8
+    cfg = _write_config(tmp_path, n=n, stats_dir=str(stats_dir))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert "corrupt stats" in err[0]
+    assert not (tmp_path / "o" / "report.csv").exists()
 
 
 def test_usage_errors_map_to_config_exit(capsys):

@@ -1,7 +1,10 @@
 """Feedback-layer tests: residuals, Mahalanobis scoring against explicit-
-and triangular-solve oracles, clean statistics, per-action predicates,
-stopping."""
+and triangular-solve oracles built from numpy's sample covariance and a
+50-digit reference, clean statistics, per-action predicates, stopping."""
 
+import dataclasses
+
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
@@ -67,56 +70,109 @@ def test_thresholded_count_monotone_in_threshold():
 # Mahalanobis distance
 
 
-def _stats(mean, cov, ridge=0.0):
-    return CleanStats(mean=np.asarray(mean, dtype=np.float64),
-                      covariance=np.asarray(cov, dtype=np.float64),
-                      ridge=ridge)
+def _stats(residuals, ridge=0.0):
+    return CleanStats(np.asarray(residuals, dtype=np.float64), ridge)
+
+
+def _sample_cov(stats):
+    return np.atleast_2d(np.cov(stats.residuals, rowvar=False, ddof=1))
+
+
+def _dense_regularized(stats):
+    """C + ridge I built independently, from numpy's sample covariance."""
+    return _sample_cov(stats) + stats.ridge * np.eye(stats.n)
 
 
 def test_mahalanobis_zero_at_mean():
-    stats = _stats(np.array([1.0, -2.0]), np.eye(2))
+    stats = _stats([[1.0, -2.0], [1.0, -2.0]], ridge=1.0)
     assert mahalanobis(np.array([1.0, -2.0]), stats) == 0.0
 
 
 def test_mahalanobis_identity_metric():
-    stats = _stats(np.zeros(3), np.eye(3))
+    # equal residuals leave C = 0, and a unit ridge makes C + ridge I = I
+    stats = _stats(np.zeros((2, 3)), ridge=1.0)
     assert abs(mahalanobis(np.array([0.0, 1.0, 0.0]), stats) - 1.0) < 1e-12
 
 
 def test_mahalanobis_diagonal_scaling():
-    stats = _stats(np.zeros(2), np.diag([4.0, 1.0]))
+    # residuals +-e1 give C = diag(2, 0); ridge 2 makes it diag(4, 2)
+    stats = _stats([[1.0, 0.0], [-1.0, 0.0]], ridge=2.0)
     assert abs(mahalanobis(np.array([2.0, 0.0]), stats) - 1.0) < 1e-12
+    assert abs(mahalanobis(np.array([0.0, 2.0]), stats) - np.sqrt(2.0)) < 1e-12
 
 
 def test_mahalanobis_matches_explicit_solve():
     rng = np.random.default_rng(3)
     for _ in range(50):
         n = int(rng.integers(2, 12))
-        b = rng.standard_normal((n, n))
-        cov = b @ b.T + 0.1 * np.eye(n)
-        mean = rng.standard_normal(n)
-        ridge = float(rng.uniform(0.0, 0.5))
+        count = int(rng.integers(2, 2 * n + 3))  # fewer and more rows than n
+        stats = _stats(rng.standard_normal((count, n)) * rng.uniform(0.2, 2.0),
+                       float(rng.uniform(0.1, 0.6)))
         v = rng.standard_normal(n)
-        stats = _stats(mean, cov, ridge)
-        d = v - mean
-        oracle = np.sqrt(d @ np.linalg.solve(cov + ridge * np.eye(n), d))
+        d = v - stats.mean
+        oracle = np.sqrt(d @ np.linalg.solve(_dense_regularized(stats), d))
         assert abs(mahalanobis(v, stats) - oracle) < 1e-9
 
 
+def test_mahalanobis_at_ridge_zero_matches_explicit_solve():
+    # N - 1 >= n residuals give a full-rank C: no ridge is needed
+    rng = np.random.default_rng(14)
+    for _ in range(50):
+        n = int(rng.integers(1, 12))
+        count = int(rng.integers(2 * n + 1, 4 * n + 3))
+        stats = _stats(rng.standard_normal((count, n)), 0.0)
+        v = rng.standard_normal(n)
+        d = v - stats.mean
+        oracle = np.sqrt(d @ np.linalg.solve(_dense_regularized(stats), d))
+        assert abs(mahalanobis(v, stats) - oracle) <= 1e-12 * oracle
+
+
+def test_mahalanobis_at_ridge_zero_is_singular_below_n_plus_one_residuals():
+    # C has rank at most N - 1, so N <= n residuals need a ridge
+    for count, n in ((5, 5), (3, 8), (2, 2)):
+        stats = _stats(np.random.default_rng(count).standard_normal((count, n)), 0.0)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=f"{count} clean residuals in dimension {n}.*ridge 0"):
+            mahalanobis(np.zeros(n), stats)
+    # enough rows, but all equal: C = 0
+    with pytest.raises(np.linalg.LinAlgError, match="singular at ridge 0"):
+        mahalanobis(np.zeros(2), _stats(np.ones((6, 2)), 0.0))
+    # a ridge regularizes either
+    assert mahalanobis(np.zeros(2), _stats(np.ones((6, 2)), 0.5)) > 0.0
+
+
 def test_mahalanobis_covariance_scaling_law():
+    # residuals x2 (and the ridge x4) make C + ridge I four times larger
     rng = np.random.default_rng(4)
-    b = rng.standard_normal((5, 5))
-    cov = b @ b.T + np.eye(5)
-    v = rng.standard_normal(5)
-    base = mahalanobis(v, _stats(np.zeros(5), cov))
-    scaled = mahalanobis(v, _stats(np.zeros(5), 4.0 * cov))
-    assert abs(scaled - base / 2.0) < 1e-9
+    for count, ridge in ((5, 0.0), (2, 0.3)):
+        b = rng.standard_normal((count, 5))
+        residuals = np.vstack([b, -b])  # mean exactly zero at both scales
+        v = rng.standard_normal(5)
+        base = mahalanobis(v, _stats(residuals, ridge))
+        scaled = mahalanobis(v, _stats(2.0 * residuals, 4.0 * ridge))
+        assert abs(scaled - base / 2.0) < 1e-9
 
 
-def test_mahalanobis_rejects_indefinite_covariance():
-    stats = _stats(np.zeros(2), np.diag([1.0, -1.0]))
-    with pytest.raises(scipy.linalg.LinAlgError, match="leading minor"):
-        mahalanobis(np.ones(2), stats)
+def _high_precision_distance(stats, digits=50):
+    """md to `digits` digits by the push-through identity
+    (X^T X + r I)^{-1} = (I - X^T (X X^T + r I)^{-1} X) / r, on the exact
+    float64 residuals: an N x N solve, no n x n matrix and no SVD."""
+    mp.mp.dps = digits
+    rows = mp.matrix(stats.residuals.tolist())
+    count, n = stats.residuals.shape
+    mean = [mp.fsum(rows[i, j] for i in range(count)) / count for j in range(n)]
+    x = mp.matrix(count, n)
+    for i in range(count):
+        for j in range(n):
+            x[i, j] = (rows[i, j] - mean[j]) / mp.sqrt(count - 1)
+    r = mp.mpf(stats.ridge)
+    inner = mp.inverse(x * x.T + r * mp.eye(count))
+
+    def distance(v):
+        d = mp.matrix([mp.mpf(float(v[j])) - mean[j] for j in range(n)])
+        xd = x * d
+        return mp.sqrt((mp.fsum(e * e for e in d) - (xd.T * inner * xd)[0]) / r)
+    return distance
 
 
 def test_mahalanobis_matches_triangular_solve_oracle():
@@ -126,11 +182,11 @@ def test_mahalanobis_matches_triangular_solve_oracle():
     rng = np.random.default_rng(11)
     cleans = [op.synthesize(make_clean_compressible(n, k, rng)) for _ in range(26)]
     stats = estimate_clean_stats(cleans, op, k)
-    reg = stats.covariance + stats.ridge * np.eye(n)
+    reg = _dense_regularized(stats)
     cond = np.linalg.cond(reg)
     assert 1e6 < cond < 1e8
-    chol = np.linalg.cholesky(reg)
     independent = scipy.linalg.cholesky(reg, lower=True)
+    reference = _high_precision_distance(stats)
     for t in range(30):
         r = np.random.default_rng([12, t])
         x = make_clean_compressible(n, k, r)
@@ -139,50 +195,43 @@ def test_mahalanobis_matches_triangular_solve_oracle():
         v = cosamp_run(op.synthesize(x), op, k, 5).residual
         d = v - stats.mean
         md = mahalanobis(v, stats)
-        oracle = np.linalg.norm(scipy.linalg.solve_triangular(chol, d, lower=True))
-        assert abs(md - oracle) <= 1e-12 * oracle
-        # scipy's own factor differs by round-off amplified up to cond * eps
+        exact = float(reference(v))
+        assert abs(md - exact) <= 1e-12 * exact
+        # the dense factor's round-off is amplified up to cond * eps
         other = np.linalg.norm(scipy.linalg.solve_triangular(independent, d, lower=True))
         assert abs(md - other) <= cond * np.finfo(float).eps * other
 
 
-def test_mahalanobis_names_the_first_failing_minor():
-    stats = _stats(np.zeros(4), np.diag([1.0, 1.0, -1.0, 1.0]))
-    with pytest.raises(np.linalg.LinAlgError, match="3-th leading minor"):
-        mahalanobis(np.ones(4), stats)
+def test_clean_stats_rejects_non_finite_residuals():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            _stats([[0.0, 1.0], [bad, 0.0]], ridge=1.0)
 
 
-def test_failing_minor_agrees_with_scipy():
-    rng = np.random.default_rng(13)
-    for _ in range(40):
-        n = int(rng.integers(1, 40))
-        b = rng.standard_normal((n, n))
-        eig = rng.uniform(0.1, 2.0, n)
-        eig[rng.integers(n)] = -float(rng.uniform(0.1, 2.0))
-        q, _ = np.linalg.qr(b)
-        cov = (q * eig) @ q.T
-        cov = (cov + cov.T) / 2
-        with pytest.raises(scipy.linalg.LinAlgError) as expected:
-            scipy.linalg.cho_factor(cov, lower=True)
-        with pytest.raises(np.linalg.LinAlgError) as got:
-            mahalanobis(np.zeros(n), _stats(np.zeros(n), cov))
-        assert str(got.value) == str(expected.value)
-
-
-def test_mahalanobis_rejects_non_finite_covariance():
-    stats = _stats(np.zeros(2), np.diag([1.0, np.nan]))
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        mahalanobis(np.ones(2), stats)
+def test_clean_stats_is_its_residuals_and_ridge():
+    assert [f.name for f in dataclasses.fields(CleanStats) if f.init] == \
+        ["residuals", "ridge"]
+    stats = _stats([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [2.0, 2.0, 2.0]], ridge=0.5)
+    assert stats.n == 3 and stats.source_count == 3
+    assert np.array_equal(stats.mean, [2.0, 2.0, 2.0])
+    vt, scale = stats.factor()
+    assert vt.shape == (3, 3) and scale.shape == (3,)
+    for residuals in (np.zeros(4), np.zeros((1, 4)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="at least two"):
+            _stats(residuals, ridge=1.0)
+    for ridge in (-1e-9, np.nan, np.inf, None, True, "1"):
+        with pytest.raises(ValueError, match="ridge"):
+            _stats(np.zeros((2, 2)), ridge=ridge)
 
 
 def test_mahalanobis_dimension_check():
-    stats = _stats(np.zeros(3), np.eye(3))
+    stats = _stats(np.zeros((2, 3)), ridge=1.0)
     with pytest.raises(ValueError):
         mahalanobis(np.zeros(4), stats)
 
 
 def test_factor_is_cached():
-    stats = _stats(np.zeros(2), np.eye(2))
+    stats = _stats(np.eye(3), ridge=1.0)
     assert stats.factor() is stats.factor()
 
 
@@ -196,7 +245,7 @@ def test_clean_stats_exact_sparse_residuals_vanish():
     cleans = [op.synthesize(make_clean_sparse(32, 4, rng)) for _ in range(10)]
     stats = estimate_clean_stats(cleans, op, 4, n_cosamp=5, ridge=1e-6)
     assert np.linalg.norm(stats.mean) <= 1e-8
-    assert np.abs(stats.covariance).max() <= 1e-16
+    assert np.abs(_sample_cov(stats)).max() <= 1e-16
     assert stats.source_count == 10
 
 
@@ -204,7 +253,8 @@ def test_clean_stats_identical_signals_zero_covariance():
     op = SensingOperator(16)
     y = op.synthesize(make_clean_compressible(16, 3, np.random.default_rng(6)))
     stats = estimate_clean_stats([y, y, y], op, 3, ridge=1e-3)
-    assert np.abs(stats.covariance).max() <= 1e-20
+    assert np.abs(_sample_cov(stats)).max() <= 1e-20
+    assert np.abs(stats.factor()[1] - 1e-3).max() <= 1e-20
 
 
 def test_clean_stats_needs_two_signals():
@@ -219,7 +269,7 @@ def test_clean_stats_accepts_generator_and_default_ridge():
     rng = np.random.default_rng(8)
     gen = (op.synthesize(make_clean_compressible(16, 3, rng)) for _ in range(12))
     stats = estimate_clean_stats(gen, op, 3)
-    expected = 1e-6 * np.trace(stats.covariance) / 16
+    expected = 1e-6 * np.trace(_sample_cov(stats)) / 16
     assert abs(stats.ridge - expected) < 1e-18
     mahalanobis(np.zeros(16), stats)  # factorization succeeds
 
@@ -311,7 +361,8 @@ def test_a1_md_clause_requires_stats():
     v[0] = 9.0  # l2 norm above alpha, so only the MD clause could save it
     cfg = _cfg(m=100.0)
     assert _bit(A_COSAMP, v, cfg) == 0  # no distance, no clause
-    md = mahalanobis(v, _stats(np.zeros(16), 100.0 * np.eye(16)))
+    # equal residuals leave C = 0, so C + ridge I = 100 I
+    md = mahalanobis(v, _stats(np.zeros((2, 16)), 100.0))
     assert md == pytest.approx(0.9)
     assert _bit(A_COSAMP, v, cfg, md=md) == 1
     assert _bit(A_COSAMP, v, cfg, md=70.0) == 0  # not under theta
@@ -319,7 +370,7 @@ def test_a1_md_clause_requires_stats():
     # m = 1.8; smallness alone accepts it, whatever its (clean) distance
     w = np.zeros(16)
     w[0] = 2.0
-    md = mahalanobis(w, _stats(np.zeros(16), np.eye(16)))
+    md = mahalanobis(w, _stats(np.zeros((2, 16)), 1.0))
     assert md == 2.0 < 65.0
     assert _bit(A_COSAMP, w, _cfg(), md=md) == 1
     assert _bit(A_COSAMP, w, _cfg()) == 1
@@ -383,16 +434,17 @@ def test_clean_stats_round_trip(tmp_path):
     path = tmp_path / "stats_ch0.f64"
     save_clean_stats(stats, path)
     back = load_clean_stats(path)
-    assert np.array_equal(back.mean, stats.mean)
-    assert np.array_equal(back.covariance, stats.covariance)
-    assert back.ridge == stats.ridge and back.source_count == stats.source_count
+    assert back.residuals.tobytes() == stats.residuals.tobytes()
+    assert back.mean.tobytes() == stats.mean.tobytes()
+    assert back.ridge == stats.ridge and back.source_count == stats.source_count == 8
+    assert path.stat().st_size == 8 * 16 * 8
 
 
 def test_clean_stats_load_rejects_bad_size(tmp_path):
     path = tmp_path / "stats.f64"
     np.zeros(5).astype("<f8").tofile(path)
     (tmp_path / "stats.f64.json").write_text(
-        '{"n": 4, "ridge": 0.0, "source_count": 2}')
+        '{"n": 4, "rows": 2, "ridge": 1.0}')
     with pytest.raises(ValueError):
         load_clean_stats(path)
 

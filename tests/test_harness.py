@@ -179,7 +179,7 @@ def test_run_parallel_matches_serial(tmp_path, monkeypatch):
 
 def test_pool_workers_receive_the_parents_whitening(tmp_path, monkeypatch):
     # the clean statistics are factored once, in the parent, before the pool
-    # starts: a worker unpickles the parent's whitening bytes and factors
+    # starts: a worker unpickles the parent's factor bytes and factors
     # nothing itself, whatever BLAS thread count it runs under
     cfg = ExperimentConfig.from_dict(_raw(
         n=32, count=8, attacks=[{"family": "none"}, {"family": "l2", "eta": 3.0}],
@@ -195,9 +195,9 @@ def test_pool_workers_receive_the_parents_whitening(tmp_path, monkeypatch):
         and runs the worker in this process."""
 
         def __init__(self, max_workers, mp_context, initializer, initargs):
-            monkeypatch.setattr(np.linalg, "cholesky", refuse)
+            monkeypatch.setattr(np.linalg, "svd", refuse)
             initializer(*pickle.loads(pickle.dumps(initargs)))
-            seen.append(cad_defense.harness._POOL["stats"][0]._whitening)
+            seen.append(cad_defense.harness._POOL["stats"][0]._factor)
 
         def __enter__(self):
             return self
@@ -211,8 +211,9 @@ def test_pool_workers_receive_the_parents_whitening(tmp_path, monkeypatch):
     monkeypatch.setattr(cad_defense.harness, "_POOL", {})
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnedPool)
     cmd_run(cfg, tmp_path / "pool", workers=2)
-    [whitening] = seen
-    assert whitening is not None and whitening.tobytes() == parent.tobytes()
+    [factor] = seen
+    assert factor is not None
+    assert [a.tobytes() for a in factor] == [a.tobytes() for a in parent]
 
 
 def test_run_json_format(tmp_path):
@@ -326,6 +327,18 @@ def test_config_requires_core_fields():
         ExperimentConfig.from_dict(_raw(attacks=[{"eta": 0.3}]))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_raw(count=0))
+    # parsing builds no operator, so the bound is checked without allocating
+    assert ExperimentConfig.from_dict(_raw(n=16384)).n == 16384
+    for raw in (_raw(n=16385), _raw(bench={"n": [64, 16385]})):
+        with pytest.raises(ConfigError, match="exceeds the largest supported n=16384"):
+            ExperimentConfig.from_dict(raw)
+    for key, value, noun in (("clean", "sparse", "an object"), ("cad", [6], "an object"),
+                             ("stats", 8, "an object"), ("bench", [64], "an object"),
+                             ("attacks", {"family": "none"}, "an array")):
+        with pytest.raises(ConfigError, match=f"^{key}=.* must be {noun}$"):
+            ExperimentConfig.from_dict(_raw(**{key: value}))
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        ExperimentConfig.from_dict([_raw()])
 
 
 def test_config_from_json_paths(tmp_path):

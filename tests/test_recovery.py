@@ -1,14 +1,16 @@
 """Recovery-action tests: CoSaMP convergence, the two l1 solvers against
 independent oracles, constraint radii, and the bound report.
 
-The SOCP oracle needs cvxpy and skips only its own tests without it; both
-l1 solvers also carry a duality certificate that needs none, and the
-buffered subsampled solver, which stops on that certificate's gap, is
-checked bit for bit against a plain allocating copy of its over-relaxed
-loop; the same copy with relaxation 1 is the plain Douglas-Rachford loop
-whose iteration count the relaxation must beat.  CoSaMP's Gram solve on
-row subsets is checked against lstsq's residual, and each of its fallbacks
-to lstsq is pinned by a deterministic case.
+The l1 oracle is cvxpy's interior-point SOCP where cvxpy imports, and
+otherwise a narrow interval from scipy's SLSQP on the dual and on the
+primal, which shares no code with the solvers.  Both l1 solvers also carry
+a duality certificate, and the buffered subsampled solver, which stops on
+that certificate's gap, is checked bit for bit against a plain allocating
+copy of its over-relaxed loop; the same copy with relaxation 1 is the
+plain Douglas-Rachford loop whose iteration count the relaxation must
+beat.  CoSaMP's Gram solve on row subsets is checked against lstsq's
+residual, and each of its fallbacks to lstsq is pinned by a deterministic
+case.
 """
 
 import dataclasses
@@ -16,6 +18,7 @@ import dataclasses
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,13 +31,73 @@ from cad_defense.recovery import (_GAP_CHECK_PERIOD, _RELAXATION, CosampState,
                                   L1Result, _least_squares)
 
 
-def _socp_oracle(A, y, radius):
-    """Independent constrained-l1 solve via an interior-point SOCP."""
-    cp = pytest.importorskip("cvxpy")
+def _l1_optimum(A, y, radius, tol):
+    """An interval holding min ||z||_1 s.t. ||A z - y||_2 <= radius: the
+    interior-point SOCP value where cvxpy imports, else scipy's primal-dual
+    bounds (A with orthonormal rows), checked to be at most tol / 100 wide."""
+    try:
+        import cvxpy as cp
+    except ImportError:
+        lower, upper = _l1_bounds(A, y, radius)
+        assert -1e-12 <= upper - lower <= tol / 100
+        return lower, upper
     z = cp.Variable(A.shape[1])
     prob = cp.Problem(cp.Minimize(cp.norm1(z)), [cp.norm2(A @ z - y) <= radius])
     prob.solve(solver=cp.CLARABEL)
-    return np.asarray(z.value), float(prob.value)
+    return float(prob.value), float(prob.value)
+
+
+def _l1_bounds(A, y, radius):
+    """Lower and upper bounds on min ||z||_1 s.t. ||A z - y||_2 <= radius
+    for A with orthonormal rows, from SLSQP on the dual and on the primal.
+
+    Any u with ||A^T u||_inf <= 1 gives ||z||_1 >= <A^T u, z> >= <u, y> -
+    radius ||u||_2 on the feasible set (weak duality), so the dual iterate,
+    scaled to exact feasibility, bounds the optimum from below.  Feasible
+    points bound it from above: the split primal iterate (z = p - q with
+    p, q >= 0), and the sign-fixed solve on the support the dual iterate
+    names, each pulled onto the ball along A^T (exact since A A^T = I).
+    """
+    n = A.shape[1]
+    norm = np.linalg.norm
+    at = A.T
+    both = np.vstack([-at, at])  # 1 + both @ u >= 0 is ||A^T u||_inf <= 1
+    dual = scipy.optimize.minimize(
+        lambda u: radius * norm(u) - u @ y, y / max(np.abs(at @ y).max(), 1e-300),
+        jac=lambda u: radius * u / max(norm(u), 1e-300) - y, method="SLSQP",
+        constraints=[{"type": "ineq", "fun": lambda u: 1.0 + both @ u,
+                      "jac": lambda u: both}],
+        options={"ftol": 1e-15, "maxiter": 1000})
+    u = dual.x / max(1.0, np.abs(at @ dual.x).max())
+    lower = max(0.0, float(u @ y - radius * norm(u)))
+
+    split = np.hstack([A, -A])
+    start = at @ y
+    primal = scipy.optimize.minimize(
+        np.sum, np.concatenate([np.maximum(start, 0), np.maximum(-start, 0)]),
+        jac=lambda w: np.ones(2 * n), method="SLSQP", bounds=[(0.0, None)] * (2 * n),
+        constraints=[{"type": "ineq",
+                      "fun": lambda w: radius ** 2 - norm(split @ w - y) ** 2,
+                      "jac": lambda w: -2.0 * split.T @ (split @ w - y)}],
+        options={"ftol": 1e-15, "maxiter": 1000})
+    # on the support B where |A^T u| = 1, with the signs of A^T u, the
+    # minimum of sign^T z s.t. ||B z - y|| <= radius is z = B^+ y - t d for
+    # d = (B^T B)^+ sign, where t spends what the radius leaves
+    guided = np.zeros(n)
+    support = np.abs(at @ u) >= 1.0 - 1e-6
+    if support.any():
+        b = A[:, support]
+        fit = np.linalg.lstsq(b, y, rcond=None)[0]
+        d = np.linalg.lstsq(b.T @ b, np.sign(at @ u)[support], rcond=None)[0]
+        left = max(radius ** 2 - norm(b @ fit - y) ** 2, 0.0)
+        guided[support] = fit - np.sqrt(left) / max(norm(b @ d), 1e-300) * d
+    upper = np.inf
+    for z in (primal.x[:n] - primal.x[n:], guided):
+        e = A @ z - y
+        if norm(e) > radius:
+            z = z - at @ e * (1.0 - radius / norm(e))
+        upper = min(upper, float(np.abs(z).sum()))
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +403,8 @@ def test_l1_orthonormal_matches_socp_oracle():
         y = op.synthesize(c)
         radius = float(rng.uniform(0.05, 1.2) * np.linalg.norm(c))
         ours = l1_min_orthonormal(L1Problem(observed=y, op=op, radius=radius))
-        _, obj = _socp_oracle(op.matrix, y, radius)
-        assert abs(np.abs(ours).sum() - obj) <= 1e-6
+        lower, upper = _l1_optimum(op.matrix, y, radius, 1e-6)
+        assert lower - 1e-6 <= np.abs(ours).sum() <= upper + 1e-6
         assert np.linalg.norm(ours - c) <= radius + 1e-9
 
 
@@ -447,8 +510,8 @@ def test_l1_orthonormal_tie_corner_case():
     c = np.array([2.0, -2.0, 2.0, 0.0])
     y = op.synthesize(c)
     ours = l1_min_orthonormal(L1Problem(observed=y, op=op, radius=1.5))
-    _, obj = _socp_oracle(op.matrix, y, 1.5)
-    assert abs(np.abs(ours).sum() - obj) <= 1e-6
+    lower, upper = _l1_optimum(op.matrix, y, 1.5, 1e-6)
+    assert lower - 1e-6 <= np.abs(ours).sum() <= upper + 1e-6
 
 
 def test_l1_orthonormal_rejects_subsampled():
@@ -545,8 +608,8 @@ def test_l1_general_matches_socp_on_subsampled():
         res = l1_min_general(L1Problem(observed=y, op=sub, radius=0.3,
                                        max_iters=20000))
         assert res.converged and res.feasibility_gap <= 1e-6
-        _, obj = _socp_oracle(sub.matrix, y, 0.3)
-        assert abs(np.abs(res.coeffs).sum() - obj) <= 1e-4
+        lower, upper = _l1_optimum(sub.matrix, y, 0.3, 1e-4)
+        assert lower - 1e-4 <= np.abs(res.coeffs).sum() <= upper + 1e-4
 
 
 def test_l1_general_flags_non_convergence():
