@@ -76,20 +76,33 @@ class ActionDistribution:
         return float(self.probs.max())
 
 
+def _mix(scores, gamma: float, sigma: float) -> list[float]:
+    """The mixed softmax as floats.  sigma * score stays in numpy, so that
+    its overflow warns rather than passing silently, and the sum runs left
+    to right, as numpy sums four entries: the bits are numpy's."""
+    scaled = np.multiply(sigma, scores)
+    w = np.exp(scaled - scaled.max()).tolist()
+    total = ((w[0] + w[1]) + w[2]) + w[3]
+    return [(1.0 - gamma) * (x / total) + gamma / N_ACTIONS for x in w]
+
+
+def _draw(probs, u: float) -> int:
+    """The first action whose cumulative probability exceeds u, else the last."""
+    cum, action = 0.0, 0
+    for p in probs[:N_ACTIONS - 1]:
+        cum += p
+        action += cum <= u
+    return action
+
+
 def probabilities(state: BanditState) -> ActionDistribution:
     """Mixed softmax of Eq-style scores; max-subtraction keeps exp finite."""
-    scaled = state.sigma * state.scores
-    w = np.exp(scaled - scaled.max())
-    soft = w / w.sum()
-    probs = (1.0 - state.gamma) * soft + state.gamma / N_ACTIONS
-    return ActionDistribution(probs=probs)
+    return ActionDistribution(np.array(_mix(state.scores, state.gamma, state.sigma)))
 
 
 def sample_action(dist: ActionDistribution, rng: np.random.Generator) -> int:
     """Draw an action index; deterministic under a fixed generator state."""
-    u = rng.random()
-    cum = np.cumsum(dist.probs)
-    return int(min(np.searchsorted(cum, u, side="right"), N_ACTIONS - 1))
+    return _draw(dist.probs.tolist(), rng.random())
 
 
 def penalty_clamped(p_chosen: float) -> bool:

@@ -42,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import (BanditState, penalty_clamped, probabilities, reward,
-                     sample_action, update)
+from .bandit import _draw, _mix, penalty_clamped, reward
 from .feedback import (CleanStats, FeedbackConfig, feedback_bit, mahalanobis,
                        residual, should_stop, thresholded_count)
 from .recovery import (A_COSAMP, N_ACTIONS, L1Problem, action_radius,
@@ -313,37 +312,37 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     # stable, so that it is the order top_k takes on c
     order = np.argsort(-np.abs(c), kind="stable") if c is not None else None
     finals = _RunMemo()
-    state = BanditState.fresh(cfg.gamma, cfg.sigma, cfg.lam)
+    scores = [0.0] * N_ACTIONS
     times = [0] * N_ACTIONS
     n0, inc = _INNER_SCHEDULE
     trace = []
     stop_reason = None
     t = 0
     for t in range(1, fb.t_max + 1):
-        dist = probabilities(state)
-        a = sample_action(dist, rng)
+        probs = _mix(scores, cfg.gamma, cfg.sigma)
+        a = _draw(probs, rng.random())
         times[a] += 1
         budget = n0 + inc * (times[a] - 1)
         finals.solved = None
         estimate, md, f, v_l2, v_linf, v_count = run_action(
             a, y, op, cfg, stats, c, order, finals, budget, estimate)
         solved = finals.solved
-        p = float(dist.probs[a])
+        p = probs[a]
         r = reward(a, a, f, p, cfg.lam)
-        state = update(state, a, r)
+        scores[a] += r
         trace.append(CadIterationRecord(
-            t=t, action=a, probs=tuple(dist.probs), inner_iters=budget,
+            t=t, action=a, probs=tuple(probs), inner_iters=budget,
             solver_iters=None if solved is None else solved.iterations,
             certified=None if solved is None else solved.converged,
-            feedback=f, reward=r, scores=tuple(state.scores),
+            feedback=f, reward=r, scores=tuple(scores),
             residual_l2=v_l2, residual_linf=v_linf, residual_count=v_count,
             md=md, penalty_clamped=bool(f == 0 and penalty_clamped(p)),
         ))
-        stop_reason = should_stop(dist.max_prob, v_l2, fb)
+        stop_reason = should_stop(max(probs), v_l2, fb)
         if stop_reason is not None:
             break
-    best = int(np.argmax(state.scores))  # ties resolve to the lowest index
-    fallback = bool(state.scores.max() <= 0.0)
+    best = scores.index(max(scores))  # ties resolve to the lowest index
+    fallback = max(scores) <= 0.0
     chosen = A_COSAMP if fallback else best
     if chosen in finals:
         answer = finals[chosen][0]
@@ -353,7 +352,7 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     return CadOutcome(
         final_method=best, fallback=fallback, estimate=answer, trace=trace,
         stopped_at=t, stop_reason=stop_reason or "t_max",
-        final_scores=tuple(state.scores),
+        final_scores=tuple(scores),
     )
 
 

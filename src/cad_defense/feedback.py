@@ -218,11 +218,13 @@ def save_clean_stats(stats: CleanStats, path) -> None:
 
 
 def load_clean_stats(path) -> CleanStats:
-    """Statistics written by save_clean_stats; ValueError when the file does
-    not hold rows x n float64 values or CleanStats rejects them."""
+    """Statistics written by save_clean_stats; ValueError when the sidecar's
+    rows or n is no integer, the file does not hold rows x n float64 values,
+    or CleanStats rejects them (a ridge that is no number among them)."""
     meta = json.loads(Path(str(path) + ".json").read_text())
-    n, rows = int(meta["n"]), int(meta["rows"])
+    n, rows = meta["n"], meta["rows"]
     buf = np.fromfile(path, dtype="<f8")
-    if buf.size != rows * n:
-        raise ValueError(f"{path}: expected {rows} x {n} float64 values, got {buf.size}")
-    return CleanStats(buf.reshape(rows, n), float(meta["ridge"]))
+    if not (_is_number(n, int) and _is_number(rows, int) and buf.size == rows * n):
+        raise ValueError(f"{path}: expected integer rows x n = {rows!r} x {n!r} "
+                         f"float64 values, got {buf.size}")
+    return CleanStats(buf.reshape(rows, n), meta["ridge"])

@@ -81,6 +81,12 @@ class ExperimentConfig:
             kind, noun = (list, "an array") if key == "attacks" else (dict, "an object")
             if d.get(key) is not None and not isinstance(d[key], kind):
                 raise ConfigError(f"{key}={d[key]!r} must be {noun}")
+        entries = [(f"attacks[{i}]", a) for i, a in enumerate(d.get("attacks") or [])]
+        if "feedback" in (d.get("cad") or {}):
+            entries.append(("cad.feedback", d["cad"]["feedback"]))
+        for name, value in entries:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name}={value!r} must be an object")
         try:
             n = d["n"]
             channels = d.get("channels", 1)

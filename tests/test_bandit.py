@@ -1,5 +1,6 @@
 """Bandit-layer tests: mixed-softmax probabilities against an
-arbitrary-precision oracle, sampling, rewards, and score updates."""
+arbitrary-precision oracle, the float kernels against the numpy bodies
+they replaced, sampling, rewards, and score updates."""
 
 import math
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from cad_defense import (CLAMP_EPS, ActionDistribution, BanditState,
                          penalty_clamped, probabilities, reward,
                          sample_action, update)
+from cad_defense.bandit import _draw, _mix
 
 
 def oracle_probs(scores, gamma, sigma, dps=50):
@@ -121,6 +123,76 @@ def test_state_validation():
         ActionDistribution(probs=np.array([0.5, 0.5, 0.5, -0.5]))
     with pytest.raises(ValueError):
         ActionDistribution(probs=np.array([np.nan, 0.5, 0.5, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# the float kernels keep the bits of the numpy bodies they replaced
+#
+# The loop and the reference loop in test_cad.py both run on _mix and
+# _draw, so the loop's bit-for-bit oracle cannot see a bit they move; these
+# numpy bodies, probabilities' and sample_action's before the kernels, can.
+
+
+def _numpy_probabilities(scores, gamma, sigma):
+    scaled = sigma * np.asarray(scores, dtype=np.float64)
+    w = np.exp(scaled - scaled.max())
+    soft = w / w.sum()
+    return (1.0 - gamma) * soft + gamma / 4
+
+
+def _numpy_draw(probs, u):
+    cum = np.cumsum(probs)
+    return int(min(np.searchsorted(cum, u, side="right"), 3))
+
+
+def _kernel_cases(count=25_000):
+    """(scores, gamma, sigma): spread and clustered scores, score sums the
+    loop's rewards make, ties, and gamma 0, where probabilities underflow to 0."""
+    rng = np.random.default_rng(12)
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            scores = rng.uniform(-50.0, 50.0, size=4)
+        elif kind == 1:
+            scores = rng.normal(0.0, 1.0, size=4) * 10.0 ** rng.integers(-6, 4)
+        elif kind == 2:
+            p = rng.uniform(0.0175, 0.9, size=(4, 8))
+            scores = np.where(rng.random((4, 8)) < 0.5, 1.25 / p, -1.0 / (1.0 - p)).sum(1)
+        else:
+            scores = rng.choice([0.0, 1.25, -2.5, 40.0], size=4)
+        gamma = 0.0 if i % 5 == 0 else float(rng.uniform(0.0, 0.99))
+        yield scores, gamma, float(rng.uniform(0.05, 20.0))
+
+
+def test_mix_has_the_numpy_bits():
+    for scores, gamma, sigma in _kernel_cases():
+        ours = np.array(_mix(scores.tolist(), gamma, sigma))
+        assert ours.tobytes() == _numpy_probabilities(scores, gamma, sigma).tobytes()
+
+
+def test_draw_has_the_numpy_bits():
+    rng = np.random.default_rng(13)
+    below_one = np.nextafter(1.0, 0.0)
+    for i, (scores, gamma, sigma) in enumerate(_kernel_cases(5_000)):
+        probs = _numpy_probabilities(scores, gamma, sigma)
+        cum = np.cumsum(probs)
+        # u on every cumulative sum and a step either side, where <= decides
+        us = [0.0, below_one, float(rng.random()),
+              *cum.tolist(), *np.nextafter(cum, 0.0).tolist(),
+              *np.nextafter(cum, 2.0).tolist()]
+        for u in us:
+            if u < 1.0:
+                assert _draw(probs.tolist(), u) == _numpy_draw(probs, u), (probs, u)
+    for probs in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.5, 0.5, 0.0, 0.0],
+                  [0.25, 0.0, 0.0, 0.75]):
+        for u in (0.0, 0.25, 0.5, 0.75, below_one):
+            assert _draw(probs, u) == _numpy_draw(np.array(probs), u)
+
+
+def test_mix_keeps_the_scaling_overflow_in_numpy():
+    # a float product would overflow to inf without a word
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        _mix([2.5, 0.0, 0.0, 0.0], 0.07, 1e308)
 
 
 # ---------------------------------------------------------------------------

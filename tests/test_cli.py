@@ -128,6 +128,12 @@ def _set_key(key, value):
     return damage
 
 
+def _named(message, overrides):
+    """overrides whose config error line must contain message."""
+    overrides.message = message
+    return overrides
+
+
 def _cad(**entries):
     """The cad section of the default config, with entries set."""
     return lambda _: {"cad": {"k": 4, "feedback": dict(FB), **entries}}
@@ -163,6 +169,12 @@ BAD_FEEDBACK_VALUES = [
     _corrupt_stats(_drop_key("rows")),
     _corrupt_stats(_set_key("ridge", -1.0)),
     _corrupt_stats(_set_key("rows", 4)),
+    _corrupt_stats(_set_key("rows", 5.0)),
+    _corrupt_stats(_set_key("rows", 5.7)),
+    _corrupt_stats(_set_key("n", "32")),
+    _corrupt_stats(_set_key("n", 32.0)),
+    _corrupt_stats(_set_key("ridge", "0.0001")),
+    _corrupt_stats(_set_key("ridge", True)),
     lambda _: {"stats": {"count": 8, "ridge": -1}},
     lambda _: {"stats": {"count": 1}},
     lambda _: {"stats": {"count": 8, "n_cosamp": -1}},
@@ -204,18 +216,23 @@ BAD_FEEDBACK_VALUES = [
     lambda _: {"n": 16385},
     lambda _: {"n": 1000000000000},
     lambda _: {"bench": {"n": [32, 1000000000000]}},
-    lambda _: {"clean": "sparse"},
-    lambda _: {"cad": [4]},
-    lambda _: {"cad": {"k": 4, "feedback": "paper"}},
-    lambda _: {"stats": 8},
-    lambda _: {"bench": [32]},
-    lambda _: {"attacks": {"family": "none"}},
-    lambda _: {"attacks": ["none"]},
+    _named("clean='sparse' must be an object", lambda _: {"clean": "sparse"}),
+    _named("cad=[4] must be an object", lambda _: {"cad": [4]}),
+    _named("cad.feedback='paper' must be an object",
+           lambda _: {"cad": {"k": 4, "feedback": "paper"}}),
+    _named("stats=8 must be an object", lambda _: {"stats": 8}),
+    _named("bench=[32] must be an object", lambda _: {"bench": [32]}),
+    _named("attacks={'family': 'none'} must be an array",
+           lambda _: {"attacks": {"family": "none"}}),
+    _named("attacks[0]='none' must be an object", lambda _: {"attacks": ["none"]}),
 ], ids=["unknown_family", "nan_budget", "k_above_n", "stats_of_other_n",
         "l0_tau_above_n", "stats_short_f64", "stats_sidecar_not_json",
         "stats_sidecar_without_n", "stats_sidecar_without_ridge",
         "stats_sidecar_without_rows", "stats_sidecar_negative_ridge",
-        "stats_sidecar_other_rows", "stats_negative_ridge",
+        "stats_sidecar_other_rows", "stats_sidecar_rows_float",
+        "stats_sidecar_rows_fraction", "stats_sidecar_n_string",
+        "stats_sidecar_n_float", "stats_sidecar_ridge_string",
+        "stats_sidecar_ridge_bool", "stats_negative_ridge",
         "stats_count_below_two", "stats_negative_n_cosamp",
         "stats_unknown_key", "removed_a1_precedence", "removed_x0_mode",
         "removed_final_iters", "removed_inner_schedule", "clean_unknown_key",
@@ -239,6 +256,7 @@ def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, overrides):
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_CONFIG
     assert len(err) == 1 and err[0].startswith("config error:")
+    assert getattr(overrides, "message", "") in err[0]
     assert not (tmp_path / "o" / "report.csv").exists()
 
 
@@ -400,6 +418,10 @@ OVERFLOWING = {
     "clean_amplitude_1e305": ("run", {"clean": {"kind": "sparse",
                                                 "amplitude": [1e300, 1e305]}}),
     "linf_gen": ("gen", {"attacks": [{"family": "linf", "eta_dprime": 1e308}]}),
+    # sigma * score overflows in the bandit's mix
+    "bandit_sigma_1e308": ("run", {"attacks": [{"family": "l2", "eta": 6.0}],
+                                   "cad": {"k": 4, "feedback": dict(FB),
+                                           "bandit_params": [0.07, 1e308, 1.25]}}),
 }
 
 

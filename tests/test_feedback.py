@@ -3,6 +3,7 @@ and triangular-solve oracles built from numpy's sample covariance and a
 50-digit reference, clean statistics, per-action predicates, stopping."""
 
 import dataclasses
+import json
 
 import mpmath as mp
 import numpy as np
@@ -445,6 +446,21 @@ def test_clean_stats_load_rejects_bad_size(tmp_path):
     np.zeros(5).astype("<f8").tofile(path)
     (tmp_path / "stats.f64.json").write_text(
         '{"n": 4, "rows": 2, "ridge": 1.0}')
+    with pytest.raises(ValueError):
+        load_clean_stats(path)
+
+
+@pytest.mark.parametrize("width, key, value", [
+    (3, "n", "3"), (3, "n", 3.0), (3, "rows", 5.0), (3, "rows", 5.7), (1, "n", True),
+    (3, "ridge", "0.0001"), (3, "ridge", True), (3, "ridge", None)])
+def test_clean_stats_load_rejects_sidecar_types(tmp_path, width, key, value):
+    # each of these would load as 5 x width residuals if cast, rows 5.7 by truncation
+    path = tmp_path / "stats.f64"
+    save_clean_stats(CleanStats(np.random.default_rng(0).standard_normal((5, width)),
+                                1e-4), path)
+    load_clean_stats(path)
+    sidecar = tmp_path / "stats.f64.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
     with pytest.raises(ValueError):
         load_clean_stats(path)
 

@@ -3,6 +3,7 @@ benchmarks, and report determinism."""
 
 import concurrent.futures
 import csv
+import hashlib
 import json
 import os
 import pickle
@@ -214,6 +215,36 @@ def test_pool_workers_receive_the_parents_whitening(tmp_path, monkeypatch):
     [factor] = seen
     assert factor is not None
     assert [a.tobytes() for a in factor] == [a.tobytes() for a in parent]
+
+
+# SHA-256 of the reports of a small full-operator run with clean stats,
+# recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64 (another BLAS may
+# round the products differently).  A refactor that moves a bit of any
+# report fails here; a change that moves bits on purpose records them
+# again and names the fields that moved.
+GOLDEN_REPORTS = {
+    "report.csv": "fd824a862b65726c5c90ecde82d8b2a801a506ee27945078954f221a6a317811",
+    "instances.csv": "f83af2e2a2267576f53079c251762d3453bc72052290ee4107bef9e8b9e3aae8",
+    "aggregate.csv": "927716012965d7a6a6e651ae99438e294f25d9cdae23789f8086d28d6516677b",
+}
+
+
+def test_run_reports_match_their_golden_digests(tmp_path):
+    # the calls span the clean check, the fallback and two attack labels,
+    # runs stop on probability and on the residual, and CoSaMP's bit reads
+    # the distance
+    raw = _raw(n=64, seed=3, count=6,
+               clean={"kind": "compressible", "amplitude": [4.5, 7.0], "tail_norm": 0.5},
+               attacks=[{"family": "l0", "tau": 4, "eta_prime": 4.0},
+                        {"family": "l2", "eta": 20.0},
+                        {"family": "linf", "eta_dprime": 4.0}, {"family": "none"}],
+               cad={"k": 8, "feedback": dict(FB)},
+               stats={"count": 16, "n_cosamp": 5, "ridge": 1e-4})
+    cmd_run(ExperimentConfig.from_dict(raw), tmp_path)
+    labels = {r["method_label"] for r in _csv_rows(tmp_path / "report.csv")}
+    assert labels == {"a1", "a3", "a4", "cosamp_fallback"}
+    for name, digest in GOLDEN_REPORTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_run_json_format(tmp_path):
