@@ -17,9 +17,8 @@ from .recovery import (A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS, BoundReport,
                        CosampState, L1Problem, L1Result, action_radius,
                        check_bound, cosamp_run, cosamp_step, l1_min_general,
                        l1_min_orthonormal)
-from .bandit import (CLAMP_EPS, ActionDistribution, BanditState,
-                     penalty_clamped, probabilities, reward, sample_action,
-                     update)
+from .bandit import (CLAMP_EPS, penalty_clamped, probabilities, reward,
+                     sample_action, update)
 from .feedback import (CleanStats, FeedbackConfig, estimate_clean_stats,
                        feedback_bit, load_clean_stats, mahalanobis, residual,
                        save_clean_stats, should_stop, thresholded_count)

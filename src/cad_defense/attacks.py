@@ -244,29 +244,28 @@ def _infer_format(path: Path) -> str:
     return table[suffix]
 
 
-def load_signal_channels(path, fmt: str | None = None) -> tuple[np.ndarray, int]:
-    """Load a signal and its channel count; values are scaled to [0, 1]."""
+def load_signal_channels(path) -> tuple[np.ndarray, int]:
+    """Load a signal and its channel count; values are scaled to [0, 1].
+    The file suffix decides the format."""
     path = Path(path)
-    fmt = fmt or _infer_format(path)
+    fmt = _infer_format(path)
     if fmt == "pgm":
         return _read_pnm(path, 1), 1
     if fmt == "ppm":
         return _read_pnm(path, 3), 3
-    if fmt == "raw":
-        sidecar = Path(str(path) + ".json")
-        try:
-            meta = json.loads(sidecar.read_text())
-        except FileNotFoundError:
-            raise ValueError(f"{path}: missing sidecar {sidecar}") from None
-        n, channels = int(meta["n"]), int(meta["channels"])
-        vals = np.fromfile(path, dtype="<f8")
-        if vals.size != n * channels:
-            raise ValueError(f"{path}: expected {n * channels} float64 values, got {vals.size}")
-        # stated as what must hold, so that a NaN fails it
-        if not ((vals >= -1e-9) & (vals <= 1.0 + 1e-9)).all():
-            raise ValueError(f"{path}: values outside [0, 1]")
-        return vals, channels
-    raise ValueError(f"unknown signal format {fmt!r}")
+    sidecar = Path(str(path) + ".json")
+    try:
+        meta = json.loads(sidecar.read_text())
+    except FileNotFoundError:
+        raise ValueError(f"{path}: missing sidecar {sidecar}") from None
+    n, channels = int(meta["n"]), int(meta["channels"])
+    vals = np.fromfile(path, dtype="<f8")
+    if vals.size != n * channels:
+        raise ValueError(f"{path}: expected {n * channels} float64 values, got {vals.size}")
+    # stated as what must hold, so that a NaN fails it
+    if not ((vals >= -1e-9) & (vals <= 1.0 + 1e-9)).all():
+        raise ValueError(f"{path}: values outside [0, 1]")
+    return vals, channels
 
 
 def save_raw(path, values: np.ndarray, n: int, channels: int) -> None:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import _draw, _mix, penalty_clamped, reward
+from .bandit import penalty_clamped, probabilities, reward, sample_action, update
 from .feedback import (CleanStats, FeedbackConfig, feedback_bit, mahalanobis,
                        residual, should_stop, thresholded_count)
 from .recovery import (A_COSAMP, N_ACTIONS, L1Problem, action_radius,
@@ -319,8 +319,8 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     stop_reason = None
     t = 0
     for t in range(1, fb.t_max + 1):
-        probs = _mix(scores, cfg.gamma, cfg.sigma)
-        a = _draw(probs, rng.random())
+        probs = probabilities(scores, cfg.gamma, cfg.sigma)
+        a = sample_action(probs, rng)
         times[a] += 1
         budget = n0 + inc * (times[a] - 1)
         finals.solved = None
@@ -329,7 +329,7 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         solved = finals.solved
         p = probs[a]
         r = reward(a, a, f, p, cfg.lam)
-        scores[a] += r
+        update(scores, a, r)
         trace.append(CadIterationRecord(
             t=t, action=a, probs=tuple(probs), inner_iters=budget,
             solver_iters=None if solved is None else solved.iterations,

@@ -13,8 +13,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cad_defense import (A_L0, A_L2, A_LINF, AttackSpec, BanditState,
-                         CadConfig, FeedbackConfig, L1Problem, SensingOperator,
+from cad_defense import (A_L0, A_L2, A_LINF, AttackSpec, CadConfig,
+                         FeedbackConfig, L1Problem, SensingOperator,
                          action_radius, cad_run, cosamp_run, l1_min_general,
                          l1_min_orthonormal, make_clean_sparse, perturb,
                          probabilities, reward, sample_action)
@@ -160,8 +160,7 @@ def test_criterion_4_probability_and_reward_conformance():
         scores = rng.uniform(-40.0, 40.0, size=4)
         gamma = float(rng.uniform(0.0, 0.99))
         sigma = float(rng.uniform(0.1, 3.0))
-        state = BanditState(scores=scores, gamma=gamma, sigma=sigma, lam=1.25)
-        probs = probabilities(state).probs
+        probs = np.array(probabilities(scores, gamma, sigma))
         worst = max(worst, float(np.abs(probs - _oracle_probs(scores, gamma, sigma)).max()))
         simplex_ok &= abs(float(probs.sum()) - 1.0) <= 1e-12
         floor_ok &= bool(probs.min() >= gamma / 4 - 1e-15)
@@ -179,16 +178,14 @@ def test_criterion_4_probability_and_reward_conformance():
                 else:
                     reward_ok &= abs(r + 1.0 / (1.0 - p)) <= 1e-15
 
-    state = BanditState(scores=np.array([0.3, -0.7, 1.1, 0.2]),
-                        gamma=0.07, sigma=1.01, lam=1.25)
-    dist = probabilities(state)
-    target = int(np.argmin(dist.probs))
-    p = float(dist.probs[target])
+    probs = probabilities(np.array([0.3, -0.7, 1.1, 0.2]), 0.07, 1.01)
+    target = int(np.argmin(probs))
+    p = float(probs[target])
     lam, rounds = 1.25, 100_000
     rng = np.random.default_rng(104)
     total = 0.0
     for _ in range(rounds):
-        if sample_action(dist, rng) == target:
+        if sample_action(probs, rng) == target:
             total += lam / p
     mean = total / rounds
     se = math.sqrt((lam / p) ** 2 * p * (1.0 - p) / rounds)

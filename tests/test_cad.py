@@ -2,11 +2,12 @@
 schedules, and family identification on a calibrated ensemble.
 
 The loop is also checked bit for bit against a plain copy of the loop that
-recomputes every action's evidence on every iteration and scores the
-residual vectors with copies of the vector-based feedback predicate and
-stop rule, except that on a row subset an l1 action whose solve converged
-reuses that solve on its repeats and as the final answer, and every l1
-solve there continues from the latest splitting state of the run.
+recomputes every action's evidence on every iteration, scores the residual
+vectors with copies of the vector-based feedback predicate and stop rule,
+and selects actions with its own numpy bandit, except that on a row subset
+an l1 action whose solve converged reuses that solve on its repeats and as
+the final answer, and every l1 solve there continues from the latest
+splitting state of the run.
 """
 
 import dataclasses
@@ -23,12 +24,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cad_defense import (ACTION_LABELS, FALLBACK_LABEL, AttackSpec,
-                         BanditState, CadConfig, CleanStats, FeedbackConfig, L1Problem,
+                         CadConfig, CleanStats, FeedbackConfig, L1Problem,
                          SensingOperator, action_radius, cad_run, cosamp_run,
                          estimate_clean_stats, l1_min_general, l1_min_orthonormal,
                          make_clean_compressible, make_clean_sparse, perturb,
-                         probabilities, reward, top_k, update)
-from cad_defense.bandit import penalty_clamped, sample_action
+                         top_k)
 from cad_defense.cad import (_INNER_SCHEDULE, CadIterationRecord, CadOutcome,
                              _run_single, _RunMemo, _solve, run_action)
 from cad_defense.feedback import (feedback_bit, mahalanobis, residual,
@@ -514,10 +514,32 @@ def _reference_feedback_bit(action, v, cfg, v_spec, md=None):
     raise ValueError(f"unknown action {action}")
 
 
-def _reference_should_stop(dist, v, cfg):
+def _reference_should_stop(probs, v, cfg):
     """The vector-based stop rule as it was before it read features."""
-    return int(dist.max_prob > cfg.delta_prob
+    return int(probs.max() > cfg.delta_prob
                or float(np.linalg.norm(v)) < cfg.delta_res)
+
+
+# The reference bandit: the numpy mixed softmax and inverse-CDF draw, on a
+# numpy score vector, with lambda / p in plain floats.  It shares no code
+# with cad_defense.bandit, so the bit-for-bit oracle sees a bit that moves.
+_REFERENCE_CLAMP = 1e-6
+
+
+def _reference_probabilities(scores, gamma, sigma):
+    scaled = sigma * np.asarray(scores, dtype=np.float64)
+    w = np.exp(scaled - scaled.max())
+    soft = w / w.sum()
+    return (1.0 - gamma) * soft + gamma / 4
+
+
+def _reference_draw(probs, rng):
+    cum = np.cumsum(probs)
+    return int(min(np.searchsorted(cum, rng.random(), side="right"), 3))
+
+
+def _reference_reward(feedback, p, lam):
+    return lam / p if feedback else -1.0 / max(1.0 - p, _REFERENCE_CLAMP)
 
 
 def _reference_run_single(y, cfg, stats, op, seed):
@@ -531,7 +553,7 @@ def _reference_run_single(y, cfg, stats, op, seed):
     rng = np.random.default_rng(seed)
     estimate = np.zeros(op.n)
     coeffs = op.analyze(y) if op.is_full else None
-    state = BanditState.fresh(cfg.gamma, cfg.sigma, cfg.lam)
+    scores = np.zeros(N_ACTIONS)
     times = [0] * N_ACTIONS
     trace = []
     converged = {}
@@ -539,8 +561,8 @@ def _reference_run_single(y, cfg, stats, op, seed):
     stop_reason = "t_max"
     t = 0
     for t in range(1, fb.t_max + 1):
-        dist = probabilities(state)
-        a = sample_action(dist, rng)
+        probs = _reference_probabilities(scores, cfg.gamma, cfg.sigma)
+        a = _reference_draw(probs, rng)
         times[a] += 1
         n0, inc = cad_defense.cad._INNER_SCHEDULE
         budget = n0 + inc * (times[a] - 1)
@@ -561,31 +583,31 @@ def _reference_run_single(y, cfg, stats, op, seed):
         if a == A_COSAMP and stats is not None:
             md = mahalanobis(v, stats)
         f = _reference_feedback_bit(a, v, fb, v_spec, md)
-        p = float(dist.probs[a])
-        r = reward(a, a, f, p, cfg.lam)
-        state = update(state, a, r)
+        p = float(probs[a])
+        r = _reference_reward(f, p, cfg.lam)
+        scores[a] += r
         trace.append(CadIterationRecord(
-            t=t, action=a, probs=tuple(dist.probs), inner_iters=budget,
+            t=t, action=a, probs=tuple(probs), inner_iters=budget,
             solver_iters=None if solver is None else solver.iterations,
             certified=None if solver is None else solver.converged,
-            feedback=f, reward=r, scores=tuple(state.scores),
+            feedback=f, reward=r, scores=tuple(scores),
             residual_l2=float(np.linalg.norm(v)),
             residual_linf=float(np.abs(v).max()),
             residual_count=thresholded_count(v_spec, fb.count_threshold),
-            md=md, penalty_clamped=bool(f == 0 and penalty_clamped(p)),
+            md=md, penalty_clamped=bool(f == 0 and 1.0 - p < _REFERENCE_CLAMP),
         ))
-        if _reference_should_stop(dist, v, fb):
-            stop_reason = "prob" if dist.max_prob > fb.delta_prob else "residual"
+        if _reference_should_stop(probs, v, fb):
+            stop_reason = "prob" if probs.max() > fb.delta_prob else "residual"
             break
-    best = int(np.argmax(state.scores))
-    fallback = bool(state.scores.max() <= 0.0)
+    best = int(np.argmax(scores))
+    fallback = bool(scores.max() <= 0.0)
     chosen = A_COSAMP if fallback else best
     final = (converged[chosen] if chosen in converged
              else top_k(_reference_solve(chosen, y, op, cfg, x_start=(
                  None if chosen == A_COSAMP else splitting))[0], cfg.k))
     return CadOutcome(
         final_method=best, fallback=fallback, estimate=final, trace=trace,
-        stopped_at=t, stop_reason=stop_reason, final_scores=tuple(state.scores),
+        stopped_at=t, stop_reason=stop_reason, final_scores=tuple(scores),
     )
 
 
@@ -805,16 +827,15 @@ def _attacked_run(seed=0, t_max=40):
 
 def test_trace_replays_through_bandit_update():
     out, cfg = _attacked_run()
-    state = BanditState.fresh(cfg.gamma, cfg.sigma, cfg.lam)
+    scores = np.zeros(N_ACTIONS)
     for rec in out.trace:
-        dist = probabilities(state)
-        assert np.abs(np.asarray(rec.probs) - dist.probs).max() < 1e-15
-        r = reward(rec.action, rec.action, rec.feedback,
-                   float(dist.probs[rec.action]), cfg.lam)
+        probs = _reference_probabilities(scores, cfg.gamma, cfg.sigma)
+        assert np.abs(np.asarray(rec.probs) - probs).max() < 1e-15
+        r = _reference_reward(rec.feedback, float(probs[rec.action]), cfg.lam)
         assert r == rec.reward
-        state = update(state, rec.action, r)
-        assert np.abs(np.asarray(rec.scores) - state.scores).max() < 1e-15
-    assert np.abs(np.asarray(out.final_scores) - state.scores).max() < 1e-15
+        scores[rec.action] += r
+        assert np.abs(np.asarray(rec.scores) - scores).max() < 1e-15
+    assert np.abs(np.asarray(out.final_scores) - scores).max() < 1e-15
 
 
 def test_stop_reason_matches_trace_values():

@@ -422,6 +422,10 @@ OVERFLOWING = {
     "bandit_sigma_1e308": ("run", {"attacks": [{"family": "l2", "eta": 6.0}],
                                    "cad": {"k": 4, "feedback": dict(FB),
                                            "bandit_params": [0.07, 1e308, 1.25]}}),
+    # lambda / p overflows in the bandit's reward on the first step
+    "bandit_lambda_1e308": ("run", {"attacks": [{"family": "l2", "eta": 6.0}],
+                                    "cad": {"k": 4, "feedback": dict(FB, t_max=1),
+                                            "bandit_params": [0.07, 1.01, 1e308]}}),
 }
 
 

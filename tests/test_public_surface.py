@@ -40,3 +40,17 @@ def test_feedback_does_not_import_the_bandit():
     imported |= {alias.name for node in ast.walk(tree)
                  if isinstance(node, ast.Import) for alias in node.names}
     assert not imported & {"bandit", "cad_defense.bandit"}
+
+
+def test_no_module_imports_a_private_bandit_name():
+    # the loop and the library reach the bandit through the same public
+    # functions; a private kernel beside them would be a second path
+    stray = []
+    for name in MODULES:
+        path = Path(importlib.import_module(f"cad_defense.{name}").__file__)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module in ("bandit", "cad_defense.bandit")):
+                stray += [f"{name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert stray == []
