@@ -17,7 +17,11 @@ returns it without solving, and the chosen action answers with its
 estimate, or else with one more run.  On the full operator each action is
 a closed form of c = F y, analysed once per run, so every solve is final,
 and the magnitudes of c are sorted once per run as well: that order prunes
-every estimate of the run (_prune), with top_k's bytes.
+every estimate of the run (_prune), with top_k's bytes, and gives the knots
+of the run's one threshold table, from which each l1 action is one
+searchsorted and one soft threshold.  There the residual of a k-sparse
+estimate is a product over its support, n k multiply-adds instead of the
+n^2 of a dense synthesis.
 On a row-subsampled operator in-loop runs get a budget that grows with each
 selection.  CoSaMP starts at the current estimate; it is not convex, so its
 solve is never final and it is solved again on every selection.  The three
@@ -45,8 +49,9 @@ import numpy as np
 from .bandit import penalty_clamped, probabilities, reward, sample_action, update
 from .feedback import (CleanStats, FeedbackConfig, feedback_bit, mahalanobis,
                        residual, should_stop, thresholded_count)
-from .recovery import (A_COSAMP, N_ACTIONS, L1Problem, action_radius,
-                       cosamp_run, l1_min_general, l1_min_orthonormal)
+from .recovery import (A_COSAMP, N_ACTIONS, L1Problem, _soft_threshold,
+                       _threshold_table, action_radius, cosamp_run, l1_min_general,
+                       l1_min_orthonormal)
 from .transform import SensingOperator, _is_number, top_k
 
 __all__ = [
@@ -136,10 +141,12 @@ class CadIterationRecord:
 
 class _RunMemo(dict):
     """What one run keeps across its loop steps: action -> evidence of the
-    action's latest final solve, and for its row-subset l1 solves the
-    latest Douglas-Rachford state (state; None before the first) and the
-    result of the latest splitting solve (solved)."""
+    action's latest final solve; on the full operator the threshold table
+    of c that every l1 solve reads (table); and for its row-subset l1
+    solves the latest Douglas-Rachford state (state; None before the
+    first) and the result of the latest splitting solve (solved)."""
 
+    table = None
     state = None
     solved = None
 
@@ -213,7 +220,8 @@ def run_action(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
     (k+1)-th entries along it differ in magnitude.  x_start is the
     estimate a row-subset CoSaMP solve starts from; a row-subset l1 solve
     continues from, and records itself in, the run's memo finals (a
-    _RunMemo, see _solve).  Evidence of a final solve is stored in finals.
+    _RunMemo, see _solve), and a full-operator one reads its threshold
+    table.  Evidence of a final solve is stored in finals.
     """
     evidence = finals.get(action)
     if evidence is not None:
@@ -262,17 +270,19 @@ def _solve(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
     On the full operator each action is a closed form of the run's
     c = F y (CoSaMP's least-squares step restricts c, so its pruned iterate
     is top_k(c) and c itself is returned; each l1 action soft-thresholds
-    c), so every solve is final.  On a row subset x_start is where the
-    solve starts: CoSaMP's estimate (None: zero), or an l1 action's
-    splitting state (None: the solver's cold start).  Given the run's memo,
-    an l1 solve starts from memo.state instead, stores its result in
-    memo.solved and, unless it returned at once, its state in memo.state;
-    the solver's step depends on y alone, the same for all three radii, so
-    a state carries over between actions unscaled.  A subsampled final run
-    is _FINAL_COSAMP_STEPS CoSaMP steps or the splitting solver to its
-    iteration cap.  There a CoSaMP solve is never final and a splitting
-    solve is final exactly when the solver reports it converged; one that
-    did not is logged at debug level with its feasibility and duality gaps.
+    c, read off memo.table when the memo holds one, through
+    l1_min_orthonormal otherwise), so every solve is final.  On a row
+    subset x_start is where the solve starts: CoSaMP's estimate (None:
+    zero), or an l1 action's splitting state (None: the solver's cold
+    start).  Given the run's memo, an l1 solve starts from memo.state
+    instead, stores its result in memo.solved and, unless it returned at
+    once, its state in memo.state; the solver's step depends on y alone,
+    the same for all three radii, so a state carries over between actions
+    unscaled.  A subsampled final run is _FINAL_COSAMP_STEPS CoSaMP steps
+    or the splitting solver to its iteration cap.  There a CoSaMP solve is
+    never final and a splitting solve is final exactly when the solver
+    reports it converged; one that did not is logged at debug level with
+    its feasibility and duality gaps.
     """
     if action == A_COSAMP:
         if op.is_full:
@@ -281,6 +291,9 @@ def _solve(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
         return cosamp_run(y, op, cfg.k, steps, x0=x_start).estimate, False
     radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                            cfg.eta_dprime, op.n)
+    table = getattr(memo, "table", None)
+    if table is not None:
+        return _soft_threshold(table, radius), True
     problem = L1Problem(observed=y, op=op, radius=radius)
     if op.is_full:
         return l1_min_orthonormal(problem, coeffs=c), True
@@ -309,9 +322,12 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     rng = np.random.default_rng(seed)
     estimate = np.zeros(op.n)
     c = op.analyze(y) if op.is_full else None
-    # stable, so that it is the order top_k takes on c
-    order = np.argsort(-np.abs(c), kind="stable") if c is not None else None
     finals = _RunMemo()
+    order = None
+    if c is not None:
+        # stable, so that it is the order top_k takes on c
+        order = np.argsort(-np.abs(c), kind="stable")
+        finals.table = _threshold_table(c, order)
     scores = [0.0] * N_ACTIONS
     times = [0] * N_ACTIONS
     n0, inc = _INNER_SCHEDULE

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -233,7 +234,9 @@ def l1_min_orthonormal(p: L1Problem, *, coeffs: np.ndarray | None = None) -> np.
     equal to the radius.  g(t)^2 = || min(t, |c|) ||_2^2 is continuous,
     nondecreasing and quadratic between the sorted magnitudes |c|; the
     threshold solves that quadratic on the first segment where g reaches
-    the radius (the l1-ball projection of Duchi et al. 2008).
+    the radius (the l1-ball projection of Duchi et al. 2008).  The solve is
+    _threshold_table(c) followed by _soft_threshold at p.radius, so a
+    caller solving several radii for one c builds the table once.
 
     coeffs may pass the caller's F y of p.observed, which then is not
     recomputed; it is rejected with ValueError on a row-subsampled operator,
@@ -244,22 +247,52 @@ def l1_min_orthonormal(p: L1Problem, *, coeffs: np.ndarray | None = None) -> np.
     if coeffs is None:
         c = p.op.analyze(p.observed)
     else:
-        c = _check_vector(coeffs, p.op.n, "cached coefficients").copy()
-    if p.radius == 0.0:
-        return c
+        c = _check_vector(coeffs, p.op.n, "cached coefficients")
+    return _soft_threshold(_threshold_table(c), p.radius)
+
+
+class _ThresholdTable(NamedTuple):
+    """The radius-free part of l1_min_orthonormal's closed form for one c.
+
+    With the knots |c| in ascending order, below[j] sums the squares under
+    knot j, above[j] counts the entries at or above it, and reach[j] =
+    below[j] + above[j] * knot_j^2 is g(knot_j)^2.
+    """
+
+    coeffs: np.ndarray
+    magnitudes: np.ndarray
+    signs: np.ndarray
+    norm: float
+    below: np.ndarray
+    above: np.ndarray
+    reach: np.ndarray
+
+
+def _threshold_table(c: np.ndarray, order: np.ndarray | None = None) -> _ThresholdTable:
+    """The table of c; order, a stable descending argsort of |c|, gives its
+    knots as |c|[order[::-1]], the bytes of np.sort(|c|), without a sort."""
     absc = np.abs(c)
-    if p.radius >= np.linalg.norm(c):
-        return np.zeros_like(c)
-    knots = np.sort(absc)
+    knots = np.sort(absc) if order is None else absc[order[::-1]]
     sq = knots * knots
     below = np.concatenate(([0.0], np.cumsum(sq[:-1])))  # squares under knot j
     above = np.arange(knots.size, 0, -1)  # entries at or above knot j
-    r2 = p.radius * p.radius
+    return _ThresholdTable(c, absc, np.sign(c), np.linalg.norm(c), below, above,
+                           below + above * sq)
+
+
+def _soft_threshold(table: _ThresholdTable, radius: float) -> np.ndarray:
+    """l1_min_orthonormal's answer at a radius >= 0, read off the table;
+    never the table's own coefficient array."""
+    if radius == 0.0:
+        return table.coeffs.copy()
+    if radius >= table.norm:
+        return np.zeros_like(table.coeffs)
+    r2 = radius * radius
     # rounding can leave g(max |c|)^2 short of r2 when the radius is within
     # an ulp of ||c||; the last segment then holds the threshold
-    j = min(int(np.searchsorted(below + above * sq, r2)), knots.size - 1)
-    thr = math.sqrt((r2 - below[j]) / above[j])
-    return np.sign(c) * np.maximum(absc - thr, 0.0)
+    j = min(int(np.searchsorted(table.reach, r2)), table.reach.size - 1)
+    thr = math.sqrt((r2 - table.below[j]) / table.above[j])
+    return table.signs * np.maximum(table.magnitudes - thr, 0.0)
 
 
 def _certify(v: np.ndarray, y: np.ndarray, a: np.ndarray, radius: float,

@@ -4,6 +4,9 @@ The pipeline observes pixel-domain signals y = A(xhat + e) where A is the
 inverse of the real orthonormal DCT-II analysis transform F.  A is applied
 as an explicit n-by-n matrix, so one application costs O(n^2); that cost is
 deliberate and is what the per-iteration complexity accounting assumes.
+Analysis and the synthesis of an observation stay n^2; the defence loop's
+residual of an estimate with support S is a product with the columns
+A[:, S] (see columns), which costs n |S|.
 """
 
 from __future__ import annotations
@@ -127,7 +130,9 @@ class SensingOperator:
         return self._matrix.T @ v
 
     def columns(self, idx) -> np.ndarray:
-        """Column submatrix A[:, idx] for least squares on a candidate support."""
+        """Column submatrix A[:, idx]: least squares on a candidate support,
+        and the full operator's residual y - A[:, S] x[S] over an estimate's
+        support S, n |S| multiply-adds instead of n^2."""
         idx = np.asarray(idx, dtype=np.intp)
         return self._matrix[:, idx]
 

@@ -31,8 +31,8 @@ from cad_defense import (ACTION_LABELS, FALLBACK_LABEL, AttackSpec,
                          top_k)
 from cad_defense.cad import (_INNER_SCHEDULE, CadIterationRecord, CadOutcome,
                              _run_single, _RunMemo, _solve, run_action)
-from cad_defense.feedback import (feedback_bit, mahalanobis, residual,
-                                  should_stop, thresholded_count)
+from cad_defense.feedback import (feedback_bit, mahalanobis, should_stop,
+                                  thresholded_count)
 from cad_defense.recovery import A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS
 
 MNIST_FB = dict(alpha=8.0, beta=5.0, m=1.8, tau=15, theta=65.0)
@@ -547,7 +547,8 @@ def _reference_run_single(y, cfg, stats, op, seed):
     the action has a converged subsampled l1 solve, which its repeats and
     the final answer reuse.  CoSaMP starts from the current estimate and
     every subsampled l1 solve, the final answer's included, from the
-    latest splitting state any of them returned."""
+    latest splitting state any of them returned.  Residuals are formed
+    here, not through feedback.residual."""
     y = np.asarray(y, dtype=np.float64)
     fb = cfg.feedback
     rng = np.random.default_rng(seed)
@@ -577,7 +578,12 @@ def _reference_run_single(y, cfg, stats, op, seed):
         estimate = top_k(raw, cfg.k)
         if solved:
             converged[a] = estimate
-        v = residual(y, estimate, op)
+        if op.is_full:
+            # the product over the estimate's support, as the loop forms it
+            support = np.flatnonzero(estimate)
+            v = y - op.matrix[:, support] @ estimate[support]
+        else:
+            v = y - op.synthesize(estimate)
         v_spec = coeffs - estimate if coeffs is not None else op.adjoint(v)
         md = None
         if a == A_COSAMP and stats is not None:

@@ -50,6 +50,58 @@ def test_residual_dimension_check():
         residual(np.zeros(15), np.zeros(16), op)
 
 
+@pytest.mark.parametrize("n", [16, 64, 784])
+def test_support_residual_is_within_the_dot_product_bound_of_the_dense_one(n):
+    # each entry of A x is a dot product of at most n terms, and each
+    # computed one lies within n eps sum_j |A_ij x_j| of the exact value
+    # whatever the order of summation (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 3.1), so the support product and the dense one
+    # differ by at most twice that; the subtraction from y rounds each once
+    op = SensingOperator(n)
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(n)
+    for y in (np.zeros(n), rng.standard_normal(n) * 10.0):
+        for size in (0, 1, n // 8, n):
+            x = np.zeros(n)
+            support = rng.choice(n, size, replace=False)
+            x[support] = rng.standard_normal(size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+            ours, dense = residual(y, x, op), y - op.synthesize(x)
+            bound = (2 * n * eps * (np.abs(op.matrix) @ np.abs(x))
+                     + eps * (np.abs(ours) + np.abs(dense)))
+            assert np.all(np.abs(ours - dense) <= bound), (n, size)
+
+
+@pytest.mark.parametrize("n", [16, 784])
+def test_residual_of_zero_estimate_is_the_bytes_of_the_observation(n):
+    op = SensingOperator(n)
+    y = np.random.default_rng(n).standard_normal(n)
+    y[::5] = -0.0
+    assert residual(y, np.zeros(n), op).tobytes() == y.tobytes()
+
+
+def test_row_subset_residual_keeps_the_dense_bytes():
+    op = SensingOperator(64, rows=np.arange(0, 64, 3))
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal(op.m)
+    for size in (0, 1, 8, 64):
+        x = np.zeros(64)
+        x[rng.choice(64, size, replace=False)] = rng.standard_normal(size)
+        assert residual(y, x, op).tobytes() == (y - op.synthesize(x)).tobytes()
+
+
+def test_residual_rejects_the_estimates_synthesize_rejects():
+    nan = np.zeros(16)
+    nan[3] = np.nan
+    for op in (SensingOperator(16), SensingOperator(16, rows=[0, 2, 5])):
+        y = np.zeros(op.m)
+        for bad in (np.zeros(15), nan, np.zeros((16, 1))):
+            with pytest.raises(ValueError) as want:
+                op.synthesize(bad)
+            with pytest.raises(ValueError) as got:
+                residual(y, bad, op)
+            assert str(got.value) == str(want.value)
+
+
 # ---------------------------------------------------------------------------
 # thresholded count
 

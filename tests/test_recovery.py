@@ -14,6 +14,7 @@ case.
 """
 
 import dataclasses
+import math
 
 import mpmath as mp
 import numpy as np
@@ -28,7 +29,8 @@ from cad_defense import (A_L0, A_L2, A_LINF, L1Problem, SensingOperator,
                          estimate_clean_stats, make_clean_compressible,
                          make_clean_sparse, top_k)
 from cad_defense.recovery import (_GAP_CHECK_PERIOD, _RELAXATION, CosampState,
-                                  L1Result, _least_squares)
+                                  L1Result, _least_squares, _soft_threshold,
+                                  _threshold_table)
 
 
 def _l1_optimum(A, y, radius, tol):
@@ -547,6 +549,75 @@ def test_l1_orthonormal_rejects_bad_cached_coefficients():
     with pytest.raises(ValueError, match="full operator"):
         l1_min_orthonormal(L1Problem(observed=y[:3], op=sub, radius=0.1),
                            coeffs=op.analyze(y))
+
+
+def _sorted_soft_threshold(c, radius):
+    """l1_min_orthonormal's closed form as it was before the threshold
+    table: one sort of |c| for every radius."""
+    c = c.copy()
+    if radius == 0.0:
+        return c
+    absc = np.abs(c)
+    if radius >= np.linalg.norm(c):
+        return np.zeros_like(c)
+    knots = np.sort(absc)
+    sq = knots * knots
+    below = np.concatenate(([0.0], np.cumsum(sq[:-1])))
+    above = np.arange(knots.size, 0, -1)
+    r2 = radius * radius
+    j = min(int(np.searchsorted(below + above * sq, r2)), knots.size - 1)
+    thr = math.sqrt((r2 - below[j]) / above[j])
+    return np.sign(c) * np.maximum(absc - thr, 0.0)
+
+
+# few distinct magnitudes, zero among them, so that |c| ties
+_TIED_MAGNITUDE = st.one_of(st.sampled_from([0.0, 0.25, 1.0, 3.0]), _MAGNITUDE)
+
+
+def _radius(norm_c):
+    """Radii at every branch of the closed form: 0, the clamp of the last
+    segment one ulp below ||c||, ||c|| and beyond, and inside the ball."""
+    return st.one_of(
+        st.sampled_from([0.0, norm_c * (1.0 - 2.0 ** -52), norm_c, 2.0 * norm_c, math.inf]),
+        st.floats(0.0, 1.0, exclude_max=True).map(lambda f: f * norm_c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 48))
+def test_threshold_table_gives_the_sort_based_bytes(data, n):
+    mags = np.array(data.draw(st.lists(_TIED_MAGNITUDE, min_size=n, max_size=n)))
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                        min_size=n, max_size=n)))
+    c = signs * mags
+    norm_c = float(np.linalg.norm(c))
+    order = np.argsort(-np.abs(c), kind="stable")
+    # the run's stable descending order, reversed, is the sorted |c|
+    assert np.abs(c)[order[::-1]].tobytes() == np.sort(np.abs(c)).tobytes()
+    table = _threshold_table(c, order)
+    op = SensingOperator(n)
+    # one table serves the three radii of a run's l1 actions
+    for radius in data.draw(st.lists(_radius(norm_c), min_size=3, max_size=3)):
+        want = _sorted_soft_threshold(c, radius)
+        assert _soft_threshold(table, radius).tobytes() == want.tobytes()
+        p = L1Problem(observed=op.synthesize(c), op=op, radius=radius)
+        assert l1_min_orthonormal(p, coeffs=c).tobytes() == want.tobytes()
+    assert c.tobytes() == (signs * mags).tobytes()
+
+
+def test_threshold_table_reaches_the_last_segment_clamp():
+    # one ulp below ||c|| rounding leaves every knot short of the radius
+    # for some c; those take the threshold from the last segment
+    clamped = 0
+    rng = np.random.default_rng(52)
+    for _ in range(400):
+        n = int(rng.integers(40, 200))
+        c = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 2.0, n)
+        table = _threshold_table(c)
+        radius = float(np.linalg.norm(c)) * (1.0 - 2.0 ** -52)
+        clamped += int(np.searchsorted(table.reach, radius * radius)) == c.size
+        assert (_soft_threshold(table, radius).tobytes()
+                == _sorted_soft_threshold(c, radius).tobytes())
+    assert clamped > 0
 
 
 # ---------------------------------------------------------------------------
