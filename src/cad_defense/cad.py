@@ -1,39 +1,22 @@
 """The adaptive defence loop tying recovery, feedback, and the bandit together.
 
-Each iteration samples one of the four recovery actions and takes one step
-of it (run_action): solve, prune to k terms, and compute the residual's
-features once (l2 and max norms, the thresholded count of its
-transform-domain view, and its Mahalanobis distance when CoSaMP runs with
-clean statistics).  The feedback bit, the stop rule and the trace record
-read those same values, and the bit's importance-weighted reward updates
-the action scores.  The loop stops on the clause the stop rule names (some
-action's probability concentrates, or the residual collapses) or at the
-iteration cap; the trace is the plain list of per-iteration records.  The
-best-scoring action, or greedy recovery when no action ever earned a
-positive score, gives the final answer.  Every solve reports whether it is
-final, that is, whether it may stand as the answer, and the loop keeps the
+A run first decides its regime, once: a _ClosedForms provider on the full
+orthonormal operator, an _Iterative one on a row subset.  Each iteration
+then samples one of the four recovery actions and takes one step of it
+(run_action): the provider solves and prunes the action to k terms, and
+the step computes the residual's features once (l2 and max norms, the
+thresholded count of its transform-domain view, and its Mahalanobis
+distance when CoSaMP runs with clean statistics).  The feedback bit, the
+stop rule and the trace record read those same values, and the bit's
+importance-weighted reward updates the action scores.  The loop stops on
+the clause the stop rule names (some action's probability concentrates, or
+the residual collapses) or at the iteration cap; the trace is the plain
+list of per-iteration records.  Every solve reports whether it is final,
+that is, whether it may stand as the answer, and the run keeps the
 evidence of each action's latest final solve: a later step of that action
-returns it without solving, and the chosen action answers with its
-estimate, or else with one more run.  On the full operator each action is
-a closed form of c = F y, analysed once per run, so every solve is final,
-and the magnitudes of c are sorted once per run as well: that order prunes
-every estimate of the run (_prune), with top_k's bytes, and gives the knots
-of the run's one threshold table, from which each l1 action is one
-searchsorted and one soft threshold.  There the residual of a k-sparse
-estimate is a product over its support, n k multiply-adds instead of the
-n^2 of a dense synthesis.
-On a row-subsampled operator in-loop runs get a budget that grows with each
-selection.  CoSaMP starts at the current estimate; it is not convex, so its
-solve is never final and it is solved again on every selection.  The three
-l1 actions share one Douglas-Rachford state per run: each l1 solve, the
-final answer's included, continues from the latest state any l1 solve of
-the run left, not from the pruned estimate, so iterations spent under one
-radius carry over to the next.  An l1 solve is final exactly when the
-solver reports it converged under its own duality certificate, which is
-the only stop rule: a certified solve's l1 norm lies within the certified
-gap of its program's optimum whatever its start, so a re-solve would carry
-no new evidence.  Each record of a step that ran the splitting solver
-carries that solve's iterations and certificate flag.
+returns it without solving.  The best-scoring action, or greedy recovery
+when no action ever earned a positive score, gives the final answer: its
+final estimate, or else one more run of it.
 """
 
 from __future__ import annotations
@@ -50,8 +33,7 @@ from .bandit import penalty_clamped, probabilities, reward, sample_action, updat
 from .feedback import (CleanStats, FeedbackConfig, feedback_bit, mahalanobis,
                        residual, should_stop, thresholded_count)
 from .recovery import (A_COSAMP, N_ACTIONS, L1Problem, _soft_threshold,
-                       _threshold_table, action_radius, cosamp_run, l1_min_general,
-                       l1_min_orthonormal)
+                       _threshold_table, action_radius, cosamp_run, l1_min_general)
 from .transform import SensingOperator, _is_number, top_k
 
 __all__ = [
@@ -139,18 +121,6 @@ class CadIterationRecord:
     penalty_clamped: bool
 
 
-class _RunMemo(dict):
-    """What one run keeps across its loop steps: action -> evidence of the
-    action's latest final solve; on the full operator the threshold table
-    of c that every l1 solve reads (table); and for its row-subset l1
-    solves the latest Douglas-Rachford state (state; None before the
-    first) and the result of the latest splitting solve (solved)."""
-
-    table = None
-    state = None
-    solved = None
-
-
 @dataclass
 class CadOutcome:
     """Result of one single-channel defence run."""
@@ -203,112 +173,138 @@ class ChannelsOutcome:
         }
 
 
-def run_action(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
-               stats: CleanStats | None, c: np.ndarray | None,
-               order: np.ndarray | None, finals: dict, budget: int,
-               x_start: np.ndarray) -> tuple:
+def run_action(action: int, provider: _Provider, budget: int, x_start: np.ndarray) -> tuple:
     """One loop step of an action: its evidence (pruned estimate, md,
-    feedback bit, residual l2, l-inf and thresholded count).
+    feedback bit, residual l2, l-inf and thresholded count) and the
+    splitting solve it ran, or None.
 
     An action whose latest solve in the run was final hands back that
-    solve's evidence from finals.  Otherwise the action is solved (_solve,
-    with c = F y on the full operator and None on a row subset), pruned to
-    k terms and scored, each feature computed once; the count is taken on
-    the residual's transform-domain view.  order is the run's one stable
-    descending order of |c| (None on a row subset), through which _prune
-    keeps top_k's bytes without sorting again wherever the k-th and
-    (k+1)-th entries along it differ in magnitude.  x_start is the
-    estimate a row-subset CoSaMP solve starts from; a row-subset l1 solve
-    continues from, and records itself in, the run's memo finals (a
-    _RunMemo, see _solve), and a full-operator one reads its threshold
-    table.  Evidence of a final solve is stored in finals.
+    solve's evidence, kept in provider.finals, and runs no solve.
+    Otherwise the provider solves and prunes it (x_start is the loop's
+    current estimate), and the step scores it, each feature computed once.
     """
-    evidence = finals.get(action)
+    evidence = provider.finals.get(action)
     if evidence is not None:
         return evidence
-    raw, final = _solve(action, y, op, cfg, c, budget, x_start, finals)
-    estimate = _prune(action, raw, cfg.k, order)
-    v = residual(y, estimate, op)
-    v_spec = c - estimate if c is not None else op.adjoint(v)
+    estimate, final, solved = provider.estimate(action, budget, x_start)
+    cfg, stats = provider.cfg, provider.stats
+    v = residual(provider.y, estimate, provider.op)
     md = mahalanobis(v, stats) if action == A_COSAMP and stats is not None else None
     l2, linf = float(np.linalg.norm(v)), float(np.abs(v).max())
-    count = thresholded_count(v_spec, cfg.feedback.count_threshold)
+    count = thresholded_count(provider.spectrum(v, estimate), cfg.feedback.count_threshold)
     evidence = (estimate, md, feedback_bit(action, l2, linf, count, cfg.feedback, md),
-                l2, linf, count)
+                l2, linf, count, solved)
     if final:
-        finals[action] = evidence
+        # a later step that reuses the evidence runs no splitting solve
+        provider.finals[action] = evidence if solved is None else (*evidence[:-1], None)
     return evidence
 
 
-def _prune(action: int, raw: np.ndarray, k: int, order: np.ndarray | None) -> np.ndarray:
-    """top_k(raw, k), read off the run's order of |c| where that is exact.
+class _Provider:
+    """One run's inputs, and action -> evidence of the action's latest
+    final solve (finals).  A subclass solves the actions in its regime:
+    estimate(action, budget, x_start) gives the pruned estimate, whether
+    it is final and the splitting solve it ran, where budget None asks for
+    a final run; spectrum(v, estimate) is the residual v's transform-domain
+    view."""
 
-    On the full operator CoSaMP's raw spectrum is c itself, so order[:k]
-    is what top_k keeps.  Each l1 action soft-thresholds c, which is
-    monotone in |c|: |raw| does not increase along order, so when the k-th
-    entry along it is strictly larger in magnitude than the (k+1)-th, the
-    k largest entries of raw are exactly order[:k].  At a tie there the
-    two tie-breaks differ (top_k keeps the lower index, order the larger
-    |c|, and every thresholded-away entry ties at zero), so top_k decides.
+    def __init__(self, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
+                 stats: CleanStats | None):
+        self.y, self.op, self.cfg, self.stats = y, op, cfg, stats
+        self.finals = {}
+
+    def radius(self, action: int) -> float:
+        cfg = self.cfg
+        return action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
+                             cfg.eta_dprime, self.op.n)
+
+    def answer(self, action: int) -> np.ndarray:
+        """The run's answer by an action: its final estimate, or one final run."""
+        evidence = self.finals.get(action)
+        return evidence[0] if evidence is not None else self.estimate(action, None, None)[0]
+
+
+class _ClosedForms(_Provider):
+    """The full orthonormal operator: each action is a closed form of
+    c = F y, analysed once per run, so every solve is final and budgets
+    and starts are moot.  CoSaMP's least-squares step restricts c, so its
+    pruned iterate is top_k(c); each l1 action soft-thresholds c through
+    the run's threshold table, built on the first l1 solve.
+
+    The stable order of |c|, sorted once per run, prunes every estimate
+    with top_k's bytes.  For CoSaMP order[:k] is what top_k keeps.  A soft
+    threshold is monotone in |c|, so where the k-th entry along the order
+    is strictly larger in magnitude than the (k+1)-th, the k largest
+    entries are exactly order[:k]; at a tie there the two tie-breaks
+    differ (top_k keeps the lower index, order the larger |c|, and every
+    thresholded-away entry ties at zero), so top_k decides.
     """
-    if order is not None and k < order.size:
-        keep = order[:k]
-        if action == A_COSAMP or abs(raw[keep[-1]]) > abs(raw[order[k]]):
-            out = np.zeros(raw.size)
-            out[keep] = raw[keep]
-            return out
-    return top_k(raw, k)
+
+    def __init__(self, y, op, cfg, stats):
+        super().__init__(y, op, cfg, stats)
+        self.c = op.analyze(y)
+        self.order = np.argsort(-np.abs(self.c), kind="stable")
+        self.table = None
+
+    def estimate(self, action, budget, x_start):
+        c, order, k = self.c, self.order, self.cfg.k
+        if action == A_COSAMP:
+            raw = c
+        else:
+            if self.table is None:
+                self.table = _threshold_table(c, order)
+            raw = _soft_threshold(self.table, self.radius(action))
+        if k < order.size:
+            keep = order[:k]
+            if action == A_COSAMP or abs(raw[keep[-1]]) > abs(raw[order[k]]):
+                out = np.zeros(raw.size)
+                out[keep] = raw[keep]
+                return out, True, None
+        return top_k(raw, k), True, None
+
+    def spectrum(self, v, estimate):
+        return self.c - estimate
 
 
-def _solve(action: int, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
-           c: np.ndarray | None, budget: int | None = None,
-           x_start: np.ndarray | None = None,
-           memo: _RunMemo | None = None) -> tuple[np.ndarray, bool]:
-    """Unpruned spectrum of one action and whether it is final; budget None
-    gives a final run.
+class _Iterative(_Provider):
+    """A row-subsampled operator: each action runs its iterative solver,
+    in the loop under a budget (CoSaMP steps, or units of
+    _GENERAL_ITERS_PER_UNIT splitting iterations), in a final run for
+    _FINAL_COSAMP_STEPS cold steps or to the splitting solver's cap.
 
-    On the full operator each action is a closed form of the run's
-    c = F y (CoSaMP's least-squares step restricts c, so its pruned iterate
-    is top_k(c) and c itself is returned; each l1 action soft-thresholds
-    c, read off memo.table when the memo holds one, through
-    l1_min_orthonormal otherwise), so every solve is final.  On a row
-    subset x_start is where the solve starts: CoSaMP's estimate (None:
-    zero), or an l1 action's splitting state (None: the solver's cold
-    start).  Given the run's memo, an l1 solve starts from memo.state
-    instead, stores its result in memo.solved and, unless it returned at
-    once, its state in memo.state; the solver's step depends on y alone,
-    the same for all three radii, so a state carries over between actions
-    unscaled.  A subsampled final run is _FINAL_COSAMP_STEPS CoSaMP steps
-    or the splitting solver to its iteration cap.  There a CoSaMP solve is
-    never final and a splitting solve is final exactly when the solver
-    reports it converged; one that did not is logged at debug level with
-    its feasibility and duality gaps.
+    CoSaMP starts at x_start, the loop's current estimate; it is not
+    convex, so its solve is never final.  The l1 actions share one
+    Douglas-Rachford state per run: each l1 solve, the final answer's
+    included, continues from the latest state any of them left (one that
+    returned at once leaves none), since the solver's step depends on y
+    alone.  An l1 solve is final exactly when the solver certifies it
+    converged: a certified solve's l1 norm lies within the certified gap
+    of the optimum whatever its start, so a re-solve would carry no new
+    evidence.  An uncertified one is logged at debug level.
     """
-    if action == A_COSAMP:
-        if op.is_full:
-            return c, True
-        steps = _FINAL_COSAMP_STEPS if budget is None else budget
-        return cosamp_run(y, op, cfg.k, steps, x0=x_start).estimate, False
-    radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
-                           cfg.eta_dprime, op.n)
-    table = getattr(memo, "table", None)
-    if table is not None:
-        return _soft_threshold(table, radius), True
-    problem = L1Problem(observed=y, op=op, radius=radius)
-    if op.is_full:
-        return l1_min_orthonormal(problem, coeffs=c), True
-    if budget is not None:
-        problem = dataclasses.replace(problem, max_iters=_GENERAL_ITERS_PER_UNIT * budget)
-    result = l1_min_general(problem, x0=x_start if memo is None else memo.state)
-    if memo is not None:
-        memo.solved = result
+
+    state = None  # the run's latest Douglas-Rachford state; None before the first
+
+    def estimate(self, action, budget, x_start):
+        k = self.cfg.k
+        if action == A_COSAMP:
+            steps = _FINAL_COSAMP_STEPS if budget is None else budget
+            return top_k(cosamp_run(self.y, self.op, k, steps, x0=x_start).estimate,
+                         k), False, None
+        cap = L1Problem.max_iters if budget is None else _GENERAL_ITERS_PER_UNIT * budget
+        problem = L1Problem(observed=self.y, op=self.op, radius=self.radius(action),
+                            max_iters=cap)
+        result = l1_min_general(problem, x0=self.state)
         if result.state is not None:
-            memo.state = result.state
-    if not result.converged:
-        log.debug("%s unconverged after %d of %d iterations, feasibility gap %.3g, "
-                  "duality gap %.3g", ACTION_LABELS[action], result.iterations,
-                  problem.max_iters, result.feasibility_gap, result.duality_gap)
-    return result.coeffs, result.converged
+            self.state = result.state
+        if not result.converged:
+            log.debug("%s unconverged after %d of %d iterations, feasibility gap %.3g, "
+                      "duality gap %.3g", ACTION_LABELS[action], result.iterations,
+                      cap, result.feasibility_gap, result.duality_gap)
+        return top_k(result.coeffs, k), result.converged, result
+
+    def spectrum(self, v, estimate):
+        return self.op.adjoint(v)
 
 
 def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
@@ -318,16 +314,10 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         raise ValueError(f"y must have shape ({op.m},), got {y.shape}")
     if cfg.k > op.n:
         raise ValueError(f"k={cfg.k} exceeds the dimension n={op.n}")
+    provider = (_ClosedForms if op.is_full else _Iterative)(y, op, cfg, stats)
     fb = cfg.feedback
     rng = np.random.default_rng(seed)
     estimate = np.zeros(op.n)
-    c = op.analyze(y) if op.is_full else None
-    finals = _RunMemo()
-    order = None
-    if c is not None:
-        # stable, so that it is the order top_k takes on c
-        order = np.argsort(-np.abs(c), kind="stable")
-        finals.table = _threshold_table(c, order)
     scores = [0.0] * N_ACTIONS
     times = [0] * N_ACTIONS
     n0, inc = _INNER_SCHEDULE
@@ -339,10 +329,8 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         a = sample_action(probs, rng)
         times[a] += 1
         budget = n0 + inc * (times[a] - 1)
-        finals.solved = None
-        estimate, md, f, v_l2, v_linf, v_count = run_action(
-            a, y, op, cfg, stats, c, order, finals, budget, estimate)
-        solved = finals.solved
+        estimate, md, f, v_l2, v_linf, v_count, solved = run_action(
+            a, provider, budget, estimate)
         p = probs[a]
         r = reward(a, a, f, p, cfg.lam)
         update(scores, a, r)
@@ -359,14 +347,9 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
             break
     best = scores.index(max(scores))  # ties resolve to the lowest index
     fallback = max(scores) <= 0.0
-    chosen = A_COSAMP if fallback else best
-    if chosen in finals:
-        answer = finals[chosen][0]
-    else:
-        answer = _prune(chosen, _solve(chosen, y, op, cfg, c, memo=finals)[0], cfg.k,
-                        order)
     return CadOutcome(
-        final_method=best, fallback=fallback, estimate=answer, trace=trace,
+        final_method=best, fallback=fallback,
+        estimate=provider.answer(A_COSAMP if fallback else best), trace=trace,
         stopped_at=t, stop_reason=stop_reason or "t_max",
         final_scores=tuple(scores),
     )

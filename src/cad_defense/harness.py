@@ -46,6 +46,8 @@ _DESIGNATED = {"none": A_COSAMP, "l0": A_L0, "l1": A_L2, "l2": A_L2, "linf": A_L
 
 # the largest n a config may set: the n x n float64 DCT matrix alone is 2 GiB
 _MAX_N = 16_384
+# the most instances (count x attack entries) one config, or bench cell, may ask for
+_MAX_INSTANCES = 10 ** 6
 
 
 class ConfigError(Exception):
@@ -114,6 +116,9 @@ class ExperimentConfig:
             _require_int(name, value, least)
         if n > _MAX_N:
             raise ConfigError(f"n={n} exceeds the largest supported n={_MAX_N}")
+        if count * len(attacks) > _MAX_INSTANCES:
+            raise ConfigError(f"count={count} x {len(attacks)} attack entries exceeds "
+                              f"the largest supported {_MAX_INSTANCES} instances")
         if not (_is_number(channels, int) and channels in (1, 3)):
             raise ConfigError(f"channels={channels!r} must be 1 or 3")
         if stats_dir is not None and not isinstance(stats_dir, str):
@@ -135,7 +140,7 @@ class ExperimentConfig:
         _check_clean_section(clean)
         if bench is not None:
             _check_bench_section(bench)
-        _check_stats_section(stats)
+        _check_stats_section(stats, n)
         return cls(n=n, channels=channels, seed=seed, clean=clean,
                    attacks=attacks, count=count, cad=cad, stats=stats,
                    stats_dir=stats_dir, bench=bench, raw=d)
@@ -165,9 +170,10 @@ def _is_finite(value) -> bool:
     return _is_number(value) and math.isfinite(value)
 
 
-def _require_int(name: str, value, least: int) -> None:
-    if not _is_number(value, int) or value < least:
-        raise ConfigError(f"{name}={value!r} must be an integer >= {least}")
+def _require_int(name: str, value, least: int, most=math.inf) -> None:
+    if not (_is_number(value, int) and least <= value <= most):
+        bound = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
+        raise ConfigError(f"{name}={value!r} must be an integer {bound}")
 
 
 def _reject_unknown(section: str, entries, allowed: set) -> None:
@@ -211,13 +217,14 @@ def _check_bench_section(bench: dict) -> None:
     if any(n > _MAX_N for n in bench.get("n", [])):
         raise ConfigError(f"bench.n={bench['n']!r} exceeds the largest supported n={_MAX_N}")
     if "count" in bench:
-        _require_int("bench.count", bench["count"], 1)
+        _require_int("bench.count", bench["count"], 1, _MAX_INSTANCES)
 
 
-def _check_stats_section(stats: dict) -> None:
+def _check_stats_section(stats: dict, n: int) -> None:
     _reject_unknown("stats", stats, {"count", "n_cosamp", "ridge"})
-    for key, least in (("count", 2), ("n_cosamp", 0)):
-        _require_int(f"stats.{key}", stats.get(key, least), least)
+    # the count x n residual matrix no larger than the largest DCT matrix
+    for key, least, most in (("count", 2, _MAX_N ** 2 // n), ("n_cosamp", 0, math.inf)):
+        _require_int(f"stats.{key}", stats.get(key, least), least, most)
     ridge = stats.get("ridge")
     if ridge is not None and not (_is_finite(ridge) and ridge >= 0):
         raise ConfigError(f"stats.ridge={ridge!r} must be null or finite and >= 0")

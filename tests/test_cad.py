@@ -12,6 +12,7 @@ splitting state of the run.
 
 import dataclasses
 import functools
+import hashlib
 import logging
 import math
 
@@ -30,7 +31,7 @@ from cad_defense import (ACTION_LABELS, FALLBACK_LABEL, AttackSpec,
                          make_clean_compressible, make_clean_sparse, perturb,
                          top_k)
 from cad_defense.cad import (_INNER_SCHEDULE, CadIterationRecord, CadOutcome,
-                             _run_single, _RunMemo, _solve, run_action)
+                             _ClosedForms, _Iterative, _run_single, run_action)
 from cad_defense.feedback import (feedback_bit, mahalanobis, should_stop,
                                   thresholded_count)
 from cad_defense.recovery import A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS
@@ -81,23 +82,13 @@ def test_schedule_monotone_and_validated():
 
 
 # ---------------------------------------------------------------------------
-# one loop step: _solve mirrors the underlying solvers, run_action scores it
+# one loop step: each provider's estimate mirrors the underlying solvers,
+# run_action scores it
 
 
-def _analysis(y, op):
-    """The loop's c = F y and its stable descending order of |c| (both None
-    on a row subset)."""
-    if not op.is_full:
-        return None, None
-    c = op.analyze(y)
-    return c, np.argsort(-np.abs(c), kind="stable")
-
-
-def _step(action, y, op, cfg, budget, x_start=None, stats=None, finals=None):
-    """run_action with the loop's c = F y and order of |c| (None on a row subset)."""
-    c, order = _analysis(y, op)
-    return run_action(action, y, op, cfg, stats, c, order,
-                      {} if finals is None else finals, budget,
+def _step(action, y, op, cfg, budget, x_start=None):
+    """run_action on a fresh full-operator provider."""
+    return run_action(action, _ClosedForms(y, op, cfg, None), budget,
                       np.zeros(op.n) if x_start is None else x_start)
 
 
@@ -107,8 +98,8 @@ def test_run_action_l1_matches_direct_solve():
     radius = action_radius(A_L2, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                            cfg.eta_dprime, op.n)
     direct = l1_min_orthonormal(L1Problem(observed=y, op=op, radius=radius))
-    spectrum, final = _solve(A_L2, y, op, cfg, op.analyze(y), budget=3)
-    assert np.array_equal(spectrum, direct) and final
+    estimate, final, solved = _ClosedForms(y, op, cfg, None).estimate(A_L2, 3, None)
+    assert np.array_equal(estimate, top_k(direct, 6)) and final and solved is None
     assert np.array_equal(_step(A_L2, y, op, cfg, budget=3)[0], top_k(direct, 6))
 
 
@@ -152,13 +143,16 @@ def test_loop_prune_gives_the_bytes_of_top_k(data, n):
             [r, np.nextafter(r, 0.0), np.nextafter(r, np.inf)])),
         st.floats(0.05, 0.95).map(lambda f: f * float(np.linalg.norm(c))))))
     op = SensingOperator(n)
-    y = op.synthesize(c)
     cfg = CadConfig(k=k, feedback=_fb(tau=1), eta=radius, eta_prime=radius,
                     eta_dprime=radius / math.sqrt(n))
-    order = np.argsort(-np.abs(c), kind="stable")
+    y = op.synthesize(c)
+    # the run's c, exactly: the round trip through y would break the ties
+    closed = _ClosedForms(y, op, cfg, None)
+    closed.c, closed.order = c, np.argsort(-np.abs(c), kind="stable")
     for action in range(N_ACTIONS):
-        raw = _solve(action, y, op, cfg, c)[0]
-        estimate = run_action(action, y, op, cfg, None, c, order, {}, 1, np.zeros(n))[0]
+        raw = c if action == A_COSAMP else l1_min_orthonormal(
+            L1Problem(observed=y, op=op, radius=closed.radius(action)), coeffs=c)
+        estimate = run_action(action, closed, 1, np.zeros(n))[0]
         assert estimate.tobytes() == top_k(raw, k).tobytes()
 
 
@@ -170,14 +164,15 @@ def test_subsampled_actions_keep_the_iterative_solvers():
     y = op.synthesize(x)
     start = top_k(np.random.default_rng(4).standard_normal(n), k)
     cfg = CadConfig(k=k, feedback=_fb())
-    greedy, _ = _solve(A_COSAMP, y, op, cfg, None, budget=2, x_start=start)
+    greedy, *_ = _Iterative(y, op, cfg, None).estimate(A_COSAMP, 2, start)
     assert np.array_equal(greedy, cosamp_run(y, op, k, 2, x0=start).estimate)
     radius = action_radius(A_L2, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                            cfg.eta_dprime, n)
-    convex, _ = _solve(A_L2, y, op, cfg, None, budget=2, x_start=start)
+    # a run's first l1 solve starts cold, whatever the loop's estimate
+    convex, *_ = _Iterative(y, op, cfg, None).estimate(A_L2, 2, start)
     direct = l1_min_general(L1Problem(observed=y, op=op, radius=radius,
-                                      max_iters=400), x0=start)
-    assert np.array_equal(convex, direct.coeffs)
+                                      max_iters=400))
+    assert np.array_equal(convex, top_k(direct.coeffs, k))
     # the fallback's final answer is a cold run of ten CoSaMP steps
     starved = _fb(alpha=0.0, theta=0.0, tau=0, m=math.inf, beta=math.inf,
                   delta_res=0.0, t_max=5)
@@ -202,27 +197,30 @@ def test_run_action_reports_whether_its_solve_is_final(monkeypatch):
     cfg = CadConfig(k=k, feedback=_fb())
     y = full.synthesize(x) + noise
     for action in (A_COSAMP, A_L0, A_L2, A_LINF):
-        assert _solve(action, y, full, cfg, full.analyze(y), 1, start)[1] is True
-        finals = {}
-        assert _step(action, y, full, cfg, 1, start, finals=finals) is finals[action]
+        closed = _ClosedForms(y, full, cfg, None)
+        assert closed.estimate(action, 1, start)[1:] == (True, None)
+        assert run_action(action, closed, 1, start) is closed.finals[action]
     y = y[sub.rows]
     flags = []
     for budget in (1, 2, 30):
-        assert _solve(A_COSAMP, y, sub, cfg, None, budget, start)[1] is False
-        finals = _RunMemo()
-        _step(A_COSAMP, y, sub, cfg, budget, start, finals=finals)
-        assert not finals and finals.state is None and finals.solved is None
+        iterative = _Iterative(y, sub, cfg, None)
+        assert iterative.estimate(A_COSAMP, budget, start)[1:] == (False, None)
+        run_action(A_COSAMP, iterative, budget, start)
+        assert not iterative.finals and iterative.state is None
         for action in (A_L0, A_L2, A_LINF):
             radius = action_radius(action, cfg.feedback.tau, cfg.eta, cfg.eta_prime,
                                    cfg.eta_dprime, n)
             direct = l1_min_general(L1Problem(observed=y, op=sub, radius=radius,
-                                              max_iters=20 * budget), x0=finals.state)
-            _, final = _solve(action, y, sub, cfg, None, budget, finals.state)
-            assert final is direct.converged
-            evidence = _step(action, y, sub, cfg, budget, start, finals=finals)
-            assert finals.solved.coeffs.tobytes() == direct.coeffs.tobytes()
-            assert finals.state.tobytes() == direct.state.tobytes()
-            assert (finals.get(action) is evidence) is final
+                                              max_iters=20 * budget), x0=iterative.state)
+            evidence = run_action(action, iterative, budget, start)
+            final = direct.converged
+            assert evidence[-1].coeffs.tobytes() == direct.coeffs.tobytes()
+            assert evidence[-1].converged is final
+            assert iterative.state.tobytes() == direct.state.tobytes()
+            stored = iterative.finals.get(action)
+            assert (stored is not None) is final
+            if final:
+                assert stored[:-1] == evidence[:-1] and stored[-1] is None
             flags.append(final)
     assert True in flags and False in flags
 
@@ -234,8 +232,8 @@ def test_run_action_cached_coefficients_give_the_same_bytes(action):
     op, x, y = _clean_instance()
     y = y + 0.5 * np.random.default_rng(8).standard_normal(op.m)
     cfg = CadConfig(k=6, feedback=_fb())
-    c, order = _analysis(y, op)
-    estimate = run_action(action, y, op, cfg, None, c, order, {}, 3, x)[0]
+    closed = _ClosedForms(y, op, cfg, None)
+    estimate = run_action(action, closed, 3, x)[0]
     if action == A_COSAMP:
         fresh = op.analyze(y)
     else:
@@ -244,7 +242,7 @@ def test_run_action_cached_coefficients_give_the_same_bytes(action):
         fresh = l1_min_orthonormal(L1Problem(observed=y, op=op, radius=radius))
     assert estimate.tobytes() == top_k(fresh, 6).tobytes()
     estimate[:] = 7.0
-    assert c.tobytes() == op.analyze(y).tobytes()
+    assert closed.c.tobytes() == op.analyze(y).tobytes()
 
 
 def test_unconverged_subsampled_solve_logs_at_debug(caplog):
@@ -254,10 +252,10 @@ def test_unconverged_subsampled_solve_logs_at_debug(caplog):
          + np.random.default_rng(1).standard_normal(op.m))  # 200 iterations fall short
     cfg = CadConfig(k=k, feedback=_fb())
     with caplog.at_level(logging.WARNING, logger="cad_defense"):
-        quiet, _ = _solve(A_L2, y, op, cfg, None, budget=1)
+        quiet, *_ = _Iterative(y, op, cfg, None).estimate(A_L2, 1, None)
     assert not caplog.records
     with caplog.at_level(logging.DEBUG, logger="cad_defense"):
-        loud, _ = _solve(A_L2, y, op, cfg, None, budget=1)
+        loud, *_ = _Iterative(y, op, cfg, None).estimate(A_L2, 1, None)
     assert loud.tobytes() == quiet.tobytes()
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
@@ -346,11 +344,11 @@ def _subset_runs(monkeypatch):
         solves.append((A_COSAMP, False))
         return cosamp_run(*args, **kwargs)
 
-    def stepping(action, y, op, cfg, stats, c, order, finals, budget, x_start):
-        stored, before = finals.get(action), len(solves)
-        evidence = run_action(action, y, op, cfg, stats, c, order, finals, budget,
-                              x_start)
-        steps.append((action, stored, evidence, solves[before:], finals.get(action)))
+    def stepping(action, provider, budget, x_start):
+        stored, before = provider.finals.get(action), len(solves)
+        evidence = run_action(action, provider, budget, x_start)
+        steps.append((action, stored, evidence, solves[before:],
+                      provider.finals.get(action)))
         return evidence
 
     monkeypatch.setattr(cad_defense.cad, "l1_min_general", solving)
@@ -398,8 +396,9 @@ def test_subset_repeats_still_call_run_action_once_per_iteration(monkeypatch):
             else:
                 [(solver, converged)] = calls
                 assert solver == action
-                assert (after is evidence) is converged
-            estimate, md, f, l2, linf, count = evidence
+                assert (after is not None) is converged
+                assert after is None or after[:-1] == evidence[:-1]
+            estimate, md, f, l2, linf, count, _ = evidence
             assert ((record.md, record.feedback, record.residual_l2,
                      record.residual_linf, record.residual_count)
                     == (md, f, l2, linf, count))
@@ -735,13 +734,14 @@ def test_loop_commutes_with_a_power_of_two_scale(data, name, seed, with_stats):
 def test_full_operator_run_reaches_no_row_subset_solver(monkeypatch):
     # every action is a closed form of F y on the full operator, and so is
     # CoSaMP's fit behind the clean statistics: neither they (nor their thin
-    # SVD) nor a run reach the least-squares fit, a Cholesky factorization
-    # or the splitting solver that row subsets use
+    # SVD) nor a run reach the least-squares fit, a Cholesky factorization,
+    # the splitting solver or the provider that row subsets use
     def refuse(*args, **kwargs):
         raise AssertionError("a row-subset solver ran on the full operator")
 
     for module, name in ((np.linalg, "lstsq"), (np.linalg, "cholesky"),
-                         (cad_defense.cad, "l1_min_general")):
+                         (cad_defense.cad, "l1_min_general"),
+                         (cad_defense.cad, "_Iterative")):
         monkeypatch.setattr(module, name, refuse)
     op = SensingOperator(64)
     rng = np.random.default_rng([66, 64])
@@ -759,6 +759,74 @@ def test_full_operator_run_reaches_no_row_subset_solver(monkeypatch):
             answers.add(out.method_label)
     assert actions == set(range(N_ACTIONS))
     assert len(answers) > 1
+
+
+def _row_subset_ensemble():
+    """(op, y, cfg) of each run of a small row-subset ensemble: four
+    families, four seeds each."""
+    op, _ = _oracle_setup("rows40of64")
+    n, k = op.n, op.n // 8
+    fb = _fb(alpha=3.0, beta=2.0, m=0.8, tau=k, theta=float(op.m), delta_res=0.0, t_max=12)
+    runs = []
+    for spec in _ORACLE_ATTACKS:
+        for seed in range(4):
+            x = make_clean_compressible(n, k, np.random.default_rng([73, seed]))
+            y = perturb(x, spec, SensingOperator(n)).observed[op.rows]
+            runs.append((op, y, CadConfig(k=k, feedback=fb, seed=seed)))
+    return runs
+
+
+def test_row_subset_run_reaches_no_closed_form(monkeypatch):
+    # the mirror image: a row-subset run of any family neither analyses y
+    # nor builds the full operator's provider or its threshold table
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full-operator closed form ran on a row subset")
+
+    runs = _row_subset_ensemble()
+    for module, name in ((SensingOperator, "analyze"), (cad_defense.cad, "_ClosedForms"),
+                         (cad_defense.cad, "_threshold_table")):
+        monkeypatch.setattr(module, name, refuse)
+    actions = set()
+    for op, y, cfg in runs:
+        actions.update(record.action for record in cad_run(y, cfg, None, op).trace)
+    assert actions == set(range(N_ACTIONS))
+
+
+def test_threshold_table_is_built_on_the_first_l1_solve(monkeypatch):
+    # a full-operator run builds its threshold table once if its loop selects
+    # an l1 action, and never if CoSaMP is all it runs
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return threshold_table(*args)
+
+    threshold_table = cad_defense.cad._threshold_table
+    monkeypatch.setattr(cad_defense.cad, "_threshold_table", counting)
+    op, x, y = _clean_instance()
+    greedy_only = with_l1 = 0
+    for seed in range(20):
+        built.clear()
+        out = cad_run(y, CadConfig(k=6, feedback=_fb(), seed=seed), None, op)
+        l1 = any(record.action != A_COSAMP for record in out.trace)
+        assert len(built) == int(l1)
+        greedy_only += not l1
+        with_l1 += l1
+    assert greedy_only >= 2 and with_l1 >= 2
+
+
+# sha256 of the labels and estimate bytes of a small row-subset ensemble: it
+# pins the bytes of the iterative path beside the reference loop's oracle
+_ROW_SUBSET_GOLDEN = "10c535ca8441b3612ccbc2f8376de71dcee28f79f17702d9c3cf773ad203b170"
+
+
+def test_row_subset_ensemble_matches_its_golden_digest():
+    digest = hashlib.sha256()
+    for op, y, cfg in _row_subset_ensemble():
+        out = cad_run(y, cfg, None, op)
+        digest.update(out.method_label.encode())
+        digest.update(out.estimate.tobytes())
+    assert digest.hexdigest() == _ROW_SUBSET_GOLDEN
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,18 @@ BAD_CAD_VALUES = [
     ("inner_schedule", [2.5, 1]), ("inner_schedule", [True, 2]),
     ("inner_schedule", [3, 0.5]),
 ]
+# counts whose commands would never finish: each is refused up front
+HUGE_COUNTS = [(key, value) for key in ("count", "stats", "bench")
+               for value in (10 ** 30, 2 ** 63)]
+
+
+def _huge_count(key, value):
+    """The default config with the top-level, stats or bench count set to value."""
+    message = "instances" if key == "count" else f"{key}.count={value}"
+    return _named(message, lambda _: {"count": value} if key == "count"
+                  else {key: {"count": value}})
+
+
 BAD_FEEDBACK_VALUES = [
     ("t_max", 2.5), ("t_max", True), ("tau", 2.5), ("tau", True),
     ("alpha", math.nan), ("theta", math.nan), ("delta_res", math.nan),
@@ -216,6 +228,7 @@ BAD_FEEDBACK_VALUES = [
     lambda _: {"n": 16385},
     lambda _: {"n": 1000000000000},
     lambda _: {"bench": {"n": [32, 1000000000000]}},
+    *[_huge_count(key, value) for key, value in HUGE_COUNTS],
     _named("clean='sparse' must be an object", lambda _: {"clean": "sparse"}),
     _named("cad=[4] must be an object", lambda _: {"cad": [4]}),
     _named("cad.feedback='paper' must be an object",
@@ -247,7 +260,8 @@ BAD_FEEDBACK_VALUES = [
         *[f"cad_{key}_{value}" for key, value in BAD_CAD_VALUES],
         *[f"feedback_{key}_{value}" for key, value in BAD_FEEDBACK_VALUES],
         *[f"cad_seed_{value}" for value in (0, 99, -5, 2.5, "not-an-int")],
-        "n_above_bound", "n_huge", "bench_n_huge", "clean_not_object",
+        "n_above_bound", "n_huge", "bench_n_huge",
+        *[f"{key}_count_{value}" for key, value in HUGE_COUNTS], "clean_not_object",
         "cad_not_object", "feedback_not_object", "stats_not_object",
         "bench_not_object", "attacks_not_list", "attack_entry_not_object"])
 def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, overrides):
