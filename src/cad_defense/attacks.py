@@ -71,7 +71,7 @@ class AttackSpec:
         }[self.family]
         for name in need:
             val = getattr(self, name)
-            if val is None or not 0 < val < np.inf:
+            if not (isinstance(val, numbers.Real) and 0 < val < np.inf):
                 raise ValueError(f"family {self.family!r} needs finite {name} > 0, got {val}")
 
     def to_dict(self) -> dict:

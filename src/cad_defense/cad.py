@@ -80,11 +80,12 @@ class CadConfig:
             value = getattr(self, name)
             if not (_is_number(value) and 0 <= value < math.inf):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-        gamma, sigma, lam = self.bandit_params
+        params = self.bandit_params
         # stated as what must hold, so that a NaN fails it
-        if not (all(_is_number(v) for v in self.bandit_params)
-                and 0.0 <= gamma < 1.0 and 0 < sigma < math.inf and 0 < lam < math.inf):
-            raise ValueError(f"bad bandit params {self.bandit_params}")
+        if not (len(params) == 3 and all(_is_number(v) and 0 <= v < math.inf for v in params)
+                and params[0] < 1 and params[1] > 0 and params[2] > 0):
+            raise ValueError(f"bandit_params={params!r} must be three finite numbers gamma, "
+                             "sigma, lambda with 0 <= gamma < 1, sigma > 0 and lambda > 0")
 
     @property
     def gamma(self) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -46,8 +45,9 @@ _DESIGNATED = {"none": A_COSAMP, "l0": A_L0, "l1": A_L2, "l2": A_L2, "linf": A_L
 
 # the largest n a config may set: the n x n float64 DCT matrix alone is 2 GiB
 _MAX_N = 16_384
-# the most instances (count x attack entries) one config, or bench cell, may ask for
+# the most instances (count x attack entries) one config, or bench grid, may ask for
 _MAX_INSTANCES = 10 ** 6
+_MAX_FLOAT = float(np.finfo(np.float64).max)
 
 
 class ConfigError(Exception):
@@ -59,9 +59,103 @@ def designated_action(family: str) -> int | None:
     return _DESIGNATED.get(family)
 
 
+def _finite(value) -> bool:
+    """A finite number >= 0; stated as what must hold, so that NaN fails it."""
+    return _is_number(value) and 0 <= value <= _MAX_FLOAT
+
+
+def _integer(least: int, most: float = np.inf) -> tuple:
+    """The noun and check of a JSON integer in [least, most]."""
+    bound = f">= {least}" if most == np.inf else f"in [{least}, {most}]"
+    return f"an integer {bound}", lambda v: _is_number(v, int) and least <= v <= most
+
+
+# The harness-owned keys: section -> key -> (what the value must be, its
+# check, its default).  Every section but the top level ("") refuses unknown
+# keys; CadConfig, FeedbackConfig and AttackSpec check cad and the attack
+# entries.  A None default is required (n, cad) or read from elsewhere:
+# clean.k from cad.k, and each bench axis from the run's own value.
+_CLEAN = {
+    "kind": ("'sparse', 'compressible' or 'files'",
+             lambda v: v in ("sparse", "compressible", "files"), "sparse"),
+    "amplitude": ("two finite numbers lo, hi with 0 < lo <= hi",
+                  lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                  and all(_finite(a) for a in v) and 0 < v[0] <= v[1], (1.0, 2.0)),
+    "tail_norm": ("a finite number >= 0", _finite, 0.5),
+    "k": (*_integer(1), None),
+    "paths": ("a list of strings",
+              lambda v: isinstance(v, list) and all(isinstance(p, str) for p in v), ()),
+}
+_SCHEMA = {
+    "": {
+        "n": (f"an integer in [1, {_MAX_N}] (a larger one exceeds the largest "
+              f"supported n={_MAX_N})", _integer(1, _MAX_N)[1], None),
+        "channels": ("1 or 3", lambda v: _is_number(v, int) and v in (1, 3), 1),
+        "seed": (*_integer(0), 0),
+        "count": (*_integer(1), 1),
+        "stats_dir": ("a string", lambda v: v is None or isinstance(v, str), None),
+        # an absent clean section is echoed as its default kind and amplitude
+        "clean": ("an object", lambda v: isinstance(v, dict),
+                  {key: _CLEAN[key][2] for key in ("kind", "amplitude")}),
+        "cad": ("an object", lambda v: isinstance(v, dict), None),
+        "stats": ("an object", lambda v: isinstance(v, dict), {}),
+        "bench": ("an object", lambda v: v is None or isinstance(v, dict), None),
+        "attacks": ("an array", lambda v: isinstance(v, list), [{"family": "none"}]),
+    },
+    "clean": _CLEAN,
+    "stats": {
+        "count": (*_integer(2), 32),
+        "n_cosamp": (*_integer(0), 5),
+        "ridge": ("null or a finite number >= 0", lambda v: v is None or _finite(v), None),
+    },
+    # an empty axis would make an empty grid
+    "bench": {
+        "n": (f"a non-empty list of integers, none of which exceeds the largest "
+              f"supported n={_MAX_N}", lambda v: isinstance(v, list) and v != []
+              and all(_is_number(n, int) and n <= _MAX_N for n in v), None),
+        "k": ("a non-empty list of integers", lambda v: isinstance(v, list) and v != []
+              and all(_is_number(k, int) for k in v), None),
+        "attacks": ("a non-empty list", lambda v: isinstance(v, list) and v != [], None),
+        "count": (*_integer(1, _MAX_INSTANCES), None),
+    },
+}
+
+
+def _check(section: str, entries: dict) -> None:
+    """Each entry of a config section against its schema row."""
+    rows = _SCHEMA[section]
+    for key, value in entries.items():
+        name = f"{section}.{key}" if section else key
+        if key not in rows:
+            raise ConfigError(f"{name} is not a {section} key ({', '.join(rows)})")
+        noun, ok, _ = rows[key]
+        if not ok(value):
+            raise ConfigError(f"{name}={value!r} must be {noun}")
+
+
+def _construct(name: str, make):
+    """make(), its TypeError or ValueError a config error naming the section."""
+    try:
+        return make()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _setting(cfg: "ExperimentConfig", section: str, key: str):
+    """The clean or stats value of key, or its schema default."""
+    return getattr(cfg, section).get(key, _SCHEMA[section][key][2])
+
+
+def _bench_axes(cfg: "ExperimentConfig") -> tuple[list, list, list, int]:
+    """The bench axes n, k, attacks and the count per cell, the run's own by default."""
+    bench = cfg.bench or {}
+    return (bench.get("n", [cfg.n]), bench.get("k", [cfg.cad.k]),
+            bench.get("attacks", cfg.attacks), bench.get("count", cfg.count))
+
+
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment description; see from_json for the schema."""
+    """Parsed experiment description; see _SCHEMA for the harness's keys."""
 
     n: int
     channels: int
@@ -79,71 +173,57 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError(f"the config must be a JSON object, got {d!r}")
-        for key in ("clean", "cad", "stats", "bench", "attacks"):
-            kind, noun = (list, "an array") if key == "attacks" else (dict, "an object")
-            if d.get(key) is not None and not isinstance(d[key], kind):
-                raise ConfigError(f"{key}={d[key]!r} must be {noun}")
-        entries = [(f"attacks[{i}]", a) for i, a in enumerate(d.get("attacks") or [])]
-        if "feedback" in (d.get("cad") or {}):
-            entries.append(("cad.feedback", d["cad"]["feedback"]))
-        for name, value in entries:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{name}={value!r} must be an object")
-        try:
-            n = d["n"]
-            channels = d.get("channels", 1)
-            seed = d.get("seed", 0)
-            clean = dict(d.get("clean", {"kind": "sparse", "amplitude": [1.0, 2.0]}))
-            attacks = [dict(a) for a in d.get("attacks", [{"family": "none"}])]
-            count = d.get("count", 1)
-            cad_d = dict(d["cad"])
-            # instance seeds derive from the master seed, and channels is one setting
-            misplaced = sorted({"seed", "channels"} & set(cad_d))
-            if misplaced:
-                raise ConfigError(f"cad.{misplaced[0]} is not a cad key: set the "
-                                  f"top-level {misplaced[0]}")
-            fb = FeedbackConfig(**cad_d.pop("feedback"))
-            if "bandit_params" in cad_d:
-                cad_d["bandit_params"] = tuple(cad_d["bandit_params"])
-            cad = CadConfig(feedback=fb, **cad_d)
-            stats = dict(d.get("stats", {}))
-            stats_dir = d.get("stats_dir")
-            bench = d.get("bench")
-            bench = None if bench is None else dict(bench)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad experiment config: {exc}") from exc
-        for name, value, least in (("n", n, 1), ("count", count, 1), ("seed", seed, 0)):
-            _require_int(name, value, least)
-        if n > _MAX_N:
-            raise ConfigError(f"n={n} exceeds the largest supported n={_MAX_N}")
-        if count * len(attacks) > _MAX_INSTANCES:
-            raise ConfigError(f"count={count} x {len(attacks)} attack entries exceeds "
-                              f"the largest supported {_MAX_INSTANCES} instances")
-        if not (_is_number(channels, int) and channels in (1, 3)):
-            raise ConfigError(f"channels={channels!r} must be 1 or 3")
-        if stats_dir is not None and not isinstance(stats_dir, str):
-            raise ConfigError(f"stats_dir={stats_dir!r} must be a string")
-        if not attacks:
-            raise ConfigError("attacks must list at least one attack entry")
-        for a in attacks:
-            if "family" not in a:
-                raise ConfigError(f"attack entry missing family: {a}")
-            try:
-                spec = AttackSpec(seed=0, **a)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad attack entry {a}: {exc}") from exc
+        top = {key: d.get(key, row[2]) for key, row in _SCHEMA[""].items()}
+        _check("", top)
+        for section in ("clean", "stats", "bench"):
+            _check(section, top[section] or {})
+        cad_d = dict(top["cad"])
+        feedback = cad_d.pop("feedback", None)
+        shapes = [(f"attacks[{i}]", a, dict) for i, a in enumerate(top["attacks"])]
+        shapes += [("cad.feedback", feedback, dict),
+                   ("cad.bandit_params", cad_d.get("bandit_params", ()), (list, tuple))]
+        for name, value, kind in shapes:
+            if not isinstance(value, kind):
+                noun = "an object" if kind is dict else "an array"
+                raise ConfigError(f"{name}={value!r} must be {noun}")
+        # instance seeds derive from the master seed, and channels is one setting
+        misplaced = sorted({"seed", "channels"} & set(cad_d))
+        if misplaced:
+            raise ConfigError(f"cad.{misplaced[0]} is not a cad key: set the "
+                              f"top-level {misplaced[0]}")
+        if "bandit_params" in cad_d:
+            cad_d["bandit_params"] = tuple(cad_d["bandit_params"])
+        fb = _construct("cad.feedback", lambda: FeedbackConfig(**feedback))
+        cad = _construct("cad", lambda: CadConfig(feedback=fb, **cad_d))
+        cfg = cls(n=top["n"], channels=top["channels"], seed=top["seed"],
+                  clean=dict(top["clean"]), attacks=[dict(a) for a in top["attacks"]],
+                  count=top["count"], cad=cad, stats=dict(top["stats"]),
+                  stats_dir=top["stats_dir"], bench=top["bench"] and dict(top["bench"]),
+                  raw=d)
+        # the rules that span keys, each key having passed its own row
+        n, count, attacks = cfg.n, cfg.count, cfg.attacks
+        for i, entry in enumerate(attacks):
+            spec = _construct(f"attacks[{i}]", lambda: AttackSpec(seed=0, **entry))
             if spec.family == "l0" and spec.tau > n:
-                raise ConfigError(f"bad attack entry {a}: tau={spec.tau} exceeds n={n}")
-        for name, k in (("cad.k", cad.k), ("clean.k", clean.get("k", cad.k))):
-            if not (_is_number(k, int) and 1 <= k <= n):
-                raise ConfigError(f"{name}={k!r} must be an integer in [1, n={n}]")
-        _check_clean_section(clean)
-        if bench is not None:
-            _check_bench_section(bench)
-        _check_stats_section(stats, n)
-        return cls(n=n, channels=channels, seed=seed, clean=clean,
-                   attacks=attacks, count=count, cad=cad, stats=stats,
-                   stats_dir=stats_dir, bench=bench, raw=d)
+                raise ConfigError(f"attacks[{i}].tau={spec.tau} must be at most n={n}")
+        clean_k, stats_count = cfg.clean.get("k", cad.k), _setting(cfg, "stats", "count")
+        grid_n, grid_k, grid_attacks, per_cell = _bench_axes(cfg)
+        cells = len(grid_n) * len(grid_k) * len(grid_attacks)
+        for broken, message in (
+            (not attacks, "attacks=[] must list at least one attack entry"),
+            (cad.k > n, f"cad.k={cad.k} must be an integer in [1, n={n}]"),
+            (clean_k > n, f"clean.k={clean_k} must be an integer in [1, n={n}]"),
+            (count * len(attacks) > _MAX_INSTANCES, f"count={count} x {len(attacks)} "
+             f"attack entries exceeds the largest supported {_MAX_INSTANCES} instances"),
+            # the count x n residual matrix no larger than the largest DCT matrix
+            (stats_count * n > _MAX_N ** 2,
+             f"stats.count={stats_count} must be at most {_MAX_N ** 2 // n} at n={n}"),
+            (cells * per_cell > _MAX_INSTANCES, f"bench: {cells} grid cells x count="
+             f"{per_cell} exceeds the largest supported {_MAX_INSTANCES} instances"),
+        ):
+            if broken:
+                raise ConfigError(message)
+        return cfg
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -166,73 +246,9 @@ class ExperimentConfig:
         return out
 
 
-def _is_finite(value) -> bool:
-    return _is_number(value) and math.isfinite(value)
-
-
-def _require_int(name: str, value, least: int, most=math.inf) -> None:
-    if not (_is_number(value, int) and least <= value <= most):
-        bound = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
-        raise ConfigError(f"{name}={value!r} must be an integer {bound}")
-
-
-def _reject_unknown(section: str, entries, allowed: set) -> None:
-    unknown = sorted(set(entries) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown {section} keys {unknown}")
-
-
-def _check_clean_section(clean: dict) -> None:
-    kind = clean.get("kind", "sparse")
-    if kind not in ("sparse", "compressible", "files"):
-        raise ConfigError(f"unknown clean kind {kind!r}")
-    _reject_unknown("clean", clean, {"kind", "amplitude", "tail_norm", "k", "paths"})
-    if kind == "files":
-        paths = clean.get("paths", [])
-        if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
-            raise ConfigError(f"clean.paths={paths!r} must be a list of strings")
-        return
-    # absent keys take the generators' defaults
-    if "amplitude" in clean:
-        amp = clean["amplitude"]
-        if not (isinstance(amp, (list, tuple)) and len(amp) == 2
-                and all(_is_finite(a) for a in amp) and 0 < amp[0] <= amp[1]):
-            raise ConfigError(f"clean.amplitude={amp!r} must be two finite "
-                              "numbers lo, hi with 0 < lo <= hi")
-    if "tail_norm" in clean:
-        tail_norm = clean["tail_norm"]
-        if not (_is_finite(tail_norm) and tail_norm >= 0):
-            raise ConfigError(f"clean.tail_norm={tail_norm!r} must be finite and >= 0")
-
-
-def _check_bench_section(bench: dict) -> None:
-    _reject_unknown("bench", bench, {"n", "k", "attacks", "count"})
-    # an empty axis would make an empty grid
-    for key in ("n", "k", "attacks"):
-        if key in bench and not (isinstance(bench[key], list) and bench[key]):
-            raise ConfigError(f"bench.{key}={bench[key]!r} must be a non-empty list")
-    for key in ("n", "k"):
-        if not all(_is_number(v, int) for v in bench.get(key, [])):
-            raise ConfigError(f"bench.{key}={bench[key]!r} must be a list of integers")
-    if any(n > _MAX_N for n in bench.get("n", [])):
-        raise ConfigError(f"bench.n={bench['n']!r} exceeds the largest supported n={_MAX_N}")
-    if "count" in bench:
-        _require_int("bench.count", bench["count"], 1, _MAX_INSTANCES)
-
-
-def _check_stats_section(stats: dict, n: int) -> None:
-    _reject_unknown("stats", stats, {"count", "n_cosamp", "ridge"})
-    # the count x n residual matrix no larger than the largest DCT matrix
-    for key, least, most in (("count", 2, _MAX_N ** 2 // n), ("n_cosamp", 0, math.inf)):
-        _require_int(f"stats.{key}", stats.get(key, least), least, most)
-    ridge = stats.get("ridge")
-    if ridge is not None and not (_is_finite(ridge) and ridge >= 0):
-        raise ConfigError(f"stats.ridge={ridge!r} must be null or finite and >= 0")
-
-
 def _require_synthetic(cfg: ExperimentConfig) -> None:
     """Instances are drawn from the synthetic clean kinds only."""
-    if cfg.clean.get("kind") == "files":
+    if _setting(cfg, "clean", "kind") == "files":
         raise ConfigError('clean.kind "files" only serves the stats command')
 
 
@@ -249,24 +265,17 @@ def _attack_seed(cfg: ExperimentConfig, index: int, channel: int) -> int:
 
 
 def _draw_clean(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
-    kind = cfg.clean.get("kind", "sparse")
-    amp = tuple(cfg.clean.get("amplitude", (1.0, 2.0)))
+    amp = tuple(_setting(cfg, "clean", "amplitude"))
     k = cfg.clean.get("k", cfg.cad.k)
-    if kind == "compressible":
+    if _setting(cfg, "clean", "kind") == "compressible":
         return make_clean_compressible(cfg.n, k, rng, amp,
-                                       float(cfg.clean.get("tail_norm", 0.5)))
+                                       float(_setting(cfg, "clean", "tail_norm")))
     return make_clean_sparse(cfg.n, k, rng, amp)
 
 
 def _attack_entries(cfg: ExperimentConfig) -> list[tuple[int, dict]]:
     """Flat (index, attack entry) list: count instances per attack entry."""
-    out = []
-    idx = 0
-    for entry in cfg.attacks:
-        for _ in range(cfg.count):
-            out.append((idx, entry))
-            idx += 1
-    return out
+    return list(enumerate(entry for entry in cfg.attacks for _ in range(cfg.count)))
 
 
 def _build_instance(cfg: ExperimentConfig, op: SensingOperator, index: int,
@@ -285,14 +294,13 @@ def _build_instance(cfg: ExperimentConfig, op: SensingOperator, index: int,
 
 
 def _stats_signals(cfg: ExperimentConfig, op: SensingOperator, channel: int):
-    count = int(cfg.stats.get("count", 32))
     rng = np.random.default_rng([cfg.seed, 2 ** 31 + channel])
-    for _ in range(count):
+    for _ in range(_setting(cfg, "stats", "count")):
         yield op.synthesize(_draw_clean(cfg, rng))
 
 
 def _file_signals(cfg: ExperimentConfig) -> list[list[np.ndarray]]:
-    paths = sorted(cfg.clean.get("paths", []))
+    paths = sorted(_setting(cfg, "clean", "paths"))
     if len(paths) < 2:
         raise ConfigError("files-based stats need at least two input signals")
     per_channel: list[list[np.ndarray]] = [[] for _ in range(cfg.channels)]
@@ -311,13 +319,11 @@ def _file_signals(cfg: ExperimentConfig) -> list[list[np.ndarray]]:
 
 
 def _compute_stats(cfg: ExperimentConfig, op: SensingOperator) -> list[CleanStats]:
-    if cfg.clean.get("kind") == "files":
-        signals = _file_signals(cfg)
-    else:
-        signals = [_stats_signals(cfg, op, ch) for ch in range(cfg.channels)]
-    ridge = cfg.stats.get("ridge")
-    n_cosamp = cfg.stats.get("n_cosamp", 5)
-    return [estimate_clean_stats(sigs, op, cfg.cad.k, n_cosamp=n_cosamp,
+    signals = (_file_signals(cfg) if _setting(cfg, "clean", "kind") == "files"
+               else [_stats_signals(cfg, op, ch) for ch in range(cfg.channels)])
+    ridge = _setting(cfg, "stats", "ridge")
+    return [estimate_clean_stats(sigs, op, cfg.cad.k,
+                                 n_cosamp=_setting(cfg, "stats", "n_cosamp"),
                                  ridge=None if ridge is None else float(ridge))
             for sigs in signals]
 
@@ -339,7 +345,7 @@ def _load_stats(cfg: ExperimentConfig) -> list[CleanStats]:
 def _resolve_stats(cfg: ExperimentConfig, op: SensingOperator) -> list[CleanStats] | None:
     if cfg.stats_dir:
         return _load_stats(cfg)
-    if cfg.stats.get("count"):
+    if "count" in cfg.stats:
         return _compute_stats(cfg, op)
     return None
 
@@ -499,15 +505,11 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, rows: list[dict], header_lines: list[str] = ()) -> None:
-    if not rows:
-        path.write_text("".join(f"# {h}\n" for h in header_lines))
-        return
-    cols = list(rows[0].keys())
     lines = [f"# {h}" for h in header_lines]
-    lines.append(",".join(cols))
-    for r in rows:
-        lines.append(",".join(_fmt(r[c]) for c in cols))
-    path.write_text("\n".join(lines) + "\n")
+    if rows:
+        lines.append(",".join(rows[0]))
+        lines += [",".join(_fmt(r[c]) for c in rows[0]) for r in rows]
+    path.write_text("".join(f"{line}\n" for line in lines))
 
 
 def _config_header(cfg: ExperimentConfig) -> list[str]:
@@ -617,20 +619,16 @@ def cmd_bench(cfg: ExperimentConfig, out_dir, workers: int = 1) -> list[dict]:
     if not cfg.bench:
         raise ConfigError("config has no bench section")
     _require_synthetic(cfg)
-    grid_n = cfg.bench.get("n", [cfg.n])
-    grid_k = cfg.bench.get("k", [cfg.cad.k])
-    grid_attacks = cfg.bench.get("attacks", cfg.attacks)
-    count = cfg.bench.get("count", cfg.count)
+    grid_n, grid_k, grid_attacks, count = _bench_axes(cfg)
     # every cell's config is checked before the first cell runs
     subs = []
     for n in grid_n:
         for k in grid_k:
             for entry in grid_attacks:
-                sub_raw = dict(cfg.raw)
-                sub_raw.update({"n": n, "count": count, "attacks": [entry]})
-                sub_raw["cad"] = dict(cfg.raw["cad"], k=k)
-                if "clean" in sub_raw and "k" in sub_raw.get("clean", {}):
-                    sub_raw["clean"] = dict(sub_raw["clean"], k=k)
+                sub_raw = dict(cfg.raw, n=n, count=count, attacks=[entry],
+                               cad=dict(cfg.raw["cad"], k=k))
+                if "k" in cfg.clean:
+                    sub_raw["clean"] = dict(cfg.clean, k=k)
                 subs.append(ExperimentConfig.from_dict(sub_raw))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1139,6 +1139,10 @@ def test_config_validation():
     for fields in bad:
         with pytest.raises(ValueError):
             CadConfig(**{"k": 2, "feedback": _fb(), **fields})
+    # a wrong count of parameters is refused with the others, by name
+    for params in ((0.07, 1.01), (0.07, 1.01, 1.25, 1.0), (0.07, math.nan, 1.25)):
+        with pytest.raises(ValueError, match=r"^bandit_params=\(.*\) must be three finite"):
+            CadConfig(k=2, feedback=_fb(), bandit_params=params)
     CadConfig(k=2, feedback=_fb(), eta=0, eta_prime=np.float64(0.5))
 
 

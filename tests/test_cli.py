@@ -128,15 +128,21 @@ def _set_key(key, value):
     return damage
 
 
-def _named(message, overrides):
-    """overrides whose config error line must contain message."""
-    overrides.message = message
+def _named(*messages_then_overrides):
+    """overrides whose config error line must contain each message."""
+    *messages, overrides = messages_then_overrides
+    overrides.messages = messages
     return overrides
 
 
 def _cad(**entries):
     """The cad section of the default config, with entries set."""
     return lambda _: {"cad": {"k": 4, "feedback": dict(FB), **entries}}
+
+
+def _clean(**entries):
+    """The clean section of the default config, with entries set."""
+    return lambda _: {"clean": {"kind": "sparse", "amplitude": [1.0, 2.0], **entries}}
 
 
 # values the loop cannot use; each must fail as a config error, not run
@@ -161,6 +167,8 @@ def _huge_count(key, value):
                   else {key: {"count": value}})
 
 
+NULL_SECTIONS = [("clean", "an object"), ("cad", "an object"), ("stats", "an object"),
+                 ("attacks", "an array")]
 BAD_FEEDBACK_VALUES = [
     ("t_max", 2.5), ("t_max", True), ("tau", 2.5), ("tau", True),
     ("alpha", math.nan), ("theta", math.nan), ("delta_res", math.nan),
@@ -171,9 +179,10 @@ BAD_FEEDBACK_VALUES = [
 @pytest.mark.parametrize("overrides", [
     lambda _: {"attacks": [{"family": "l9"}]},
     lambda _: {"attacks": [{"family": "l2", "eta": math.nan}]},
-    lambda _: {"cad": {"k": 33, "feedback": dict(FB)}},
+    _named("cad.k=33", lambda _: {"cad": {"k": 33, "feedback": dict(FB)}}),
     _stats_for_n64,
-    lambda _: {"attacks": [{"family": "l0", "tau": 33, "eta_prime": 0.5}]},
+    _named("attacks[0].tau=33",
+           lambda _: {"attacks": [{"family": "l0", "tau": 33, "eta_prime": 0.5}]}),
     _corrupt_stats(lambda f64, _: f64.write_bytes(f64.read_bytes()[:-8])),
     _corrupt_stats(lambda _, sidecar: sidecar.write_text("{not json")),
     _corrupt_stats(_drop_key("n")),
@@ -187,47 +196,47 @@ BAD_FEEDBACK_VALUES = [
     _corrupt_stats(_set_key("n", 32.0)),
     _corrupt_stats(_set_key("ridge", "0.0001")),
     _corrupt_stats(_set_key("ridge", True)),
-    lambda _: {"stats": {"count": 8, "ridge": -1}},
-    lambda _: {"stats": {"count": 1}},
-    lambda _: {"stats": {"count": 8, "n_cosamp": -1}},
-    lambda _: {"stats": {"cout": 8}},
+    _named("stats.ridge=-1", lambda _: {"stats": {"count": 8, "ridge": -1}}),
+    _named("stats.count=1", lambda _: {"stats": {"count": 1}}),
+    _named("stats.n_cosamp=-1", lambda _: {"stats": {"count": 8, "n_cosamp": -1}}),
+    _named("stats.cout", lambda _: {"stats": {"cout": 8}}),
     lambda _: {"cad": {"k": 4, "feedback": dict(FB, a1_precedence="or_and")}},
     lambda _: {"cad": {"k": 4, "feedback": dict(FB), "x0_mode": "zero"}},
     lambda _: {"cad": {"k": 4, "feedback": dict(FB), "final_iters": 10}},
     lambda _: {"cad": {"k": 4, "feedback": dict(FB), "inner_schedule": [3, 2]}},
-    lambda _: {"clean": {"kind": "sparse", "amplitud": [1.0, 2.0]}},
-    lambda _: {"bench": {"nn": [16]}},
+    _named("clean.amplitud", lambda _: {"clean": {"kind": "sparse", "amplitud": [1.0, 2.0]}}),
+    _named("bench.nn", lambda _: {"bench": {"nn": [16]}}),
     lambda _: {"attacks": [{"family": "none", "count": 5}]},
     lambda _: {"attacks": [{"family": "none", "seed": 3}]},
-    lambda _: {"clean": {"kind": "sparse", "amplitude": [1.0]}},
-    lambda _: {"clean": {"kind": "sparse", "amplitude": [-1.0, 2.0]}},
-    lambda _: {"clean": {"kind": "sparse", "amplitude": [2.0, 1.0]}},
-    lambda _: {"clean": {"kind": "compressible", "amplitude": [1.0, 2.0],
-                         "tail_norm": -1}},
-    lambda _: {"n": 32.9},
-    lambda _: {"n": "32"},
-    lambda _: {"count": 2.7},
-    lambda _: {"seed": 5.5},
-    lambda _: {"seed": -1},
-    lambda _: {"channels": 1.0},
+    _named("clean.amplitude", _clean(amplitude=[1.0])),
+    _named("clean.amplitude", _clean(amplitude=[-1.0, 2.0])),
+    _named("clean.amplitude", _clean(amplitude=[2.0, 1.0])),
+    _named("clean.tail_norm", _clean(kind="compressible", tail_norm=-1)),
+    _named("n=", lambda _: {"n": 32.9}),
+    _named("n=", lambda _: {"n": "32"}),
+    _named("count=", lambda _: {"count": 2.7}),
+    _named("seed=", lambda _: {"seed": 5.5}),
+    _named("seed=", lambda _: {"seed": -1}),
+    _named("channels=", lambda _: {"channels": 1.0}),
     lambda _: {"cad": {"k": 4.5, "feedback": dict(FB)}},
-    lambda _: {"clean": {"kind": "sparse", "amplitude": [1.0, 2.0], "k": 4.5}},
-    lambda _: {"bench": {"n": [32.5]}},
-    lambda _: {"bench": {"k": [4.5]}},
-    lambda _: {"bench": {"count": 2.5}},
-    lambda _: {"stats_dir": 5},
+    _named("clean.k", _clean(k=4.5)),
+    _named("bench.n", lambda _: {"bench": {"n": [32.5]}}),
+    _named("bench.k", lambda _: {"bench": {"k": [4.5]}}),
+    _named("bench.count", lambda _: {"bench": {"count": 2.5}}),
+    _named("stats_dir=", lambda _: {"stats_dir": 5}),
     lambda _: {"attacks": [{"family": "l0", "tau": 2.5, "eta_prime": 0.5}]},
     lambda _: {"attacks": [{"family": "l0", "tau": True, "eta_prime": 0.5}]},
     lambda _: {"attacks": [{"family": "l2", "eta": 0.5, "clip": "yes"}]},
     lambda _: {"attacks": [{"family": "l0", "tau": 3, "eta_prime": 0.5,
                             "low_freq_bias": 1}]},
-    *[_cad(**{key: value}) for key, value in BAD_CAD_VALUES],
-    *[_cad(feedback=dict(FB, **{key: value})) for key, value in BAD_FEEDBACK_VALUES],
+    *[_named(key, _cad(**{key: value})) for key, value in BAD_CAD_VALUES],
+    *[_named(key, _cad(feedback=dict(FB, **{key: value})))
+      for key, value in BAD_FEEDBACK_VALUES],
     *[_cad(seed=value) for value in (0, 99, -5, 2.5, "not-an-int")],
     # n above the bound: refused before any n x n matrix is built
-    lambda _: {"n": 16385},
-    lambda _: {"n": 1000000000000},
-    lambda _: {"bench": {"n": [32, 1000000000000]}},
+    _named("n=", lambda _: {"n": 16385}),
+    _named("n=", lambda _: {"n": 1000000000000}),
+    _named("bench.n", lambda _: {"bench": {"n": [32, 1000000000000]}}),
     *[_huge_count(key, value) for key, value in HUGE_COUNTS],
     _named("clean='sparse' must be an object", lambda _: {"clean": "sparse"}),
     _named("cad=[4] must be an object", lambda _: {"cad": [4]}),
@@ -238,6 +247,13 @@ BAD_FEEDBACK_VALUES = [
     _named("attacks={'family': 'none'} must be an array",
            lambda _: {"attacks": {"family": "none"}}),
     _named("attacks[0]='none' must be an object", lambda _: {"attacks": ["none"]}),
+    # null is no section: only bench and stats_dir read it as absent
+    *[_named(f"{key}=None must be {noun}", lambda _, key=key: {key: None})
+      for key, noun in NULL_SECTIONS],
+    _named("cad.bandit_params=0.5 must be an array", _cad(bandit_params=0.5)),
+    _named("bandit_params=(0.07, 1.01)", _cad(bandit_params=[0.07, 1.01])),
+    # each cell is within the bound, the grid is not
+    _named("bench", "instances", lambda _: {"bench": {"n": [32, 64], "count": 10 ** 6}}),
 ], ids=["unknown_family", "nan_budget", "k_above_n", "stats_of_other_n",
         "l0_tau_above_n", "stats_short_f64", "stats_sidecar_not_json",
         "stats_sidecar_without_n", "stats_sidecar_without_ridge",
@@ -263,14 +279,16 @@ BAD_FEEDBACK_VALUES = [
         "n_above_bound", "n_huge", "bench_n_huge",
         *[f"{key}_count_{value}" for key, value in HUGE_COUNTS], "clean_not_object",
         "cad_not_object", "feedback_not_object", "stats_not_object",
-        "bench_not_object", "attacks_not_list", "attack_entry_not_object"])
+        "bench_not_object", "attacks_not_list", "attack_entry_not_object",
+        *[f"{key}_null" for key, _ in NULL_SECTIONS], "bandit_params_not_list",
+        "bandit_params_short", "bench_grid_over_instances"])
 def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, overrides):
     cfg = _write_config(tmp_path, **overrides(tmp_path))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_CONFIG
     assert len(err) == 1 and err[0].startswith("config error:")
-    assert getattr(overrides, "message", "") in err[0]
+    assert all(message in err[0] for message in getattr(overrides, "messages", ()))
     assert not (tmp_path / "o" / "report.csv").exists()
 
 

@@ -2,15 +2,19 @@
 benchmarks, and report determinism."""
 
 import concurrent.futures
+import copy
 import csv
 import hashlib
 import json
+import math
 import os
 import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cad_defense.harness
 from cad_defense.attacks import AdversarialInstance
@@ -372,6 +376,82 @@ def test_config_requires_core_fields():
             ExperimentConfig.from_dict(_raw(**{key: value}))
     with pytest.raises(ConfigError, match="must be a JSON object"):
         ExperimentConfig.from_dict([_raw()])
+
+
+def test_null_bench_and_stats_dir_read_as_absent():
+    cfg = ExperimentConfig.from_dict(_raw(bench=None, stats_dir=None))
+    assert cfg.bench is None and cfg.stats_dir is None
+
+
+# a small valid config that sets every harness-owned key, each family's
+# budgets and every cad and feedback key
+VALID = {
+    "n": 32, "channels": 1, "seed": 5, "count": 2, "stats_dir": "stats",
+    "clean": {"kind": "compressible", "amplitude": [1.0, 2.0], "tail_norm": 0.5, "k": 4},
+    "attacks": [{"family": "l0", "tau": 3, "eta_prime": 0.5}, {"family": "l2", "eta": 0.4},
+                {"family": "linf", "eta_dprime": 0.1}],
+    "cad": {"k": 4, "bandit_params": [0.07, 1.01, 1.25], "eta": 0.3, "eta_prime": 0.15,
+            "eta_dprime": 0.04,
+            "feedback": dict(FB, count_threshold=0.5, delta_prob=0.8, delta_res=2.0,
+                             t_max=40)},
+    "stats": {"count": 8, "n_cosamp": 5, "ridge": 1e-4},
+    "bench": {"n": [32], "k": [4], "attacks": [{"family": "none"}], "count": 2},
+}
+JUNK = [math.nan, math.inf, -math.inf, -1, 0, 2.5, True, None, "x", [], {}, 1e308,
+        10 ** 30, 2 ** 63]
+
+
+def _paths(node, path=()):
+    """The path of every key and list element below node."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+PATHS = list(_paths(VALID))
+KEY_PATHS = [p for p in PATHS if isinstance(p[-1], str)]
+DICT_PATHS = [()] + [p for p in PATHS if isinstance(_at(VALID, p), dict)]
+
+
+@st.composite
+def _mutations(draw):
+    """A copy of VALID with one leaf or element set to junk, one key deleted,
+    or one unknown key inserted, and the key name the change is under."""
+    raw = copy.deepcopy(VALID)
+    kind = draw(st.sampled_from(["set", "delete", "insert"]))
+    if kind == "insert":
+        _at(raw, draw(st.sampled_from(DICT_PATHS)))["zz_unknown"] = draw(st.sampled_from(JUNK))
+        return raw, "zz_unknown"
+    path = draw(st.sampled_from(PATHS if kind == "set" else KEY_PATHS))
+    parent = _at(raw, path[:-1])
+    if kind == "set":
+        parent[path[-1]] = draw(st.sampled_from(JUNK))
+    else:
+        del parent[path[-1]]
+    return raw, [key for key in path if isinstance(key, str)][-1]
+
+
+def test_valid_config_loads():
+    assert ExperimentConfig.from_dict(copy.deepcopy(VALID)).echo()["n"] == 32
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutations())
+def test_mutated_config_loads_or_names_the_mutated_key(mutation):
+    # the parser either accepts the config or refuses it with a ConfigError
+    # (any other exception fails the test) whose message names the key
+    raw, key = mutation
+    try:
+        ExperimentConfig.from_dict(raw)
+    except ConfigError as exc:
+        assert key in str(exc)
 
 
 def test_config_from_json_paths(tmp_path):
