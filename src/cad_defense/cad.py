@@ -107,7 +107,6 @@ class CadIterationRecord:
     t: int
     action: int
     probs: tuple
-    inner_iters: int
     # iterations and certificate flag of the step's splitting solve; None
     # where the step ran none (closed forms, reused evidence, CoSaMP)
     solver_iters: int | None
@@ -228,17 +227,13 @@ class _Provider:
 class _ClosedForms(_Provider):
     """The full orthonormal operator: each action is a closed form of
     c = F y, analysed once per run, so every solve is final and budgets
-    and starts are moot.  CoSaMP's least-squares step restricts c, so its
-    pruned iterate is top_k(c); each l1 action soft-thresholds c through
-    the run's threshold table, built on the first l1 solve.
+    and starts are moot.  CoSaMP's least-squares step restricts c; each l1
+    action soft-thresholds c through the run's threshold table, built on
+    the first l1 solve.
 
-    The stable order of |c|, sorted once per run, prunes every estimate
-    with top_k's bytes.  For CoSaMP order[:k] is what top_k keeps.  A soft
-    threshold is monotone in |c|, so where the k-th entry along the order
-    is strictly larger in magnitude than the (k+1)-th, the k largest
-    entries are exactly order[:k]; at a tie there the two tie-breaks
-    differ (top_k keeps the lower index, order the larger |c|, and every
-    thresholded-away entry ties at zero), so top_k decides.
+    Every estimate keeps order[:k], k entries along the run's stable order
+    of |c|, sorted once per run: a soft threshold is monotone in |c|, so
+    they are the estimate's k largest magnitudes (for CoSaMP, top_k(c)).
     """
 
     def __init__(self, y, op, cfg, stats):
@@ -248,20 +243,16 @@ class _ClosedForms(_Provider):
         self.table = None
 
     def estimate(self, action, budget, x_start):
-        c, order, k = self.c, self.order, self.cfg.k
         if action == A_COSAMP:
-            raw = c
+            raw = self.c
         else:
             if self.table is None:
-                self.table = _threshold_table(c, order)
+                self.table = _threshold_table(self.c, self.order)
             raw = _soft_threshold(self.table, self.radius(action))
-        if k < order.size:
-            keep = order[:k]
-            if action == A_COSAMP or abs(raw[keep[-1]]) > abs(raw[order[k]]):
-                out = np.zeros(raw.size)
-                out[keep] = raw[keep]
-                return out, True, None
-        return top_k(raw, k), True, None
+        keep = self.order[:self.cfg.k]
+        out = np.zeros(raw.size)
+        out[keep] = raw[keep]
+        return out, True, None
 
     def spectrum(self, v, estimate):
         return self.c - estimate
@@ -273,15 +264,15 @@ class _Iterative(_Provider):
     _GENERAL_ITERS_PER_UNIT splitting iterations), in a final run for
     _FINAL_COSAMP_STEPS cold steps or to the splitting solver's cap.
 
-    CoSaMP starts at x_start, the loop's current estimate; it is not
-    convex, so its solve is never final.  The l1 actions share one
-    Douglas-Rachford state per run: each l1 solve, the final answer's
-    included, continues from the latest state any of them left (one that
-    returned at once leaves none), since the solver's step depends on y
-    alone.  An l1 solve is final exactly when the solver certifies it
-    converged: a certified solve's l1 norm lies within the certified gap
-    of the optimum whatever its start, so a re-solve would carry no new
-    evidence.  An uncertified one is logged at debug level.
+    CoSaMP starts at x_start, the loop's current estimate, and returns a
+    pruned estimate; it is not convex, so its solve is never final.  The
+    l1 actions share one Douglas-Rachford state per run: each l1 solve,
+    the final answer's included, continues from the latest state any of
+    them left (one that returned at once leaves none), since the solver's
+    step depends on y alone.  An l1 solve is final exactly when the solver
+    certifies it converged: a certified solve's l1 norm lies within the
+    certified gap of the optimum whatever its start, so a re-solve would
+    carry no new evidence.  An uncertified one is logged at debug level.
     """
 
     state = None  # the run's latest Douglas-Rachford state; None before the first
@@ -290,8 +281,7 @@ class _Iterative(_Provider):
         k = self.cfg.k
         if action == A_COSAMP:
             steps = _FINAL_COSAMP_STEPS if budget is None else budget
-            return top_k(cosamp_run(self.y, self.op, k, steps, x0=x_start).estimate,
-                         k), False, None
+            return cosamp_run(self.y, self.op, k, steps, x0=x_start).estimate, False, None
         cap = L1Problem.max_iters if budget is None else _GENERAL_ITERS_PER_UNIT * budget
         problem = L1Problem(observed=self.y, op=self.op, radius=self.radius(action),
                             max_iters=cap)
@@ -336,7 +326,7 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         r = reward(a, a, f, p, cfg.lam)
         update(scores, a, r)
         trace.append(CadIterationRecord(
-            t=t, action=a, probs=tuple(probs), inner_iters=budget,
+            t=t, action=a, probs=tuple(probs),
             solver_iters=None if solved is None else solved.iterations,
             certified=None if solved is None else solved.converged,
             feedback=f, reward=r, scores=tuple(scores),
@@ -373,7 +363,7 @@ def cad_run(y: np.ndarray, cfg: CadConfig, stats, op: SensingOperator):
         return _run_single(y, cfg, stats, op, [cfg.seed, 0])
     if stats is None:
         stats = (None, None, None)
-    if len(stats) != 3:
+    if isinstance(stats, CleanStats) or len(stats) != 3:
         raise ValueError("three-channel runs need one stats entry per channel")
     outcomes = [
         _run_single(y[ch * op.m:(ch + 1) * op.m], cfg, stats[ch], op, [cfg.seed, ch])

@@ -126,18 +126,14 @@ class CleanStats:
 
 
 def residual(y: np.ndarray, estimate: np.ndarray, op: SensingOperator) -> np.ndarray:
-    """Measurement-domain residual y - A xhat.
-
-    On the full operator it is y - A[:, S] xhat[S] over the support S of
-    xhat, n |S| multiply-adds instead of n^2 for the loop's k-sparse
-    estimates, within rounding of the dense product; a row subset keeps
-    the dense one.  xhat is checked as synthesize checks it.
+    """Measurement-domain residual y - A xhat, formed as y - A[:, S] xhat[S]
+    over the support S of xhat: m |S| multiply-adds instead of m n for the
+    loop's k-sparse estimates, within rounding of the dense product.  xhat
+    is checked as synthesize checks it.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.m,):
         raise ValueError(f"y must have shape ({op.m},), got {y.shape}")
-    if not op.is_full:
-        return y - op.synthesize(estimate)
     x = _check_vector(estimate, op.n, "coefficients")
     support = np.flatnonzero(x)
     return y - op.columns(support) @ x[support]

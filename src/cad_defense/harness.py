@@ -235,13 +235,14 @@ class ExperimentConfig:
         return cls.from_dict(d)
 
     def echo(self) -> dict:
-        """Deterministic, JSON-ready copy of the effective configuration."""
+        """Deterministic, JSON-ready copy of the effective configuration; a
+        stats section appears when it was given, even empty."""
         out = {
             "n": self.n, "channels": self.channels, "seed": self.seed,
             "clean": self.clean, "attacks": self.attacks, "count": self.count,
             "cad": dataclasses.asdict(self.cad),
         }
-        if self.stats:
+        if self.stats or "stats" in self.raw:
             out["stats"] = self.stats
         return out
 
@@ -462,7 +463,6 @@ def _run_ensemble(cfg: ExperimentConfig, workers: int = 1) -> dict:
                     os.environ[var] = value
     else:
         results = [_run_one(cfg, op, stats, i, e) for i, e in tasks]
-    results.sort(key=lambda r: r["inst"]["instance"])
     rows = [r for res in results for r in res["rows"]]
     insts = [res["inst"] for res in results]
     timings = [res["timing"] for res in results]

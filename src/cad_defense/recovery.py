@@ -226,7 +226,7 @@ class L1Result:
     state: np.ndarray | None = None
 
 
-def l1_min_orthonormal(p: L1Problem, *, coeffs: np.ndarray | None = None) -> np.ndarray:
+def l1_min_orthonormal(p: L1Problem) -> np.ndarray:
     """Exact solution on the full operator via a sort-based soft threshold.
 
     With orthonormal A, ||A z - y||_2 = ||z - c||_2 for c = F y, so the
@@ -235,20 +235,14 @@ def l1_min_orthonormal(p: L1Problem, *, coeffs: np.ndarray | None = None) -> np.
     nondecreasing and quadratic between the sorted magnitudes |c|; the
     threshold solves that quadratic on the first segment where g reaches
     the radius (the l1-ball projection of Duchi et al. 2008).  The solve is
-    _threshold_table(c) followed by _soft_threshold at p.radius, so a
+    _threshold_table(c, order) followed by _soft_threshold at p.radius, so a
     caller solving several radii for one c builds the table once.
-
-    coeffs may pass the caller's F y of p.observed, which then is not
-    recomputed; it is rejected with ValueError on a row-subsampled operator,
-    at the wrong length, or with non-finite entries.
     """
     if not p.op.is_full:
         raise ValueError("orthonormal path requires the full operator")
-    if coeffs is None:
-        c = p.op.analyze(p.observed)
-    else:
-        c = _check_vector(coeffs, p.op.n, "cached coefficients")
-    return _soft_threshold(_threshold_table(c), p.radius)
+    c = p.op.analyze(p.observed)
+    return _soft_threshold(_threshold_table(c, np.argsort(-np.abs(c), kind="stable")),
+                           p.radius)
 
 
 class _ThresholdTable(NamedTuple):
@@ -268,11 +262,11 @@ class _ThresholdTable(NamedTuple):
     reach: np.ndarray
 
 
-def _threshold_table(c: np.ndarray, order: np.ndarray | None = None) -> _ThresholdTable:
+def _threshold_table(c: np.ndarray, order: np.ndarray) -> _ThresholdTable:
     """The table of c; order, a stable descending argsort of |c|, gives its
     knots as |c|[order[::-1]], the bytes of np.sort(|c|), without a sort."""
     absc = np.abs(c)
-    knots = np.sort(absc) if order is None else absc[order[::-1]]
+    knots = absc[order[::-1]]
     sq = knots * knots
     below = np.concatenate(([0.0], np.cumsum(sq[:-1])))  # squares under knot j
     above = np.arange(knots.size, 0, -1)  # entries at or above knot j

@@ -131,8 +131,8 @@ class SensingOperator:
 
     def columns(self, idx) -> np.ndarray:
         """Column submatrix A[:, idx]: least squares on a candidate support,
-        and the full operator's residual y - A[:, S] x[S] over an estimate's
-        support S, n |S| multiply-adds instead of n^2."""
+        and the residual y - A[:, S] x[S] over an estimate's support S,
+        m |S| multiply-adds instead of m n."""
         idx = np.asarray(idx, dtype=np.intp)
         return self._matrix[:, idx]
 

@@ -164,6 +164,16 @@ def test_attack_spec_validation():
     assert AttackSpec(family="l0", tau=np.int64(4), eta_prime=0.1, clip=np.bool_(True)).clip
 
 
+@pytest.mark.parametrize("family,budget", [
+    ("l0", "eta_prime"), ("l1", "eta"), ("l2", "eta"), ("linf", "eta_dprime"),
+    ("gradient_proxy", "eta_dprime")])
+def test_attack_spec_refuses_boolean_budgets(family, budget):
+    # True would otherwise pass as the budget 1
+    given = {"tau": 4, "eta_prime": 0.1} if family == "l0" else {}
+    with pytest.raises(ValueError, match=f"needs finite {budget} > 0, got True"):
+        AttackSpec(family=family, **{**given, budget: True})
+
+
 def test_perturb_composition_identity():
     op = SensingOperator(N)
     rng = np.random.default_rng(3)

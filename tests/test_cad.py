@@ -34,7 +34,8 @@ from cad_defense.cad import (_INNER_SCHEDULE, CadIterationRecord, CadOutcome,
                              _ClosedForms, _Iterative, _run_single, run_action)
 from cad_defense.feedback import (feedback_bit, mahalanobis, should_stop,
                                   thresholded_count)
-from cad_defense.recovery import A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS
+from cad_defense.recovery import (A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS,
+                                  _soft_threshold, _threshold_table)
 
 MNIST_FB = dict(alpha=8.0, beta=5.0, m=1.8, tau=15, theta=65.0)
 
@@ -66,12 +67,46 @@ def test_schedule_base_and_growth():
     assert [_budget(t) for t in (1, 2, 3)] == [3, 5, 7]
 
 
+def _in_loop_budgets(monkeypatch):
+    """action -> the budget of each in-loop solve of it, in order, over the
+    row-subset ensemble: CoSaMP's steps, or the splitting solver's cap in
+    units of _GENERAL_ITERS_PER_UNIT; final runs are left out."""
+    calls = []
+
+    def solving(problem, x0=None):
+        calls.append((by_radius[problem.radius],
+                      problem.max_iters / cad_defense.cad._GENERAL_ITERS_PER_UNIT))
+        return l1_min_general(problem, x0)
+
+    def greedy(y, op, k, n_iters, x0=None):
+        calls.append((A_COSAMP, n_iters))
+        return cosamp_run(y, op, k, n_iters, x0=x0)
+
+    monkeypatch.setattr(cad_defense.cad, "l1_min_general", solving)
+    monkeypatch.setattr(cad_defense.cad, "cosamp_run", greedy)
+    budgets = {a: [] for a in range(N_ACTIONS)}
+    for op, y, cfg in _row_subset_ensemble():
+        fb = cfg.feedback
+        by_radius = {action_radius(a, fb.tau, cfg.eta, cfg.eta_prime, cfg.eta_dprime,
+                                   op.n): a for a in (A_L0, A_L2, A_LINF)}
+        calls.clear()
+        out = cad_run(y, cfg, None, op)
+        # a CoSaMP step always solves, an l1 step exactly when it records a
+        # splitting solve; the final answer's run, if any, comes last
+        solves = [sum(r.action == a and (a == A_COSAMP or r.solver_iters is not None)
+                      for r in out.trace) for a in range(N_ACTIONS)]
+        for a in range(N_ACTIONS):
+            budgets[a].append([b for c, b in calls if c == a][:solves[a]])
+    return budgets
+
+
 def test_schedule_constant_when_increment_zero(monkeypatch):
     # the loop reads the schedule when a run starts, so a patched constant
-    # sizes every budget of the run
+    # sizes every in-loop solve of the run
     monkeypatch.setattr(cad_defense.cad, "_INNER_SCHEDULE", (4, 0))
-    out, _ = _attacked_run(seed=2)
-    assert {rec.inner_iters for rec in out.trace} == {4}
+    budgets = _in_loop_budgets(monkeypatch)
+    assert all(any(runs) for runs in budgets.values())
+    assert {b for runs in budgets.values() for run in runs for b in run} == {4}
 
 
 def test_schedule_monotone_and_validated():
@@ -104,9 +139,19 @@ def test_run_action_l1_matches_direct_solve():
 
 
 def test_run_action_cosamp_continues_from_start():
-    op, x, y = _clean_instance()
-    cfg = CadConfig(k=6, feedback=_fb())
-    assert np.abs(_step(A_COSAMP, y, op, cfg, budget=1, x_start=x)[0] - x).max() < 1e-10
+    # on a row subset a CoSaMP step runs its budget of steps from the
+    # loop's current estimate, which lands elsewhere than a cold run
+    n, k = 64, 4
+    op = SensingOperator(n, rows=np.sort(np.random.default_rng(5).choice(n, 40, replace=False)))
+    y = (op.synthesize(make_clean_sparse(n, k, np.random.default_rng(3)))
+         + 0.1 * np.random.default_rng(1).standard_normal(op.m))
+    start = top_k(np.random.default_rng(4).standard_normal(n), k)
+    cfg = CadConfig(k=k, feedback=_fb())
+    for budget in (1, 2, 3):
+        step = run_action(A_COSAMP, _Iterative(y, op, cfg, None), budget, start)[0]
+        want = cosamp_run(y, op, k, budget, x0=start).estimate
+        assert step.tobytes() == want.tobytes()
+        assert step.tobytes() != cosamp_run(y, op, k, budget).estimate.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -125,11 +170,13 @@ def test_full_operator_cosamp_is_top_k_of_analysis(data, n, steps):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(4, 39))
 def test_loop_prune_gives_the_bytes_of_top_k(data, n):
-    # the loop prunes every estimate with its one order of |c|; magnitudes
-    # from a small set, exact zeros and radii on or beside the knots of the
-    # soft threshold make shrunk magnitudes tie, thresholded-away entries
-    # keep the sign of c as a signed zero, and some estimates have fewer
-    # than k nonzeros: in every case the pruned bytes are top_k's
+    # the loop prunes every estimate to order[:k], its one order of |c|;
+    # magnitudes from a small set, exact zeros and radii on or beside the
+    # knots of the soft threshold make shrunk magnitudes tie,
+    # thresholded-away entries keep the sign of c as a signed zero, and
+    # some estimates have fewer than k nonzeros.  The kept magnitudes are
+    # top_k's in every case, and so are the bytes unless the k-th and
+    # (k+1)-th magnitudes along the order tie, where the tie-breaks differ
     magnitudes = np.array(data.draw(st.lists(
         st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]), min_size=n, max_size=n)))
     signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
@@ -148,12 +195,19 @@ def test_loop_prune_gives_the_bytes_of_top_k(data, n):
     y = op.synthesize(c)
     # the run's c, exactly: the round trip through y would break the ties
     closed = _ClosedForms(y, op, cfg, None)
-    closed.c, closed.order = c, np.argsort(-np.abs(c), kind="stable")
+    order = np.argsort(-np.abs(c), kind="stable")
+    closed.c, closed.order = c, order
+    table = _threshold_table(c, order)
     for action in range(N_ACTIONS):
-        raw = c if action == A_COSAMP else l1_min_orthonormal(
-            L1Problem(observed=y, op=op, radius=closed.radius(action)), coeffs=c)
+        raw = c if action == A_COSAMP else _soft_threshold(table, closed.radius(action))
         estimate = run_action(action, closed, 1, np.zeros(n))[0]
-        assert estimate.tobytes() == top_k(raw, k).tobytes()
+        kept, dropped = order[:k], order[k:]
+        assert estimate[kept].tobytes() == raw[kept].tobytes()
+        assert estimate[dropped].tobytes() == np.zeros(n - k).tobytes()
+        pruned = top_k(raw, k)
+        assert np.array_equal(np.sort(np.abs(estimate)), np.sort(np.abs(pruned)))
+        if abs(raw[order[k - 1]]) != abs(raw[order[k]]):
+            assert estimate.tobytes() == pruned.tobytes()
 
 
 def test_subsampled_actions_keep_the_iterative_solvers():
@@ -546,13 +600,25 @@ def _reference_run_single(y, cfg, stats, op, seed):
     the action has a converged subsampled l1 solve, which its repeats and
     the final answer reuse.  CoSaMP starts from the current estimate and
     every subsampled l1 solve, the final answer's included, from the
-    latest splitting state any of them returned.  Residuals are formed
-    here, not through feedback.residual."""
+    latest splitting state any of them returned.  On the full operator
+    every estimate keeps its first k entries along a stable descending
+    argsort of |F y|, taken here; on a row subset top_k prunes it.
+    Residuals are the product over the estimate's support, formed here,
+    not through feedback.residual."""
     y = np.asarray(y, dtype=np.float64)
     fb = cfg.feedback
     rng = np.random.default_rng(seed)
     estimate = np.zeros(op.n)
     coeffs = op.analyze(y) if op.is_full else None
+    keep = None if coeffs is None else np.argsort(-np.abs(coeffs), kind="stable")[:cfg.k]
+
+    def prune(raw):
+        if keep is None:
+            return top_k(raw, cfg.k)
+        out = np.zeros(op.n)
+        out[keep] = raw[keep]
+        return out
+
     scores = np.zeros(N_ACTIONS)
     times = [0] * N_ACTIONS
     trace = []
@@ -574,15 +640,12 @@ def _reference_run_single(y, cfg, stats, op, seed):
             raw, solved, solver = _reference_solve(a, y, op, cfg, budget, x_start=start)
             if solver is not None and solver.state is not None:
                 splitting = solver.state
-        estimate = top_k(raw, cfg.k)
+        estimate = prune(raw)
         if solved:
             converged[a] = estimate
-        if op.is_full:
-            # the product over the estimate's support, as the loop forms it
-            support = np.flatnonzero(estimate)
-            v = y - op.matrix[:, support] @ estimate[support]
-        else:
-            v = y - op.synthesize(estimate)
+        # the product over the estimate's support, as the loop forms it
+        support = np.flatnonzero(estimate)
+        v = y - op.matrix[:, support] @ estimate[support]
         v_spec = coeffs - estimate if coeffs is not None else op.adjoint(v)
         md = None
         if a == A_COSAMP and stats is not None:
@@ -592,7 +655,7 @@ def _reference_run_single(y, cfg, stats, op, seed):
         r = _reference_reward(f, p, cfg.lam)
         scores[a] += r
         trace.append(CadIterationRecord(
-            t=t, action=a, probs=tuple(probs), inner_iters=budget,
+            t=t, action=a, probs=tuple(probs),
             solver_iters=None if solver is None else solver.iterations,
             certified=None if solver is None else solver.converged,
             feedback=f, reward=r, scores=tuple(scores),
@@ -608,8 +671,8 @@ def _reference_run_single(y, cfg, stats, op, seed):
     fallback = bool(scores.max() <= 0.0)
     chosen = A_COSAMP if fallback else best
     final = (converged[chosen] if chosen in converged
-             else top_k(_reference_solve(chosen, y, op, cfg, x_start=(
-                 None if chosen == A_COSAMP else splitting))[0], cfg.k))
+             else prune(_reference_solve(chosen, y, op, cfg, x_start=(
+                 None if chosen == A_COSAMP else splitting))[0]))
     return CadOutcome(
         final_method=best, fallback=fallback, estimate=final, trace=trace,
         stopped_at=t, stop_reason=stop_reason, final_scores=tuple(scores),
@@ -966,12 +1029,17 @@ def test_trace_record_explains_its_call(name, with_stats, channels):
     assert bits == {0, 1} and {"prob", "t_max"} <= reasons
 
 
-def test_budgets_follow_schedule_per_action():
-    out, cfg = _attacked_run(seed=2)
-    seen = [0, 0, 0, 0]
-    for rec in out.trace:
-        seen[rec.action] += 1
-        assert rec.inner_iters == _budget(seen[rec.action])
+def test_budgets_follow_schedule_per_action(monkeypatch):
+    # the i-th in-loop solve of an action is its i-th selection (a certified
+    # l1 action solves no more), and it gets _budget(i); 10-iteration budget
+    # units leave l1 solves uncertified, so that l1 actions solve again
+    monkeypatch.setattr(cad_defense.cad, "_GENERAL_ITERS_PER_UNIT", 10)
+    budgets = _in_loop_budgets(monkeypatch)
+    for runs in budgets.values():
+        for run in runs:
+            assert run == [_budget(i) for i in range(1, len(run) + 1)]
+    longest = [max(map(len, budgets[a])) for a in range(N_ACTIONS)]
+    assert min(longest) >= 1 and longest[A_COSAMP] >= 2 and max(longest[1:]) >= 2
 
 
 def test_md_recorded_only_for_greedy_action_with_stats():
@@ -1114,6 +1182,9 @@ def test_three_channel_validation():
     cfg = CadConfig(k=2, feedback=_fb())
     with pytest.raises(ValueError):
         cad_run(np.zeros(48), cfg, [None, None], op)
+    stats = CleanStats(np.random.default_rng(0).standard_normal((4, 16)), 1e-4)
+    with pytest.raises(ValueError, match="one stats entry per channel"):
+        cad_run(np.zeros(48), cfg, stats, op)
 
 
 def test_single_channel_validation():

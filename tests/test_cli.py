@@ -1,15 +1,21 @@
 """Command-line interface tests: subcommands, exit codes, seed override,
 report formats, log-level control, and the demos run as scripts."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cad_defense
 import cad_defense.harness
@@ -254,6 +260,10 @@ BAD_FEEDBACK_VALUES = [
     _named("bandit_params=(0.07, 1.01)", _cad(bandit_params=[0.07, 1.01])),
     # each cell is within the bound, the grid is not
     _named("bench", "instances", lambda _: {"bench": {"n": [32, 64], "count": 10 ** 6}}),
+    # a JSON boolean is no budget
+    _named("attacks[0]", "eta", lambda _: {"attacks": [{"family": "l2", "eta": True}]}),
+    _named("attacks[0]", "eta_dprime",
+           lambda _: {"attacks": [{"family": "linf", "eta_dprime": True}]}),
 ], ids=["unknown_family", "nan_budget", "k_above_n", "stats_of_other_n",
         "l0_tau_above_n", "stats_short_f64", "stats_sidecar_not_json",
         "stats_sidecar_without_n", "stats_sidecar_without_ridge",
@@ -281,7 +291,8 @@ BAD_FEEDBACK_VALUES = [
         "cad_not_object", "feedback_not_object", "stats_not_object",
         "bench_not_object", "attacks_not_list", "attack_entry_not_object",
         *[f"{key}_null" for key, _ in NULL_SECTIONS], "bandit_params_not_list",
-        "bandit_params_short", "bench_grid_over_instances"])
+        "bandit_params_short", "bench_grid_over_instances", "l2_eta_bool",
+        "linf_eta_dprime_bool"])
 def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, overrides):
     cfg = _write_config(tmp_path, **overrides(tmp_path))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -290,6 +301,84 @@ def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, overrides):
     assert len(err) == 1 and err[0].startswith("config error:")
     assert all(message in err[0] for message in getattr(overrides, "messages", ()))
     assert not (tmp_path / "o" / "report.csv").exists()
+
+
+# a valid n=16 run config that sets every top-level key but stats_dir
+# (which would name files), and every clean, attack, cad, feedback, stats
+# and bench key
+MUTATED_BASE = {
+    "n": 16, "channels": 1, "seed": 5, "count": 1,
+    "clean": {"kind": "compressible", "amplitude": [1.0, 2.0], "tail_norm": 0.5, "k": 2},
+    "attacks": [{"family": "l0", "tau": 2, "eta_prime": 0.5}, {"family": "l2", "eta": 0.4},
+                {"family": "linf", "eta_dprime": 0.1}],
+    "cad": {"k": 2, "bandit_params": [0.07, 1.01, 1.25], "eta": 0.3, "eta_prime": 0.15,
+            "eta_dprime": 0.04,
+            "feedback": dict(FB, count_threshold=0.5, delta_prob=0.8, delta_res=2.0,
+                             t_max=40)},
+    "stats": {"count": 8, "n_cosamp": 5, "ridge": 1e-4},
+    "bench": {"n": [16], "k": [2], "attacks": [{"family": "none"}], "count": 1},
+}
+JUNK = [math.nan, math.inf, -math.inf, -1, 0, 2.5, True, None, "x", [], {}, 1e308,
+        10 ** 30, 2 ** 63]
+EXIT_PREFIXES = {EXIT_CONFIG: "config error:", EXIT_IO: "io error:",
+                 EXIT_NUMERICAL: "numerical failure:"}
+
+
+def _paths(node, path=()):
+    """The path of every key and list element below node."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A copy of MUTATED_BASE with one leaf or element set to junk, one key
+    deleted, or one unknown key inserted."""
+    raw = copy.deepcopy(MUTATED_BASE)
+    paths = list(_paths(raw))
+    kind = draw(st.sampled_from(["set", "delete", "insert"]))
+    if kind == "insert":
+        objects = [()] + [p for p in paths if isinstance(_at(raw, p), dict)]
+        _at(raw, draw(st.sampled_from(objects)))["zz_unknown"] = draw(st.sampled_from(JUNK))
+        return raw
+    path = draw(st.sampled_from(paths if kind == "set"
+                                else [p for p in paths if isinstance(p[-1], str)]))
+    if kind == "set":
+        _at(raw, path[:-1])[path[-1]] = draw(st.sampled_from(JUNK))
+    else:
+        del _at(raw, path[:-1])[path[-1]]
+    return raw
+
+
+# a run that gets past validation takes about 0.1 s at n=16 and most are
+# refused in milliseconds: 400 examples take about 3 s
+@settings(max_examples=400, deadline=None)
+@given(_mutated_configs())
+def test_mutated_config_run_exits_with_its_code_and_one_line(raw):
+    # no exception escapes main; a refused config exits with its documented
+    # code and one stderr line; an accepted one echoes every given top-level
+    # key in report.json but bench and unknown keys
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "o"
+        path.write_text(json.dumps(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(path), "--out", str(out), "--format", "json"])
+        lines = err.getvalue().splitlines()
+        if code == EXIT_OK:
+            echoed = json.loads((out / "report.json").read_text())["config"]
+            assert (set(raw) & set(MUTATED_BASE)) - {"bench"} <= set(echoed)
+        else:
+            assert code in EXIT_PREFIXES
+            assert len(lines) == 1 and lines[0].startswith(EXIT_PREFIXES[code])
 
 
 @pytest.mark.parametrize("key", ["seed", "channels"])

@@ -442,6 +442,14 @@ def test_valid_config_loads():
     assert ExperimentConfig.from_dict(copy.deepcopy(VALID)).echo()["n"] == 32
 
 
+def test_echo_keeps_a_given_empty_stats_section():
+    # an accepted config echoes every top-level key it gave but bench,
+    # stats_dir and unknown keys; no stats section echoes none
+    raw = {key: value for key, value in VALID.items() if key not in ("stats", "stats_dir")}
+    assert "stats" not in ExperimentConfig.from_dict(raw).echo()
+    assert ExperimentConfig.from_dict(dict(raw, stats={})).echo()["stats"] == {}
+
+
 @settings(max_examples=400, deadline=None)
 @given(_mutations())
 def test_mutated_config_loads_or_names_the_mutated_key(mutation):
