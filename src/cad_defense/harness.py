@@ -227,10 +227,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        text = Path(path).read_text()
+        # a file that is not UTF-8, not JSON, or nested deeper than the parser recurses
         try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
+            d = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         return cls.from_dict(d)
 
@@ -335,7 +335,7 @@ def _load_stats(cfg: ExperimentConfig) -> list[CleanStats]:
         path = Path(cfg.stats_dir) / f"clean_stats_ch{ch}.f64"
         try:
             st = load_clean_stats(path)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: corrupt stats: {exc!r}") from exc
         if st.n != cfg.n:
             raise ConfigError(f"{path}: stats have n={st.n}, config has n={cfg.n}")

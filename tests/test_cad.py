@@ -15,6 +15,10 @@ import functools
 import hashlib
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -798,7 +802,8 @@ def test_full_operator_run_reaches_no_row_subset_solver(monkeypatch):
     # every action is a closed form of F y on the full operator, and so is
     # CoSaMP's fit behind the clean statistics: neither they (nor their thin
     # SVD) nor a run reach the least-squares fit, a Cholesky factorization,
-    # the splitting solver or the provider that row subsets use
+    # the splitting solver, the operator's Gram matrix or the provider that
+    # row subsets use
     def refuse(*args, **kwargs):
         raise AssertionError("a row-subset solver ran on the full operator")
 
@@ -806,6 +811,7 @@ def test_full_operator_run_reaches_no_row_subset_solver(monkeypatch):
                          (cad_defense.cad, "l1_min_general"),
                          (cad_defense.cad, "_Iterative")):
         monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(SensingOperator, "gram", property(refuse))
     op = SensingOperator(64)
     rng = np.random.default_rng([66, 64])
     stats = estimate_clean_stats(
@@ -880,7 +886,7 @@ def test_threshold_table_is_built_on_the_first_l1_solve(monkeypatch):
 
 # sha256 of the labels and estimate bytes of a small row-subset ensemble: it
 # pins the bytes of the iterative path beside the reference loop's oracle
-_ROW_SUBSET_GOLDEN = "10c535ca8441b3612ccbc2f8376de71dcee28f79f17702d9c3cf773ad203b170"
+_ROW_SUBSET_GOLDEN = "6b0e85cbf6ab601d1d08d9e948137c53aa8213c432f0788c2a2200a3e4c801f6"
 
 
 def test_row_subset_ensemble_matches_its_golden_digest():
@@ -890,6 +896,41 @@ def test_row_subset_ensemble_matches_its_golden_digest():
         digest.update(out.method_label.encode())
         digest.update(out.estimate.tobytes())
     assert digest.hexdigest() == _ROW_SUBSET_GOLDEN
+
+
+# the Gram matrix of 160 of 256 rows and the estimate of one energy-bounded
+# row-subset run on it, as one digest
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from cad_defense import (AttackSpec, CadConfig, FeedbackConfig, SensingOperator,
+                         cad_run, make_clean_compressible, perturb)
+rows = np.sort(np.random.default_rng(256).choice(256, 160, replace=False))
+op = SensingOperator(256, rows=rows)
+digest = hashlib.sha256(op.gram.tobytes())
+x = make_clean_compressible(256, 26, np.random.default_rng(7))
+y = perturb(x, AttackSpec("l2", eta=14.0), SensingOperator(256)).observed[rows]
+fb = FeedbackConfig(alpha=8.0, beta=5.0, m=1.8, tau=15, theta=65.0)
+out = cad_run(y, CadConfig(k=26, feedback=fb, seed=7), None, op)
+digest.update(out.estimate.tobytes())
+print(digest.hexdigest(), sum(r.solver_iters or 0 for r in out.trace))
+"""
+
+
+def test_row_subset_bytes_do_not_depend_on_the_blas_thread_count():
+    # the Gram matrix and the splitting and least-squares solves that read it
+    # give the same bytes at one BLAS thread, as in a pool worker, and at two,
+    # as a serial run may have
+    src = Path(cad_defense.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert int(outputs[0].split()[1]) > 0  # the run reached the splitting solver
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

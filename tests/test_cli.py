@@ -191,6 +191,8 @@ BAD_FEEDBACK_VALUES = [
            lambda _: {"attacks": [{"family": "l0", "tau": 33, "eta_prime": 0.5}]}),
     _corrupt_stats(lambda f64, _: f64.write_bytes(f64.read_bytes()[:-8])),
     _corrupt_stats(lambda _, sidecar: sidecar.write_text("{not json")),
+    _corrupt_stats(lambda _, sidecar: sidecar.write_bytes(b"\xff\xfe{}")),
+    _corrupt_stats(lambda _, sidecar: sidecar.write_text("[" * 10 ** 5 + "]" * 10 ** 5)),
     _corrupt_stats(_drop_key("n")),
     _corrupt_stats(_drop_key("ridge")),
     _corrupt_stats(_drop_key("rows")),
@@ -266,6 +268,7 @@ BAD_FEEDBACK_VALUES = [
            lambda _: {"attacks": [{"family": "linf", "eta_dprime": True}]}),
 ], ids=["unknown_family", "nan_budget", "k_above_n", "stats_of_other_n",
         "l0_tau_above_n", "stats_short_f64", "stats_sidecar_not_json",
+        "stats_sidecar_not_utf8", "stats_sidecar_nested_too_deep",
         "stats_sidecar_without_n", "stats_sidecar_without_ridge",
         "stats_sidecar_without_rows", "stats_sidecar_negative_ridge",
         "stats_sidecar_other_rows", "stats_sidecar_rows_float",
@@ -504,6 +507,21 @@ def test_bench_checks_every_cell_before_running_one(tmp_path, capsys, monkeypatc
     assert len(err) == 1 and err[0].startswith("config error: cad.k=10")
     assert not runs
     assert not (tmp_path / "o" / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    b"[" * 10 ** 5 + b"]" * 10 ** 5,
+    b'{"n": 32, "clean": ' + b"[" * 10 ** 5 + b"]" * 10 ** 5 + b"}",
+], ids=["not_utf8", "nested_too_deep", "value_nested_too_deep"])
+def test_unreadable_config_fails_fast_with_one_line(tmp_path, capsys, content):
+    # a file the JSON parser cannot read is a config error, not a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("config error:")
 
 
 def test_exit_code_missing_config(tmp_path, capsys):

@@ -219,11 +219,26 @@ def test_least_squares_residual_matches_lstsq(data, n):
     op = SensingOperator(n, rows=rows)
     support = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
                                  unique=True).map(sorted))
-    sub = op.columns(np.array(support))
+    support = np.array(support)
+    sub = op.columns(support)
     y = np.array(data.draw(st.lists(_ENTRY, min_size=op.m, max_size=op.m)))
-    ours = np.linalg.norm(sub @ _least_squares(sub, y) - y)
+    ours = np.linalg.norm(sub @ _least_squares(op, support, y, op.adjoint(y)) - y)
     theirs = np.linalg.norm(sub @ np.linalg.lstsq(sub, y, rcond=None)[0] - y)
     assert abs(ours - theirs) <= 1e-7 * np.linalg.norm(y)
+
+
+class _ColumnsOperator:
+    """The operator members a least-squares fit reads (m, gram, columns and
+    adjoint), for a measurement matrix with the given columns."""
+
+    def __init__(self, sub):
+        self.m, self.gram, self._sub = sub.shape[0], sub.T @ sub, sub
+
+    def columns(self, idx):
+        return self._sub[:, idx]
+
+    def adjoint(self, v):
+        return self._sub.T @ v
 
 
 def _tangent_columns(eps):
@@ -231,7 +246,7 @@ def _tangent_columns(eps):
     sub = np.zeros((4, 3))
     sub[0, 0] = sub[2, 2] = 1.0
     sub[0, 1], sub[1, 1] = 1.0, eps
-    return sub
+    return _ColumnsOperator(sub), np.arange(3)
 
 
 @pytest.mark.parametrize("case, factored, gram", [
@@ -248,13 +263,14 @@ def test_least_squares_falls_back_to_lstsq(monkeypatch, case, factored, gram):
     # Rows 5 and 11 of the n=17 operator agree on columns 8, 10 and 14, yet
     # their Gram factor keeps a pivot ratio near 1.5e-6; there a Gram solve's
     # residual on this y is 0.36 ||y|| above lstsq's
-    sub = {"well_conditioned": _tangent_columns(1.0),
-           "wider_than_rows": SensingOperator(8, rows=[0, 3, 5]).columns(np.arange(5)),
-           "cholesky_raises": _tangent_columns(0.0),
-           "small_pivot": _tangent_columns(1e-7),
-           "rank_deficient_rows": SensingOperator(17, rows=[5, 7, 11]).columns(
-               np.array([8, 10, 14]))}[case]
-    y = np.arange(1.0, sub.shape[0] + 1)
+    op, support = {"well_conditioned": _tangent_columns(1.0),
+                   "wider_than_rows": (SensingOperator(8, rows=[0, 3, 5]), np.arange(5)),
+                   "cholesky_raises": _tangent_columns(0.0),
+                   "small_pivot": _tangent_columns(1e-7),
+                   "rank_deficient_rows": (SensingOperator(17, rows=[5, 7, 11]),
+                                           np.array([8, 10, 14]))}[case]
+    sub = op.columns(support)
+    y = np.arange(1.0, op.m + 1)
     expected = np.linalg.lstsq(sub, y, rcond=None)[0]
     calls = []
 
@@ -264,7 +280,7 @@ def test_least_squares_falls_back_to_lstsq(monkeypatch, case, factored, gram):
 
     for name in ("lstsq", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counting(name))
-    ours = _least_squares(sub, y)
+    ours = _least_squares(op, support, y, op.adjoint(y))
     assert calls.count("cholesky") == factored
     assert calls.count("lstsq") == (0 if gram else 1)
     if gram:
@@ -676,16 +692,6 @@ def test_l1_general_warm_start():
     assert np.linalg.norm(res.coeffs - exact) <= 1e-6
 
 
-def _reference_project_ball(z, y, op, radius):
-    """Allocating ball projection through the validating operator calls."""
-    w = op.synthesize(z) - y
-    nw = np.linalg.norm(w)
-    if nw <= radius:
-        return z
-    scale = 1.0 if radius == 0.0 else 1.0 - radius / nw
-    return z - op.adjoint(scale * w)
-
-
 def _reference_certificate(v, y, op, radius, tolerance, s, step):
     """Allocating duality certificate through the validating operator calls;
     at radius 0 its dual point comes from the prox subgradient at s.  The
@@ -711,29 +717,41 @@ def _reference_certificate(v, y, op, radius, tolerance, s, step):
 
 def _reference_l1_min_general(p, x0=None, relaxation=_RELAXATION):
     """The allocating over-relaxed Douglas-Rachford loop that l1_min_general
-    must match bit for bit; relaxation=1.0 is the plain loop.  The soft
-    threshold of s is s - clip(s, -step, step), and 2 z - s is z minus
-    that clip."""
+    must match bit for bit; relaxation=1.0 is the plain loop.  With t the
+    clip of s to [-step, step], the soft threshold of s is z = s - t and
+    2 z - s is v = s - 2 t.  The Gram matrix P = A^T A, formed here from
+    op.matrix, gives g = P v - A^T y = A^T (A v - y), whose norm is
+    ||A v - y|| as A A^T = I (P is symmetric, and the product is taken as
+    P^T v, as the solver takes it); the ball projection of v is v - c g,
+    and s + relaxation (v - z) is s - relaxation (t + c g)."""
     y = np.asarray(p.observed, dtype=np.float64)
     excess = float(np.linalg.norm(y)) - p.radius
     if excess <= 1e-6 * min(1.0, float(np.linalg.norm(y))):
         return L1Result(np.zeros(p.op.n), 0, True, max(0.0, excess), 0.0)
-    step = 0.14 * float(np.abs(p.op.adjoint(y)).max())
+    back = p.op.adjoint(y)
+    step = 0.14 * float(np.abs(back).max())
     if step <= 0.0:
         step = 1.0
-    s = np.asarray(x0, dtype=np.float64).copy() if x0 is not None else p.op.adjoint(y)
+    s = np.asarray(x0, dtype=np.float64).copy() if x0 is not None else back
+    gram = p.op.matrix.T @ p.op.matrix
     z = np.zeros(p.op.n)
     it = 0
     for it in range(1, p.max_iters + 1):
         t = np.clip(s, -step, step)
         z = s - t
-        v = _reference_project_ball(z - t, y, p.op, p.radius)
+        v = s - 2.0 * t
+        g = gram.T @ v - back
+        nw = float(np.linalg.norm(g))
+        if nw > p.radius:
+            g = (1.0 if p.radius == 0.0 else 1.0 - p.radius / nw) * g
+            v = v - g
+            t = t + g
         if it % 10 == 0:  # the certificate is evaluated every tenth iteration
             certified, feasibility, gap = _reference_certificate(v, y, p.op, p.radius,
                                                                  p.tolerance, s, step)
             if certified:
                 return L1Result(v, it, True, feasibility, gap, s)
-        s = s + relaxation * (v - z)
+        s = s - relaxation * t
     return L1Result(z, it, *_reference_certificate(z, y, p.op, p.radius, p.tolerance,
                                                    s, step), s)
 
@@ -938,6 +956,20 @@ def test_l1_general_rejects_bad_input(which, bad, message):
         vecs[which][3] = np.nan if bad == "nan" else np.inf
     with pytest.raises(ValueError, match=message):
         l1_min_general(L1Problem(observed=vecs["y"], op=sub, radius=0.1), x0=vecs["x0"])
+
+
+@pytest.mark.parametrize("y, radius, x0, message", [
+    (np.zeros(5), 0.0, None, "measurements must be a length-4 vector"),
+    (np.ones((2, 2)), 5.0, None, "measurements must be a length-4 vector"),
+    (np.zeros(4), 0.0, np.zeros(7), "coefficients must be a length-8 vector"),
+    (np.ones(4), 5.0, np.full(8, np.nan), "coefficients contains non-finite entries"),
+])
+def test_l1_general_rejects_bad_input_inside_the_ball(y, radius, x0, message):
+    # zero lies within the ball of each of these problems, so the solver
+    # would return it at once; the inputs are checked before that return
+    op = SensingOperator(8, rows=[0, 2, 5, 7])
+    with pytest.raises(ValueError, match=message):
+        l1_min_general(L1Problem(observed=y, op=op, radius=radius), x0=x0)
 
 
 @pytest.mark.parametrize("field, value", [
