@@ -8,17 +8,15 @@ attack family's budget; residual feedback rewards the action whose
 assumptions fit the data.
 """
 
-from .transform import SensingOperator, best_k_term_error, dct_matrix, top_k
-from .attacks import (FAMILIES, AdversarialInstance, AttackSpec,
-                      draw_perturbation, load_signal_channels,
-                      make_clean_compressible, make_clean_sparse, perturb,
-                      save_raw, write_pgm)
+from .transform import SensingOperator, best_k_term_error, top_k
+from .attacks import (AdversarialInstance, AttackSpec, load_signal_channels,
+                      make_clean_compressible, make_clean_sparse, perturb)
 from .recovery import (A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS, BoundReport,
                        CosampState, L1Problem, L1Result, action_radius,
-                       check_bound, cosamp_run, cosamp_step, l1_min_general,
+                       check_bound, cosamp_run, l1_min_general,
                        l1_min_orthonormal)
-from .bandit import (CLAMP_EPS, penalty_clamped, probabilities, reward,
-                     sample_action, update)
+from .bandit import (penalty_clamped, probabilities, reward, sample_action,
+                     update)
 from .feedback import (CleanStats, FeedbackConfig, estimate_clean_stats,
                        feedback_bit, load_clean_stats, mahalanobis, residual,
                        save_clean_stats, should_stop, thresholded_count)

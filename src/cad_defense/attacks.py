@@ -1,4 +1,4 @@
-"""Synthetic attack families, adversarial instances, and signal IO.
+"""Synthetic attack families, adversarial instances, and signal readers.
 
 Perturbations live in the spectral domain: an instance observes
 y = A(xhat + e) where xhat is the clean spectrum and e is drawn under one
@@ -19,19 +19,15 @@ import numpy as np
 from .transform import SensingOperator, _is_number
 
 __all__ = [
-    "FAMILIES",
     "AttackSpec",
     "AdversarialInstance",
     "make_clean_sparse",
     "make_clean_compressible",
-    "draw_perturbation",
     "perturb",
     "load_signal_channels",
-    "save_raw",
-    "write_pgm",
 ]
 
-FAMILIES = ("none", "l0", "l1", "l2", "linf", "gradient_proxy")
+_FAMILIES = ("none", "l0", "l1", "l2", "linf", "gradient_proxy")
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ class AttackSpec:
     clip: bool = False
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown attack family {self.family!r}")
         if self.tau is not None and not _is_number(self.tau, numbers.Integral):
             raise ValueError(f"tau must be an integer, got {self.tau!r}")
@@ -74,9 +70,6 @@ class AttackSpec:
             if not (_is_number(val) and 0 < val < np.inf):
                 raise ValueError(f"family {self.family!r} needs finite {name} > 0, got {val}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class AdversarialInstance:
@@ -91,23 +84,12 @@ class AdversarialInstance:
     def to_json(self) -> str:
         payload = {
             "n": self.n,
-            "spec": self.spec.to_dict(),
+            "spec": asdict(self.spec),
             "clean_spectral": self.clean_spectral.tolist(),
             "perturbation": self.perturbation.tolist(),
             "observed": self.observed.tolist(),
         }
         return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AdversarialInstance":
-        d = json.loads(text)
-        return cls(
-            n=int(d["n"]),
-            spec=AttackSpec(**d["spec"]),
-            clean_spectral=np.asarray(d["clean_spectral"], dtype=np.float64),
-            perturbation=np.asarray(d["perturbation"], dtype=np.float64),
-            observed=np.asarray(d["observed"], dtype=np.float64),
-        )
 
 
 def make_clean_sparse(n: int, k: int, rng: np.random.Generator,
@@ -141,7 +123,7 @@ def make_clean_compressible(n: int, k: int, rng: np.random.Generator,
     return xhat + tail
 
 
-def draw_perturbation(spec: AttackSpec, n: int) -> np.ndarray:
+def _draw_perturbation(spec: AttackSpec, n: int) -> np.ndarray:
     """Draw the spectral perturbation e for spec, deterministic in spec.seed."""
     rng = np.random.default_rng(spec.seed)
     e = np.zeros(n)
@@ -179,7 +161,7 @@ def perturb(clean: np.ndarray, spec: AttackSpec, op: SensingOperator) -> Adversa
     clean = np.asarray(clean, dtype=np.float64)
     if clean.shape != (op.n,):
         raise ValueError(f"clean spectrum must have shape ({op.n},), got {clean.shape}")
-    e = draw_perturbation(spec, op.n)
+    e = _draw_perturbation(spec, op.n)
     observed = op.synthesize(clean + e)
     if spec.clip:
         observed = np.clip(observed, 0.0, 1.0)
@@ -189,7 +171,7 @@ def perturb(clean: np.ndarray, spec: AttackSpec, op: SensingOperator) -> Adversa
 
 
 # ---------------------------------------------------------------------------
-# signal IO: binary PGM/PPM and raw float64 with a JSON sidecar
+# signal readers: binary PGM/PPM and raw float64 with a JSON sidecar
 
 
 def _read_pnm_header(data: bytes, magic: bytes, path) -> tuple[int, int, int, int]:
@@ -246,7 +228,13 @@ def _infer_format(path: Path) -> str:
 
 def load_signal_channels(path) -> tuple[np.ndarray, int]:
     """Load a signal and its channel count; values are scaled to [0, 1].
-    The file suffix decides the format."""
+
+    The file suffix decides the format: binary PGM (.pgm, one channel) or
+    PPM (.ppm, three channels, returned channel-major), 8 or 16 bits per
+    sample; or raw (.raw, .f64) little-endian float64 values in [0, 1],
+    channel-major, beside a JSON sidecar path + ".json" holding
+    {"n": samples per channel, "channels": count}, both integers >= 1.
+    """
     path = Path(path)
     fmt = _infer_format(path)
     if fmt == "pgm":
@@ -258,7 +246,10 @@ def load_signal_channels(path) -> tuple[np.ndarray, int]:
         meta = json.loads(sidecar.read_text())
     except FileNotFoundError:
         raise ValueError(f"{path}: missing sidecar {sidecar}") from None
-    n, channels = int(meta["n"]), int(meta["channels"])
+    n, channels = meta["n"], meta["channels"]
+    if not all(_is_number(v, int) and v >= 1 for v in (n, channels)):
+        raise ValueError(f"{path}: sidecar n and channels must be integers >= 1, "
+                         f"got {n!r} and {channels!r}")
     vals = np.fromfile(path, dtype="<f8")
     if vals.size != n * channels:
         raise ValueError(f"{path}: expected {n * channels} float64 values, got {vals.size}")
@@ -266,24 +257,3 @@ def load_signal_channels(path) -> tuple[np.ndarray, int]:
     if not ((vals >= -1e-9) & (vals <= 1.0 + 1e-9)).all():
         raise ValueError(f"{path}: values outside [0, 1]")
     return vals, channels
-
-
-def save_raw(path, values: np.ndarray, n: int, channels: int) -> None:
-    """Write little-endian float64 values with the {n, channels} sidecar."""
-    path = Path(path)
-    values = np.asarray(values, dtype=np.float64)
-    if values.size != n * channels:
-        raise ValueError(f"expected {n * channels} values, got {values.size}")
-    values.astype("<f8").tofile(path)
-    Path(str(path) + ".json").write_text(json.dumps({"n": n, "channels": channels}))
-
-
-def write_pgm(path, values: np.ndarray, width: int, height: int, maxval: int = 255) -> None:
-    """Quantize values in [0, 1] to a binary PGM; out-of-range values clip."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size != width * height:
-        raise ValueError(f"expected {width * height} pixels, got {values.size}")
-    pix = np.clip(np.rint(np.clip(values, 0.0, 1.0) * maxval), 0, maxval)
-    header = f"P5\n{width} {height}\n{maxval}\n".encode()
-    body = pix.astype(">u2" if maxval > 255 else "u1").tobytes()
-    Path(path).write_bytes(header + body)

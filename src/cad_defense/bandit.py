@@ -18,11 +18,11 @@ import numpy as np
 
 from .recovery import N_ACTIONS
 
-__all__ = ["CLAMP_EPS", "probabilities", "sample_action", "reward",
-           "penalty_clamped", "update"]
+__all__ = ["probabilities", "sample_action", "reward", "penalty_clamped",
+           "update"]
 
 # penalty denominators smaller than this are clamped (and flagged in traces)
-CLAMP_EPS = 1e-6
+_CLAMP_EPS = 1e-6
 
 
 def _check_distribution(probs: list[float]) -> None:
@@ -66,7 +66,7 @@ def sample_action(probs, rng: np.random.Generator) -> int:
 
 def penalty_clamped(p_chosen: float) -> bool:
     """True when the failure penalty denominator 1 - p had to be clamped."""
-    return 1.0 - p_chosen < CLAMP_EPS
+    return 1.0 - p_chosen < _CLAMP_EPS
 
 
 def reward(action: int, chosen: int, feedback: int, p_chosen: float,
@@ -74,7 +74,7 @@ def reward(action: int, chosen: int, feedback: int, p_chosen: float,
     """Importance-weighted reward: lam/p on success, -1/(1-p) on failure,
     0 for actions other than the chosen one.  lam/p divides in numpy, so
     that its overflow warns rather than passing silently.  The penalty's
-    denominator 1 - p is clamped at CLAMP_EPS, which penalty_clamped flags."""
+    denominator 1 - p is clamped at 1e-6, which penalty_clamped flags."""
     if not 0.0 < p_chosen <= 1.0:
         raise ValueError(f"p_chosen must lie in (0, 1], got {p_chosen}")
     if not 0.0 < lam < math.inf:
@@ -83,7 +83,7 @@ def reward(action: int, chosen: int, feedback: int, p_chosen: float,
         return 0.0
     if feedback:
         return float(np.float64(lam) / p_chosen)
-    return -1.0 / max(1.0 - p_chosen, CLAMP_EPS)
+    return -1.0 / max(1.0 - p_chosen, _CLAMP_EPS)
 
 
 def update(scores: list[float], chosen: int, r: float) -> None:

@@ -308,7 +308,7 @@ def _file_signals(cfg: ExperimentConfig) -> list[list[np.ndarray]]:
     for p in paths:
         try:
             vals, channels = load_signal_channels(p)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigError(f"{p}: bad signal file: {exc}") from exc
         if channels != cfg.channels:
             raise ConfigError(f"{p}: has {channels} channels, config says {cfg.channels}")

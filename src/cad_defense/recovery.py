@@ -50,7 +50,6 @@ __all__ = [
     "A_LINF",
     "N_ACTIONS",
     "CosampState",
-    "cosamp_step",
     "cosamp_run",
     "L1Problem",
     "L1Result",
@@ -94,31 +93,6 @@ class CosampState:
     residual: np.ndarray
 
 
-def cosamp_step(state: CosampState, y: np.ndarray, op: SensingOperator,
-                k: int, back: np.ndarray | None = None) -> CosampState:
-    """One CoSaMP iteration: identify, merge supports, estimate, prune.
-
-    The signal proxy is A^* v; its top-2k support is merged with the current
-    estimate's support, a least-squares fit is solved on the merged support,
-    and the fit is pruned back to k terms.  For the full orthonormal operator
-    the least-squares fit on any support is just the matching entries of
-    A^* y, which is used as a fast path; on a row subset the fit comes from
-    _least_squares (a Gram solve, lstsq on ill-posed supports).  back is
-    A^* y, computed from y when None.
-    """
-    if back is None:
-        back = op.adjoint(y)
-    proxy = op.adjoint(state.residual)
-    order = np.argsort(-np.abs(proxy), kind="stable")
-    omega = order[: 2 * k]
-    merged = np.union1d(omega, np.flatnonzero(state.estimate))
-    b = np.zeros(op.n)
-    b[merged] = back[merged] if op.is_full else _least_squares(op, merged, y, back)
-    estimate = top_k(b, k)
-    residual = y - op.synthesize(estimate)
-    return CosampState(estimate=estimate, residual=residual)
-
-
 def _least_squares(op: SensingOperator, support: np.ndarray, y: np.ndarray,
                    back: np.ndarray) -> np.ndarray:
     """argmin_b ||A[:, S] b - y||_2 over the support S, through the normal
@@ -149,6 +123,12 @@ def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
                x0: np.ndarray | None = None) -> CosampState:
     """The state n_iters CoSaMP steps from x0 (zero start by default) reach.
 
+    A step merges the top 2k entries of the proxy A^* r, for the residual
+    r, with the estimate's support, fits least squares on the merged
+    support and prunes the fit back to k terms.  On the full orthonormal
+    operator the fit is the matching entries of A^* y; on a row subset it
+    comes from _least_squares (a Gram solve, lstsq on ill-posed supports).
+
     A step is a function of its state's estimate and residual bytes alone,
     so once a step reproduces both, every later one would too: the run
     stops there and returns that state.  On the full operator a cold run
@@ -172,11 +152,17 @@ def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
         est = top_k(np.asarray(x0, dtype=np.float64), k)
         state = CosampState(estimate=est, residual=y - op.synthesize(est))
     for _ in range(n_iters):
-        step = cosamp_step(state, y, op, k, back)
-        if (step.estimate.tobytes() == state.estimate.tobytes()
-                and step.residual.tobytes() == state.residual.tobytes()):
+        proxy = op.adjoint(state.residual)
+        omega = np.argsort(-np.abs(proxy), kind="stable")[: 2 * k]
+        merged = np.union1d(omega, np.flatnonzero(state.estimate))
+        b = np.zeros(op.n)
+        b[merged] = back[merged] if op.is_full else _least_squares(op, merged, y, back)
+        estimate = top_k(b, k)
+        residual = y - op.synthesize(estimate)
+        if (estimate.tobytes() == state.estimate.tobytes()
+                and residual.tobytes() == state.residual.tobytes()):
             break
-        state = step
+        state = CosampState(estimate=estimate, residual=residual)
     return state
 
 
@@ -442,7 +428,6 @@ class BoundReport:
     """Observed recovery error against the attack budget it should track."""
 
     empirical_l2_error: float
-    empirical_l1_error: float
     budget: float
     sigma_k_l1: float
     ratio: float | None
@@ -459,8 +444,6 @@ def check_bound(clean: np.ndarray, recovered: np.ndarray, k: int,
         raise ValueError(f"budget must be >= 0, got {budget}")
     diff = recovered - clean
     l2 = float(np.linalg.norm(diff))
-    l1 = float(np.abs(diff).sum())
     ratio = l2 / budget if budget > 0 else None
-    return BoundReport(empirical_l2_error=l2, empirical_l1_error=l1,
-                       budget=float(budget),
+    return BoundReport(empirical_l2_error=l2, budget=float(budget),
                        sigma_k_l1=best_k_term_error(clean, k), ratio=ratio)

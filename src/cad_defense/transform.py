@@ -20,7 +20,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 __all__ = [
-    "dct_matrix",
     "SensingOperator",
     "top_k",
     "best_k_term_error",
@@ -28,7 +27,7 @@ __all__ = [
 
 
 @lru_cache(maxsize=16)
-def dct_matrix(n: int) -> np.ndarray:
+def _dct_matrix(n: int) -> np.ndarray:
     """Return the n-by-n orthonormal DCT-II analysis matrix F.
 
     Row j holds the cosine atom sqrt(2/n) * cos(pi * j * (2i + 1) / (2n)),
@@ -78,27 +77,34 @@ class SensingOperator:
     Parameters
     ----------
     n : int
-        Ambient dimension of the spectral domain.
+        Ambient dimension of the spectral domain, an integer >= 1.
     rows : array_like of int, optional
-        Measurement rows kept from the full operator.  None keeps all n rows,
-        in which case A is orthonormal and analysis is its exact inverse.
+        Measurement rows kept from the full operator: a non-empty array of
+        distinct integers in [0, n).  None keeps all n rows, in which case A
+        is orthonormal and analysis is its exact inverse.  Any other n or
+        rows raises ValueError.
     """
 
     def __init__(self, n: int, rows=None):
+        if not _is_number(n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {n!r}")
         self.n = int(n)
-        self._analysis = dct_matrix(self.n)          # F, shape (n, n)
+        self._analysis = _dct_matrix(self.n)         # F, shape (n, n)
         if rows is None:
             self.rows = None
             self._matrix = self._analysis.T          # full A = F^T
         else:
-            rows = np.asarray(rows, dtype=np.intp)
+            rows = np.asarray(rows)
             if rows.ndim != 1 or rows.size == 0:
                 raise ValueError("rows must be a non-empty 1-D index array")
+            if not np.issubdtype(rows.dtype, np.integer):
+                raise ValueError(f"rows must be integers, got dtype {rows.dtype}")
+            rows = rows.astype(np.intp)
             if np.unique(rows).size != rows.size:
                 raise ValueError("rows must be distinct")
             if rows.min() < 0 or rows.max() >= self.n:
                 raise ValueError(f"rows must lie in [0, {self.n})")
-            self.rows = rows.copy()
+            self.rows = rows
             self._matrix = np.take(self._analysis.T, self.rows, axis=0,
                                    out=_aligned_empty((self.rows.size, self.n)))
         self._matrix.setflags(write=False)

@@ -1,16 +1,16 @@
 """Attack-family tests: budget exactness per family, determinism, the
-composition identity, and signal IO round-trips."""
+composition identity, and the signal readers on hand-written files."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from cad_defense import (AdversarialInstance, AttackSpec, SensingOperator,
-                         draw_perturbation, load_signal_channels,
-                         make_clean_compressible, make_clean_sparse, perturb,
-                         save_raw, write_pgm)
+from cad_defense import (AttackSpec, SensingOperator, load_signal_channels,
+                         make_clean_compressible, make_clean_sparse, perturb)
+from cad_defense.attacks import _draw_perturbation
 
 N = 64
 N_DRAWS = 1000
@@ -63,13 +63,13 @@ def test_make_clean_compressible_tail():
 
 def test_none_draws_zero():
     for seed in range(N_DRAWS):
-        assert not draw_perturbation(_spec("none", seed), N).any()
+        assert not _draw_perturbation(_spec("none", seed), N).any()
 
 
 def test_l0_budget_holds_every_draw():
     tau, eta_prime = 15, 0.15
     for seed in range(N_DRAWS):
-        e = draw_perturbation(_spec("l0", seed, tau=tau, eta_prime=eta_prime), N)
+        e = _draw_perturbation(_spec("l0", seed, tau=tau, eta_prime=eta_prime), N)
         assert np.count_nonzero(e) <= tau
         assert np.abs(e).max() <= eta_prime + 1e-15
         assert np.linalg.norm(e) <= tau * eta_prime
@@ -78,21 +78,21 @@ def test_l0_budget_holds_every_draw():
 def test_l1_budget_equality():
     eta = 0.3
     for seed in range(N_DRAWS):
-        e = draw_perturbation(_spec("l1", seed, eta=eta), N)
+        e = _draw_perturbation(_spec("l1", seed, eta=eta), N)
         assert abs(np.abs(e).sum() - eta) <= 1e-9
 
 
 def test_l2_budget_equality():
     eta = 0.3
     for seed in range(N_DRAWS):
-        e = draw_perturbation(_spec("l2", seed, eta=eta), N)
+        e = _draw_perturbation(_spec("l2", seed, eta=eta), N)
         assert abs(np.linalg.norm(e) - eta) <= 1e-9
 
 
 def test_linf_budget_with_witness():
     eta_dprime = 0.04
     for seed in range(N_DRAWS):
-        e = draw_perturbation(_spec("linf", seed, eta_dprime=eta_dprime), N)
+        e = _draw_perturbation(_spec("linf", seed, eta_dprime=eta_dprime), N)
         assert np.abs(e).max() <= eta_dprime + 1e-15
         # at least one entry sits exactly at the bound
         assert np.isclose(np.abs(e).max(), eta_dprime, atol=1e-15)
@@ -101,28 +101,28 @@ def test_linf_budget_with_witness():
 def test_gradient_proxy_dense_signs():
     eta_dprime = 0.04
     for seed in range(200):
-        e = draw_perturbation(_spec("gradient_proxy", seed, eta_dprime=eta_dprime), N)
+        e = _draw_perturbation(_spec("gradient_proxy", seed, eta_dprime=eta_dprime), N)
         assert np.allclose(np.abs(e), eta_dprime, atol=1e-15)
 
 
 def test_l0_l2_bound_mnist_parameters():
     # tau = 15 entries of at most 0.15 cannot exceed l2 norm 2.25
     spec = _spec("l0", 5, tau=15, eta_prime=0.15)
-    e = draw_perturbation(spec, 784)
+    e = _draw_perturbation(spec, 784)
     assert np.count_nonzero(e) <= 15
     assert np.linalg.norm(e) <= 2.25
 
 
 def test_linf_l2_bound_mnist_parameters():
     # dense amplitude 0.04 at n = 784 keeps l2 norm at most 28 * 0.04 = 1.12
-    e = draw_perturbation(_spec("linf", 5, eta_dprime=0.04), 784)
+    e = _draw_perturbation(_spec("linf", 5, eta_dprime=0.04), 784)
     assert np.linalg.norm(e) <= 1.12
 
 
 def test_low_freq_bias_support_placement():
     spec = _spec("l0", 9, tau=10, eta_prime=0.2, low_freq_bias=True)
     for seed in range(50):
-        e = draw_perturbation(AttackSpec(**dict(spec.to_dict(), seed=seed)), 128)
+        e = _draw_perturbation(dataclasses.replace(spec, seed=seed), 128)
         assert np.flatnonzero(e).max() < 32  # lowest-index quarter
 
 
@@ -130,10 +130,10 @@ def test_determinism_bit_for_bit():
     for family, kw in [("l0", dict(tau=5, eta_prime=0.2)), ("l1", dict(eta=1.0)),
                        ("l2", dict(eta=1.0)), ("linf", dict(eta_dprime=0.1)),
                        ("gradient_proxy", dict(eta_dprime=0.1))]:
-        a = draw_perturbation(_spec(family, 123, **kw), N)
-        b = draw_perturbation(_spec(family, 123, **kw), N)
+        a = _draw_perturbation(_spec(family, 123, **kw), N)
+        b = _draw_perturbation(_spec(family, 123, **kw), N)
         assert np.array_equal(a, b)
-        c = draw_perturbation(_spec(family, 124, **kw), N)
+        c = _draw_perturbation(_spec(family, 124, **kw), N)
         assert not np.array_equal(a, c)
 
 
@@ -154,7 +154,7 @@ def test_attack_spec_validation():
         with pytest.raises(ValueError, match="finite"):
             AttackSpec(family="l0", tau=4, eta_prime=bad)
     with pytest.raises(ValueError):
-        draw_perturbation(AttackSpec(family="l0", tau=65, eta_prime=0.1), N)
+        _draw_perturbation(AttackSpec(family="l0", tau=65, eta_prime=0.1), N)
     for bad in (2.5, True, "3"):
         with pytest.raises(ValueError, match="tau must be an integer"):
             AttackSpec(family="l0", tau=bad, eta_prime=0.1)
@@ -203,11 +203,10 @@ def test_instance_json_round_trip():
     op = SensingOperator(N)
     clean = make_clean_sparse(N, 6, np.random.default_rng(6))
     inst = perturb(clean, _spec("l0", 8, tau=4, eta_prime=0.3), op)
-    back = AdversarialInstance.from_json(inst.to_json())
-    assert back.n == inst.n and back.spec == inst.spec
-    assert np.array_equal(back.clean_spectral, inst.clean_spectral)
-    assert np.array_equal(back.perturbation, inst.perturbation)
-    assert np.array_equal(back.observed, inst.observed)
+    back = json.loads(inst.to_json())
+    assert back["n"] == inst.n and AttackSpec(**back["spec"]) == inst.spec
+    for name in ("clean_spectral", "perturbation", "observed"):
+        assert np.array_equal(np.array(back[name]), getattr(inst, name))
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +215,29 @@ def test_instance_json_round_trip():
 
 def test_pgm_all_white_is_ones(tmp_path):
     path = tmp_path / "white.pgm"
-    write_pgm(path, np.ones(784), 28, 28)
+    path.write_bytes(b"P5\n28 28\n255\n" + b"\xff" * 784)
     vals, channels = load_signal_channels(path)
     assert channels == 1
     assert np.array_equal(vals, np.ones(784))
 
 
 def test_pgm_round_trip_quantized(tmp_path):
-    rng = np.random.default_rng(10)
-    orig = rng.random(64)
+    orig = np.random.default_rng(10).random(64)
+    pix = np.rint(orig * 255).astype(np.uint8)
     path = tmp_path / "img.pgm"
-    write_pgm(path, orig, 8, 8)
+    path.write_bytes(b"P5\n8 8\n255\n" + pix.tobytes())
     vals, _ = load_signal_channels(path)
+    assert np.array_equal(vals, pix / 255.0)
     assert np.abs(vals - orig).max() <= 0.5 / 255 + 1e-12
 
 
 def test_pgm_16bit_maxval(tmp_path):
+    # above maxval 255 each sample is two bytes, most significant first
+    pix = np.array([0, 1, 256, 4660, 65534, 65535])
     path = tmp_path / "deep.pgm"
-    write_pgm(path, np.linspace(0.0, 1.0, 16), 4, 4, maxval=65535)
+    path.write_bytes(b"P5\n3 2\n65535\n" + pix.astype(">u2").tobytes())
     vals, _ = load_signal_channels(path)
-    assert np.abs(vals - np.linspace(0.0, 1.0, 16)).max() <= 0.5 / 65535 + 1e-12
+    assert np.array_equal(vals, pix / 65535.0)
 
 
 def test_pgm_comment_header(tmp_path):
@@ -271,21 +273,39 @@ def test_malformed_headers_error(tmp_path):
         load_signal_channels(token)
 
 
+def _write_raw(path, values, meta):
+    np.asarray(values, dtype="<f8").tofile(path)
+    path.with_name(path.name + ".json").write_text(json.dumps(meta))
+
+
 def test_raw_round_trip(tmp_path):
     path = tmp_path / "sig.raw"
-    vals = np.random.default_rng(11).random(784)
-    save_raw(path, vals, 784, 1)
+    vals = np.random.default_rng(11).random(2 * 392)
+    _write_raw(path, vals, {"n": 392, "channels": 2})
     loaded, channels = load_signal_channels(path)
-    assert channels == 1
-    assert np.array_equal(loaded, vals)
-    meta = json.loads((tmp_path / "sig.raw.json").read_text())
-    assert meta == {"n": 784, "channels": 1}
+    assert channels == 2
+    assert loaded.tobytes() == vals.tobytes()
+
+
+@pytest.mark.parametrize("meta", [
+    {"n": "32", "channels": 1},
+    {"n": 32.7, "channels": 1.2},
+    {"n": 32.0, "channels": 1},
+    {"n": True, "channels": 32},
+    {"n": -32, "channels": -1},
+], ids=["string", "fractions", "integral_float", "bool", "negative"])
+def test_raw_sidecar_needs_json_integers(tmp_path, meta):
+    # under int() each of these matched the file's 32 values: the bool as
+    # 32 channels of one sample, the negative pair as -32 x -1
+    path = tmp_path / "sig.raw"
+    _write_raw(path, np.full(32, 0.5), meta)
+    with pytest.raises(ValueError, match="must be integers >= 1"):
+        load_signal_channels(path)
 
 
 def test_raw_out_of_range_rejected(tmp_path):
     path = tmp_path / "neg.raw"
-    np.array([-0.5, 0.5]).astype("<f8").tofile(path)
-    (tmp_path / "neg.raw.json").write_text(json.dumps({"n": 2, "channels": 1}))
+    _write_raw(path, [-0.5, 0.5], {"n": 2, "channels": 1})
     with pytest.raises(ValueError):
         load_signal_channels(path)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cad_defense import (CLAMP_EPS, penalty_clamped, probabilities, reward,
+from cad_defense import (penalty_clamped, probabilities, reward,
                          sample_action, update)
 
 
@@ -278,7 +278,7 @@ def test_reward_unchosen_is_zero():
 
 def test_reward_penalty_clamp_at_certainty():
     r = reward(1, 1, 0, 1.0, 1.25)
-    assert r == -1.0 / CLAMP_EPS
+    assert r == -1.0 / 1e-6
     assert penalty_clamped(1.0)
     assert not penalty_clamped(0.5)
 

@@ -13,6 +13,7 @@ splitting state of the run.
 import dataclasses
 import functools
 import hashlib
+import itertools
 import logging
 import math
 import os
@@ -882,6 +883,51 @@ def test_threshold_table_is_built_on_the_first_l1_solve(monkeypatch):
         greedy_only += not l1
         with_l1 += l1
     assert greedy_only >= 2 and with_l1 >= 2
+
+
+# ---------------------------------------------------------------------------
+# the two regimes against each other
+#
+# SensingOperator(n, rows=np.arange(n)) keeps every row, so it is the
+# orthonormal operator, yet a run on it takes the iterative path.  Both
+# regimes must then make the same calls on the same observation.  The
+# iterative l1 solver stops once its certified duality gap is at most
+# L1Problem.tolerance of its objective, and the estimates are held to that
+# relative distance.
+
+_REGIME_SEEDS = (0, 1, 2, 3, 4, 5)
+
+
+def _first_flip(closed, iterative):
+    """The features both regimes recorded at the first iteration whose
+    action or bit differs, or at the end of the shorter trace."""
+    pairs = list(zip(closed.trace, iterative.trace))
+    t = next((i for i, (a, b) in enumerate(pairs)
+              if (a.action, a.feedback) != (b.action, b.feedback)), len(pairs) - 1)
+    fields = ("t", "action", "feedback", "residual_l2", "residual_linf", "residual_count", "md")
+    return [{f: getattr(r, f) for f in fields} for r in pairs[t]]
+
+
+@pytest.mark.parametrize("name", ["full64", "full128"])
+def test_closed_forms_and_iterative_path_agree_on_every_row(name):
+    op, clean_stats = _oracle_setup(name)
+    n, k = op.n, op.n // 8
+    every_row = SensingOperator(n, rows=np.arange(n))
+    fb = _fb(alpha=3.0, beta=2.0, m=0.8, tau=k, theta=float(n), delta_res=0.0)
+    for spec, seed, stats in itertools.product(_ORACLE_ATTACKS, _REGIME_SEEDS,
+                                               (None, clean_stats)):
+        x = make_clean_compressible(n, k, np.random.default_rng([19, seed]))
+        y = perturb(x, dataclasses.replace(spec, seed=seed), op).observed
+        cfg = CadConfig(k=k, feedback=fb, seed=seed)
+        closed, iterative = cad_run(y, cfg, stats, op), cad_run(y, cfg, stats, every_row)
+        case = f"{spec.family} seed={seed} stats={stats is not None}"
+        assert ((closed.method_label, closed.stopped_at, closed.stop_reason)
+                == (iterative.method_label, iterative.stopped_at, iterative.stop_reason)
+                and [(r.action, r.feedback) for r in closed.trace]
+                == [(r.action, r.feedback) for r in iterative.trace]), \
+            f"{case}: {_first_flip(closed, iterative)}"
+        gap = np.linalg.norm(iterative.estimate - closed.estimate)
+        assert gap <= L1Problem.tolerance * np.linalg.norm(closed.estimate), case
 
 
 # sha256 of the labels and estimate bytes of a small row-subset ensemble: it

@@ -21,7 +21,6 @@ import cad_defense
 import cad_defense.harness
 from cad_defense.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                              main)
-from cad_defense.attacks import save_raw, write_pgm
 from cad_defense.feedback import CleanStats, save_clean_stats
 
 FB = {"alpha": 8.0, "beta": 5.0, "m": 1.8, "tau": 15, "theta": 65.0}
@@ -361,24 +360,37 @@ def _mutated_configs(draw):
     return raw
 
 
+# what each command writes when it accepts a config; gen and run echo the
+# config there
+WRITES = {"gen": "manifest.json", "stats": "clean_stats_ch0.f64",
+          "run": "report.json", "bench": "bench.csv"}
+
+
 # a run that gets past validation takes about 0.1 s at n=16 and most are
-# refused in milliseconds: 400 examples take about 3 s
+# refused in milliseconds: 400 examples take about 2 s per command
+@pytest.mark.parametrize("command", sorted(WRITES))
 @settings(max_examples=400, deadline=None)
-@given(_mutated_configs())
-def test_mutated_config_run_exits_with_its_code_and_one_line(raw):
+@given(raw=_mutated_configs())
+def test_mutated_config_run_exits_with_its_code_and_one_line(command, raw):
     # no exception escapes main; a refused config exits with its documented
-    # code and one stderr line; an accepted one echoes every given top-level
-    # key in report.json but bench and unknown keys
+    # code and one stderr line; an accepted one writes its output, and gen
+    # and run echo every given top-level key but bench and unknown keys
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "o"
         path.write_text(json.dumps(raw))
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if command == "run":
+            argv += ["--format", "json"]
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(["run", "--config", str(path), "--out", str(out), "--format", "json"])
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
         lines = err.getvalue().splitlines()
         if code == EXIT_OK:
-            echoed = json.loads((out / "report.json").read_text())["config"]
-            assert (set(raw) & set(MUTATED_BASE)) - {"bench"} <= set(echoed)
+            written = out / WRITES[command]
+            assert written.exists()
+            if command in ("gen", "run"):
+                echoed = json.loads(written.read_text())["config"]
+                assert (set(raw) & set(MUTATED_BASE)) - {"bench"} <= set(echoed)
         else:
             assert code in EXIT_PREFIXES
             assert len(lines) == 1 and lines[0].startswith(EXIT_PREFIXES[code])
@@ -442,9 +454,17 @@ def _good_and(write_bad):
     """clean.paths of a good 32-sample PGM and a bad file write_bad makes."""
     def paths(tmp_path):
         good = tmp_path / "good.pgm"
-        write_pgm(good, np.full(32, 0.5), 4, 8)
+        good.write_bytes(b"P5\n4 8\n255\n" + bytes([128] * 32))
         return [str(good), str(write_bad(tmp_path, good))]
     return paths
+
+
+def _raw_signal(tmp_path, values, sidecar):
+    """A raw little-endian float64 signal beside the given JSON sidecar text."""
+    bad = tmp_path / "bad.raw"
+    np.asarray(values, dtype="<f8").tofile(bad)
+    bad.with_name("bad.raw.json").write_text(sidecar)
+    return bad
 
 
 def _txt_signal(tmp_path, _):
@@ -460,16 +480,16 @@ def _truncated_pgm(tmp_path, good):
 
 
 def _raw_without_channels(tmp_path, _):
-    bad = tmp_path / "bad.raw"
-    save_raw(bad, np.full(32, 0.5), 32, 1)
-    bad.with_name("bad.raw.json").write_text(json.dumps({"n": 32}))
-    return bad
+    return _raw_signal(tmp_path, np.full(32, 0.5), json.dumps({"n": 32}))
 
 
 def _raw_with_nan(tmp_path, _):
-    bad = tmp_path / "bad.raw"
-    save_raw(bad, np.r_[np.full(31, 0.5), np.nan], 32, 1)
-    return bad
+    return _raw_signal(tmp_path, np.r_[np.full(31, 0.5), np.nan],
+                       json.dumps({"n": 32, "channels": 1}))
+
+
+def _raw_sidecar_nested_too_deep(tmp_path, _):
+    return _raw_signal(tmp_path, np.full(32, 0.5), "[" * 10 ** 5 + "]" * 10 ** 5)
 
 
 BAD_SIGNAL_PATHS = {
@@ -479,6 +499,7 @@ BAD_SIGNAL_PATHS = {
     "truncated_pgm": _good_and(_truncated_pgm),
     "raw_sidecar_without_channels": _good_and(_raw_without_channels),
     "raw_nan": _good_and(_raw_with_nan),
+    "raw_sidecar_nested_too_deep": _good_and(_raw_sidecar_nested_too_deep),
 }
 
 

@@ -11,11 +11,11 @@ import pytest
 import scipy.linalg
 
 from cad_defense import (AttackSpec, CleanStats, FeedbackConfig,
-                         SensingOperator, cosamp_run, draw_perturbation,
-                         estimate_clean_stats, feedback_bit, load_clean_stats,
-                         mahalanobis, make_clean_compressible,
-                         make_clean_sparse, residual, save_clean_stats,
-                         should_stop, thresholded_count)
+                         SensingOperator, cosamp_run, estimate_clean_stats,
+                         feedback_bit, load_clean_stats, mahalanobis,
+                         make_clean_compressible, make_clean_sparse, perturb,
+                         residual, save_clean_stats, should_stop,
+                         thresholded_count)
 from cad_defense.recovery import A_COSAMP, A_L0, A_L2, A_LINF
 
 MNIST_THRESHOLDS = dict(alpha=8.0, beta=5.0, m=1.8, tau=15, theta=65.0)
@@ -249,9 +249,10 @@ def test_mahalanobis_matches_triangular_solve_oracle():
     for t in range(30):
         r = np.random.default_rng([12, t])
         x = make_clean_compressible(n, k, r)
+        y = op.synthesize(x)
         if t % 2:
-            x = x + draw_perturbation(AttackSpec(family="l2", eta=0.5, seed=t), n)
-        v = cosamp_run(op.synthesize(x), op, k, 5).residual
+            y = perturb(x, AttackSpec(family="l2", eta=0.5, seed=t), op).observed
+        v = cosamp_run(y, op, k, 5).residual
         d = v - stats.mean
         md = mahalanobis(v, stats)
         exact = float(reference(v))
@@ -347,8 +348,8 @@ def test_mahalanobis_separates_clean_from_attacked():
         fresh = op.synthesize(make_clean_compressible(n, k, r, tail_norm=tail))
         v_clean = cosamp_run(fresh, op, k, 5).residual
         x = make_clean_compressible(n, k, r, tail_norm=tail)
-        e = draw_perturbation(AttackSpec(family="l2", eta=0.3, seed=trial), n)
-        v_att = cosamp_run(op.synthesize(x + e), op, k, 5).residual
+        attacked = perturb(x, AttackSpec(family="l2", eta=0.3, seed=trial), op).observed
+        v_att = cosamp_run(attacked, op, k, 5).residual
         wins += mahalanobis(v_clean, stats) < mahalanobis(v_att, stats)
     assert wins >= 0.95 * 500
 

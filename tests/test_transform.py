@@ -9,7 +9,8 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cad_defense import SensingOperator, best_k_term_error, dct_matrix, top_k
+from cad_defense import SensingOperator, best_k_term_error, top_k
+from cad_defense.transform import _dct_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -19,23 +20,23 @@ from cad_defense import SensingOperator, best_k_term_error, dct_matrix, top_k
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 784])
 def test_dct_matrix_matches_scipy_oracle(n):
     # scipy's orthonormalized DCT-II of each basis vector gives F's columns
-    mat = dct_matrix(n)
+    mat = _dct_matrix(n)
     oracle = scipy.fft.dct(np.eye(n), type=2, norm="ortho", axis=0)
     assert np.allclose(mat, oracle, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 8, 64, 784])
 def test_dct_matrix_orthonormal(n):
-    mat = dct_matrix(n)
+    mat = _dct_matrix(n)
     assert np.abs(mat @ mat.T - np.eye(n)).max() < 1e-10
 
 
 def test_dct_matrix_is_cached_and_readonly():
-    assert dct_matrix(16) is dct_matrix(16)
+    assert _dct_matrix(16) is _dct_matrix(16)
     with pytest.raises(ValueError):
-        dct_matrix(16)[0, 0] = 1.0
+        _dct_matrix(16)[0, 0] = 1.0
     with pytest.raises(ValueError):
-        dct_matrix(0)
+        _dct_matrix(0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +133,38 @@ def test_subsampled_operator_rows():
         SensingOperator(8, rows=[8])
 
 
+@pytest.mark.parametrize("n,rows,message", [
+    (8.9, None, "n must be an integer"),
+    (8.0, None, "n must be an integer"),
+    (True, None, "n must be an integer"),
+    ("8", None, "n must be an integer"),
+    (0, None, "transform size must be >= 1"),
+    (8, [0.5, 1.7], "rows must be integers"),
+    (8, [True, False], "rows must be integers"),
+    (8, [], "rows must be a non-empty 1-D index array"),
+])
+def test_operator_refuses_non_integer_n_and_rows(n, rows, message):
+    # an int() or intp cast would floor 8.9 to 8, True to 1 and 0.5 to 0
+    with pytest.raises(ValueError, match=message):
+        SensingOperator(n, rows=rows)
+
+
+def test_operator_takes_numpy_integers():
+    op = SensingOperator(np.int64(8), rows=np.array([1, 3], dtype=np.uint8))
+    assert type(op.n) is int and op.n == 8
+    assert op.rows.dtype == np.intp and op.rows.tolist() == [1, 3]
+
+
 @pytest.mark.parametrize("n", [1, 3, 8, 255, 256, 784])
 def test_operator_matrices_start_on_64_byte_boundaries(n):
     full = SensingOperator(n)
     rows = np.arange(0, n, 2)
     sub = SensingOperator(n, rows=rows)
-    for mat in (full.matrix, sub.matrix, dct_matrix(n)):
+    for mat in (full.matrix, sub.matrix, _dct_matrix(n)):
         assert mat.ctypes.data % 64 == 0
         assert not mat.flags.writeable
     assert sub.matrix.flags.c_contiguous
-    assert np.array_equal(sub.matrix, dct_matrix(n).T[rows])
+    assert np.array_equal(sub.matrix, _dct_matrix(n).T[rows])
 
 
 # ---------------------------------------------------------------------------
