@@ -35,9 +35,11 @@ for k in (2, 4, 8, 16, 32):
           f"relative l2 tail {rel:.4f}, l1 tail {best_k_term_error(comp, k):.4f}")
 
 # Subsampled rows keep their orthonormality, which the general l1 solver
-# later exploits for a closed-form feasibility projection.
+# later exploits for a closed-form feasibility projection.  The operator's
+# columns, all gathered, give its measurement matrix.
 rows = np.sort(rng.choice(64, size=48, replace=False))
 sub = SensingOperator(64, rows=rows)
-gram = sub.matrix @ sub.matrix.T
+a = sub.columns(np.arange(sub.n))
+gram = a @ a.T
 print(f"\nsubsampled rows       : {sub.m} of {op.n}")
 print(f"row-gram vs identity  : {np.abs(gram - np.eye(sub.m)).max():.3e}")

@@ -8,7 +8,7 @@ attack family's budget; residual feedback rewards the action whose
 assumptions fit the data.
 """
 
-from .transform import SensingOperator, best_k_term_error, top_k
+from .transform import SensingOperator, best_k_term_error, residual, top_k
 from .attacks import (AdversarialInstance, AttackSpec, load_signal_channels,
                       make_clean_compressible, make_clean_sparse, perturb)
 from .recovery import (A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS, BoundReport,
@@ -18,7 +18,7 @@ from .recovery import (A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS, BoundReport,
 from .bandit import (penalty_clamped, probabilities, reward, sample_action,
                      update)
 from .feedback import (CleanStats, FeedbackConfig, estimate_clean_stats,
-                       feedback_bit, load_clean_stats, mahalanobis, residual,
+                       feedback_bit, load_clean_stats, mahalanobis,
                        save_clean_stats, should_stop, thresholded_count)
 from .cad import (ACTION_LABELS, FALLBACK_LABEL, CadConfig,
                   CadIterationRecord, CadOutcome, ChannelsOutcome, cad_run)

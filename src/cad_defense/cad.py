@@ -31,10 +31,10 @@ import numpy as np
 
 from .bandit import penalty_clamped, probabilities, reward, sample_action, update
 from .feedback import (CleanStats, FeedbackConfig, feedback_bit, mahalanobis,
-                       residual, should_stop, thresholded_count)
+                       should_stop, thresholded_count)
 from .recovery import (A_COSAMP, N_ACTIONS, L1Problem, _soft_threshold,
                        _threshold_table, action_radius, cosamp_run, l1_min_general)
-from .transform import SensingOperator, _is_number, top_k
+from .transform import SensingOperator, _is_number, residual, top_k
 
 __all__ = [
     "ACTION_LABELS",

@@ -5,7 +5,8 @@ Subcommands mirror the harness: gen (materialize an ensemble), stats
 (parameter sweep).  Exit codes: 0 success, 1 configuration error, 2 IO
 error, 3 numerical failure (clean statistics singular at ridge 0, or a
 floating point overflow or invalid value anywhere in the command).  Set
-CAD_LOG=debug|info|warning to control logging verbosity.
+CAD_LOG=debug|info|warning|error, in any case, to control logging
+verbosity (default warning); any other value is a configuration error.
 """
 
 from __future__ import annotations
@@ -51,16 +52,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("CAD_LOG", "warning").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level,
+    value = os.environ.get("CAD_LOG", "warning")
+    if value.lower() not in ("debug", "info", "warning", "error"):
+        raise ConfigError(f"CAD_LOG={value!r} must be debug, info, warning or error")
+    logging.basicConfig(level=value.upper(),
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -68,6 +67,7 @@ def main(argv=None) -> int:
         # argparse already printed the usage message; fold into config errors
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
+        _configure_logging()
         if getattr(args, "workers", 1) < 1:
             raise ConfigError(f"--workers={args.workers} must be >= 1")
         cfg = ExperimentConfig.from_json(args.config)

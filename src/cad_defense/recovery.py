@@ -18,9 +18,10 @@ operator's Gram matrix P = A^T A once per iteration, in buffers reused
 across iterations: n^2 multiply-adds against the 2 m n of A then A^T, a
 saving once m > n / 2 (every benchmarked row subset keeps 160 of 256 rows).
 It stops on a duality gap: every few iterations it evaluates a dual
-certificate, through A itself, at its feasible point and returns that point
-once the certified gap is small.  Its feasibility tolerance is absolute at
-unit scale and above and relative to ||y|| below it.
+certificate at its feasible point, through P and A^T y as the iteration
+does, and returns that point once the certified gap is small; the solver
+reads no other form of the operator.  Its feasibility tolerance is
+absolute at unit scale and above and relative to ||y|| below it.
 
 CoSaMP's least-squares fit restricts F y on the full operator, so a cold
 run there lands on its fixed point top_k(F y) in one step and returns that
@@ -41,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .transform import (SensingOperator, _check_vector, _is_number, best_k_term_error,
-                        top_k)
+                        residual, top_k)
 
 __all__ = [
     "A_COSAMP",
@@ -128,6 +129,8 @@ def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
     support and prunes the fit back to k terms.  On the full orthonormal
     operator the fit is the matching entries of A^* y; on a row subset it
     comes from _least_squares (a Gram solve, lstsq on ill-posed supports).
+    A state's residual is residual(y, estimate, op), the product over the
+    estimate's support.
 
     A step is a function of its state's estimate and residual bytes alone,
     so once a step reproduces both, every later one would too: the run
@@ -142,15 +145,12 @@ def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
         raise ValueError(f"n_iters must be >= 0, got {n_iters}")
     y = _check_vector(y, op.m, "measurements")
     back = op.adjoint(y)
-    if x0 is None:
-        if op.is_full and n_iters:
-            est = top_k(back, k)
-            return CosampState(estimate=est, residual=y - op.synthesize(est))
-        # A 0 is +0.0 throughout, and y - (+0.0) is y itself
-        state = CosampState(estimate=np.zeros(op.n), residual=y.copy())
-    else:
-        est = top_k(np.asarray(x0, dtype=np.float64), k)
-        state = CosampState(estimate=est, residual=y - op.synthesize(est))
+    if x0 is None and op.is_full and n_iters:
+        est = top_k(back, k)
+        return CosampState(estimate=est, residual=residual(y, est, op))
+    # a zero start's residual is y itself: y - (+0.0) keeps y's bytes
+    est = np.zeros(op.n) if x0 is None else top_k(np.asarray(x0, dtype=np.float64), k)
+    state = CosampState(estimate=est, residual=residual(y, est, op))
     for _ in range(n_iters):
         proxy = op.adjoint(state.residual)
         omega = np.argsort(-np.abs(proxy), kind="stable")[: 2 * k]
@@ -158,11 +158,11 @@ def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
         b = np.zeros(op.n)
         b[merged] = back[merged] if op.is_full else _least_squares(op, merged, y, back)
         estimate = top_k(b, k)
-        residual = y - op.synthesize(estimate)
+        r = residual(y, estimate, op)
         if (estimate.tobytes() == state.estimate.tobytes()
-                and residual.tobytes() == state.residual.tobytes()):
+                and r.tobytes() == state.residual.tobytes()):
             break
-        state = CosampState(estimate=estimate, residual=residual)
+        state = CosampState(estimate=estimate, residual=r)
     return state
 
 
@@ -279,35 +279,35 @@ def _soft_threshold(table: _ThresholdTable, radius: float) -> np.ndarray:
     return table.signs * np.maximum(table.magnitudes - thr, 0.0)
 
 
-def _certify(v: np.ndarray, y: np.ndarray, a: np.ndarray, radius: float,
+def _certify(x: np.ndarray, back: np.ndarray, gram: np.ndarray, radius: float,
              tolerance: float, s: np.ndarray, step: float,
              feasibility_tol: float) -> tuple[bool, float, float]:
-    """Whether v is certified, its feasibility gap, and its duality gap.
+    """Whether x is certified, its feasibility gap, and its duality gap,
+    read through the Gram matrix P = A^T A (gram) and back = A^T y.
 
-    The rows of a are orthonormal, so for w = y - a v the dual point
-    u = w / ||a^T w||_inf has ||a^T u||_inf <= 1, and every feasible z has
-    ||z||_1 >= max(0, <u, y> - radius ||u||) (u = 0 gives the 0).  At
-    radius 0 that w is rounding noise, so the dual point comes instead from
-    the subgradient g = clip(s / step, -1, 1) of the l1 prox at s with that
-    step: u = a g / max(1, ||a^T a g||_inf), bound max(0, <u, y>); weak
-    duality holds for any g.  The gap is ||v||_1 minus the bound; v is
-    certified when it lies within feasibility_tol of the ball and its gap
-    is at most tolerance * ||v||_1.
+    As A A^T = I, r = P x - A^T y = A^T (A x - y) has the norm of A x - y,
+    and for w = y - A x, A^T w = -r and <w, y> = -<r, A^T y>.  So the dual
+    point u = w / ||A^T w||_inf, with ||A^T u||_inf <= 1, shows that every
+    feasible z has ||z||_1 >= max(0, (-<r, A^T y> - radius ||r||) /
+    ||r||_inf) (u = 0 gives the 0).  At radius 0 that r is rounding noise,
+    so the dual point comes instead from the subgradient q = clip(s / step,
+    -1, 1) of the l1 prox at s with that step: u = A q / max(1, ||P q||_inf),
+    bound max(0, <q, A^T y> / max(1, ||P q||_inf)); weak duality holds for
+    any q.  The gap is ||x||_1 minus the bound; x is certified when it lies
+    within feasibility_tol of the ball and its gap is at most
+    tolerance * ||x||_1.
     """
-    w = y - a @ v
-    feasibility = max(0.0, math.sqrt(w.dot(w)) - radius)
-    l1 = float(np.abs(v).sum())
+    # P is symmetric; its transpose is the view the splitting loop applies
+    r = gram.T.dot(x) - back
+    norm_r = math.sqrt(r.dot(r))
+    feasibility = max(0.0, norm_r - radius)
+    l1 = float(np.abs(x).sum())
     if radius == 0.0:
-        u = a @ np.clip(s / step, -1.0, 1.0)
-        u /= max(1.0, float(np.abs(a.T @ u).max()))
-        bound = max(0.0, float(u.dot(y)))
+        q = np.clip(s / step, -1.0, 1.0)
+        dual, scale = float(q.dot(back)), max(1.0, float(np.abs(gram.T.dot(q)).max()))
     else:
-        scale = float(np.abs(a.T @ w).max())
-        bound = 0.0
-        if scale > 0.0:
-            u = w / scale
-            bound = max(0.0, float(u.dot(y)) - radius * math.sqrt(u.dot(u)))
-    gap = l1 - bound
+        dual, scale = -float(r.dot(back)) - radius * norm_r, float(np.abs(r).max())
+    gap = l1 - (max(0.0, dual / scale) if scale > 0.0 else 0.0)
     return (feasibility <= feasibility_tol and gap <= tolerance * l1,
             feasibility, gap)
 
@@ -346,9 +346,10 @@ def l1_min_general(p: L1Problem, x0: np.ndarray | None = None) -> L1Result:
     _GAP_CHECK_PERIOD.
 
     y and x0 are validated once, on entry (ValueError on a wrong shape or a
-    non-finite entry, also when zero would be returned at once); the loop
-    then applies op.gram in reused buffers, and forms the projected v only
-    at the certificate checks and z only at the cap.  A run that reaches
+    non-finite entry, also when zero would be returned at once); a solve
+    that iterates applies the adjoint once, to y, and the loop and its
+    certificates then apply only op.gram, in reused buffers, forming the
+    projected v only at the certificate checks and z only at the cap.  A run that reaches
     its cap validates its final iterate, so a non-finite one raises there.
     """
     y = _check_vector(p.observed, p.op.m, "measurements")
@@ -367,7 +368,7 @@ def l1_min_general(p: L1Problem, x0: np.ndarray | None = None) -> L1Result:
     if step <= 0.0:
         step = 1.0
     s = (back if x0 is None else x0).copy()
-    a, gram, radius, tol = p.op.matrix, p.op.gram, p.radius, p.tolerance
+    gram, radius, tol = p.op.gram, p.radius, p.tolerance
     v, t, g = np.empty(p.op.n), np.empty(p.op.n), np.empty(p.op.n)
     it = 0
     for it in range(1, p.max_iters + 1):
@@ -387,7 +388,7 @@ def l1_min_general(p: L1Problem, x0: np.ndarray | None = None) -> L1Result:
         if it % _GAP_CHECK_PERIOD == 0:
             if projected:
                 v -= g
-            certified, feasibility, gap = _certify(v, y, a, radius, tol, s, step,
+            certified, feasibility, gap = _certify(v, back, gram, radius, tol, s, step,
                                                    feasibility_tol)
             if certified:
                 return L1Result(v, it, True, feasibility, gap, s)
@@ -399,7 +400,7 @@ def l1_min_general(p: L1Problem, x0: np.ndarray | None = None) -> L1Result:
         t *= _RELAXATION
         s -= t
     z = _check_vector(z, p.op.n, "coefficients")
-    certified, feasibility, gap = _certify(z, y, a, radius, tol, s, step,
+    certified, feasibility, gap = _certify(z, back, gram, radius, tol, s, step,
                                            feasibility_tol)
     return L1Result(coeffs=z, iterations=it, converged=certified,
                     feasibility_gap=feasibility, duality_gap=gap, state=s)

@@ -4,12 +4,13 @@ The pipeline observes pixel-domain signals y = A(xhat + e) where A is the
 inverse of the real orthonormal DCT-II analysis transform F.  A is applied
 as an explicit n-by-n matrix, so one application costs O(n^2); that cost is
 deliberate and is what the per-iteration complexity accounting assumes.
-Analysis and the synthesis of an observation stay n^2; the defence loop's
-residual of an estimate with support S is a product with the columns
-A[:, S] (see columns), which costs n |S|.  A row subset's solvers work
-through its Gram matrix P = A^T A (see gram), built once per operator: a
-Douglas-Rachford iteration applies P once, n^2 multiply-adds instead of the
-2 m n of A then A^T, which pays when m > n / 2.
+Analysis and the synthesis of an observation stay n^2; every residual of
+an estimate with support S, CoSaMP's and the defence loop's, is one product
+with the columns A[:, S] (see residual), which costs m |S|.  A row subset's
+solvers work through its Gram matrix P = A^T A (see gram), built once per
+operator: a Douglas-Rachford iteration applies P once, n^2 multiply-adds
+instead of the 2 m n of A then A^T, which pays when m > n / 2.  The matrix
+A itself stays private: nothing outside the operator reads it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "SensingOperator",
+    "residual",
     "top_k",
     "best_k_term_error",
 ]
@@ -118,11 +120,6 @@ class SensingOperator:
     def is_full(self) -> bool:
         return self.rows is None
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The realized measurement matrix A (or its row restriction)."""
-        return self._matrix
-
     @cached_property
     def gram(self) -> np.ndarray:
         """Read-only n-by-n Gram matrix P = A^T A, built on first use.
@@ -154,14 +151,27 @@ class SensingOperator:
 
     def columns(self, idx) -> np.ndarray:
         """Column submatrix A[:, idx]: least squares on a candidate support,
-        and the residual y - A[:, S] x[S] over an estimate's support S,
-        m |S| multiply-adds instead of m n."""
+        and the residual over an estimate's support (see residual)."""
         idx = np.asarray(idx, dtype=np.intp)
         return self._matrix[:, idx]
 
     def __repr__(self) -> str:
         sub = "full" if self.is_full else f"{self.m} rows"
         return f"SensingOperator(n={self.n}, {sub})"
+
+
+def residual(y: np.ndarray, estimate: np.ndarray, op: SensingOperator) -> np.ndarray:
+    """Measurement-domain residual y - A xhat, formed as y - A[:, S] xhat[S]
+    over the support S of xhat: m |S| multiply-adds instead of m n for
+    k-sparse estimates, within rounding of the dense product.  xhat is
+    checked as synthesize checks it.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (op.m,):
+        raise ValueError(f"y must have shape ({op.m},), got {y.shape}")
+    x = _check_vector(estimate, op.n, "coefficients")
+    support = np.flatnonzero(x)
+    return y - op.columns(support) @ x[support]
 
 
 def top_k(c, k: int) -> np.ndarray:

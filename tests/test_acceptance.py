@@ -90,7 +90,7 @@ def test_criterion_2_l1_oracle_equivalence():
         op = SensingOperator(n)
         y = op.synthesize(c)
         z = l1_min_orthonormal(L1Problem(observed=y, op=op, radius=radius))
-        obj_gap = abs(np.abs(z).sum() - _oracle_objective(op.matrix, y, radius))
+        obj_gap = abs(np.abs(z).sum() - _oracle_objective(op.columns(np.arange(n)), y, radius))
         feas_gap = float(np.linalg.norm(y - op.synthesize(z))) - radius
         worst_obj = max(worst_obj, obj_gap)
         worst_feas = max(worst_feas, feas_gap)

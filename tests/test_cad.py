@@ -650,7 +650,7 @@ def _reference_run_single(y, cfg, stats, op, seed):
             converged[a] = estimate
         # the product over the estimate's support, as the loop forms it
         support = np.flatnonzero(estimate)
-        v = y - op.matrix[:, support] @ estimate[support]
+        v = y - op.columns(support) @ estimate[support]
         v_spec = coeffs - estimate if coeffs is not None else op.adjoint(v)
         md = None
         if a == A_COSAMP and stats is not None:

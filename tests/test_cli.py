@@ -140,6 +140,17 @@ def _named(*messages_then_overrides):
     return overrides
 
 
+def _log_level(value):
+    """The default config, run with CAD_LOG set to value."""
+    overrides = _named(f"CAD_LOG={value!r}", lambda _: {})
+    overrides.env = {"CAD_LOG": value}
+    return overrides
+
+
+# CAD_LOG values that name no level: once read as warning, now refused
+BAD_LOG_LEVELS = ["verbose", "", "warn", "critical", "10", "info "]
+
+
 def _cad(**entries):
     """The cad section of the default config, with entries set."""
     return lambda _: {"cad": {"k": 4, "feedback": dict(FB), **entries}}
@@ -265,6 +276,7 @@ BAD_FEEDBACK_VALUES = [
     _named("attacks[0]", "eta", lambda _: {"attacks": [{"family": "l2", "eta": True}]}),
     _named("attacks[0]", "eta_dprime",
            lambda _: {"attacks": [{"family": "linf", "eta_dprime": True}]}),
+    *[_log_level(value) for value in BAD_LOG_LEVELS],
 ], ids=["unknown_family", "nan_budget", "k_above_n", "stats_of_other_n",
         "l0_tau_above_n", "stats_short_f64", "stats_sidecar_not_json",
         "stats_sidecar_not_utf8", "stats_sidecar_nested_too_deep",
@@ -294,8 +306,10 @@ BAD_FEEDBACK_VALUES = [
         "bench_not_object", "attacks_not_list", "attack_entry_not_object",
         *[f"{key}_null" for key, _ in NULL_SECTIONS], "bandit_params_not_list",
         "bandit_params_short", "bench_grid_over_instances", "l2_eta_bool",
-        "linf_eta_dprime_bool"])
-def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, overrides):
+        "linf_eta_dprime_bool", *[f"log_level_{value!r}" for value in BAD_LOG_LEVELS]])
+def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, monkeypatch, overrides):
+    for name, value in getattr(overrides, "env", {}).items():
+        monkeypatch.setenv(name, value)
     cfg = _write_config(tmp_path, **overrides(tmp_path))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err.splitlines()
@@ -367,9 +381,11 @@ WRITES = {"gen": "manifest.json", "stats": "clean_stats_ch0.f64",
 
 
 # a run that gets past validation takes about 0.1 s at n=16 and most are
-# refused in milliseconds: 400 examples take about 2 s per command
+# refused in milliseconds: 400 examples take about 2 s per command.  The
+# slowest of every single mutation through each command took 42 ms, so an
+# example that takes 5 s fails the test
 @pytest.mark.parametrize("command", sorted(WRITES))
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=5000)
 @given(raw=_mutated_configs())
 def test_mutated_config_run_exits_with_its_code_and_one_line(command, raw):
     # no exception escapes main; a refused config exits with its documented
@@ -705,6 +721,15 @@ def test_log_env_controls_verbosity(tmp_path):
     assert loud.returncode == 0 and quiet.returncode == 0
     assert "run: family=none" in loud.stderr
     assert "run: family=" not in quiet.stderr
+
+
+@pytest.mark.parametrize("value", ["DEBUG", "Info", "warning", "eRRor"])
+def test_log_levels_are_read_in_any_case(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("CAD_LOG", value)
+    cfg = _write_config(tmp_path, count=1)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert (tmp_path / "o" / "report.csv").exists()
+    capsys.readouterr()
 
 
 def test_cli_import_leaves_scipy_and_the_process_pool_unloaded():

@@ -66,7 +66,7 @@ def test_support_residual_is_within_the_dot_product_bound_of_the_dense_one(n):
             support = rng.choice(n, size, replace=False)
             x[support] = rng.standard_normal(size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
             ours, dense = residual(y, x, op), y - op.synthesize(x)
-            bound = (2 * n * eps * (np.abs(op.matrix) @ np.abs(x))
+            bound = (2 * n * eps * (np.abs(op.columns(np.arange(op.n))) @ np.abs(x))
                      + eps * (np.abs(ours) + np.abs(dense)))
             assert np.all(np.abs(ours - dense) <= bound), (n, size)
 
@@ -90,7 +90,7 @@ def test_row_subset_residual_is_within_the_dot_product_bound_of_the_dense_one():
         x[rng.choice(64, size, replace=False)] = (rng.standard_normal(size)
                                                   * 10.0 ** rng.uniform(-3.0, 3.0, size))
         ours, dense = residual(y, x, op), y - op.synthesize(x)
-        bound = (2 * op.n * eps * (np.abs(op.matrix) @ np.abs(x))
+        bound = (2 * op.n * eps * (np.abs(op.columns(np.arange(op.n))) @ np.abs(x))
                  + eps * (np.abs(ours) + np.abs(dense)))
         assert np.all(np.abs(ours - dense) <= bound), size
 

@@ -8,9 +8,11 @@ a duality certificate, and the buffered subsampled solver, which stops on
 that certificate's gap, is checked bit for bit against a plain allocating
 copy of its over-relaxed loop; the same copy with relaxation 1 is the
 plain Douglas-Rachford loop whose iteration count the relaxation must
-beat.  CoSaMP's Gram solve on row subsets is checked against lstsq's
-residual, and each of its fallbacks to lstsq is pinned by a deterministic
-case.
+beat.  That solver certifies through the Gram matrix alone; an A-form
+certificate through synthesize and adjoint is the independent oracle it
+must agree with, within a derived rounding bound.  CoSaMP's Gram solve on
+row subsets is checked against lstsq's residual, and each of its
+fallbacks to lstsq is pinned by a deterministic case.
 """
 
 import dataclasses
@@ -27,10 +29,15 @@ from cad_defense import (A_L0, A_L2, A_LINF, L1Problem, SensingOperator,
                          action_radius, check_bound, cosamp_run,
                          l1_min_general, l1_min_orthonormal,
                          estimate_clean_stats, make_clean_compressible,
-                         make_clean_sparse, top_k)
+                         make_clean_sparse, residual, top_k)
 from cad_defense.recovery import (_GAP_CHECK_PERIOD, _RELAXATION, CosampState,
-                                  L1Result, _least_squares, _soft_threshold,
-                                  _threshold_table)
+                                  L1Result, _certify, _least_squares,
+                                  _soft_threshold, _threshold_table)
+
+
+def _dense(op):
+    """The operator's measurement matrix A, gathered as all of its columns."""
+    return op.columns(np.arange(op.n))
 
 
 def _l1_optimum(A, y, radius, tol):
@@ -116,14 +123,14 @@ def _reference_cosamp_step(state, y, op, k):
     b = np.zeros(op.n)
     b[merged] = back[merged] if op.is_full else _least_squares(op, merged, y, back)
     estimate = top_k(b, k)
-    return CosampState(estimate=estimate, residual=y - op.synthesize(estimate))
+    return CosampState(estimate=estimate, residual=residual(y, estimate, op))
 
 
 def _reference_cosamp_states(y, op, k, n_iters, x0=None):
     """The loop without the fixed-point exit: every one of n_iters steps is computed."""
     y = np.asarray(y, dtype=np.float64)
     est = np.zeros(op.n) if x0 is None else top_k(np.asarray(x0, dtype=np.float64), k)
-    state = CosampState(estimate=est, residual=y - op.synthesize(est))
+    state = CosampState(estimate=est, residual=residual(y, est, op))
     states = [state]
     for _ in range(n_iters):
         state = _reference_cosamp_step(state, y, op, k)
@@ -362,19 +369,19 @@ def test_cosamp_run_stops_computing_at_a_fixed_point(monkeypatch):
 
 
 def test_cold_full_operator_cosamp_applies_the_operator_twice(monkeypatch):
-    # one adjoint of y, one synthesis of the pruned estimate; the stats fit
-    # recovers each signal with such a run
+    # one adjoint of y, and one gather of the pruned estimate's columns for
+    # its residual; the stats fit recovers each signal with such a run
     op = SensingOperator(64)
     rng = np.random.default_rng(31)
     signals = [op.synthesize(make_clean_compressible(64, 8, rng)) for _ in range(6)]
     calls = []
-    for name in ("analyze", "synthesize", "adjoint"):
+    for name in ("analyze", "synthesize", "adjoint", "columns"):
         real = getattr(SensingOperator, name)
         monkeypatch.setattr(SensingOperator, name,
                             lambda self, v, real=real, name=name:
                             calls.append(name) or real(self, v))
     cosamp_run(signals[0], op, 8, 5)
-    assert calls == ["adjoint", "synthesize"]
+    assert calls == ["adjoint", "columns"]
     calls.clear()
     estimate_clean_stats(signals, op, 8, n_cosamp=5, ridge=1e-4)
     assert len(calls) == 2 * len(signals)
@@ -434,7 +441,7 @@ def test_l1_orthonormal_matches_socp_oracle():
         y = op.synthesize(c)
         radius = float(rng.uniform(0.05, 1.2) * np.linalg.norm(c))
         ours = l1_min_orthonormal(L1Problem(observed=y, op=op, radius=radius))
-        lower, upper = _l1_optimum(op.matrix, y, radius, 1e-6)
+        lower, upper = _l1_optimum(_dense(op), y, radius, 1e-6)
         assert lower - 1e-6 <= np.abs(ours).sum() <= upper + 1e-6
         assert np.linalg.norm(ours - c) <= radius + 1e-9
 
@@ -454,7 +461,7 @@ def test_l1_orthonormal_duality_certificate():
         radius = float(rng.uniform(0.01, 0.99)) * float(np.linalg.norm(c))
         z = l1_min_orthonormal(L1Problem(observed=y, op=op, radius=radius))
         with mp.workdps(50):
-            a = op.matrix
+            a = _dense(op)
             c_mp = [mp.fsum(mp.mpf(float(a[i, j])) * mp.mpf(float(y[i]))
                             for i in range(n)) for j in range(n)]
             z_mp = [mp.mpf(float(v)) for v in z]
@@ -489,7 +496,7 @@ def test_l1_general_duality_certificate():
             continue
         certified += 1
         with mp.workdps(50):
-            a = [[mp.mpf(float(v)) for v in row] for row in op.matrix]
+            a = [[mp.mpf(float(v)) for v in row] for row in _dense(op)]
             z_mp = [mp.mpf(float(v)) for v in res.coeffs]
             y_mp = [mp.mpf(float(v)) for v in y]
             w = [yi - mp.fsum(aij * zj for aij, zj in zip(row, z_mp))
@@ -541,7 +548,7 @@ def test_l1_orthonormal_tie_corner_case():
     c = np.array([2.0, -2.0, 2.0, 0.0])
     y = op.synthesize(c)
     ours = l1_min_orthonormal(L1Problem(observed=y, op=op, radius=1.5))
-    lower, upper = _l1_optimum(op.matrix, y, 1.5, 1e-6)
+    lower, upper = _l1_optimum(_dense(op), y, 1.5, 1e-6)
     assert lower - 1e-6 <= np.abs(ours).sum() <= upper + 1e-6
 
 
@@ -662,7 +669,7 @@ def test_l1_general_recovers_one_sparse_exactly():
         # enumeration oracle: the only consistent 1-sparse candidate
         candidates = []
         for idx in range(8):
-            col = sub.matrix[:, idx]
+            col = sub.columns(idx)
             coef = float(col @ y / (col @ col))
             if np.linalg.norm(coef * col - y) < 1e-8:
                 cand = np.zeros(8)
@@ -683,7 +690,7 @@ def test_l1_general_matches_socp_on_subsampled():
         res = l1_min_general(L1Problem(observed=y, op=sub, radius=0.3,
                                        max_iters=20000))
         assert res.converged and res.feasibility_gap <= 1e-6
-        lower, upper = _l1_optimum(sub.matrix, y, 0.3, 1e-4)
+        lower, upper = _l1_optimum(_dense(sub), y, 0.3, 1e-4)
         assert lower - 1e-4 <= np.abs(res.coeffs).sum() <= upper + 1e-4
 
 
@@ -706,8 +713,9 @@ def test_l1_general_warm_start():
 
 
 def _reference_certificate(v, y, op, radius, tolerance, s, step):
-    """Allocating duality certificate through the validating operator calls;
-    at radius 0 its dual point comes from the prox subgradient at s.  The
+    """Allocating duality certificate in the A form, through the validating
+    operator calls: the independent oracle of the solver's Gram form.  At
+    radius 0 its dual point comes from the prox subgradient at s.  The
     feasibility tolerance is 1e-6 at unit scale and above and 1e-6 * ||y||
     below it."""
     w = y - op.synthesize(v)
@@ -728,15 +736,39 @@ def _reference_certificate(v, y, op, radius, tolerance, s, step):
     return feasible and gap <= tolerance * l1, feasibility, gap
 
 
+def _reference_gram_certificate(x, y, back, gram, radius, tolerance, s, step):
+    """Allocating duality certificate in the Gram form the solver uses:
+    r = P^T x - A^T y = A^T (A x - y) stands for the residual, whose norm it
+    has as A A^T = I, and for A^T w = -r at w = y - A x, with <w, y> =
+    -<r, A^T y>; at radius 0 the dual point A q of the prox subgradient q
+    at s has <A q, y> = <q, A^T y> and A^T A q = P q."""
+    r = gram.T @ x - back
+    norm_r = float(np.linalg.norm(r))
+    feasibility = max(0.0, norm_r - radius)
+    l1 = float(np.abs(x).sum())
+    if radius == 0.0:
+        q = np.clip(s / step, -1.0, 1.0)
+        bound = max(0.0, float(q @ back) / max(1.0, float(np.abs(gram.T @ q).max())))
+    else:
+        scale = float(np.abs(r).max())
+        bound = 0.0
+        if scale > 0.0:
+            bound = max(0.0, (-float(r @ back) - radius * norm_r) / scale)
+    gap = l1 - bound
+    feasible = feasibility <= 1e-6 * min(1.0, float(np.linalg.norm(y)))
+    return feasible and gap <= tolerance * l1, feasibility, gap
+
+
 def _reference_l1_min_general(p, x0=None, relaxation=_RELAXATION):
     """The allocating over-relaxed Douglas-Rachford loop that l1_min_general
     must match bit for bit; relaxation=1.0 is the plain loop.  With t the
     clip of s to [-step, step], the soft threshold of s is z = s - t and
     2 z - s is v = s - 2 t.  The Gram matrix P = A^T A, formed here from
-    op.matrix, gives g = P v - A^T y = A^T (A v - y), whose norm is
+    A's columns, gives g = P v - A^T y = A^T (A v - y), whose norm is
     ||A v - y|| as A A^T = I (P is symmetric, and the product is taken as
     P^T v, as the solver takes it); the ball projection of v is v - c g,
-    and s + relaxation (v - z) is s - relaxation (t + c g)."""
+    and s + relaxation (v - z) is s - relaxation (t + c g).  Points are
+    certified in the same Gram form (_reference_gram_certificate)."""
     y = np.asarray(p.observed, dtype=np.float64)
     excess = float(np.linalg.norm(y)) - p.radius
     if excess <= 1e-6 * min(1.0, float(np.linalg.norm(y))):
@@ -746,7 +778,13 @@ def _reference_l1_min_general(p, x0=None, relaxation=_RELAXATION):
     if step <= 0.0:
         step = 1.0
     s = np.asarray(x0, dtype=np.float64).copy() if x0 is not None else back
-    gram = p.op.matrix.T @ p.op.matrix
+    a = _dense(p.op)
+    gram = a.T @ a  # one array on both sides: numpy's symmetric product
+
+    def certify(x, s):
+        return _reference_gram_certificate(x, y, back, gram, p.radius, p.tolerance,
+                                           s, step)
+
     z = np.zeros(p.op.n)
     it = 0
     for it in range(1, p.max_iters + 1):
@@ -760,13 +798,11 @@ def _reference_l1_min_general(p, x0=None, relaxation=_RELAXATION):
             v = v - g
             t = t + g
         if it % 10 == 0:  # the certificate is evaluated every tenth iteration
-            certified, feasibility, gap = _reference_certificate(v, y, p.op, p.radius,
-                                                                 p.tolerance, s, step)
+            certified, feasibility, gap = certify(v, s)
             if certified:
                 return L1Result(v, it, True, feasibility, gap, s)
         s = s - relaxation * t
-    return L1Result(z, it, *_reference_certificate(z, y, p.op, p.radius, p.tolerance,
-                                                   s, step), s)
+    return L1Result(z, it, *certify(z, s), s)
 
 
 _ENTRY = st.floats(-1e3, 1e3)
@@ -848,17 +884,175 @@ def test_l1_general_converged_means_certified(data, n):
         return
     l1 = float(np.abs(res.coeffs).sum())
     assert res.duality_gap <= p.tolerance * l1
-    w = y - op.matrix @ res.coeffs
+    w = y - _dense(op) @ res.coeffs
     assert res.feasibility_gap <= 1e-6
     assert np.linalg.norm(w) - radius <= 1e-6
     if radius == 0.0:
-        bound = 0.0 if norm_y == 0.0 else max(0.0, float(_lp_dual_point(op.matrix, y) @ y))
+        bound = 0.0 if norm_y == 0.0 else max(0.0, float(_lp_dual_point(_dense(op), y) @ y))
         assert l1 - bound <= (p.tolerance + 1e-7) * l1
         return
-    back = np.abs(op.matrix.T @ w).max()
+    back = np.abs(_dense(op).T @ w).max()
     bound = 0.0 if back == 0.0 else max(0.0, (w @ y - radius * np.linalg.norm(w)) / back)
     assert l1 - bound <= (p.tolerance + 1e-9) * l1
 
+
+def test_l1_general_applies_the_adjoint_once_and_then_only_the_gram_matrix(monkeypatch):
+    # a solve that iterates applies the adjoint once, to y, and its loop and
+    # certificates only op.gram: at radius 0 and above, cold and warm,
+    # certified and capped.  Zero inside the ball returns before any product
+    rng = np.random.default_rng(23)
+    op = SensingOperator(32, rows=np.sort(rng.choice(32, size=20, replace=False)))
+    y = op.synthesize(make_clean_compressible(32, 4, rng)) + 0.05 * rng.standard_normal(20)
+    norm_y = float(np.linalg.norm(y))
+    adjoints = []
+    real_adjoint = SensingOperator.adjoint
+    monkeypatch.setattr(SensingOperator, "adjoint",
+                        lambda self, v: adjoints.append(1) or real_adjoint(self, v))
+
+    def refuse(self, *args):
+        raise AssertionError("l1_min_general applied the operator other than through P")
+
+    for name in ("synthesize", "analyze", "columns"):
+        monkeypatch.setattr(SensingOperator, name, refuse)
+    for radius in (0.0, 0.3 * norm_y):
+        warm = l1_min_general(L1Problem(observed=y, op=op, radius=radius, max_iters=10)).state
+        for x0 in (None, warm):
+            for max_iters, converged in ((20000, True), (3, False)):
+                adjoints.clear()
+                res = l1_min_general(L1Problem(observed=y, op=op, radius=radius,
+                                               tolerance=1e-3, max_iters=max_iters), x0)
+                assert res.converged == converged and res.iterations > 0
+                assert len(adjoints) == 1
+    adjoints.clear()
+    res = l1_min_general(L1Problem(observed=y, op=op, radius=2.0 * norm_y))
+    assert res.iterations == 0 and res.state is None
+    assert adjoints == []
+
+
+def _certificate_error_bounds(x, y, op, radius, s, step):
+    """Bounds on how far the Gram-form certificate (_certify) and the A-form
+    one (_reference_certificate) can each be from the exact certificate of
+    the stored A, so that their sum bounds the difference of the two forms:
+    one bound for the duality gaps and one for the feasibility gaps.
+
+    Each computed k-term dot product lies within k eps sum_i |a_i b_i| of
+    the exact one and each other operation within eps of its result
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1); eps is
+    twice the unit roundoff, which absorbs the second-order terms.  Each
+    form's computed vectors are thus within a known componentwise distance
+    of exact ones: w = y - A x for the A form; r = A^T (A x - y), P = A^T A
+    and A^T y for the Gram form.  The two exact forms are equal as far as
+    A A^T = I holds for the stored A; E = A A^T - I moves <w, y> by at most
+    ||E|| ||w|| ||y|| and ||w|| by at most ||E|| ||w||, where ||E||_2 is
+    bounded by the Frobenius norm of the computed E plus its rounding.  A
+    quotient N' / D' of perturbed values is within (|N' - N| + |N' / D'|
+    |D' - D|) / D of q = N / D, with D bounded below by either form.  At radius 0 the two
+    exact forms, <A q, y> and <q, A^T y> over max(1, ||A^T A q||_inf), are
+    equal for any A.  The bound is infinite when the denominator's lower
+    bound is not positive."""
+    eps = np.finfo(np.float64).eps
+    m, n = op.m, op.n
+    a = _dense(op)
+    abs_a, abs_gram = np.abs(a), np.abs(op.gram)
+    back = op.adjoint(y)
+    dback = m * eps * (abs_a.T @ np.abs(y))
+
+    def dgram(v):
+        """How far fl(P) v is from A^T A v, for v >= 0: P itself is within
+        m eps |A|^T |A| of the exact product."""
+        return n * eps * (abs_gram @ v) + m * eps * (abs_a.T @ (abs_a @ v))
+
+    ident = a @ a.T - np.eye(m)
+    e_norm = ((1 + eps) * float(np.linalg.norm(ident))
+              + n * eps * float(np.linalg.norm(abs_a @ abs_a.T)))
+    l1 = float(np.abs(x).sum())
+    w = y - op.synthesize(x)
+    dw = n * eps * (abs_a @ np.abs(x)) + eps * np.abs(w)
+    r = op.gram.T @ x - back
+    dr = dgram(np.abs(x)) + dback + eps * np.abs(r)
+    norm_w, norm_r = float(np.linalg.norm(w)), float(np.linalg.norm(r))
+    norm_dw, norm_dr = float(np.linalg.norm(dw)), float(np.linalg.norm(dr))
+    norm_w_high = norm_w + norm_dw
+    feasibility = (norm_dw + (m + 1) * eps * norm_w + norm_dr + (n + 1) * eps * norm_r
+                   + e_norm * norm_w_high + eps * (norm_w + norm_r + 2 * radius))
+    if radius == 0.0:
+        q = np.clip(s / step, -1.0, 1.0)
+        u = op.synthesize(q)
+        du = n * eps * (abs_a @ np.abs(q))
+        scale_a = max(1.0, float(np.abs(op.adjoint(u)).max()))
+        dscale_a = float((m * eps * (abs_a.T @ np.abs(u)) + abs_a.T @ du).max())
+        scale_p = max(1.0, float(np.abs(op.gram.T @ q).max()))
+        dscale_p = float(dgram(np.abs(q)).max())
+        low = max(1.0, scale_a - dscale_a, scale_p - dscale_p)
+        mag_a = float(np.abs(u) @ np.abs(y)) / scale_a
+        mag_p = float(np.abs(q) @ np.abs(back)) / scale_p
+        err_a = (m + 1) * eps * mag_a + (float(du @ np.abs(y)) + mag_a * dscale_a) / low
+        err_p = ((n + 1) * eps * mag_p
+                 + (float(np.abs(q) @ dback) + mag_p * dscale_p) / low)
+    else:
+        scale_a = float(np.abs(op.adjoint(w)).max())
+        scale_p = float(np.abs(r).max())
+        dscale_a = float((m * eps * (abs_a.T @ np.abs(w)) + abs_a.T @ dw).max())
+        dscale_p = float(dr.max())
+        low = max(scale_a - dscale_a, scale_p - dscale_p)
+        if min(scale_a, scale_p, low) <= 0.0:
+            return math.inf, feasibility
+        wy = float(np.abs(w) @ np.abs(y))
+        rb = float(np.abs(r) @ np.abs(back))
+        mag_a = (wy + radius * norm_w) / scale_a
+        mag_p = (rb + radius * norm_r) / scale_p
+        err_a = (((m + 1) * eps * wy + (m + 3) * eps * radius * norm_w) / scale_a
+                 + eps * mag_a
+                 + (float(dw @ np.abs(y)) + radius * norm_dw + mag_a * dscale_a) / low)
+        err_p = (((n + 1) * eps * rb + (n + 3) * eps * radius * norm_r) / scale_p
+                 + eps * mag_p
+                 + (float(dr @ np.abs(back)) + float(np.abs(r) @ dback) + radius * norm_dr
+                    + e_norm * norm_w_high * (float(np.linalg.norm(y)) + radius)
+                    + mag_p * dscale_p) / low)
+    # gap = ||x||_1 - bound, the same l1 bytes in both forms, rounds once in each
+    return err_a + err_p + eps * (2 * l1 + mag_a + mag_p), feasibility
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(4, 64))
+def test_gram_and_a_form_certificates_agree(data, n):
+    # the solver certifies through P and A^T y; the A-form certificate,
+    # through synthesize and adjoint, measures the same gaps up to the
+    # rounding _certificate_error_bounds bounds, and both certify the same
+    # points wherever the A form's gaps are farther than those bounds from
+    # the thresholds.  Points are solver iterates, feasible or capped, or
+    # arbitrary vectors
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                              unique=True).map(sorted))
+    op = SensingOperator(n, rows=rows)
+    y = np.array(data.draw(st.lists(_ENTRY, min_size=op.m, max_size=op.m)))
+    norm_y = float(np.linalg.norm(y))
+    assume(norm_y > 0.0)
+    radius = data.draw(st.one_of(
+        st.just(0.0), st.floats(1e-3, 1.0, exclude_max=True).map(lambda f: f * norm_y)))
+    tolerance = data.draw(st.sampled_from([1e-2, 1e-4, 1e-6]))
+    back = op.adjoint(y)
+    step = 0.14 * float(np.abs(back).max())
+    if step <= 0.0:
+        step = 1.0
+    if data.draw(st.booleans()):
+        res = l1_min_general(L1Problem(observed=y, op=op, radius=radius, tolerance=tolerance,
+                                       max_iters=data.draw(st.integers(1, 400))))
+        assume(res.state is not None)
+        x, s = res.coeffs, res.state
+    else:
+        x, s = (np.array(data.draw(st.lists(_ENTRY, min_size=n, max_size=n)))
+                for _ in range(2))
+    feasibility_tol = 1e-6 * min(1.0, norm_y)
+    ours = _certify(x, back, op.gram, radius, tolerance, s, step, feasibility_tol)
+    theirs = _reference_certificate(x, y, op, radius, tolerance, s, step)
+    gap_bound, feasibility_bound = _certificate_error_bounds(x, y, op, radius, s, step)
+    assert abs(ours[1] - theirs[1]) <= feasibility_bound
+    assert abs(ours[2] - theirs[2]) <= gap_bound
+    l1 = float(np.abs(x).sum())
+    if (abs(theirs[2] - tolerance * l1) > gap_bound
+            and abs(theirs[1] - feasibility_tol) > feasibility_bound):
+        assert ours[0] == theirs[0]
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(4, 48))

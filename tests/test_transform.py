@@ -160,11 +160,12 @@ def test_operator_matrices_start_on_64_byte_boundaries(n):
     full = SensingOperator(n)
     rows = np.arange(0, n, 2)
     sub = SensingOperator(n, rows=rows)
-    for mat in (full.matrix, sub.matrix, _dct_matrix(n)):
+    # the operator's private A, which synthesize, adjoint and columns read
+    for mat in (full._matrix, sub._matrix, sub.gram, _dct_matrix(n)):
         assert mat.ctypes.data % 64 == 0
         assert not mat.flags.writeable
-    assert sub.matrix.flags.c_contiguous
-    assert np.array_equal(sub.matrix, _dct_matrix(n).T[rows])
+    assert sub._matrix.flags.c_contiguous
+    assert np.array_equal(sub.columns(np.arange(n)), _dct_matrix(n).T[rows])
 
 
 # ---------------------------------------------------------------------------
