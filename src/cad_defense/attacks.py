@@ -27,17 +27,19 @@ __all__ = [
     "load_signal_channels",
 ]
 
-_FAMILIES = ("none", "l0", "l1", "l2", "linf", "gradient_proxy")
+# each family and the budgets it reads; low_freq_bias is read by l0 alone
+_BUDGETS = {"none": (), "l0": ("tau", "eta_prime"), "l1": ("eta",), "l2": ("eta",),
+            "linf": ("eta_dprime",), "gradient_proxy": ("eta_dprime",)}
 
 
 @dataclass(frozen=True)
 class AttackSpec:
     """Family label plus the budget parameters that family consumes.
 
-    tau / eta_prime bound the l0 family (support size / entry magnitude),
-    eta is the l1 or l2 energy budget, eta_dprime the per-entry amplitude
-    for linf and gradient_proxy.  Unused budgets may stay None; a tau that
-    is given must be an integer, and the two flags must be booleans.
+    tau / eta_prime bound the l0 family (support size, placed low by
+    low_freq_bias / entry magnitude), eta is the l1 or l2 energy budget,
+    eta_dprime the per-entry amplitude for linf and gradient_proxy.  What a
+    family does not read must stay unset; tau is an integer, flags booleans.
     """
 
     family: str
@@ -50,25 +52,24 @@ class AttackSpec:
     clip: bool = False
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if not (isinstance(self.family, str) and self.family in _BUDGETS):
             raise ValueError(f"unknown attack family {self.family!r}")
         if self.tau is not None and not _is_number(self.tau, numbers.Integral):
             raise ValueError(f"tau must be an integer, got {self.tau!r}")
         for name in ("low_freq_bias", "clip"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be a boolean, got {getattr(self, name)!r}")
-        need = {
-            "none": (),
-            "l0": ("tau", "eta_prime"),
-            "l1": ("eta",),
-            "l2": ("eta",),
-            "linf": ("eta_dprime",),
-            "gradient_proxy": ("eta_dprime",),
-        }[self.family]
+        need = _BUDGETS[self.family]
         for name in need:
             val = getattr(self, name)
             if not (_is_number(val) and 0 < val < np.inf):
                 raise ValueError(f"family {self.family!r} needs finite {name} > 0, got {val}")
+        unread = [name for name in ("tau", "eta", "eta_prime", "eta_dprime")
+                  if name not in need and getattr(self, name) is not None]
+        if self.low_freq_bias and self.family != "l0":
+            unread.append("low_freq_bias")
+        if unread:
+            raise ValueError(f"family {self.family!r} does not read {', '.join(unread)}")
 
 
 @dataclass

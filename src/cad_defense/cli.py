@@ -68,8 +68,6 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         _configure_logging()
-        if getattr(args, "workers", 1) < 1:
-            raise ConfigError(f"--workers={args.workers} must be >= 1")
         cfg = ExperimentConfig.from_json(args.config)
         if args.seed is not None:
             raw = dict(cfg.raw, seed=args.seed)

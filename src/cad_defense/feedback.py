@@ -8,9 +8,9 @@ l2 and max norms, its thresholded count and its Mahalanobis distance),
 each computed once by the caller, so the bit and the stop rule see the
 values the trace records.  The stop rule reads the largest action
 probability and the residual's l2 norm, and names the clause that fired.
-Clean statistics hold only what they are fitted from, the clean residuals
-and a ridge; the distance reads the thin SVD of their deviations, taken
-once, so no n x n covariance is ever formed.
+Clean statistics take their default ridge, mean and the thin SVD of their
+deviations when built, so no n x n covariance is ever formed and every
+copy of them, a pool worker's unpickled one too, holds the same factor.
 """
 
 from __future__ import annotations
@@ -75,17 +75,20 @@ class FeedbackConfig:
 
 @dataclass(eq=False)
 class CleanStats:
-    """Clean recovery residuals, one per row, and the ridge.
+    """Clean recovery residuals, one per row, and the ridge (None: the
+    default 1e-6 * trace(C) / n), factored when built.
 
-    The mean, the source count N and the factor derive from them.  The
-    regularized covariance is C + ridge I, where C = X^T X for the scaled
-    deviations X = (residuals - mean) / sqrt(N - 1) has rank at most N - 1.
+    C = X^T X for X = (residuals - mean) / sqrt(N - 1) has rank at most
+    N - 1.  The thin SVD X = U S V^T gives basis = V^T and scale = s^2 +
+    ridge, C + ridge I = V (S^2 + ridge) V^T + ridge (I - V V^T): singular
+    at ridge 0 when N - 1 < n or an s is zero, which raises LinAlgError.
     """
 
     residuals: np.ndarray
-    ridge: float
+    ridge: float | None = None
     mean: np.ndarray = field(init=False, repr=False)
-    _factor: tuple | None = field(default=None, init=False, repr=False)
+    basis: np.ndarray = field(init=False, repr=False)
+    scale: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.residuals = np.asarray(self.residuals, dtype=np.float64)
@@ -93,11 +96,21 @@ class CleanStats:
                 and np.isfinite(self.residuals).all()):
             raise ValueError("clean statistics need a 2-D stack of at least two finite "
                              f"residuals, got shape {self.residuals.shape}")
+        count, n = self.residuals.shape
+        if self.ridge is None:
+            self.ridge = 1e-6 * float(np.var(self.residuals, axis=0, ddof=1).sum()) / n
         # NaN fails the comparison
         if not (_is_number(self.ridge) and 0 <= self.ridge < math.inf):
             raise ValueError(f"ridge must be finite and >= 0, got {self.ridge!r}")
         self.ridge = float(self.ridge)
         self.mean = self.residuals.mean(axis=0)
+        x = (self.residuals - self.mean) / math.sqrt(count - 1)
+        _, s, self.basis = np.linalg.svd(x, full_matrices=False)
+        self.scale = s * s + self.ridge
+        if self.ridge == 0 and (count - 1 < n or not self.scale.all()):
+            raise np.linalg.LinAlgError(
+                f"the covariance of {count} clean residuals in dimension {n} is "
+                "singular at ridge 0: set a positive ridge")
 
     @property
     def n(self) -> int:
@@ -107,22 +120,12 @@ class CleanStats:
     def source_count(self) -> int:
         return self.residuals.shape[0]
 
-    def factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (V^T, s^2 + ridge) of the thin SVD X = U S V^T, so that
-        C + ridge I = V (S^2 + ridge) V^T + ridge (I - V V^T); at ridge 0 that
-        is singular when N - 1 < n or a singular value is zero, which raises
-        np.linalg.LinAlgError."""
-        if self._factor is None:
-            count, n = self.residuals.shape
-            x = (self.residuals - self.mean) / math.sqrt(count - 1)
-            _, s, vt = np.linalg.svd(x, full_matrices=False)
-            scale = s * s + self.ridge
-            if self.ridge == 0 and (count - 1 < n or not scale.all()):
-                raise np.linalg.LinAlgError(
-                    f"the covariance of {count} clean residuals in dimension {n} is "
-                    "singular at ridge 0: set a positive ridge")
-            self._factor = (vt, scale)
-        return self._factor
+    @property
+    def condition(self) -> float:
+        """cond(C + ridge I), whose eigenvalues are scale and, off the basis's
+        span, the ridge."""
+        least = self.scale.min() if len(self.scale) == self.n else self.ridge
+        return float(self.scale.max() / least)
 
 
 def thresholded_count(v: np.ndarray, threshold: float) -> int:
@@ -133,20 +136,19 @@ def thresholded_count(v: np.ndarray, threshold: float) -> int:
 def mahalanobis(v: np.ndarray, stats: CleanStats) -> float:
     """Distance sqrt(d^T (C + ridge I)^{-1} d) of v from the clean mean.
 
-    With d = v - mean and p = V^T d for the cached factor, md^2 =
+    With d = v - mean and p = V^T d for the statistics' basis, md^2 =
     sum(p^2 / (s^2 + ridge)) + ||d - V p||^2 / ridge, two products with the
     N x n factor; at ridge 0 the factor spans every dimension and the second
-    term is zero.  Raises np.linalg.LinAlgError when C + ridge I is singular.
+    term is zero.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != stats.mean.shape:
         raise ValueError(f"v must have shape {stats.mean.shape}, got {v.shape}")
-    vt, scale = stats.factor()
     d = v - stats.mean
-    p = vt @ d
-    md2 = float(p @ (p / scale))
+    p = stats.basis @ d
+    md2 = float(p @ (p / stats.scale))
     if stats.ridge > 0:
-        rest = d - p @ vt
+        rest = d - p @ stats.basis
         md2 += float(rest @ rest) / stats.ridge
     return math.sqrt(md2)
 
@@ -156,15 +158,12 @@ def estimate_clean_stats(clean_signals, op: SensingOperator, k: int,
     """Fit residual statistics from greedy recoveries of clean signals.
 
     Each signal is recovered by n_cosamp CoSaMP steps and the final
-    residuals are the statistics' rows.  ridge=None applies the default
-    1e-6 * trace(C) / n, the sum of the residuals' sample variances.
+    residuals are the statistics' rows; ridge=None is CleanStats's default.
     """
-    residuals = [cosamp_run(y, op, k, n_cosamp).residual for y in clean_signals]
-    stats = CleanStats(np.reshape(residuals, (-1, op.m)), 0.0 if ridge is None else ridge)
-    if ridge is None:
-        trace = float(np.var(stats.residuals, axis=0, ddof=1).sum())
-        stats = CleanStats(stats.residuals, 1e-6 * trace / stats.n)
-    return stats
+    # the per-signal list is freed before CleanStats factors the stack
+    residuals = np.reshape([cosamp_run(y, op, k, n_cosamp).residual
+                            for y in clean_signals], (-1, op.m))
+    return CleanStats(residuals, ridge)
 
 
 def feedback_bit(action: int, l2: float, linf: float, count: int,
@@ -211,12 +210,14 @@ def save_clean_stats(stats: CleanStats, path) -> None:
 
 def load_clean_stats(path) -> CleanStats:
     """Statistics written by save_clean_stats; ValueError when the sidecar's
-    rows or n is no integer, the file does not hold rows x n float64 values,
-    or CleanStats rejects them (a ridge that is no number among them)."""
+    rows or n is no integer, its ridge is null or no number, or the file
+    does not hold rows x n float64 values."""
     meta = json.loads(Path(str(path) + ".json").read_text())
-    n, rows = meta["n"], meta["rows"]
+    n, rows, ridge = meta["n"], meta["rows"], meta["ridge"]
+    if ridge is None:
+        raise ValueError(f"{path}: the sidecar's ridge must be a number, got null")
     buf = np.fromfile(path, dtype="<f8")
     if not (_is_number(n, int) and _is_number(rows, int) and buf.size == rows * n):
         raise ValueError(f"{path}: expected integer rows x n = {rows!r} x {n!r} "
                          f"float64 values, got {buf.size}")
-    return CleanStats(buf.reshape(rows, n), meta["ridge"])
+    return CleanStats(buf.reshape(rows, n), ridge)

@@ -110,11 +110,11 @@ _SCHEMA = {
     },
     # an empty axis would make an empty grid
     "bench": {
-        "n": (f"a non-empty list of integers, none of which exceeds the largest "
+        "n": (f"a non-empty list of integers >= 1, none of which exceeds the largest "
               f"supported n={_MAX_N}", lambda v: isinstance(v, list) and v != []
-              and all(_is_number(n, int) and n <= _MAX_N for n in v), None),
-        "k": ("a non-empty list of integers", lambda v: isinstance(v, list) and v != []
-              and all(_is_number(k, int) for k in v), None),
+              and all(_integer(1, _MAX_N)[1](n) for n in v), None),
+        "k": ("a non-empty list of integers >= 1", lambda v: isinstance(v, list)
+              and v != [] and all(_integer(1)[1](k) for k in v), None),
         "attacks": ("a non-empty list", lambda v: isinstance(v, list) and v != [], None),
         "count": (*_integer(1, _MAX_INSTANCES), None),
     },
@@ -200,14 +200,17 @@ class ExperimentConfig:
                   count=top["count"], cad=cad, stats=dict(top["stats"]),
                   stats_dir=top["stats_dir"], bench=top["bench"] and dict(top["bench"]),
                   raw=d)
-        # the rules that span keys, each key having passed its own row
+        # the rules that span keys, each key having passed its own row; an
+        # attack entry must hold at n, and a bench one at every grid n
         n, count, attacks = cfg.n, cfg.count, cfg.attacks
-        for i, entry in enumerate(attacks):
-            spec = _construct(f"attacks[{i}]", lambda: AttackSpec(seed=0, **entry))
-            if spec.family == "l0" and spec.tau > n:
-                raise ConfigError(f"attacks[{i}].tau={spec.tau} must be at most n={n}")
-        clean_k, stats_count = cfg.clean.get("k", cad.k), _setting(cfg, "stats", "count")
         grid_n, grid_k, grid_attacks, per_cell = _bench_axes(cfg)
+        for key, entries, least_n in (("attacks", attacks, n),
+                                      ("bench.attacks", grid_attacks, min(grid_n))):
+            for i, entry in enumerate(entries):
+                spec = _construct(f"{key}[{i}]", lambda: AttackSpec(seed=0, **entry))
+                if spec.family == "l0" and spec.tau > least_n:
+                    raise ConfigError(f"{key}[{i}].tau={spec.tau} must be at most n={least_n}")
+        clean_k, stats_count = cfg.clean.get("k", cad.k), _setting(cfg, "stats", "count")
         cells = len(grid_n) * len(grid_k) * len(grid_attacks)
         for broken, message in (
             (not attacks, "attacks=[] must list at least one attack entry"),
@@ -220,6 +223,8 @@ class ExperimentConfig:
              f"stats.count={stats_count} must be at most {_MAX_N ** 2 // n} at n={n}"),
             (cells * per_cell > _MAX_INSTANCES, f"bench: {cells} grid cells x count="
              f"{per_cell} exceeds the largest supported {_MAX_INSTANCES} instances"),
+            (max(grid_k) > min(grid_n),
+             f"bench.k={max(grid_k)} must be at most the smallest bench.n={min(grid_n)}"),
         ):
             if broken:
                 raise ConfigError(message)
@@ -322,10 +327,9 @@ def _file_signals(cfg: ExperimentConfig) -> list[list[np.ndarray]]:
 def _compute_stats(cfg: ExperimentConfig, op: SensingOperator) -> list[CleanStats]:
     signals = (_file_signals(cfg) if _setting(cfg, "clean", "kind") == "files"
                else [_stats_signals(cfg, op, ch) for ch in range(cfg.channels)])
-    ridge = _setting(cfg, "stats", "ridge")
     return [estimate_clean_stats(sigs, op, cfg.cad.k,
                                  n_cosamp=_setting(cfg, "stats", "n_cosamp"),
-                                 ridge=None if ridge is None else float(ridge))
+                                 ridge=_setting(cfg, "stats", "ridge"))
             for sigs in signals]
 
 
@@ -335,6 +339,8 @@ def _load_stats(cfg: ExperimentConfig) -> list[CleanStats]:
         path = Path(cfg.stats_dir) / f"clean_stats_ch{ch}.f64"
         try:
             st = load_clean_stats(path)
+        except np.linalg.LinAlgError:  # singular at ridge 0: a numerical failure
+            raise
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: corrupt stats: {exc!r}") from exc
         if st.n != cfg.n:
@@ -435,13 +441,16 @@ def _pool_run(task: tuple[int, dict]) -> dict:
     return _run_one(_POOL["cfg"], _POOL["op"], _POOL["stats"], index, entry)
 
 
+def _check_workers(workers: int) -> None:
+    """At most one pool worker, an interpreter of its own, per core."""
+    noun, ok = _integer(1, os.cpu_count() or 1)
+    if not ok(workers):
+        raise ConfigError(f"--workers={workers} must be {noun}")
+
+
 def _run_ensemble(cfg: ExperimentConfig, workers: int = 1) -> dict:
     op = SensingOperator(cfg.n)
     stats = _resolve_stats(cfg, op)
-    # factored here, once: pool workers unpickle these bytes rather than
-    # re-deriving them under another BLAS thread count
-    for st in stats or ():
-        st.factor()
     tasks = _attack_entries(cfg)
     if workers > 1:
         # imported here so that serial runs do not pay for loading them
@@ -560,16 +569,12 @@ def cmd_stats(cfg: ExperimentConfig, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for ch, st in enumerate(_compute_stats(cfg, SensingOperator(cfg.n))):
-        # eigenvalues s^2 + ridge, and ridge off the factor's span when that
-        # is not all of R^n; a fit no run could use fails before it is saved
-        _, scale = st.factor()
-        cond = float(scale.max() / (scale.min() if len(scale) == st.n else st.ridge))
         path = out / f"clean_stats_ch{ch}.f64"
         save_clean_stats(st, path)
         paths.append(path)
         print(f"channel {ch}: {st.source_count} residuals, "
               f"mean |residual| = {np.linalg.norm(st.mean):.3e}, "
-              f"ridge = {st.ridge:.3e}, cond(C + ridge I) ~ {cond:.3e}")
+              f"ridge = {st.ridge:.3e}, cond(C + ridge I) ~ {st.condition:.3e}")
     return paths
 
 
@@ -582,8 +587,9 @@ def cmd_run(cfg: ExperimentConfig, out_dir, workers: int = 1,
     only nondeterministic fields.  workers > 1 spawns worker processes,
     which run under the caller's numpy error handling (np.geterr) and
     import the caller's main script: call it under the
-    `if __name__ == "__main__":` guard.
+    `if __name__ == "__main__":` guard.  workers is at most os.cpu_count().
     """
+    _check_workers(workers)
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")
     _require_synthetic(cfg)
@@ -616,6 +622,7 @@ def cmd_bench(cfg: ExperimentConfig, out_dir, workers: int = 1) -> list[dict]:
     (error, loop iterations, per-iteration wall seconds) and mean
     error/budget ratio.
     """
+    _check_workers(workers)
     if not cfg.bench:
         raise ConfigError("config has no bench section")
     _require_synthetic(cfg)

@@ -174,6 +174,25 @@ def test_attack_spec_refuses_boolean_budgets(family, budget):
         AttackSpec(family=family, **{**given, budget: True})
 
 
+@pytest.mark.parametrize("family, given", [
+    ("none", {}), ("l0", {"tau": 4, "eta_prime": 0.1}), ("l1", {"eta": 1.0}),
+    ("l2", {"eta": 1.0}), ("linf", {"eta_dprime": 0.1}),
+    ("gradient_proxy", {"eta_dprime": 0.1})])
+def test_attack_spec_refuses_what_its_family_does_not_read(family, given):
+    AttackSpec(family=family, clip=True, **given)
+    unread = [name for name in ("tau", "eta", "eta_prime", "eta_dprime") if name not in given]
+    for name in unread:
+        # 0 too: a given key is refused whatever its value
+        for value in (3, 0):
+            with pytest.raises(ValueError, match=f"does not read {name}$"):
+                AttackSpec(family=family, **given, **{name: value})
+    if family == "l0":
+        assert AttackSpec(family=family, low_freq_bias=True, **given).low_freq_bias
+    else:
+        with pytest.raises(ValueError, match="does not read low_freq_bias"):
+            AttackSpec(family=family, low_freq_bias=True, **given)
+
+
 def test_perturb_composition_identity():
     op = SensingOperator(N)
     rng = np.random.default_rng(3)

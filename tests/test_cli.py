@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, exit codes, seed override,
 report formats, log-level control, and the demos run as scripts."""
 
+import concurrent.futures
 import contextlib
 import copy
 import io
@@ -276,6 +277,25 @@ BAD_FEEDBACK_VALUES = [
     _named("attacks[0]", "eta", lambda _: {"attacks": [{"family": "l2", "eta": True}]}),
     _named("attacks[0]", "eta_dprime",
            lambda _: {"attacks": [{"family": "linf", "eta_dprime": True}]}),
+    # a budget or flag the family never reads is refused, not ignored
+    _named("attacks[0]", "tau, eta_dprime, low_freq_bias",
+           lambda _: {"attacks": [{"family": "l2", "eta": 2.0, "low_freq_bias": True,
+                                   "tau": 3, "eta_dprime": 9.0}]}),
+    _named("attacks[0]", "eta_prime", lambda _: {"attacks": [{"family": "none",
+                                                              "eta_prime": 0.5}]}),
+    # null would read as the default ridge, which the file was not fitted with
+    _corrupt_stats(_set_key("ridge", None)),
+    # the bench grid is checked when the config loads, whatever the command
+    _named("bench.n=[0]", lambda _: {"bench": {"n": [0]}}),
+    _named("bench.k=[0]", lambda _: {"bench": {"k": [0]}}),
+    _named("bench.k=99", "bench.n=32", lambda _: {"bench": {"k": [99]}}),
+    _named("bench.k=8", "bench.n=4", lambda _: {"bench": {"n": [4, 32], "k": [2, 8]}}),
+    _named("bench.attacks[0].tau=20", "n=16",
+           lambda _: {"bench": {"n": [16, 32], "k": [4], "attacks": [
+               {"family": "l0", "tau": 20, "eta_prime": 0.5}]}}),
+    _named("bench.attacks[0]", "eta",
+           lambda _: {"bench": {"attacks": [{"family": "l2", "eta": True}]}}),
+    _named("bench.attacks[0]", lambda _: {"bench": {"attacks": ["none"]}}),
     *[_log_level(value) for value in BAD_LOG_LEVELS],
 ], ids=["unknown_family", "nan_budget", "k_above_n", "stats_of_other_n",
         "l0_tau_above_n", "stats_short_f64", "stats_sidecar_not_json",
@@ -306,7 +326,11 @@ BAD_FEEDBACK_VALUES = [
         "bench_not_object", "attacks_not_list", "attack_entry_not_object",
         *[f"{key}_null" for key, _ in NULL_SECTIONS], "bandit_params_not_list",
         "bandit_params_short", "bench_grid_over_instances", "l2_eta_bool",
-        "linf_eta_dprime_bool", *[f"log_level_{value!r}" for value in BAD_LOG_LEVELS]])
+        "linf_eta_dprime_bool", "l2_unread_keys", "none_unread_budget",
+        "stats_sidecar_ridge_null", "bench_n_zero", "bench_k_zero", "bench_k_above_n",
+        "bench_k_above_a_grid_n", "bench_l0_tau_above_a_grid_n", "bench_eta_bool",
+        "bench_attack_entry_not_object",
+        *[f"log_level_{value!r}" for value in BAD_LOG_LEVELS]])
 def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, monkeypatch, overrides):
     for name, value in getattr(overrides, "env", {}).items():
         monkeypatch.setenv(name, value)
@@ -412,6 +436,18 @@ def test_mutated_config_run_exits_with_its_code_and_one_line(command, raw):
             assert len(lines) == 1 and lines[0].startswith(EXIT_PREFIXES[code])
 
 
+@pytest.mark.parametrize("command", ["gen", "stats", "run", "bench"])
+@pytest.mark.parametrize("bench", [{"n": [0]}, {"k": [0]}, {"k": [99]}],
+                         ids=["n_zero", "k_zero", "k_above_n"])
+def test_bench_grid_is_checked_for_every_command(tmp_path, capsys, command, bench):
+    cfg = _write_config(tmp_path, stats={"count": 8, "ridge": 1e-4}, bench=bench)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("config error: bench.")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key", ["seed", "channels"])
 def test_cad_seed_and_channels_name_the_top_level_key(tmp_path, capsys, key):
     # the loop's seed derives from the master seed, and channels is set once
@@ -424,14 +460,23 @@ def test_cad_seed_and_channels_name_the_top_level_key(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("command", ["run", "bench"])
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_workers_below_one_fail_fast_with_one_line(tmp_path, capsys, command, workers):
-    cfg = _write_config(tmp_path, bench={"n": [32], "k": [4], "count": 2})
+@pytest.mark.parametrize("workers", ["0", "-2", str(os.cpu_count() + 1)])
+def test_workers_below_one_fail_fast_with_one_line(tmp_path, capsys, monkeypatch,
+                                                   command, workers):
+    # below one, or above the CPU count: refused before any output
+    # directory, statistics fit or worker process is made
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    cfg = _write_config(tmp_path, bench={"n": [32], "k": [4], "count": 2},
+                        stats={"count": 8, "ridge": 1e-4})
     code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--workers", workers])
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_CONFIG
-    assert err == [f"config error: --workers={workers} must be >= 1"]
+    assert err == [f"config error: --workers={workers} must be an integer in "
+                   f"[1, {os.cpu_count()}]"]
     assert not (tmp_path / "o").exists()
 
 
@@ -533,17 +578,24 @@ def test_bad_signal_files_fail_stats_with_one_line(tmp_path, capsys, case):
 
 
 def test_bench_checks_every_cell_before_running_one(tmp_path, capsys, monkeypatch):
-    # the (8, 10) cell has k above n; the three cells before it must not run
+    # no cell runs while a later one is refused
     runs = []
     monkeypatch.setattr(cad_defense.harness, "_run_ensemble",
                         lambda *args, **kwargs: runs.append(args))
-    cfg = _write_config(tmp_path, bench={"n": [32, 8], "k": [4, 10], "count": 20})
-    code = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err.splitlines()
-    assert code == EXIT_CONFIG
-    assert len(err) == 1 and err[0].startswith("config error: cad.k=10")
-    assert not runs
-    assert not (tmp_path / "o" / "bench.csv").exists()
+    for bench, stats, message in (
+        # the (8, 10) cell has k above n: the grid check refuses it as the config loads
+        ({"n": [32, 8], "k": [4, 10], "count": 20}, {}, "bench.k=10"),
+        # 16385 clean residuals fit n=32 but not the n=16384 cells, which
+        # building the cells' configs refuses
+        ({"n": [32, 16384], "k": [4], "count": 20}, {"count": 16385}, "stats.count=16385"),
+    ):
+        cfg = _write_config(tmp_path, bench=bench, stats=stats)
+        code = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith(f"config error: {message}")
+        assert not runs
+        assert not (tmp_path / "o" / "bench.csv").exists()
 
 
 @pytest.mark.parametrize("content", [
@@ -570,11 +622,14 @@ def test_exit_code_missing_config(tmp_path, capsys):
 
 def test_exit_code_numerical_failure(tmp_path, capsys):
     # five residuals in 16 dimensions leave the covariance singular, and
-    # with no ridge the statistics do not factor
+    # with no ridge the statistics do not factor: CleanStats refuses to be
+    # built from them, so the file is written as save_clean_stats would
     stats_dir = tmp_path / "stats"
     stats_dir.mkdir()
-    bad = CleanStats(np.random.default_rng(1).standard_normal((5, 16)), 0.0)
-    save_clean_stats(bad, stats_dir / "clean_stats_ch0.f64")
+    f64 = stats_dir / "clean_stats_ch0.f64"
+    np.random.default_rng(1).standard_normal((5, 16)).astype("<f8").tofile(f64)
+    f64.with_name(f64.name + ".json").write_text(
+        json.dumps({"n": 16, "rows": 5, "ridge": 0.0}))
     cfg = _write_config(
         tmp_path, n=16, count=1, stats_dir=str(stats_dir),
         attacks=[{"family": "l2", "eta": 4.0}],

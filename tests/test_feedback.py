@@ -187,17 +187,20 @@ def test_mahalanobis_at_ridge_zero_matches_explicit_solve():
 
 
 def test_mahalanobis_at_ridge_zero_is_singular_below_n_plus_one_residuals():
-    # C has rank at most N - 1, so N <= n residuals need a ridge
+    # C has rank at most N - 1, so N <= n residuals need a ridge; statistics
+    # that could not whiten a residual are refused when built
     for count, n in ((5, 5), (3, 8), (2, 2)):
-        stats = _stats(np.random.default_rng(count).standard_normal((count, n)), 0.0)
+        residuals = np.random.default_rng(count).standard_normal((count, n))
         with pytest.raises(np.linalg.LinAlgError,
                            match=f"{count} clean residuals in dimension {n}.*ridge 0"):
-            mahalanobis(np.zeros(n), stats)
+            _stats(residuals, 0.0)
     # enough rows, but all equal: C = 0
     with pytest.raises(np.linalg.LinAlgError, match="singular at ridge 0"):
-        mahalanobis(np.zeros(2), _stats(np.ones((6, 2)), 0.0))
-    # a ridge regularizes either
-    assert mahalanobis(np.zeros(2), _stats(np.ones((6, 2)), 0.5)) > 0.0
+        _stats(np.ones((6, 2)), 0.0)
+    # a ridge regularizes either: C + ridge I = 0.5 I
+    stats = _stats(np.ones((6, 2)), 0.5)
+    assert np.array_equal(stats.scale, [0.5, 0.5])
+    assert mahalanobis(np.zeros(2), stats) > 0.0
 
 
 def test_mahalanobis_covariance_scaling_law():
@@ -274,12 +277,14 @@ def test_clean_stats_is_its_residuals_and_ridge():
     stats = _stats([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [2.0, 2.0, 2.0]], ridge=0.5)
     assert stats.n == 3 and stats.source_count == 3
     assert np.array_equal(stats.mean, [2.0, 2.0, 2.0])
-    vt, scale = stats.factor()
-    assert vt.shape == (3, 3) and scale.shape == (3,)
+    assert stats.basis.shape == (3, 3) and stats.scale.shape == (3,)
     for residuals in (np.zeros(4), np.zeros((1, 4)), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError, match="at least two"):
             _stats(residuals, ridge=1.0)
-    for ridge in (-1e-9, np.nan, np.inf, None, True, "1"):
+    # no ridge is the default: 1e-6 x the summed column variances 1, 0, 1 / n
+    assert CleanStats(stats.residuals).ridge == 1e-6 * 2.0 / 3
+    assert CleanStats(stats.residuals, None).ridge == 1e-6 * 2.0 / 3
+    for ridge in (-1e-9, np.nan, np.inf, True, "1"):
         with pytest.raises(ValueError, match="ridge"):
             _stats(np.zeros((2, 2)), ridge=ridge)
 
@@ -290,9 +295,21 @@ def test_mahalanobis_dimension_check():
         mahalanobis(np.zeros(4), stats)
 
 
-def test_factor_is_cached():
+def test_factor_is_cached(monkeypatch):
+    # one SVD per CleanStats, when it is built, however many distances read it
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
     stats = _stats(np.eye(3), ridge=1.0)
-    assert stats.factor() is stats.factor()
+    assert len(calls) == 1
+    for v in np.eye(3):
+        mahalanobis(v, stats)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +331,7 @@ def test_clean_stats_identical_signals_zero_covariance():
     y = op.synthesize(make_clean_compressible(16, 3, np.random.default_rng(6)))
     stats = estimate_clean_stats([y, y, y], op, 3, ridge=1e-3)
     assert np.abs(_sample_cov(stats)).max() <= 1e-20
-    assert np.abs(stats.factor()[1] - 1e-3).max() <= 1e-20
+    assert np.abs(stats.scale - 1e-3).max() <= 1e-20
 
 
 def test_clean_stats_needs_two_signals():

@@ -181,13 +181,14 @@ def test_run_parallel_matches_serial(tmp_path, monkeypatch):
 
 
 def test_pool_workers_receive_the_parents_whitening(tmp_path, monkeypatch):
-    # the clean statistics are factored once, in the parent, before the pool
-    # starts: a worker unpickles the parent's factor bytes and factors
-    # nothing itself, whatever BLAS thread count it runs under
+    # the clean statistics are factored when built, in the parent, before
+    # the pool starts: a worker unpickles the parent's factor bytes and
+    # factors nothing itself, whatever BLAS thread count it runs under
     cfg = ExperimentConfig.from_dict(_raw(
         n=32, count=8, attacks=[{"family": "none"}, {"family": "l2", "eta": 3.0}],
         cad={"k": 4, "feedback": dict(FB)}, stats={"count": 8, "ridge": 1e-4}))
-    parent = _resolve_stats(cfg, SensingOperator(cfg.n))[0].factor()
+    fitted = _resolve_stats(cfg, SensingOperator(cfg.n))[0]
+    parent = (fitted.basis, fitted.scale)
     seen = []
 
     def refuse(*args, **kwargs):
@@ -200,7 +201,8 @@ def test_pool_workers_receive_the_parents_whitening(tmp_path, monkeypatch):
         def __init__(self, max_workers, mp_context, initializer, initargs):
             monkeypatch.setattr(np.linalg, "svd", refuse)
             initializer(*pickle.loads(pickle.dumps(initargs)))
-            seen.append(cad_defense.harness._POOL["stats"][0]._factor)
+            received = cad_defense.harness._POOL["stats"][0]
+            seen.append((received.basis, received.scale))
 
         def __enter__(self):
             return self
@@ -215,7 +217,6 @@ def test_pool_workers_receive_the_parents_whitening(tmp_path, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnedPool)
     cmd_run(cfg, tmp_path / "pool", workers=2)
     [factor] = seen
-    assert factor is not None
     assert [a.tobytes() for a in factor] == [a.tobytes() for a in parent]
 
 
