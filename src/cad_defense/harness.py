@@ -211,6 +211,7 @@ class ExperimentConfig:
                 if spec.family == "l0" and spec.tau > least_n:
                     raise ConfigError(f"{key}[{i}].tau={spec.tau} must be at most n={least_n}")
         clean_k, stats_count = cfg.clean.get("k", cad.k), _setting(cfg, "stats", "count")
+        widest = max(n, *grid_n)
         cells = len(grid_n) * len(grid_k) * len(grid_attacks)
         for broken, message in (
             (not attacks, "attacks=[] must list at least one attack entry"),
@@ -218,9 +219,10 @@ class ExperimentConfig:
             (clean_k > n, f"clean.k={clean_k} must be an integer in [1, n={n}]"),
             (count * len(attacks) > _MAX_INSTANCES, f"count={count} x {len(attacks)} "
              f"attack entries exceeds the largest supported {_MAX_INSTANCES} instances"),
-            # the count x n residual matrix no larger than the largest DCT matrix
-            (stats_count * n > _MAX_N ** 2,
-             f"stats.count={stats_count} must be at most {_MAX_N ** 2 // n} at n={n}"),
+            # the count x n residual matrix no larger than the largest DCT
+            # matrix, at the run's n and at every bench grid n
+            (stats_count * widest > _MAX_N ** 2, f"stats.count={stats_count} must be "
+             f"at most {_MAX_N ** 2 // widest} at n={widest}"),
             (cells * per_cell > _MAX_INSTANCES, f"bench: {cells} grid cells x count="
              f"{per_cell} exceeds the largest supported {_MAX_INSTANCES} instances"),
             (max(grid_k) > min(grid_n),

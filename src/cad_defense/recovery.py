@@ -18,10 +18,14 @@ operator's Gram matrix P = A^T A once per iteration, in buffers reused
 across iterations: n^2 multiply-adds against the 2 m n of A then A^T, a
 saving once m > n / 2 (every benchmarked row subset keeps 160 of 256 rows).
 It stops on a duality gap: every few iterations it evaluates a dual
-certificate at its feasible point, through P and A^T y as the iteration
-does, and returns that point once the certified gap is small; the solver
-reads no other form of the operator.  Its feasibility tolerance is
-absolute at unit scale and above and relative to ||y|| below it.
+certificate at its feasible point and returns that point once the
+certified gap is small.  At a radius > 0 the certificate is read off the
+iteration's own product with P, whose residual is a multiple of the
+feasible point's, so a certified solve of N iterations applies P N times;
+at radius 0, and at the iteration cap, it is evaluated through P and A^T y
+(_certify).  The solver reads no other form of the operator.  Its
+feasibility tolerance is absolute at unit scale and above and relative to
+||y|| below it.
 
 CoSaMP's least-squares fit restricts F y on the full operator, so a cold
 run there lands on its fixed point top_k(F y) in one step and returns that
@@ -41,8 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .transform import (SensingOperator, _check_vector, _is_number, best_k_term_error,
-                        residual, top_k)
+from .transform import (SensingOperator, _check_vector, _is_number, _largest,
+                        best_k_term_error, residual, top_k)
 
 __all__ = [
     "A_COSAMP",
@@ -134,7 +138,10 @@ def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
 
     A step is a function of its state's estimate and residual bytes alone,
     so once a step reproduces both, every later one would too: the run
-    stops there and returns that state.  On the full operator a cold run
+    stops there and returns that state.  Its fit is a function of the
+    merged support alone, so a step that merges the support its state was
+    fitted on would reproduce that state: the run returns it before the
+    fit.  On the full operator a cold run
     (x0 None, n_iters >= 1) returns its fixed point top_k(A^* y) directly:
     the first step reaches it, as its fit restricts A^* y.  y must be a
     finite vector of length op.m (ValueError otherwise).
@@ -151,18 +158,21 @@ def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
     # a zero start's residual is y itself: y - (+0.0) keeps y's bytes
     est = np.zeros(op.n) if x0 is None else top_k(np.asarray(x0, dtype=np.float64), k)
     state = CosampState(estimate=est, residual=residual(y, est, op))
+    fitted = None  # the merged support the state was fitted on
     for _ in range(n_iters):
-        proxy = op.adjoint(state.residual)
-        omega = np.argsort(-np.abs(proxy), kind="stable")[: 2 * k]
-        merged = np.union1d(omega, np.flatnonzero(state.estimate))
+        merged = _largest(op.adjoint(state.residual), 2 * k)
+        merged |= state.estimate != 0.0
+        if fitted is not None and merged.tobytes() == fitted.tobytes():
+            break
+        support = np.flatnonzero(merged)
         b = np.zeros(op.n)
-        b[merged] = back[merged] if op.is_full else _least_squares(op, merged, y, back)
+        b[support] = back[support] if op.is_full else _least_squares(op, support, y, back)
         estimate = top_k(b, k)
         r = residual(y, estimate, op)
         if (estimate.tobytes() == state.estimate.tobytes()
                 and r.tobytes() == state.residual.tobytes()):
             break
-        state = CosampState(estimate=estimate, residual=r)
+        state, fitted = CosampState(estimate=estimate, residual=r), merged
     return state
 
 
@@ -289,27 +299,42 @@ def _certify(x: np.ndarray, back: np.ndarray, gram: np.ndarray, radius: float,
     and for w = y - A x, A^T w = -r and <w, y> = -<r, A^T y>.  So the dual
     point u = w / ||A^T w||_inf, with ||A^T u||_inf <= 1, shows that every
     feasible z has ||z||_1 >= max(0, (-<r, A^T y> - radius ||r||) /
-    ||r||_inf) (u = 0 gives the 0).  At radius 0 that r is rounding noise,
-    so the dual point comes instead from the subgradient q = clip(s / step,
-    -1, 1) of the l1 prox at s with that step: u = A q / max(1, ||P q||_inf),
-    bound max(0, <q, A^T y> / max(1, ||P q||_inf)); weak duality holds for
-    any q.  The gap is ||x||_1 minus the bound; x is certified when it lies
-    within feasibility_tol of the ball and its gap is at most
-    tolerance * ||x||_1.
+    ||r||_inf) (u = 0 gives the 0): _read_certificate with c = 0.  At
+    radius 0 that r is rounding noise, so the dual point comes instead from
+    the subgradient q = clip(s / step, -1, 1) of the l1 prox at s with that
+    step: u = A q / max(1, ||P q||_inf), bound max(0, <q, A^T y> / max(1,
+    ||P q||_inf)); weak duality holds for any q.  The gap is ||x||_1 minus
+    the bound; x is certified when it lies within feasibility_tol of the
+    ball and its gap is at most tolerance * ||x||_1.
     """
     # P is symmetric; its transpose is the view the splitting loop applies
     r = gram.T.dot(x) - back
     norm_r = math.sqrt(r.dot(r))
-    feasibility = max(0.0, norm_r - radius)
+    if radius != 0.0:
+        return _read_certificate(x, float(r.dot(back)), float(np.abs(r).max()), norm_r,
+                                 0.0, radius, tolerance, feasibility_tol)
+    q = np.clip(s / step, -1.0, 1.0)
+    bound = max(0.0, float(q.dot(back)) / max(1.0, float(np.abs(gram.T.dot(q)).max())))
     l1 = float(np.abs(x).sum())
-    if radius == 0.0:
-        q = np.clip(s / step, -1.0, 1.0)
-        dual, scale = float(q.dot(back)), max(1.0, float(np.abs(gram.T.dot(q)).max()))
-    else:
-        dual, scale = -float(r.dot(back)) - radius * norm_r, float(np.abs(r).max())
-    gap = l1 - (max(0.0, dual / scale) if scale > 0.0 else 0.0)
-    return (feasibility <= feasibility_tol and gap <= tolerance * l1,
-            feasibility, gap)
+    return norm_r <= feasibility_tol and l1 - bound <= tolerance * l1, norm_r, l1 - bound
+
+
+def _read_certificate(x: np.ndarray, gb: float, gmax: float, nw: float, c: float,
+                      radius: float, tolerance: float,
+                      feasibility_tol: float) -> tuple[bool, float, float]:
+    """_certify's answer at a radius > 0 for x = v - c g, read off
+    g = P v - A^T y: gb = <g, A^T y>, gmax = ||g||_inf and nw = ||g||.
+
+    As A A^T = I, P g = g, so the residual P x - A^T y of x is (1 - c) g,
+    and for c < 1 the factor 1 - c cancels from _certify's bound: the
+    feasibility gap is max(0, (1 - c) nw - radius) and the bound
+    max(0, (-gb - radius nw) / gmax), 0 when g = 0.  The splitting loop
+    reads its certificate here, with no product with P.
+    """
+    feasibility = max(0.0, (1.0 - c) * nw - radius)
+    l1 = float(np.abs(x).sum())
+    gap = l1 - (max(0.0, (-gb - radius * nw) / gmax) if gmax > 0.0 else 0.0)
+    return feasibility <= feasibility_tol and gap <= tolerance * l1, feasibility, gap
 
 
 def l1_min_general(p: L1Problem, x0: np.ndarray | None = None) -> L1Result:
@@ -328,10 +353,14 @@ def l1_min_general(p: L1Problem, x0: np.ndarray | None = None) -> L1Result:
     over-relaxed (Eckstein & Bertsekas 1992), which converges for any
     relaxation in (0, 2) and takes fewer iterations than the plain
     s += v - z.  Every _GAP_CHECK_PERIOD iterations the projected point v,
-    feasible by construction, is certified (_certify): once its duality gap
-    is at most p.tolerance * ||v||_1 the solver stops and returns v as
-    converged.  A run that reaches max_iters returns its last prox output
-    z, flagged converged only if z passes the same certificate.  When zero
+    feasible by construction, is certified: once its duality gap is at most
+    p.tolerance * ||v||_1 the solver stops and returns v as converged.  At
+    a radius > 0 the certificate is read off the unscaled g
+    (_read_certificate: the projected point's residual is (1 - c) g, since
+    P g = g), so the check spends no product with P; at radius 0 it is
+    _certify, which spends two.  A run that reaches max_iters returns its
+    last prox output z, flagged converged only if z passes _certify, one
+    more product at a radius > 0.  When zero
     itself lies within the feasibility tolerance of the ball it is returned
     at once, converged with a zero gap.  That tolerance is _FEASIBILITY_TOL
     * min(1, ||y||): absolute at unit scale and above, relative below it,
@@ -381,15 +410,25 @@ def l1_min_general(p: L1Problem, x0: np.ndarray | None = None) -> L1Result:
         np.subtract(s, np.add(t, t, out=v), out=v)
         np.subtract(gram.T.dot(v, out=g), back, out=g)
         nw = math.sqrt(g.dot(g))
-        # g becomes c g, so that v - g is v projected onto the ball
         projected = nw > radius
+        checked = it % _GAP_CHECK_PERIOD == 0
+        if checked and radius != 0.0:
+            # the certificate of v - c g reads off g before it is scaled
+            gb, gmax = float(g.dot(back)), float(np.abs(g).max())
+        # g becomes c g, so that v - g is v projected onto the ball
+        c = 0.0
         if projected and radius != 0.0:
-            g *= 1.0 - radius / nw
-        if it % _GAP_CHECK_PERIOD == 0:
+            c = 1.0 - radius / nw
+            g *= c
+        if checked:
             if projected:
                 v -= g
-            certified, feasibility, gap = _certify(v, back, gram, radius, tol, s, step,
-                                                   feasibility_tol)
+            if radius == 0.0:
+                certified, feasibility, gap = _certify(v, back, gram, radius, tol, s, step,
+                                                       feasibility_tol)
+            else:
+                certified, feasibility, gap = _read_certificate(v, gb, gmax, nw, c, radius,
+                                                                tol, feasibility_tol)
             if certified:
                 return L1Result(v, it, True, feasibility, gap, s)
         if it == p.max_iters:

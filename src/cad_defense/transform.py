@@ -6,7 +6,9 @@ as an explicit n-by-n matrix, so one application costs O(n^2); that cost is
 deliberate and is what the per-iteration complexity accounting assumes.
 Analysis and the synthesis of an observation stay n^2; every residual of
 an estimate with support S, CoSaMP's and the defence loop's, is one product
-with the columns A[:, S] (see residual), which costs m |S|.  A row subset's
+with the columns A[:, S] (see residual), which costs m |S|; the columns
+are gathered from a column-major copy of A, one contiguous run each.  The
+k-term helpers select rather than sort (see top_k).  A row subset's
 solvers work through its Gram matrix P = A^T A (see gram), built once per
 operator: a Douglas-Rachford iteration applies P once, n^2 multiply-adds
 instead of the 2 m n of A then A^T, which pays when m > n / 2.  The matrix
@@ -110,6 +112,11 @@ class SensingOperator:
             self._matrix = np.take(self._analysis.T, self.rows, axis=0,
                                    out=_aligned_empty((self.rows.size, self.n)))
         self._matrix.setflags(write=False)
+        # columns are gathered from a column-major layout, one contiguous
+        # copy each: the full operator's F^T view is one, a row subset's
+        # C-ordered matrix gets a column-major copy
+        self._by_column = np.asfortranarray(self._matrix)
+        self._by_column.setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -153,7 +160,7 @@ class SensingOperator:
         """Column submatrix A[:, idx]: least squares on a candidate support,
         and the residual over an estimate's support (see residual)."""
         idx = np.asarray(idx, dtype=np.intp)
-        return self._matrix[:, idx]
+        return self._by_column[:, idx]
 
     def __repr__(self) -> str:
         sub = "full" if self.is_full else f"{self.m} rows"
@@ -177,21 +184,41 @@ def residual(y: np.ndarray, estimate: np.ndarray, op: SensingOperator) -> np.nda
 def top_k(c, k: int) -> np.ndarray:
     """Best k-term approximation: keep the k largest-magnitude entries.
 
-    Ties are broken toward the lower index.  k = 0 returns the zero vector
-    and k >= len(c) returns a copy of c.
+    Ties are broken toward the lower index, and NaN ranks below every
+    number: the bytes a stable argsort of -|c| gives, found by selection
+    (_largest).  k = 0 returns the zero vector and k >= len(c) returns a
+    copy of c.
     """
     c = np.asarray(c, dtype=np.float64)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if k >= c.shape[0]:
-        return c.copy()
-    out = np.zeros_like(c)
-    if k == 0:
-        return out
-    # stable sort on negated magnitude keeps lower indices first among ties
-    order = np.argsort(-np.abs(c), kind="stable")[:k]
-    out[order] = c[order]
-    return out
+    return np.where(_largest(c, k), c, 0.0)
+
+
+def _largest(c: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the k largest-magnitude entries of the vector c: the
+    set np.argsort(-np.abs(c), kind="stable")[:k] names, ties going to the
+    lower index and NaN ranking below every number, found by selection
+    rather than a sort.  k <= 0 selects nothing and k >= len(c) everything.
+    """
+    n = c.shape[0]
+    if k <= 0 or k >= n:
+        return np.full(n, k > 0)
+    key = np.abs(c)
+    np.negative(key, out=key)
+    # np.partition orders NaN last, as np.argsort does
+    kth = np.partition(key, k - 1)[k - 1]
+    if kth != kth:  # fewer than k numbers: all of them, then the first NaNs
+        mask = ~np.isnan(key)
+        tied = np.flatnonzero(~mask)
+        mask[tied[:k - np.count_nonzero(mask)]] = True
+        return mask
+    mask = key <= kth
+    extra = np.count_nonzero(mask) - k
+    if extra:  # ties at the k-th magnitude: drop the highest-indexed
+        tied = np.flatnonzero(key == kth)
+        mask[tied[tied.size - extra:]] = False
+    return mask
 
 
 def best_k_term_error(c, k: int) -> float:

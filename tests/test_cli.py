@@ -296,6 +296,8 @@ BAD_FEEDBACK_VALUES = [
     _named("bench.attacks[0]", "eta",
            lambda _: {"bench": {"attacks": [{"family": "l2", "eta": True}]}}),
     _named("bench.attacks[0]", lambda _: {"bench": {"attacks": ["none"]}}),
+    _named("stats.count=16385",
+           lambda _: {"stats": {"count": 16385}, "bench": {"n": [32, 16384]}}),
     *[_log_level(value) for value in BAD_LOG_LEVELS],
 ], ids=["unknown_family", "nan_budget", "k_above_n", "stats_of_other_n",
         "l0_tau_above_n", "stats_short_f64", "stats_sidecar_not_json",
@@ -329,7 +331,7 @@ BAD_FEEDBACK_VALUES = [
         "linf_eta_dprime_bool", "l2_unread_keys", "none_unread_budget",
         "stats_sidecar_ridge_null", "bench_n_zero", "bench_k_zero", "bench_k_above_n",
         "bench_k_above_a_grid_n", "bench_l0_tau_above_a_grid_n", "bench_eta_bool",
-        "bench_attack_entry_not_object",
+        "bench_attack_entry_not_object", "stats_count_above_a_bench_n_bound",
         *[f"log_level_{value!r}" for value in BAD_LOG_LEVELS]])
 def test_bad_config_fails_fast_with_one_line(tmp_path, capsys, monkeypatch, overrides):
     for name, value in getattr(overrides, "env", {}).items():
@@ -585,8 +587,8 @@ def test_bench_checks_every_cell_before_running_one(tmp_path, capsys, monkeypatc
     for bench, stats, message in (
         # the (8, 10) cell has k above n: the grid check refuses it as the config loads
         ({"n": [32, 8], "k": [4, 10], "count": 20}, {}, "bench.k=10"),
-        # 16385 clean residuals fit n=32 but not the n=16384 cells, which
-        # building the cells' configs refuses
+        # 16385 clean residuals fit n=32 but not the n=16384 cells: the
+        # config load refuses them at the largest grid n
         ({"n": [32, 16384], "k": [4], "count": 20}, {"count": 16385}, "stats.count=16385"),
     ):
         cfg = _write_config(tmp_path, bench=bench, stats=stats)

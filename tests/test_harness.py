@@ -377,6 +377,18 @@ def test_config_requires_core_fields():
         ExperimentConfig.from_dict([_raw()])
 
 
+def test_stats_count_bound_holds_at_the_largest_bench_n():
+    # the count x n clean-residual bound is checked as the config loads at
+    # its widest n, run or bench grid, so run, gen and stats refuse a config
+    # whose bench cells would be refused
+    with pytest.raises(ConfigError, match="^stats.count=16385 must be at most 16384 at n=16384$"):
+        ExperimentConfig.from_dict(_raw(n=32, stats={"count": 16385},
+                                        bench={"n": [32, 16384]}))
+    for n, bench in ((32, {"n": [32, 16384]}), (16384, {"n": [32]})):
+        cfg = ExperimentConfig.from_dict(_raw(n=n, stats={"count": 16384}, bench=bench))
+        assert cfg.stats == {"count": 16384}
+
+
 def test_null_bench_and_stats_dir_read_as_absent():
     cfg = ExperimentConfig.from_dict(_raw(bench=None, stats_dir=None))
     assert cfg.bench is None and cfg.stats_dir is None

@@ -25,13 +25,14 @@ import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cad_defense.recovery
 from cad_defense import (A_L0, A_L2, A_LINF, L1Problem, SensingOperator,
                          action_radius, check_bound, cosamp_run,
                          l1_min_general, l1_min_orthonormal,
                          estimate_clean_stats, make_clean_compressible,
                          make_clean_sparse, residual, top_k)
 from cad_defense.recovery import (_GAP_CHECK_PERIOD, _RELAXATION, CosampState,
-                                  L1Result, _certify, _least_squares,
+                                  L1Result, _certify, _least_squares, _read_certificate,
                                   _soft_threshold, _threshold_table)
 
 
@@ -247,11 +248,13 @@ def test_least_squares_residual_matches_lstsq(data, n):
 
 
 class _ColumnsOperator:
-    """The operator members a least-squares fit reads (m, gram, columns and
-    adjoint), for a measurement matrix with the given columns."""
+    """The operator members a least-squares fit and a row-subset CoSaMP run
+    read (m, n, is_full, gram, columns and adjoint), for a measurement
+    matrix with the given columns."""
 
     def __init__(self, sub):
-        self.m, self.gram, self._sub = sub.shape[0], sub.T @ sub, sub
+        self.m, self.n = sub.shape
+        self.is_full, self.gram, self._sub = False, sub.T @ sub, sub
 
     def columns(self, idx):
         return self._sub[:, idx]
@@ -345,6 +348,68 @@ def test_cosamp_run_matches_every_step_of_the_reference_loop(data, n):
         theirs = _reference_cosamp_states(y, op, k, n_iters, x0=x0)[-1]
         assert ours.estimate.tobytes() == theirs.estimate.tobytes()
         assert ours.residual.tobytes() == theirs.residual.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 8), n=st.integers(2, 24))
+def test_row_subset_cosamp_matches_the_reference_loop_at_ties(data, m, n):
+    # small-integer columns, some repeated, negated or zero, keep the
+    # proxies of integer residuals exact, so they tie at the 2k-th
+    # magnitude and at zero: the selection must keep the lower indices
+    # there, as the reference's stable argsort does
+    base = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=m * 3,
+                                       max_size=m * 3)), dtype=np.float64).reshape(m, 3)
+    picks = data.draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1.0, -1.0])),
+                               min_size=n, max_size=n))
+    sub = np.stack([sign * base[:, j] if j < 3 else np.zeros(m) for j, sign in picks], axis=1)
+    op = _ColumnsOperator(sub)
+    y = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)),
+                 dtype=np.float64)
+    k = data.draw(st.integers(1, n))
+    warm = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+                                       min_size=n, max_size=n)))
+    n_iters = data.draw(st.integers(0, 8))
+    for x0 in (None, warm):
+        ours = cosamp_run(y, op, k, n_iters, x0=x0)
+        theirs = _reference_cosamp_states(y, op, k, n_iters, x0=x0)[-1]
+        assert ours.estimate.tobytes() == theirs.estimate.tobytes()
+        assert ours.residual.tobytes() == theirs.residual.tobytes()
+
+
+def test_row_subset_cosamp_stops_before_refitting_a_repeated_support(monkeypatch):
+    # a step whose merged support is the one its state was fitted on would
+    # refit that state, so the run stops before the fit; it fits exactly the
+    # supports the reference loop merges up to that step or to a step that
+    # reproduces its state, and ends in the reference's state.  Some of these
+    # noisy runs stop on a repeated support
+    rng = np.random.default_rng(11)
+    op = SensingOperator(32, rows=np.sort(rng.choice(32, size=24, replace=False)))
+    fits = []
+    real = cad_defense.recovery._least_squares
+    monkeypatch.setattr(cad_defense.recovery, "_least_squares",
+                        lambda *args: fits.append(args[1].tolist()) or real(*args))
+    repeats = 0
+    for _ in range(20):
+        y = op.synthesize(make_clean_compressible(32, 3, rng)) + 0.05 * rng.standard_normal(24)
+        states = _reference_cosamp_states(y, op, 3, 12)
+        expected = []
+        for prev, cur in zip(states, states[1:]):
+            merged = np.union1d(
+                np.argsort(-np.abs(op.adjoint(prev.residual)), kind="stable")[:6],
+                np.flatnonzero(prev.estimate)).tolist()
+            if expected and merged == expected[-1]:
+                repeats += 1
+                break
+            expected.append(merged)
+            if (cur.estimate.tobytes() == prev.estimate.tobytes()
+                    and cur.residual.tobytes() == prev.residual.tobytes()):
+                break
+        fits.clear()
+        state = cosamp_run(y, op, 3, 12)
+        assert fits == expected
+        assert state.estimate.tobytes() == states[-1].estimate.tobytes()
+        assert state.residual.tobytes() == states[-1].residual.tobytes()
+    assert repeats > 0
 
 
 def test_cosamp_run_stops_computing_at_a_fixed_point(monkeypatch):
@@ -759,6 +824,21 @@ def _reference_gram_certificate(x, y, back, gram, radius, tolerance, s, step):
     return feasible and gap <= tolerance * l1, feasibility, gap
 
 
+def _reference_g_certificate(x, g, nw, c, back, radius, tolerance, feasibility_tol):
+    """Allocating duality certificate of x = v - c g at a radius > 0, read
+    off g = P v - A^T y before scaling, with nw = ||g||: the residual of x
+    is (1 - c) g, as A A^T = I makes P g = g, so its norm is (1 - c) nw and
+    the factor 1 - c cancels from the Gram form's dual bound."""
+    feasibility = max(0.0, (1.0 - c) * nw - radius)
+    l1 = float(np.abs(x).sum())
+    scale = float(np.abs(g).max())
+    bound = 0.0
+    if scale > 0.0:
+        bound = max(0.0, (-float(g @ back) - radius * nw) / scale)
+    gap = l1 - bound
+    return feasibility <= feasibility_tol and gap <= tolerance * l1, feasibility, gap
+
+
 def _reference_l1_min_general(p, x0=None, relaxation=_RELAXATION):
     """The allocating over-relaxed Douglas-Rachford loop that l1_min_general
     must match bit for bit; relaxation=1.0 is the plain loop.  With t the
@@ -767,11 +847,14 @@ def _reference_l1_min_general(p, x0=None, relaxation=_RELAXATION):
     A's columns, gives g = P v - A^T y = A^T (A v - y), whose norm is
     ||A v - y|| as A A^T = I (P is symmetric, and the product is taken as
     P^T v, as the solver takes it); the ball projection of v is v - c g,
-    and s + relaxation (v - z) is s - relaxation (t + c g).  Points are
-    certified in the same Gram form (_reference_gram_certificate)."""
+    and s + relaxation (v - z) is s - relaxation (t + c g).  Every tenth
+    iteration the projected point is certified: at a radius > 0 off the
+    unscaled g (_reference_g_certificate), at radius 0 and at the cap in
+    the Gram form (_reference_gram_certificate)."""
     y = np.asarray(p.observed, dtype=np.float64)
+    feasibility_tol = 1e-6 * min(1.0, float(np.linalg.norm(y)))
     excess = float(np.linalg.norm(y)) - p.radius
-    if excess <= 1e-6 * min(1.0, float(np.linalg.norm(y))):
+    if excess <= feasibility_tol:
         return L1Result(np.zeros(p.op.n), 0, True, max(0.0, excess), 0.0)
     back = p.op.adjoint(y)
     step = 0.14 * float(np.abs(back).max())
@@ -793,12 +876,18 @@ def _reference_l1_min_general(p, x0=None, relaxation=_RELAXATION):
         v = s - 2.0 * t
         g = gram.T @ v - back
         nw = float(np.linalg.norm(g))
+        c = 1.0 - p.radius / nw if nw > p.radius else 0.0
+        unscaled = g
         if nw > p.radius:
-            g = (1.0 if p.radius == 0.0 else 1.0 - p.radius / nw) * g
+            g = (1.0 if p.radius == 0.0 else c) * g
             v = v - g
             t = t + g
         if it % 10 == 0:  # the certificate is evaluated every tenth iteration
-            certified, feasibility, gap = certify(v, s)
+            if p.radius == 0.0:
+                certified, feasibility, gap = certify(v, s)
+            else:
+                certified, feasibility, gap = _reference_g_certificate(
+                    v, unscaled, nw, c, back, p.radius, p.tolerance, feasibility_tol)
             if certified:
                 return L1Result(v, it, True, feasibility, gap, s)
         s = s - relaxation * t
@@ -929,11 +1018,61 @@ def test_l1_general_applies_the_adjoint_once_and_then_only_the_gram_matrix(monke
     assert adjoints == []
 
 
-def _certificate_error_bounds(x, y, op, radius, s, step):
+class _CountingGram(np.ndarray):
+    """A Gram matrix that counts its products with vectors, by dot or by
+    matmul; its transpose is a counting view too."""
+
+    products = 0
+
+    def dot(self, other, out=None):
+        _CountingGram.products += 1
+        return np.asarray(self).dot(other, out=out)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingGram.products += 1
+        inputs = tuple(np.asarray(i) if isinstance(i, _CountingGram) else i for i in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_l1_general_applies_the_gram_matrix_once_per_iteration(monkeypatch):
+    # at a radius > 0 the loop reads its certificate off its own product, so
+    # a certified solve of N iterations applies P N times and a capped one
+    # N + 1 (the cap's certificate of z); at radius 0 each check spends two
+    # more products (the residual and P q), and the cap's check two.  The
+    # counted solve returns the bytes of an uncounted one
+    rng = np.random.default_rng(29)
+    op = SensingOperator(48, rows=np.sort(rng.choice(48, size=30, replace=False)))
+    y = op.synthesize(make_clean_compressible(48, 6, rng)) + 0.1 * rng.standard_normal(30)
+    plain = SensingOperator(48, rows=op.rows)
+    monkeypatch.setitem(op.__dict__, "gram", plain.gram.view(_CountingGram))
+    norm_y = float(np.linalg.norm(y))
+    for radius, per_check in ((0.2 * norm_y, 0), (0.0, 2)):
+        for max_iters, tolerance in ((20000, 1e-4), (35, 1e-12)):
+            p = L1Problem(observed=y, op=op, radius=radius, tolerance=tolerance,
+                          max_iters=max_iters)
+            _CountingGram.products = 0
+            res = l1_min_general(p)
+            n = res.iterations
+            capped = n == max_iters
+            assert res.converged != capped
+            expected = n + per_check * (n // _GAP_CHECK_PERIOD)
+            if capped:
+                expected += 1 if radius else 2
+            assert _CountingGram.products == expected
+            ref = l1_min_general(dataclasses.replace(p, op=plain))
+            assert res.coeffs.tobytes() == ref.coeffs.tobytes()
+            assert (res.iterations, res.duality_gap) == (ref.iterations, ref.duality_gap)
+
+
+def _certificate_error_bounds(x, y, op, radius, s, step, read=None):
     """Bounds on how far the Gram-form certificate (_certify) and the A-form
     one (_reference_certificate) can each be from the exact certificate of
     the stored A, so that their sum bounds the difference of the two forms:
-    one bound for the duality gaps and one for the feasibility gaps.
+    one bound for the duality gaps and one for the feasibility gaps.  With
+    read = (v, g, c), for x = v - c g the loop's projected point and g = P v
+    - A^T y as computed, the Gram form is the one _read_certificate reads
+    off (1 - c) g instead.
 
     Each computed k-term dot product lies within k eps sum_i |a_i b_i| of
     the exact one and each other operation within eps of its result
@@ -949,7 +1088,14 @@ def _certificate_error_bounds(x, y, op, radius, s, step):
     |D' - D|) / D of q = N / D, with D bounded below by either form.  At radius 0 the two
     exact forms, <A q, y> and <q, A^T y> over max(1, ||A^T A q||_inf), are
     equal for any A.  The bound is infinite when the denominator's lower
-    bound is not positive."""
+    bound is not positive.
+
+    The read residual (1 - c) g stands for r = A^T (A x - y).  With g within
+    d of A^T (A v - y) (the Gram form's bound at v) and x within rho =
+    eps (|c g| + |x|) of v - c g, and A^T A A^T = A^T (I + E), the two differ
+    by (1 - c) d' + c A^T E (A v - y) + c A^T A d' + A^T A rho' for some
+    |d'| <= d and |rho'| <= rho; the bound over the read (gb, gmax, nw) is
+    the Gram form's over r, as its rounding is relative."""
     eps = np.finfo(np.float64).eps
     m, n = op.m, op.n
     a = _dense(op)
@@ -968,8 +1114,21 @@ def _certificate_error_bounds(x, y, op, radius, s, step):
     l1 = float(np.abs(x).sum())
     w = y - op.synthesize(x)
     dw = n * eps * (abs_a @ np.abs(x)) + eps * np.abs(w)
-    r = op.gram.T @ x - back
-    dr = dgram(np.abs(x)) + dback + eps * np.abs(r)
+    if read is None:
+        r = op.gram.T @ x - back
+        dr = dgram(np.abs(x)) + dback + eps * np.abs(r)
+    else:
+        v, g, c = read
+        dg = dgram(np.abs(v)) + dback + eps * np.abs(g)
+        wv = y - op.synthesize(v)
+        norm_wv = float(np.linalg.norm(wv) + np.linalg.norm(
+            n * eps * (abs_a @ np.abs(v)) + eps * np.abs(wv)))
+        rho = eps * (np.abs(c * g) + np.abs(x))
+        r = (1.0 - c) * g
+        dr = (abs(1.0 - c) * dg
+              + abs(c) * (np.linalg.norm(a, axis=0) * e_norm * norm_wv
+                          + abs_a.T @ (abs_a @ dg))
+              + abs_a.T @ (abs_a @ rho) + eps * np.abs(r))
     norm_w, norm_r = float(np.linalg.norm(w)), float(np.linalg.norm(r))
     norm_dw, norm_dr = float(np.linalg.norm(dw)), float(np.linalg.norm(dr))
     norm_w_high = norm_w + norm_dw
@@ -1053,6 +1212,60 @@ def test_gram_and_a_form_certificates_agree(data, n):
     if (abs(theirs[2] - tolerance * l1) > gap_bound
             and abs(theirs[1] - feasibility_tol) > feasibility_bound):
         assert ours[0] == theirs[0]
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(4, 64))
+def test_certificate_read_off_g_agrees_with_the_gram_form(data, n):
+    # at a radius > 0 the loop reads the certificate of its projected point
+    # x = v - c g off g = P v - A^T y; _certify at x, which spends a product
+    # with P, measures the same gaps up to the rounding that
+    # _certificate_error_bounds bounds for each form against the A form, and
+    # both certify the same points wherever _certify's gaps are farther than
+    # those bounds from the thresholds.  v is the reflected point of a
+    # solver's state, or an arbitrary vector
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                              unique=True).map(sorted))
+    op = SensingOperator(n, rows=rows)
+    y = np.array(data.draw(st.lists(_ENTRY, min_size=op.m, max_size=op.m)))
+    norm_y = float(np.linalg.norm(y))
+    assume(norm_y > 0.0)
+    radius = data.draw(st.one_of(
+        st.floats(1e-3, 1.0, exclude_max=True).map(lambda f: f * norm_y),
+        st.floats(1.0, 3.0).map(lambda f: f * norm_y)))
+    tolerance = data.draw(st.sampled_from([1e-2, 1e-4, 1e-6]))
+    back = op.adjoint(y)
+    step = 0.14 * float(np.abs(back).max())
+    if step <= 0.0:
+        step = 1.0
+    if data.draw(st.booleans()):
+        res = l1_min_general(L1Problem(observed=y, op=op, radius=min(radius, 0.99 * norm_y),
+                                       tolerance=tolerance,
+                                       max_iters=data.draw(st.integers(1, 400))))
+        s = res.state
+        v = s - 2.0 * np.clip(s, -step, step)
+    else:
+        s, v = (np.array(data.draw(st.lists(_ENTRY, min_size=n, max_size=n)))
+                for _ in range(2))
+    # the loop's arithmetic: g, its norm, c, and x = v - c g
+    g = op.gram.T.dot(v) - back
+    nw = math.sqrt(g.dot(g))
+    c = 1.0 - radius / nw if nw > radius else 0.0
+    x = v - c * g if nw > radius else v
+    feasibility_tol = 1e-6 * min(1.0, norm_y)
+    ours = _read_certificate(x, float(g.dot(back)), float(np.abs(g).max()), nw, c, radius,
+                             tolerance, feasibility_tol)
+    theirs = _certify(x, back, op.gram, radius, tolerance, s, step, feasibility_tol)
+    gap_read, feasibility_read = _certificate_error_bounds(x, y, op, radius, s, step,
+                                                           read=(v, g, c))
+    gap_gram, feasibility_gram = _certificate_error_bounds(x, y, op, radius, s, step)
+    gap_bound, feasibility_bound = gap_read + gap_gram, feasibility_read + feasibility_gram
+    assert abs(ours[1] - theirs[1]) <= feasibility_bound
+    assert abs(ours[2] - theirs[2]) <= gap_bound
+    l1 = float(np.abs(x).sum())
+    if (abs(theirs[2] - tolerance * l1) > gap_bound
+            and abs(theirs[1] - feasibility_tol) > feasibility_bound):
+        assert ours[0] == theirs[0]
+
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(4, 48))

@@ -2,6 +2,7 @@
 k-term approximation, and the tail-error measure."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -160,11 +161,15 @@ def test_operator_matrices_start_on_64_byte_boundaries(n):
     full = SensingOperator(n)
     rows = np.arange(0, n, 2)
     sub = SensingOperator(n, rows=rows)
-    # the operator's private A, which synthesize, adjoint and columns read
+    # the operator's private A, which synthesize and adjoint read
     for mat in (full._matrix, sub._matrix, sub.gram, _dct_matrix(n)):
         assert mat.ctypes.data % 64 == 0
         assert not mat.flags.writeable
     assert sub._matrix.flags.c_contiguous
+    # columns gathers from a column-major A: the full operator's own F^T
+    # view, a row subset's read-only copy
+    assert full._by_column is full._matrix
+    assert sub._by_column.flags.f_contiguous and not sub._by_column.flags.writeable
     assert np.array_equal(sub.columns(np.arange(n)), _dct_matrix(n).T[rows])
 
 
@@ -255,3 +260,39 @@ def test_best_k_term_error_matches_enumeration():
             for sup in itertools.combinations(range(n), k)
         )
         assert abs(best_k_term_error(c, k) - best) < 1e-12
+
+
+def _argsort_top_k(c, k):
+    """top_k as a stable argsort of -|c| computes it."""
+    if k >= c.size:
+        return c.copy()
+    out = np.zeros_like(c)
+    order = np.argsort(-np.abs(c), kind="stable")[:k]
+    out[order] = c[order]
+    return out
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_top_k_gives_the_bytes_of_the_stable_argsort(data, n):
+    # top_k selects rather than sorts; it keeps the set the stable argsort
+    # keeps, so ties go to the lower index, both zeros tie, inf ranks above
+    # every number and NaN below
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf,
+                                       math.nan]), st.floats())
+    c = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+    k = data.draw(st.integers(0, n + 2))
+    assert top_k(c, k).tobytes() == _argsort_top_k(c, k).tobytes()
+
+
+def test_top_k_gives_the_bytes_of_the_stable_argsort_at_solver_sizes():
+    # n = 256 and 784 run np.partition's introselect past its small-array
+    # path; pools of few values tie most entries
+    rng = np.random.default_rng(17)
+    for n in (256, 784):
+        for pool in ([0.0, -0.0, 1.0, -1.0], [0.0, 2.0, math.nan, -math.inf], None):
+            for _ in range(20):
+                c = (rng.standard_normal(n) if pool is None
+                     else rng.choice(np.array(pool), size=n))
+                for k in (1, int(rng.integers(2, n)), n - 1):
+                    assert top_k(c, k).tobytes() == _argsort_top_k(c, k).tobytes()
