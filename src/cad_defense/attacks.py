@@ -82,15 +82,14 @@ class AdversarialInstance:
     perturbation: np.ndarray
     observed: np.ndarray
 
-    def to_json(self) -> str:
-        payload = {
+    def to_jsonable(self) -> dict:
+        return {
             "n": self.n,
             "spec": asdict(self.spec),
             "clean_spectral": self.clean_spectral.tolist(),
             "perturbation": self.perturbation.tolist(),
             "observed": self.observed.tolist(),
         }
-        return json.dumps(payload)
 
 
 def make_clean_sparse(n: int, k: int, rng: np.random.Generator,

@@ -34,7 +34,7 @@ from .feedback import (CleanStats, FeedbackConfig, feedback_bit, mahalanobis,
                        should_stop, thresholded_count)
 from .recovery import (A_COSAMP, N_ACTIONS, L1Problem, _soft_threshold,
                        _threshold_table, action_radius, cosamp_run, l1_min_general)
-from .transform import SensingOperator, _is_number, residual, top_k
+from .transform import SensingOperator, _is_number, _largest, residual, top_k
 
 __all__ = [
     "ACTION_LABELS",
@@ -86,18 +86,6 @@ class CadConfig:
                 and params[0] < 1 and params[1] > 0 and params[2] > 0):
             raise ValueError(f"bandit_params={params!r} must be three finite numbers gamma, "
                              "sigma, lambda with 0 <= gamma < 1, sigma > 0 and lambda > 0")
-
-    @property
-    def gamma(self) -> float:
-        return self.bandit_params[0]
-
-    @property
-    def sigma(self) -> float:
-        return self.bandit_params[1]
-
-    @property
-    def lam(self) -> float:
-        return self.bandit_params[2]
 
 
 @dataclass
@@ -231,15 +219,16 @@ class _ClosedForms(_Provider):
     action soft-thresholds c through the run's threshold table, built on
     the first l1 solve.
 
-    Every estimate keeps order[:k], k entries along the run's stable order
-    of |c|, sorted once per run: a soft threshold is monotone in |c|, so
-    they are the estimate's k largest magnitudes (for CoSaMP, top_k(c)).
+    Every estimate keeps the entries of keep, the mask of c's k largest
+    magnitudes, selected once per run by _largest: a soft threshold is
+    monotone in |c|, so they are the estimate's k largest magnitudes (for
+    CoSaMP, top_k(c)).
     """
 
     def __init__(self, y, op, cfg, stats):
         super().__init__(y, op, cfg, stats)
         self.c = op.analyze(y)
-        self.order = np.argsort(-np.abs(self.c), kind="stable")
+        self.keep = _largest(self.c, cfg.k)
         self.table = None
 
     def estimate(self, action, budget, x_start):
@@ -247,12 +236,9 @@ class _ClosedForms(_Provider):
             raw = self.c
         else:
             if self.table is None:
-                self.table = _threshold_table(self.c, self.order)
+                self.table = _threshold_table(self.c)
             raw = _soft_threshold(self.table, self.radius(action))
-        keep = self.order[:self.cfg.k]
-        out = np.zeros(raw.size)
-        out[keep] = raw[keep]
-        return out, True, None
+        return np.where(self.keep, raw, 0.0), True, None
 
     def spectrum(self, v, estimate):
         return self.c - estimate
@@ -307,6 +293,7 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         raise ValueError(f"k={cfg.k} exceeds the dimension n={op.n}")
     provider = (_ClosedForms if op.is_full else _Iterative)(y, op, cfg, stats)
     fb = cfg.feedback
+    gamma, sigma, lam = cfg.bandit_params
     rng = np.random.default_rng(seed)
     estimate = np.zeros(op.n)
     scores = [0.0] * N_ACTIONS
@@ -316,14 +303,14 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     stop_reason = None
     t = 0
     for t in range(1, fb.t_max + 1):
-        probs = probabilities(scores, cfg.gamma, cfg.sigma)
+        probs = probabilities(scores, gamma, sigma)
         a = sample_action(probs, rng)
         times[a] += 1
         budget = n0 + inc * (times[a] - 1)
         estimate, md, f, v_l2, v_linf, v_count, solved = run_action(
             a, provider, budget, estimate)
         p = probs[a]
-        r = reward(a, a, f, p, cfg.lam)
+        r = reward(a, a, f, p, lam)
         update(scores, a, r)
         trace.append(CadIterationRecord(
             t=t, action=a, probs=tuple(probs),

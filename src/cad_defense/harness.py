@@ -551,7 +551,7 @@ def cmd_gen(cfg: ExperimentConfig, out_dir) -> dict:
     for index, entry in _attack_entries(cfg):
         insts = _build_instance(cfg, op, index, entry)
         payload = {"index": index, "family": entry["family"],
-                   "channels": [json.loads(i.to_json()) for i in insts]}
+                   "channels": [i.to_jsonable() for i in insts]}
         name = f"inst_{index:05d}.json"
         (inst_dir / name).write_text(json.dumps(payload))
         manifest_rows.append({

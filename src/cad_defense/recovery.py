@@ -235,14 +235,13 @@ def l1_min_orthonormal(p: L1Problem) -> np.ndarray:
     nondecreasing and quadratic between the sorted magnitudes |c|; the
     threshold solves that quadratic on the first segment where g reaches
     the radius (the l1-ball projection of Duchi et al. 2008).  The solve is
-    _threshold_table(c, order) followed by _soft_threshold at p.radius, so a
-    caller solving several radii for one c builds the table once.
+    _threshold_table(c) followed by _soft_threshold at p.radius, so a
+    caller solving several radii for one c builds the table, and its one
+    sort, once.
     """
     if not p.op.is_full:
         raise ValueError("orthonormal path requires the full operator")
-    c = p.op.analyze(p.observed)
-    return _soft_threshold(_threshold_table(c, np.argsort(-np.abs(c), kind="stable")),
-                           p.radius)
+    return _soft_threshold(_threshold_table(p.op.analyze(p.observed)), p.radius)
 
 
 class _ThresholdTable(NamedTuple):
@@ -262,11 +261,10 @@ class _ThresholdTable(NamedTuple):
     reach: np.ndarray
 
 
-def _threshold_table(c: np.ndarray, order: np.ndarray) -> _ThresholdTable:
-    """The table of c; order, a stable descending argsort of |c|, gives its
-    knots as |c|[order[::-1]], the bytes of np.sort(|c|), without a sort."""
+def _threshold_table(c: np.ndarray) -> _ThresholdTable:
+    """The table of c, its knots np.sort(|c|)."""
     absc = np.abs(c)
-    knots = absc[order[::-1]]
+    knots = np.sort(absc)
     sq = knots * knots
     below = np.concatenate(([0.0], np.cumsum(sq[:-1])))  # squares under knot j
     above = np.arange(knots.size, 0, -1)  # entries at or above knot j
@@ -417,7 +415,7 @@ def l1_min_general(p: L1Problem, x0: np.ndarray | None = None) -> L1Result:
             gb, gmax = float(g.dot(back)), float(np.abs(g).max())
         # g becomes c g, so that v - g is v projected onto the ball
         c = 0.0
-        if projected and radius != 0.0:
+        if projected:
             c = 1.0 - radius / nw
             g *= c
         if checked:

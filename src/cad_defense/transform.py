@@ -185,9 +185,9 @@ def top_k(c, k: int) -> np.ndarray:
     """Best k-term approximation: keep the k largest-magnitude entries.
 
     Ties are broken toward the lower index, and NaN ranks below every
-    number: the bytes a stable argsort of -|c| gives, found by selection
-    (_largest).  k = 0 returns the zero vector and k >= len(c) returns a
-    copy of c.
+    number: the bytes a stable descending sort of |c| gives, found by
+    selection (_largest).  k = 0 returns the zero vector and k >= len(c)
+    returns a copy of c.
     """
     c = np.asarray(c, dtype=np.float64)
     if k < 0:
@@ -197,16 +197,18 @@ def top_k(c, k: int) -> np.ndarray:
 
 def _largest(c: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k largest-magnitude entries of the vector c: the
-    set np.argsort(-np.abs(c), kind="stable")[:k] names, ties going to the
-    lower index and NaN ranking below every number, found by selection
-    rather than a sort.  k <= 0 selects nothing and k >= len(c) everything.
+    first k a stable descending sort of |c| names, ties going to the lower
+    index and NaN ranking below every number, found by selection rather
+    than a sort.  k <= 0 selects nothing and k >= len(c) everything.  It
+    is the package's one k-term selection: top_k, CoSaMP's 2k pick and
+    the full-operator loop's pruning all read it.
     """
     n = c.shape[0]
     if k <= 0 or k >= n:
         return np.full(n, k > 0)
     key = np.abs(c)
     np.negative(key, out=key)
-    # np.partition orders NaN last, as np.argsort does
+    # np.partition orders NaN last, as numpy's sorts do
     kth = np.partition(key, k - 1)[k - 1]
     if kth != kth:  # fewer than k numbers: all of them, then the first NaNs
         mask = ~np.isnan(key)

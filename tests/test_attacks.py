@@ -222,7 +222,7 @@ def test_instance_json_round_trip():
     op = SensingOperator(N)
     clean = make_clean_sparse(N, 6, np.random.default_rng(6))
     inst = perturb(clean, _spec("l0", 8, tau=4, eta_prime=0.3), op)
-    back = json.loads(inst.to_json())
+    back = json.loads(json.dumps(inst.to_jsonable()))
     assert back["n"] == inst.n and AttackSpec(**back["spec"]) == inst.spec
     for name in ("clean_spectral", "perturbation", "observed"):
         assert np.array_equal(np.array(back[name]), getattr(inst, name))

@@ -41,6 +41,7 @@ from cad_defense.feedback import (feedback_bit, mahalanobis, should_stop,
                                   thresholded_count)
 from cad_defense.recovery import (A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS,
                                   _soft_threshold, _threshold_table)
+from cad_defense.transform import _largest
 
 MNIST_FB = dict(alpha=8.0, beta=5.0, m=1.8, tau=15, theta=65.0)
 
@@ -200,9 +201,10 @@ def test_loop_prune_gives_the_bytes_of_top_k(data, n):
     y = op.synthesize(c)
     # the run's c, exactly: the round trip through y would break the ties
     closed = _ClosedForms(y, op, cfg, None)
+    # the stable argsort is the oracle of the run's selection
     order = np.argsort(-np.abs(c), kind="stable")
-    closed.c, closed.order = c, order
-    table = _threshold_table(c, order)
+    closed.c, closed.keep = c, _largest(c, k)
+    table = _threshold_table(c)
     for action in range(N_ACTIONS):
         raw = c if action == A_COSAMP else _soft_threshold(table, closed.radius(action))
         estimate = run_action(action, closed, 1, np.zeros(n))[0]
@@ -632,7 +634,7 @@ def _reference_run_single(y, cfg, stats, op, seed):
     stop_reason = "t_max"
     t = 0
     for t in range(1, fb.t_max + 1):
-        probs = _reference_probabilities(scores, cfg.gamma, cfg.sigma)
+        probs = _reference_probabilities(scores, *cfg.bandit_params[:2])
         a = _reference_draw(probs, rng)
         times[a] += 1
         n0, inc = cad_defense.cad._INNER_SCHEDULE
@@ -657,7 +659,7 @@ def _reference_run_single(y, cfg, stats, op, seed):
             md = mahalanobis(v, stats)
         f = _reference_feedback_bit(a, v, fb, v_spec, md)
         p = float(probs[a])
-        r = _reference_reward(f, p, cfg.lam)
+        r = _reference_reward(f, p, cfg.bandit_params[2])
         scores[a] += r
         trace.append(CadIterationRecord(
             t=t, action=a, probs=tuple(probs),
@@ -1053,9 +1055,9 @@ def test_trace_replays_through_bandit_update():
     out, cfg = _attacked_run()
     scores = np.zeros(N_ACTIONS)
     for rec in out.trace:
-        probs = _reference_probabilities(scores, cfg.gamma, cfg.sigma)
+        probs = _reference_probabilities(scores, *cfg.bandit_params[:2])
         assert np.abs(np.asarray(rec.probs) - probs).max() < 1e-15
-        r = _reference_reward(rec.feedback, float(probs[rec.action]), cfg.lam)
+        r = _reference_reward(rec.feedback, float(probs[rec.action]), cfg.bandit_params[2])
         assert r == rec.reward
         scores[rec.action] += r
         assert np.abs(np.asarray(rec.scores) - scores).max() < 1e-15

@@ -89,6 +89,26 @@ def test_gen_instances_depend_only_on_index(tmp_path):
         assert np.array_equal(getattr(solo, name), stored[name])
 
 
+# sha256 of gen's manifest and instance files for a three-channel ensemble
+# of every attack family: a change to the instance format or to its
+# serialisation fails here
+_GEN_GOLDEN = "9f561cd1191510fc28b1a32a4e188d98d68122a944ff18672c17ecd35bae0236"
+
+
+def test_gen_files_match_their_golden_digest(tmp_path):
+    raw = _raw(count=8, channels=3,
+               clean={"kind": "compressible", "amplitude": [4.5, 7.0], "tail_norm": 0.5},
+               attacks=[{"family": "l0", "tau": 4, "eta_prime": 0.5},
+                        {"family": "l2", "eta": 0.7},
+                        {"family": "linf", "eta_dprime": 0.05}, {"family": "none"}])
+    cmd_gen(ExperimentConfig.from_dict(raw), tmp_path)
+    digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes())
+    for path in sorted((tmp_path / "instances").iterdir()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == _GEN_GOLDEN
+
+
 # ---------------------------------------------------------------------------
 # stats
 

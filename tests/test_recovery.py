@@ -16,6 +16,7 @@ fallbacks to lstsq is pinned by a deterministic case.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import mpmath as mp
@@ -665,9 +666,9 @@ def test_threshold_table_gives_the_sort_based_bytes(data, n):
     c = signs * mags
     norm_c = float(np.linalg.norm(c))
     order = np.argsort(-np.abs(c), kind="stable")
-    # the run's stable descending order, reversed, is the sorted |c|
+    # the stable descending order, reversed, is the sorted |c|
     assert np.abs(c)[order[::-1]].tobytes() == np.sort(np.abs(c)).tobytes()
-    table = _threshold_table(c, order)
+    table = _threshold_table(c)
     op = SensingOperator(n)
     # one table serves the three radii of a run's l1 actions
     for radius in data.draw(st.lists(_radius(norm_c), min_size=3, max_size=3)):
@@ -688,7 +689,10 @@ def test_threshold_table_reaches_the_last_segment_clamp():
     for _ in range(400):
         n = int(rng.integers(40, 200))
         c = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 2.0, n)
-        table = _threshold_table(c, np.argsort(-np.abs(c), kind="stable"))
+        table = _threshold_table(c)
+        # the knots are the stable descending argsort's order of |c|, reversed
+        knots = np.abs(c)[np.argsort(-np.abs(c), kind="stable")[::-1]]
+        assert table.below[1:].tobytes() == np.cumsum(knots[:-1] * knots[:-1]).tobytes()
         radius = float(np.linalg.norm(c)) * (1.0 - 2.0 ** -52)
         clamped += int(np.searchsorted(table.reach, radius * radius)) == c.size
         assert (_soft_threshold(table, radius).tobytes()
@@ -1322,6 +1326,31 @@ def test_l1_general_resumes_exactly_from_its_state(data, n):
     assert resumed.state.tobytes() == whole.state.tobytes()
     assert (resumed.converged, resumed.feasibility_gap, resumed.duality_gap) == (
         whole.converged, whole.feasibility_gap, whole.duality_gap)
+
+
+# sha256 of row-subset l1_min_general results at radius 0 and at a radius
+# > 0, to convergence and at a cap of 30 iterations: coefficients, state,
+# iteration count, convergence flag and both gaps, recorded with numpy 2.4
+# and OpenBLAS 0.3.31 on x86-64
+_L1_GENERAL_GOLDEN = "0e3c24ae61653bd29f7ea7136e583c62c278763a670da132ef791b0a31ec716a"
+
+
+def test_l1_general_results_match_their_golden_digest():
+    rng = np.random.default_rng(35)
+    op = SensingOperator(64, rows=np.sort(rng.choice(64, size=40, replace=False)))
+    digest = hashlib.sha256()
+    for _ in range(5):
+        e = rng.standard_normal(64)
+        y = op.synthesize(make_clean_compressible(64, 8, rng) + 0.3 * e / np.linalg.norm(e))
+        for radius in (0.0, 0.3):
+            for cap in (30, L1Problem.max_iters):
+                out = l1_min_general(L1Problem(observed=y, op=op, radius=radius,
+                                               max_iters=cap))
+                for part in (out.coeffs, out.state, np.array([out.iterations]),
+                             np.array([out.converged]),
+                             np.array([out.feasibility_gap, out.duality_gap])):
+                    digest.update(part.tobytes())
+    assert digest.hexdigest() == _L1_GENERAL_GOLDEN
 
 
 def test_l1_general_over_relaxation_saves_iterations():
