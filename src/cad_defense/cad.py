@@ -151,15 +151,6 @@ class ChannelsOutcome:
     def method_label(self) -> str:
         return FALLBACK_LABEL if self.fallback else ACTION_LABELS[self.final_method]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "final_method": self.final_method,
-            "method_label": self.method_label,
-            "fallback": self.fallback,
-            "estimate": self.estimate.tolist(),
-            "channels": [c.to_jsonable() for c in self.channels],
-        }
-
 
 def run_action(action: int, provider: _Provider, budget: int, x_start: np.ndarray) -> tuple:
     """One loop step of an action: its evidence (pruned estimate, md,
@@ -286,7 +277,6 @@ class _Iterative(_Provider):
 
 def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
                 op: SensingOperator, seed) -> CadOutcome:
-    y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.m,):
         raise ValueError(f"y must have shape ({op.m},), got {y.shape}")
     if cfg.k > op.n:

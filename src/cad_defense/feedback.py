@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .recovery import A_COSAMP, A_L0, A_L2, A_LINF, cosamp_run
-# residual stays a feedback name, where the benchmark's tracer wraps it
-from .transform import SensingOperator, _is_number, residual  # noqa: F401
+from .transform import SensingOperator, _is_number
 
 __all__ = [
     "FeedbackConfig",

@@ -25,7 +25,8 @@ feasible point's, so a certified solve of N iterations applies P N times;
 at radius 0, and at the iteration cap, it is evaluated through P and A^T y
 (_certify).  The solver reads no other form of the operator.  Its
 feasibility tolerance is absolute at unit scale and above and relative to
-||y|| below it.
+||y|| below it; below ||y|| near 1e-154 squares of its entries underflow,
+and its gaps carry absolute errors (see l1_min_general).
 
 CoSaMP's least-squares fit restricts F y on the full operator, so a cold
 run there lands on its fixed point top_k(F y) in one step and returns that
@@ -83,11 +84,15 @@ _STEP_FRACTION = 0.14
 # units of min(1, ||y||)
 _FEASIBILITY_TOL = 1e-6
 # smallest diagonal entry of a Gram matrix's Cholesky factor, relative to its
-# largest, for which CoSaMP solves its least squares from that factor.  Over
-# random row subsets of n <= 48, numerically rank-deficient supports kept
-# ratios up to 1.5e-6 and well-posed ones went down to 2e-4; a well-posed
-# support below the bound only costs an SVD
-_GRAM_PIVOT_RATIO = 1e-3
+# largest, for which CoSaMP solves its least squares from that factor.
+# Contiguous blocks pass small bounds while ill-posed (rows and frequencies
+# 0-8 of n = 16: ratio 1.5e-3, cond(A_S) 1.2e6).  Over 319 102 fits on row
+# blocks of n <= 24 with supports near a block, a bound of 1e-3 left 941
+# fits more than 1e-7 ||y|| above lstsq's residual (worst 0.44 ||y||), 0.1
+# none (worst 7e-8) and 0.3 none (worst 2.5e-12).  Every fit of the sub256
+# benchmark on seeds 7, 1009 and 3 has a ratio of at least 0.52; a
+# well-posed support below the bound only costs an SVD
+_GRAM_PIVOT_RATIO = 0.3
 
 
 @dataclass
@@ -144,13 +149,13 @@ def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
     fit.  On the full operator a cold run
     (x0 None, n_iters >= 1) returns its fixed point top_k(A^* y) directly:
     the first step reaches it, as its fit restricts A^* y.  y must be a
-    finite vector of length op.m (ValueError otherwise).
+    finite vector of length op.m: the adjoint that reads it raises
+    ValueError otherwise.
     """
     if not 0 < k <= op.n:
         raise ValueError(f"need 0 < k <= {op.n}, got k={k}")
     if n_iters < 0:
         raise ValueError(f"n_iters must be >= 0, got {n_iters}")
-    y = _check_vector(y, op.m, "measurements")
     back = op.adjoint(y)
     if x0 is None and op.is_full and n_iters:
         est = top_k(back, k)
@@ -362,7 +367,11 @@ def l1_min_general(p: L1Problem, x0: np.ndarray | None = None) -> L1Result:
     itself lies within the feasibility tolerance of the ball it is returned
     at once, converged with a zero gap.  That tolerance is _FEASIBILITY_TOL
     * min(1, ||y||): absolute at unit scale and above, relative below it,
-    so a problem scaled below unit scale is solved as at unit scale.
+    so a problem scaled by a power of two below unit scale is solved as at
+    unit scale, down to ||y|| near 1e-154.  Below that, squares and
+    products of its entries round into the subnormal range, each with an
+    absolute error of up to 2^-1075, so its gaps carry errors of order
+    n 2^-1075 / ||y|| that do not scale with it.
 
     x0 is the splitting variable s to start from, as L1Result.state hands
     it back (None: the cold start s = A^T y).  The step is

@@ -611,7 +611,7 @@ def _reference_run_single(y, cfg, stats, op, seed):
     every estimate keeps its first k entries along a stable descending
     argsort of |F y|, taken here; on a row subset top_k prunes it.
     Residuals are the product over the estimate's support, formed here,
-    not through feedback.residual."""
+    not through transform.residual."""
     y = np.asarray(y, dtype=np.float64)
     fb = cfg.feedback
     rng = np.random.default_rng(seed)

@@ -272,6 +272,39 @@ def test_run_reports_match_their_golden_digests(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+# SHA-256 of the reports of a three-channel run with per-channel clean
+# stats, recorded as GOLDEN_REPORTS were
+_THREE_CHANNEL_GOLDEN = {
+    "report.csv": "ca3d507733e01a70cabbac7db05f5e9b59ee6b5f2a462e88431afeb52876fa08",
+    "instances.csv": "99d1ce676a208b09581fcf902d5bb4196c0fcce199f6133f8ae521c51d067c93",
+    "aggregate.csv": "0ec75f95f64562a917e5724f07f1d2ecd761d37ce1c916e13da109d042e65110",
+}
+
+
+def test_three_channel_run_matches_its_golden_digests_serial_and_pooled(tmp_path):
+    # every family, each channel with its own stats; the channels of some
+    # instances disagree, so the majority call decides them
+    raw = _raw(n=64, channels=3, seed=3, count=4,
+               clean={"kind": "compressible", "amplitude": [4.5, 7.0], "tail_norm": 0.5},
+               attacks=[{"family": "l0", "tau": 4, "eta_prime": 4.0},
+                        {"family": "l2", "eta": 20.0},
+                        {"family": "linf", "eta_dprime": 4.0}, {"family": "none"}],
+               cad={"k": 8, "feedback": dict(FB)},
+               stats={"count": 16, "n_cosamp": 5, "ridge": 1e-4})
+    cfg = ExperimentConfig.from_dict(raw)
+    cmd_run(cfg, tmp_path / "serial")
+    cmd_run(cfg, tmp_path / "pool", workers=2)
+    calls = {}
+    for row in _csv_rows(tmp_path / "serial" / "report.csv"):
+        calls.setdefault(row["instance"], []).append(row["method_label"])
+    assert all(len(labels) == 3 for labels in calls.values())
+    assert any(len(set(labels)) > 1 for labels in calls.values())
+    for name, digest in _THREE_CHANNEL_GOLDEN.items():
+        serial = (tmp_path / "serial" / name).read_bytes()
+        assert hashlib.sha256(serial).hexdigest() == digest, name
+        assert (tmp_path / "pool" / name).read_bytes() == serial, name
+
+
 def test_run_json_format(tmp_path):
     cfg = ExperimentConfig.from_dict(_raw(count=4))
     res = cmd_run(cfg, tmp_path, fmt="json")

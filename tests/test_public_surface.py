@@ -54,3 +54,18 @@ def test_no_module_imports_a_private_bandit_name():
                 stray += [f"{name}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_")]
     assert stray == []
+
+
+def test_every_name_imported_from_a_sibling_is_read():
+    # a binding that nothing in its module reads carries no behaviour; the
+    # package __init__, whose imports are its re-exports, is exempt
+    unread = []
+    for name in MODULES:
+        path = Path(importlib.import_module(f"cad_defense.{name}").__file__)
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{name}: {alias.asname or alias.name}" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   for alias in node.names if (alias.asname or alias.name) not in read]
+    assert unread == []

@@ -248,6 +248,28 @@ def test_least_squares_residual_matches_lstsq(data, n):
     assert abs(ours - theirs) <= 1e-7 * np.linalg.norm(y)
 
 
+def test_least_squares_matches_lstsq_on_low_row_blocks():
+    # random row subsets rarely draw these: rows 0..m-1 and the s <= m
+    # lowest frequencies of each n <= 24, fitted to the last unit vector.
+    # At n = 16, m = s = 9, cond(A_S) is 1.2e6 while the Gram factor's pivot
+    # ratio is 1.5e-3; a Gram solve's residual there is 2.0e-7, lstsq's 3.1e-13
+    cases = 0
+    for n in range(2, 25):
+        for m in range(1, n + 1):
+            op = SensingOperator(n, rows=np.arange(m))
+            y = np.zeros(m)
+            y[-1] = 1.0
+            back = op.adjoint(y)
+            for s in range(1, m + 1):
+                support = np.arange(s)
+                sub = op.columns(support)
+                ours = np.linalg.norm(sub @ _least_squares(op, support, y, back) - y)
+                theirs = np.linalg.norm(sub @ np.linalg.lstsq(sub, y, rcond=None)[0] - y)
+                assert abs(ours - theirs) <= 1e-7, (n, m, s)
+                cases += 1
+    assert cases == 2599
+
+
 class _ColumnsOperator:
     """The operator members a least-squares fit and a row-subset CoSaMP run
     read (m, n, is_full, gram, columns and adjoint), for a measurement
@@ -278,20 +300,24 @@ def _tangent_columns(eps):
     ("cholesky_raises", 1, False),
     ("small_pivot", 1, False),
     ("rank_deficient_rows", 1, False),
+    ("low_block", 1, False),
 ])
 def test_least_squares_falls_back_to_lstsq(monkeypatch, case, factored, gram):
     # the Gram solve answers a well-conditioned support; lstsq answers a
     # support wider than the rows without factoring, one whose Gram matrix
-    # is singular, and one whose Cholesky pivots span more than 1 / 1e-3.
+    # is singular, and one whose Cholesky pivots span more than 1 / 0.3.
     # Rows 5 and 11 of the n=17 operator agree on columns 8, 10 and 14, yet
     # their Gram factor keeps a pivot ratio near 1.5e-6; there a Gram solve's
-    # residual on this y is 0.36 ||y|| above lstsq's
+    # residual on this y is 0.36 ||y|| above lstsq's.  Rows 0-8 of the n=16
+    # operator on its nine lowest frequencies keep a pivot ratio of 1.5e-3
+    # at cond(A_S) 1.2e6 (test_least_squares_matches_lstsq_on_low_row_blocks)
     op, support = {"well_conditioned": _tangent_columns(1.0),
                    "wider_than_rows": (SensingOperator(8, rows=[0, 3, 5]), np.arange(5)),
                    "cholesky_raises": _tangent_columns(0.0),
                    "small_pivot": _tangent_columns(1e-7),
                    "rank_deficient_rows": (SensingOperator(17, rows=[5, 7, 11]),
-                                           np.array([8, 10, 14]))}[case]
+                                           np.array([8, 10, 14])),
+                   "low_block": (SensingOperator(16, rows=np.arange(9)), np.arange(9))}[case]
     sub = op.columns(support)
     y = np.arange(1.0, op.m + 1)
     expected = np.linalg.lstsq(sub, y, rcond=None)[0]
@@ -1099,35 +1125,67 @@ def _certificate_error_bounds(x, y, op, radius, s, step, read=None):
     eps (|c g| + |x|) of v - c g, and A^T A A^T = A^T (I + E), the two differ
     by (1 - c) d' + c A^T E (A v - y) + c A^T A d' + A^T A rho' for some
     |d'| <= d and |rho'| <= rho; the bound over the read (gb, gmax, nw) is
-    the Gram form's over r, as its rounding is relative."""
+    the Gram form's over r, as its rounding is relative.
+
+    Below about 1e-154 the squares and products of the entries round into
+    the subnormal range, where a product's error is absolute: at most
+    2^-1075, which tiny0 = 2^-1074 doubles as eps doubles the unit roundoff
+    (Higham, 2.1; sums and differences there are exact).  So a k-term dot
+    product or matrix-vector row carries up to k tiny0 more, a sum of k
+    squares is off by up to k tiny0, and its root, of exact value nrm, by
+    min(sqrt(k tiny0), k tiny0 / nrm).  The read form's terms are the Gram
+    form's over r scaled by powers of 1 - c <= 1, so no larger.
+
+    The bound's own arithmetic would underflow at those scales too, so it
+    runs on x, y, the radius and the read (v, g) lifted by the power of two
+    lift that brings the larger of |x| and |y| to unit size, capped at
+    2^600.  Every term is then homogeneous of degree one, and the bounds
+    are scaled back, once a product's underflow is lifted by the degree it
+    carries: tiny0 for products of the dual point q = clip(s / step), read
+    unscaled as both forms read it, tiny1 = lift tiny0 for a matrix times a
+    lifted vector, and tiny2 = lift tiny1 for two lifted vectors."""
     eps = np.finfo(np.float64).eps
+    q = np.clip(s / step, -1.0, 1.0)
+    top = max(float(np.abs(x).max()), float(np.abs(y).max()))
+    lift = 2.0 ** min(600, max(0, -math.frexp(top)[1]))
+    x, y, radius = lift * x, lift * y, lift * radius
+    tiny0 = 2.0 ** -1074
+    tiny1 = lift * tiny0
+    tiny2 = lift * tiny1
     m, n = op.m, op.n
     a = _dense(op)
     abs_a, abs_gram = np.abs(a), np.abs(op.gram)
     back = op.adjoint(y)
-    dback = m * eps * (abs_a.T @ np.abs(y))
+    dback = m * eps * (abs_a.T @ np.abs(y)) + m * tiny1
 
-    def dgram(v):
+    def dgram(v, tiny=tiny1):
         """How far fl(P) v is from A^T A v, for v >= 0: P itself is within
         m eps |A|^T |A| of the exact product."""
-        return n * eps * (abs_gram @ v) + m * eps * (abs_a.T @ (abs_a @ v))
+        return n * eps * (abs_gram @ v) + m * eps * (abs_a.T @ (abs_a @ v)) + n * tiny
+
+    def under(k, nrm):
+        """How far the underflow of k lifted squares moves their root, of
+        exact value nrm."""
+        root = lift * math.sqrt(k * tiny0)
+        return min(root, k * tiny2 / nrm) if nrm > 0.0 else root
 
     ident = a @ a.T - np.eye(m)
     e_norm = ((1 + eps) * float(np.linalg.norm(ident))
               + n * eps * float(np.linalg.norm(abs_a @ abs_a.T)))
     l1 = float(np.abs(x).sum())
     w = y - op.synthesize(x)
-    dw = n * eps * (abs_a @ np.abs(x)) + eps * np.abs(w)
+    dw = n * eps * (abs_a @ np.abs(x)) + eps * np.abs(w) + n * tiny1
     if read is None:
         r = op.gram.T @ x - back
         dr = dgram(np.abs(x)) + dback + eps * np.abs(r)
     else:
         v, g, c = read
+        v, g = lift * v, lift * g
         dg = dgram(np.abs(v)) + dback + eps * np.abs(g)
         wv = y - op.synthesize(v)
         norm_wv = float(np.linalg.norm(wv) + np.linalg.norm(
             n * eps * (abs_a @ np.abs(v)) + eps * np.abs(wv)))
-        rho = eps * (np.abs(c * g) + np.abs(x))
+        rho = eps * (np.abs(c * g) + np.abs(x)) + tiny1
         r = (1.0 - c) * g
         dr = (abs(1.0 - c) * dg
               + abs(c) * (np.linalg.norm(a, axis=0) * e_norm * norm_wv
@@ -1136,44 +1194,50 @@ def _certificate_error_bounds(x, y, op, radius, s, step, read=None):
     norm_w, norm_r = float(np.linalg.norm(w)), float(np.linalg.norm(r))
     norm_dw, norm_dr = float(np.linalg.norm(dw)), float(np.linalg.norm(dr))
     norm_w_high = norm_w + norm_dw
+    under_w, under_r = under(m, norm_w), under(n, norm_r)
     feasibility = (norm_dw + (m + 1) * eps * norm_w + norm_dr + (n + 1) * eps * norm_r
-                   + e_norm * norm_w_high + eps * (norm_w + norm_r + 2 * radius))
+                   + e_norm * norm_w_high + eps * (norm_w + norm_r + 2 * radius)
+                   + under_w + under_r + tiny1)
     if radius == 0.0:
-        q = np.clip(s / step, -1.0, 1.0)
         u = op.synthesize(q)
-        du = n * eps * (abs_a @ np.abs(q))
+        du = n * eps * (abs_a @ np.abs(q)) + n * tiny0
         scale_a = max(1.0, float(np.abs(op.adjoint(u)).max()))
-        dscale_a = float((m * eps * (abs_a.T @ np.abs(u)) + abs_a.T @ du).max())
+        dscale_a = float((m * eps * (abs_a.T @ np.abs(u)) + abs_a.T @ du).max()) + m * tiny0
         scale_p = max(1.0, float(np.abs(op.gram.T @ q).max()))
-        dscale_p = float(dgram(np.abs(q)).max())
+        dscale_p = float(dgram(np.abs(q), tiny0).max())
         low = max(1.0, scale_a - dscale_a, scale_p - dscale_p)
         mag_a = float(np.abs(u) @ np.abs(y)) / scale_a
         mag_p = float(np.abs(q) @ np.abs(back)) / scale_p
-        err_a = (m + 1) * eps * mag_a + (float(du @ np.abs(y)) + mag_a * dscale_a) / low
-        err_p = ((n + 1) * eps * mag_p
+        # each form's dot product, then its quotient by a scale >= 1
+        err_a = ((m + 1) * eps * mag_a + (m + 1) * tiny1
+                 + (float(du @ np.abs(y)) + mag_a * dscale_a) / low)
+        err_p = ((n + 1) * eps * mag_p + (n + 1) * tiny1
                  + (float(np.abs(q) @ dback) + mag_p * dscale_p) / low)
     else:
         scale_a = float(np.abs(op.adjoint(w)).max())
         scale_p = float(np.abs(r).max())
-        dscale_a = float((m * eps * (abs_a.T @ np.abs(w)) + abs_a.T @ dw).max())
+        dscale_a = float((m * eps * (abs_a.T @ np.abs(w)) + abs_a.T @ dw).max()) + m * tiny1
         dscale_p = float(dr.max())
         low = max(scale_a - dscale_a, scale_p - dscale_p)
         if min(scale_a, scale_p, low) <= 0.0:
-            return math.inf, feasibility
+            return math.inf, feasibility / lift
         wy = float(np.abs(w) @ np.abs(y))
         rb = float(np.abs(r) @ np.abs(back))
         mag_a = (wy + radius * norm_w) / scale_a
         mag_p = (rb + radius * norm_r) / scale_p
+        # the A form scales w to u before its products with y and u (||u||
+        # >= ||A^T u||_inf = 1), the Gram form divides its products by the scale
         err_a = (((m + 1) * eps * wy + (m + 3) * eps * radius * norm_w) / scale_a
-                 + eps * mag_a
+                 + eps * mag_a + (m + 1) * (tiny1 + radius * tiny0)
                  + (float(dw @ np.abs(y)) + radius * norm_dw + mag_a * dscale_a) / low)
-        err_p = (((n + 1) * eps * rb + (n + 3) * eps * radius * norm_r) / scale_p
-                 + eps * mag_p
+        err_p = (((n + 1) * eps * rb + (n + 3) * eps * radius * norm_r
+                  + (n + 1) * tiny2 + radius * under_r) / scale_p
+                 + eps * mag_p + tiny1
                  + (float(dr @ np.abs(back)) + float(np.abs(r) @ dback) + radius * norm_dr
                     + e_norm * norm_w_high * (float(np.linalg.norm(y)) + radius)
                     + mag_p * dscale_p) / low)
     # gap = ||x||_1 - bound, the same l1 bytes in both forms, rounds once in each
-    return err_a + err_p + eps * (2 * l1 + mag_a + mag_p), feasibility
+    return (err_a + err_p + eps * (2 * l1 + mag_a + mag_p)) / lift, feasibility / lift
 
 
 @settings(max_examples=150, deadline=None)
@@ -1206,8 +1270,15 @@ def test_gram_and_a_form_certificates_agree(data, n):
     else:
         x, s = (np.array(data.draw(st.lists(_ENTRY, min_size=n, max_size=n)))
                 for _ in range(2))
-    feasibility_tol = 1e-6 * min(1.0, norm_y)
-    ours = _certify(x, back, op.gram, radius, tolerance, s, step, feasibility_tol)
+    _assert_certificate_forms_agree(x, y, op, radius, tolerance, s, step)
+
+
+def _assert_certificate_forms_agree(x, y, op, radius, tolerance, s, step):
+    """_certify and the A form measure x's gaps within the summed bounds,
+    and certify it alike wherever the A form's gaps are farther than those
+    bounds from the thresholds."""
+    feasibility_tol = 1e-6 * min(1.0, float(np.linalg.norm(y)))
+    ours = _certify(x, op.adjoint(y), op.gram, radius, tolerance, s, step, feasibility_tol)
     theirs = _reference_certificate(x, y, op, radius, tolerance, s, step)
     gap_bound, feasibility_bound = _certificate_error_bounds(x, y, op, radius, s, step)
     assert abs(ours[1] - theirs[1]) <= feasibility_bound
@@ -1216,6 +1287,25 @@ def test_gram_and_a_form_certificates_agree(data, n):
     if (abs(theirs[2] - tolerance * l1) > gap_bound
             and abs(theirs[1] - feasibility_tol) > feasibility_bound):
         assert ours[0] == theirs[0]
+
+
+@pytest.mark.parametrize("rows, y, max_iters", [
+    ([0], [1.019509888446028e-158], 1),
+    ([0], [4.86e-156], 1),
+    ([0, 1, 2], [0.0, 0.0, 1.17e-153], 11),
+])
+def test_certificate_forms_agree_where_squares_underflow(rows, y, max_iters):
+    # squares of these residuals are subnormal, so both forms round them
+    # absolutely: at the first y the two feasibility gaps, near 1.8e-159,
+    # differ by 1.4e-165, beyond every relative rounding term
+    op = SensingOperator(4, rows=rows)
+    y = np.array(y)
+    res = l1_min_general(L1Problem(observed=y, op=op, radius=0.0, tolerance=1e-2,
+                                   max_iters=max_iters))
+    assert res.iterations == max_iters and res.state is not None
+    step = 0.14 * float(np.abs(op.adjoint(y)).max())
+    _assert_certificate_forms_agree(res.coeffs, y, op, 0.0, 1e-2, res.state, step)
+
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(4, 64))
