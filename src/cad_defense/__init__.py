@@ -21,6 +21,6 @@ from .feedback import (CleanStats, FeedbackConfig, estimate_clean_stats,
                        feedback_bit, load_clean_stats, mahalanobis,
                        save_clean_stats, should_stop, thresholded_count)
 from .cad import (ACTION_LABELS, FALLBACK_LABEL, CadConfig,
-                  CadIterationRecord, CadOutcome, ChannelsOutcome, cad_run)
+                  CadIterationRecord, CadOutcome, cad_run)
 
 __version__ = "0.1.0"

@@ -42,7 +42,6 @@ __all__ = [
     "CadConfig",
     "CadIterationRecord",
     "CadOutcome",
-    "ChannelsOutcome",
     "cad_run",
 ]
 
@@ -111,7 +110,7 @@ class CadIterationRecord:
 
 @dataclass
 class CadOutcome:
-    """Result of one single-channel defence run."""
+    """Result of one defence run."""
 
     final_method: int
     fallback: bool
@@ -136,20 +135,6 @@ class CadOutcome:
             "estimate": self.estimate.tolist(),
             "trace": [dataclasses.asdict(r) for r in self.trace],
         }
-
-
-@dataclass
-class ChannelsOutcome:
-    """Per-channel outcomes plus the aggregated call for RGB inputs."""
-
-    channels: list[CadOutcome]
-    final_method: int
-    fallback: bool
-    estimate: np.ndarray
-
-    @property
-    def method_label(self) -> str:
-        return FALLBACK_LABEL if self.fallback else ACTION_LABELS[self.final_method]
 
 
 def run_action(action: int, provider: _Provider, budget: int, x_start: np.ndarray) -> tuple:
@@ -275,8 +260,12 @@ class _Iterative(_Provider):
         return self.op.adjoint(v)
 
 
-def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
-                op: SensingOperator, seed) -> CadOutcome:
+def cad_run(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
+            op: SensingOperator) -> CadOutcome:
+    """Defend one channel: y holds op.m samples, stats are optional, and the
+    loop draws its actions from [cfg.seed, 0].  A y of another shape, or a k
+    above op.n, raises ValueError."""
+    y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.m,):
         raise ValueError(f"y must have shape ({op.m},), got {y.shape}")
     if cfg.k > op.n:
@@ -284,7 +273,7 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
     provider = (_ClosedForms if op.is_full else _Iterative)(y, op, cfg, stats)
     fb = cfg.feedback
     gamma, sigma, lam = cfg.bandit_params
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([cfg.seed, 0])
     estimate = np.zeros(op.n)
     scores = [0.0] * N_ACTIONS
     times = [0] * N_ACTIONS
@@ -322,34 +311,3 @@ def _run_single(y: np.ndarray, cfg: CadConfig, stats: CleanStats | None,
         final_scores=tuple(scores),
     )
 
-
-def cad_run(y: np.ndarray, cfg: CadConfig, stats, op: SensingOperator):
-    """Run the defence on one observation; its length sets the channels.
-
-    A y of op.m samples, with optional CleanStats, is one channel and
-    returns a CadOutcome.  A y of 3 * op.m samples is the channel-major
-    concatenation of three channels: it takes a per-channel stats sequence
-    (or None) and returns a ChannelsOutcome whose aggregate call is the
-    majority of per-channel method labels, ties resolved toward the first
-    channel; every fallback is one label, whatever its argmax.  The first
-    channel with the winning label gives the aggregate final_method and
-    fallback.  Any other length raises ValueError.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (3 * op.m,):
-        return _run_single(y, cfg, stats, op, [cfg.seed, 0])
-    if stats is None:
-        stats = (None, None, None)
-    if isinstance(stats, CleanStats) or len(stats) != 3:
-        raise ValueError("three-channel runs need one stats entry per channel")
-    outcomes = [
-        _run_single(y[ch * op.m:(ch + 1) * op.m], cfg, stats[ch], op, [cfg.seed, ch])
-        for ch in range(3)
-    ]
-    labels = [o.method_label for o in outcomes]
-    # max keeps the first of the most common labels
-    winner = outcomes[labels.index(max(labels, key=labels.count))]
-    return ChannelsOutcome(
-        channels=outcomes, final_method=winner.final_method, fallback=winner.fallback,
-        estimate=np.concatenate([o.estimate for o in outcomes]),
-    )

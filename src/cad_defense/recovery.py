@@ -141,16 +141,15 @@ def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
     A state's residual is residual(y, estimate, op), the product over the
     estimate's support.
 
-    A step is a function of its state's estimate and residual bytes alone,
-    so once a step reproduces both, every later one would too: the run
-    stops there and returns that state.  Its fit is a function of the
-    merged support alone, so a step that merges the support its state was
-    fitted on would reproduce that state: the run returns it before the
-    fit.  On the full operator a cold run
-    (x0 None, n_iters >= 1) returns its fixed point top_k(A^* y) directly:
-    the first step reaches it, as its fit restricts A^* y.  y must be a
-    finite vector of length op.m: the adjoint that reads it raises
-    ValueError otherwise.
+    So a step is a function of its state's estimate bytes alone: once a
+    step reproduces the estimate, every later one would too, and the run
+    returns that state there, without forming the residual again.  Its fit
+    is a function of the merged support alone, so a step that merges the
+    support its state was fitted on would reproduce that state: the run
+    returns it before the fit.  On the full operator a cold run (x0 None,
+    n_iters >= 1) returns its fixed point top_k(A^* y) directly: the first
+    step reaches it, as its fit restricts A^* y.  y must be a finite vector
+    of length op.m: the adjoint that reads it raises ValueError otherwise.
     """
     if not 0 < k <= op.n:
         raise ValueError(f"need 0 < k <= {op.n}, got k={k}")
@@ -173,11 +172,10 @@ def cosamp_run(y: np.ndarray, op: SensingOperator, k: int, n_iters: int,
         b = np.zeros(op.n)
         b[support] = back[support] if op.is_full else _least_squares(op, support, y, back)
         estimate = top_k(b, k)
-        r = residual(y, estimate, op)
-        if (estimate.tobytes() == state.estimate.tobytes()
-                and r.tobytes() == state.residual.tobytes()):
+        if estimate.tobytes() == state.estimate.tobytes():
             break
-        state, fitted = CosampState(estimate=estimate, residual=r), merged
+        state = CosampState(estimate=estimate, residual=residual(y, estimate, op))
+        fitted = merged
     return state
 
 

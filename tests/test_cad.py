@@ -36,7 +36,7 @@ from cad_defense import (ACTION_LABELS, FALLBACK_LABEL, AttackSpec,
                          make_clean_compressible, make_clean_sparse, perturb,
                          top_k)
 from cad_defense.cad import (_INNER_SCHEDULE, CadIterationRecord, CadOutcome,
-                             _ClosedForms, _Iterative, _run_single, run_action)
+                             _ClosedForms, _Iterative, run_action)
 from cad_defense.feedback import (feedback_bit, mahalanobis, should_stop,
                                   thresholded_count)
 from cad_defense.recovery import (A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS,
@@ -704,10 +704,8 @@ def _oracle_setup(name):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), name=st.sampled_from(sorted(_ORACLE_OPERATORS)),
-       seed=st.integers(0, 2 ** 32 - 1), with_stats=st.booleans(),
-       channels=st.sampled_from([1, 3]))
-def test_loop_matches_the_reference_loop_bit_for_bit(data, name, seed, with_stats,
-                                                     channels):
+       seed=st.integers(0, 2 ** 32 - 1), with_stats=st.booleans())
+def test_loop_matches_the_reference_loop_bit_for_bit(data, name, seed, with_stats):
     op, clean_stats = _oracle_setup(name)
     n, k = op.n, op.n // 8
     t_max = data.draw(st.integers(1, 40 if op.is_full else 12))
@@ -716,21 +714,17 @@ def test_loop_matches_the_reference_loop_bit_for_bit(data, name, seed, with_stat
              tau=data.draw(st.integers(0, n)), theta=float(op.m),
              delta_res=data.draw(st.sampled_from([0.0, 0.5])), t_max=t_max)
     cfg = CadConfig(k=k, feedback=fb, seed=seed)
-    rng = np.random.default_rng(seed)
-    ys = []
-    for _ in range(channels):
-        x = make_clean_compressible(n, k, rng)
-        spec = data.draw(st.sampled_from(_ORACLE_ATTACKS))
-        observed = perturb(x, spec, SensingOperator(n)).observed
-        ys.append(observed if op.is_full else observed[op.rows])
+    x = make_clean_compressible(n, k, np.random.default_rng(seed))
+    spec = data.draw(st.sampled_from(_ORACLE_ATTACKS))
+    observed = perturb(x, spec, SensingOperator(n)).observed
+    y = observed if op.is_full else observed[op.rows]
     stats = clean_stats if with_stats else None
-    out = cad_run(np.concatenate(ys), cfg, stats if channels == 1 else (stats,) * 3, op)
-    for ch, ours in enumerate(out.channels if channels == 3 else [out]):
-        ref = _reference_run_single(ys[ch], cfg, stats, op, [seed, ch])
-        assert ours.to_jsonable() == ref.to_jsonable()
-        assert ours.estimate.tobytes() == ref.estimate.tobytes()
-        assert (ours.stop_reason, ours.stopped_at) == (ref.stop_reason, ref.stopped_at)
-        assert ours.final_scores == ref.final_scores
+    ours = cad_run(y, cfg, stats, op)
+    ref = _reference_run_single(y, cfg, stats, op, [seed, 0])
+    assert ours.to_jsonable() == ref.to_jsonable()
+    assert ours.estimate.tobytes() == ref.estimate.tobytes()
+    assert (ours.stop_reason, ours.stopped_at) == (ref.stop_reason, ref.stopped_at)
+    assert ours.final_scores == ref.final_scores
 
 
 # ---------------------------------------------------------------------------
@@ -1082,7 +1076,9 @@ def test_stop_reason_matches_trace_values():
 def test_trace_record_explains_its_call(name, with_stats, channels):
     # each record's bit is the predicate of that record's features, and the
     # stop rule, read from the record's probabilities and residual norm,
-    # fires on the last record only, for the stated reason
+    # fires on the last record only, for the stated reason; each seed runs
+    # channels observations, one cad_run each, as the harness defends the
+    # channels of an instance
     op, clean_stats = _oracle_setup(name)
     n, k = op.n, op.n // 8
     stats = clean_stats if with_stats else None
@@ -1092,15 +1088,12 @@ def test_trace_record_explains_its_call(name, with_stats, channels):
         fb = _fb(alpha=3.0, beta=2.0, m=0.8, tau=k, theta=float(op.m),
                  delta_res=0.5 if seed % 2 else 0.0, t_max=3 if seed % 3 == 2 else 12)
         rng = np.random.default_rng([72, seed])
-        ys = []
         for ch in range(channels):
             spec = _ORACLE_ATTACKS[(seed + ch) % len(_ORACLE_ATTACKS)]
             observed = perturb(make_clean_compressible(n, k, rng), spec,
                                SensingOperator(n)).observed
-            ys.append(observed if op.is_full else observed[op.rows])
-        cfg = CadConfig(k=k, feedback=fb, seed=seed)
-        out = cad_run(np.concatenate(ys), cfg, stats if channels == 1 else (stats,) * 3, op)
-        for run in (out.channels if channels == 3 else [out]):
+            y = observed if op.is_full else observed[op.rows]
+            run = cad_run(y, CadConfig(k=k, feedback=fb, seed=seed), stats, op)
             for i, rec in enumerate(run.trace, 1):
                 assert rec.feedback == feedback_bit(rec.action, rec.residual_l2,
                                                     rec.residual_linf,
@@ -1206,81 +1199,13 @@ def test_l2_attack_selects_a3_majority():
     assert labels.count("a3") >= 0.8 * len(labels)
 
 
-# ---------------------------------------------------------------------------
-# channel handling
-
-
-def test_three_channel_aggregation():
-    n = 32
-    op = SensingOperator(n)
-    rng = np.random.default_rng(63)
-    chans = [make_clean_sparse(n, 4, np.random.default_rng([64, ch]))
-             for ch in range(3)]
-    y = np.concatenate([op.synthesize(c) for c in chans])
-    cfg = CadConfig(k=4, feedback=_fb(), seed=11)
-    out = cad_run(y, cfg, None, op)
-    assert len(out.channels) == 3
-    assert np.array_equal(
-        out.estimate, np.concatenate([o.estimate for o in out.channels]))
-    # aggregate call is the majority of per-channel method labels, first
-    # channel breaking ties; that channel gives final_method and fallback
-    labels = [o.method_label for o in out.channels]
-    counts = {lab: labels.count(lab) for lab in labels}
-    top = max(counts.values())
-    first = next(o for o in out.channels if counts[o.method_label] == top)
-    assert out.method_label == first.method_label
-    assert (out.final_method, out.fallback) == (first.final_method, first.fallback)
-    for ch, o in enumerate(out.channels):
-        assert np.linalg.norm(o.estimate - chans[ch]) <= 1e-8
-
-
-def test_three_channel_length_runs_each_channel_on_its_own_seed():
-    # 3 * m samples are three channel-major channels, each run as a
-    # single-channel loop seeded [seed, channel] with its own stats entry
-    op, stats = _oracle_setup("full64")
-    rng = np.random.default_rng(65)
-    ys = [perturb(make_clean_compressible(64, 8, rng), spec, op).observed
-          for spec in _ORACLE_ATTACKS[1:]]
-    per_channel = (stats, None, stats)
-    cfg = CadConfig(k=8, feedback=_fb(alpha=3.0, beta=2.0, m=0.8, tau=8), seed=13)
-    out = cad_run(np.concatenate(ys), cfg, per_channel, op)
-    for ch, ours in enumerate(out.channels):
-        ref = _run_single(ys[ch], cfg, per_channel[ch], op, [cfg.seed, ch])
-        assert ours.to_jsonable() == ref.to_jsonable()
-    assert cad_run(ys[0], cfg, stats, op).to_jsonable() == out.channels[0].to_jsonable()
-
-
-def test_three_channel_vote_counts_fallbacks_as_one_label(monkeypatch):
-    # a2 against two fallbacks whose argmaxes differ: the fallbacks win
-    def outcome(final_method, fallback):
-        return CadOutcome(final_method=final_method, fallback=fallback,
-                          estimate=np.zeros(4), trace=[], stopped_at=1,
-                          stop_reason="t_max", final_scores=(0.0,) * N_ACTIONS)
-    outcomes = iter([outcome(A_L0, False), outcome(A_COSAMP, True),
-                     outcome(A_L2, True)])
-    monkeypatch.setattr(cad_defense.cad, "_run_single",
-                        lambda *args: next(outcomes))
-    cfg = CadConfig(k=2, feedback=_fb())
-    out = cad_run(np.zeros(12), cfg, None, SensingOperator(4))
-    assert out.method_label == FALLBACK_LABEL
-    assert (out.final_method, out.fallback) == (A_COSAMP, True)
-
-
-def test_three_channel_validation():
-    op = SensingOperator(16)
-    cfg = CadConfig(k=2, feedback=_fb())
-    with pytest.raises(ValueError):
-        cad_run(np.zeros(48), cfg, [None, None], op)
-    stats = CleanStats(np.random.default_rng(0).standard_normal((4, 16)), 1e-4)
-    with pytest.raises(ValueError, match="one stats entry per channel"):
-        cad_run(np.zeros(48), cfg, stats, op)
-
-
 def test_single_channel_validation():
     op = SensingOperator(16)
     cfg = CadConfig(k=2, feedback=_fb())
-    with pytest.raises(ValueError):
-        cad_run(np.zeros(15), cfg, None, op)
+    # one channel's op.m samples, not three channels' 3 * op.m
+    for length in (15, 48):
+        with pytest.raises(ValueError, match=r"y must have shape \(16,\)"):
+            cad_run(np.zeros(length), cfg, None, op)
     with pytest.raises(ValueError, match="exceeds"):
         cad_run(np.zeros(16), CadConfig(k=17, feedback=_fb()), None, op)
 

@@ -4,6 +4,7 @@ benchmarks, and report determinism."""
 import concurrent.futures
 import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,12 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cad_defense.harness
+from cad_defense.cad import FALLBACK_LABEL, cad_run
 from cad_defense.feedback import load_clean_stats
 from cad_defense.harness import (ConfigError, ExperimentConfig,
-                                 _build_instance, _resolve_stats, _write_csv,
-                                 cmd_bench, cmd_gen, cmd_run, cmd_stats,
-                                 designated_action)
-from cad_defense.transform import SensingOperator
+                                 _build_instance, _loop_seed, _resolve_stats,
+                                 _run_one, _write_csv, cmd_bench, cmd_gen,
+                                 cmd_run, cmd_stats, designated_action)
+from cad_defense.recovery import A_COSAMP, A_L0, A_L2, A_LINF
+from cad_defense.transform import SensingOperator, best_k_term_error
 
 FB = {"alpha": 8.0, "beta": 5.0, "m": 1.8, "tau": 15, "theta": 65.0}
 
@@ -273,25 +276,34 @@ def test_run_reports_match_their_golden_digests(tmp_path):
 
 
 # SHA-256 of the reports of a three-channel run with per-channel clean
-# stats, recorded as GOLDEN_REPORTS were
+# stats, recorded as GOLDEN_REPORTS were.  Re-recorded when each channel
+# got a loop seed of its own: channel 0's rows held, channels 1 and 2 moved
+# in stopped_at, residual_l2, method_label and fallback, and with them the
+# instances' method_label and fallback and the aggregates' fallback_rate,
+# method_a1 and method_cosamp_fallback; sigma_k_l1 became the sum of the
+# channels' k-term tails.
 _THREE_CHANNEL_GOLDEN = {
-    "report.csv": "ca3d507733e01a70cabbac7db05f5e9b59ee6b5f2a462e88431afeb52876fa08",
-    "instances.csv": "99d1ce676a208b09581fcf902d5bb4196c0fcce199f6133f8ae521c51d067c93",
-    "aggregate.csv": "0ec75f95f64562a917e5724f07f1d2ecd761d37ce1c916e13da109d042e65110",
+    "report.csv": "728e2623fd4d9e1b13ebdbc53a59f5cb009a380abeb1423bb127e1ac4c01cb90",
+    "instances.csv": "220d6230cb20725380bd35cc53aefed40569c472ebe1838ccd596c1990a5acf8",
+    "aggregate.csv": "8509065a42b361503fe3641edec9af53f28bc17ea1f21ecfda2417d83e862b6e",
 }
 
 
+def _three_channel_config():
+    """Every family at n=64, each of three channels with its own stats."""
+    return ExperimentConfig.from_dict(_raw(
+        n=64, channels=3, seed=3, count=4,
+        clean={"kind": "compressible", "amplitude": [4.5, 7.0], "tail_norm": 0.5},
+        attacks=[{"family": "l0", "tau": 4, "eta_prime": 4.0},
+                 {"family": "l2", "eta": 20.0},
+                 {"family": "linf", "eta_dprime": 4.0}, {"family": "none"}],
+        cad={"k": 8, "feedback": dict(FB)},
+        stats={"count": 16, "n_cosamp": 5, "ridge": 1e-4}))
+
+
 def test_three_channel_run_matches_its_golden_digests_serial_and_pooled(tmp_path):
-    # every family, each channel with its own stats; the channels of some
-    # instances disagree, so the majority call decides them
-    raw = _raw(n=64, channels=3, seed=3, count=4,
-               clean={"kind": "compressible", "amplitude": [4.5, 7.0], "tail_norm": 0.5},
-               attacks=[{"family": "l0", "tau": 4, "eta_prime": 4.0},
-                        {"family": "l2", "eta": 20.0},
-                        {"family": "linf", "eta_dprime": 4.0}, {"family": "none"}],
-               cad={"k": 8, "feedback": dict(FB)},
-               stats={"count": 16, "n_cosamp": 5, "ridge": 1e-4})
-    cfg = ExperimentConfig.from_dict(raw)
+    # the channels of some instances disagree, so the majority call decides them
+    cfg = _three_channel_config()
     cmd_run(cfg, tmp_path / "serial")
     cmd_run(cfg, tmp_path / "pool", workers=2)
     calls = {}
@@ -303,6 +315,95 @@ def test_three_channel_run_matches_its_golden_digests_serial_and_pooled(tmp_path
         serial = (tmp_path / "serial" / name).read_bytes()
         assert hashlib.sha256(serial).hexdigest() == digest, name
         assert (tmp_path / "pool" / name).read_bytes() == serial, name
+
+
+def test_run_one_defends_each_channel_on_its_own_loop_seed(monkeypatch):
+    # channel ch of an instance is one cad_run on that channel's observation
+    # and stats, its loop seeded _loop_seed(cfg, index, ch)
+    cfg = _three_channel_config()
+    op = SensingOperator(cfg.n)
+    stats = _resolve_stats(cfg, op)
+    outcomes = []
+
+    def recording(*args):
+        outcomes.append(cad_run(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(cad_defense.harness, "cad_run", recording)
+    for index, entry in ((0, cfg.attacks[0]), (9, cfg.attacks[2])):
+        outcomes.clear()
+        rows = _run_one(cfg, op, stats, index, entry)["rows"]
+        insts = _build_instance(cfg, op, index, entry)
+        assert len(outcomes) == len(rows) == 3
+        for ch, (ours, row) in enumerate(zip(outcomes, rows)):
+            ref = cad_run(insts[ch].observed, dataclasses.replace(
+                cfg.cad, seed=_loop_seed(cfg, index, ch)), stats[ch], op)
+            assert ours.to_jsonable() == ref.to_jsonable()
+            assert (row["channel"], row["method_label"], row["stopped_at"]) == \
+                (ch, ref.method_label, ref.stopped_at)
+
+
+def test_instance_call_is_the_channel_majority_with_fallbacks_one_label(monkeypatch):
+    cfg = ExperimentConfig.from_dict(_raw(n=16, channels=3, count=1,
+                                          cad={"k": 2, "feedback": dict(FB)}))
+    op = SensingOperator(cfg.n)
+    for calls, (method, fallback, label) in (
+        # a2 against two fallbacks whose argmaxes differ: the fallbacks win,
+        # and the first fallback gives the call
+        ([(A_L0, False), (A_COSAMP, True), (A_L2, True)], (A_COSAMP, 1, FALLBACK_LABEL)),
+        # three labels tie: the first channel's
+        ([(A_L2, False), (A_L0, False), (A_COSAMP, True)], (A_L2, 0, "a3")),
+        # the majority wins over the first channel
+        ([(A_COSAMP, False), (A_LINF, False), (A_LINF, False)], (A_LINF, 0, "a4")),
+    ):
+        script = iter(calls)
+
+        def scripted(*args):
+            final_method, fallback = next(script)
+            return dataclasses.replace(cad_run(*args), final_method=final_method,
+                                       fallback=fallback)
+
+        monkeypatch.setattr(cad_defense.harness, "cad_run", scripted)
+        inst = _run_one(cfg, op, None, 0, cfg.attacks[0])["inst"]
+        assert (inst["final_method"], inst["fallback"], inst["method_label"]) == \
+            (method, fallback, label)
+
+
+def test_three_channel_sigma_k_l1_sums_the_channel_tails():
+    # each channel is a k-term recovery, so its tail is its own k-term tail;
+    # the concatenation's k-term tail would count 2k more terms against it
+    cfg = _three_channel_config()
+    op = SensingOperator(cfg.n)
+    for index, entry in enumerate(cfg.attacks):
+        inst = _run_one(cfg, op, None, index, entry)["inst"]
+        tails = [best_k_term_error(i.clean_spectral, cfg.cad.k)
+                 for i in _build_instance(cfg, op, index, entry)]
+        assert inst["sigma_k_l1"] == sum(tails)
+
+
+# SHA-256 of the reports of the criterion-6 identification ensemble (n=784,
+# k=80, 100 instances of each family, clean stats from 40 signals, seed 7),
+# recorded as GOLDEN_REPORTS were: the benchmark's ident784 workload at its
+# seed 7, whose bytes every refactor must keep
+_IDENT784_GOLDEN = {
+    "report.csv": "f656273d7ed7c2337229f09061a90de2c8a3596cb4aa36899718206d970a5c23",
+    "instances.csv": "43e9463ae53c3c87f70ba5b7bf60406aa3894831b24c61e8477345f44a238fca",
+    "aggregate.csv": "7b99a4ec291d58b43cf0ff61e47f6fdce9e049c76e9e96beaebe78754c6ee15f",
+}
+
+
+def test_identification_ensemble_matches_its_golden_digests(tmp_path):
+    raw = _raw(n=784, seed=7, count=100,
+               clean={"kind": "compressible", "amplitude": [4.5, 7.0],
+                      "tail_norm": 0.5, "k": 80},
+               attacks=[{"family": "l0", "tau": 12, "eta_prime": 4.0},
+                        {"family": "l2", "eta": 20.0},
+                        {"family": "linf", "eta_dprime": 4.0}, {"family": "none"}],
+               cad={"k": 80, "feedback": dict(FB)},
+               stats={"count": 40, "n_cosamp": 5, "ridge": 1e-4})
+    cmd_run(ExperimentConfig.from_dict(raw), tmp_path)
+    for name, digest in _IDENT784_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_run_json_format(tmp_path):
@@ -391,6 +492,19 @@ def test_bench_eta_sweep_errors_monotone(tmp_path):
     medians = [c["median_err_l2"] for c in cells]
     assert medians == sorted(medians)
     assert medians[0] < medians[-1]
+
+
+def test_bench_checks_the_stats_at_every_grid_n_before_any_cell_runs(tmp_path,
+                                                                      monkeypatch):
+    cmd_stats(ExperimentConfig.from_dict(_raw(n=32, stats={"count": 8})), tmp_path / "s")
+    cfg = ExperimentConfig.from_dict(_raw(n=32, stats_dir=str(tmp_path / "s"),
+                                          bench={"n": [32, 16], "k": [4], "count": 2}))
+    cells = []
+    monkeypatch.setattr(cad_defense.harness, "_run_ensemble",
+                        lambda *args, **kwargs: cells.append(args))
+    with pytest.raises(ConfigError, match="stats have n=32, config has n=16"):
+        cmd_bench(cfg, tmp_path / "bench")
+    assert cells == []
 
 
 def test_bench_requires_section(tmp_path):
