@@ -26,6 +26,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import cad_defense.cad
+import cad_defense.harness
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -37,8 +38,9 @@ from cad_defense import (ACTION_LABELS, FALLBACK_LABEL, AttackSpec,
                          top_k)
 from cad_defense.cad import (_INNER_SCHEDULE, CadIterationRecord, CadOutcome,
                              _ClosedForms, _Iterative, run_action)
-from cad_defense.feedback import (feedback_bit, mahalanobis, should_stop,
-                                  thresholded_count)
+from cad_defense.feedback import (feedback_bit, mahalanobis, save_clean_stats,
+                                  should_stop, thresholded_count)
+from cad_defense.harness import ConfigError, ExperimentConfig, _load_stats, _run_one
 from cad_defense.recovery import (A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS,
                                   _soft_threshold, _threshold_table)
 from cad_defense.transform import _largest
@@ -1199,13 +1201,84 @@ def test_l2_attack_selects_a3_majority():
     assert labels.count("a3") >= 0.8 * len(labels)
 
 
+# ---------------------------------------------------------------------------
+# channel handling: cad_run defends one channel, and the harness runs one
+# cad_run per channel of an instance and votes over their calls
+
+
+def _channels_config(**overrides):
+    raw = {"n": 32, "channels": 3, "seed": 63, "count": 1,
+           "clean": {"kind": "sparse", "amplitude": [1.0, 2.0]},
+           "attacks": [{"family": "none"}],
+           "cad": {"k": 4, "feedback": dict(MNIST_FB)}}
+    raw.update(overrides)
+    return ExperimentConfig.from_dict(raw)
+
+
+def test_three_channel_aggregation():
+    cfg = _channels_config()
+    op = SensingOperator(cfg.n)
+    for index in range(3):
+        result = _run_one(cfg, op, None, index, cfg.attacks[0])
+        rows, inst = result["rows"], result["inst"]
+        assert [r["channel"] for r in rows] == [0, 1, 2]
+        # the instance call is the majority of per-channel method labels,
+        # the first channel breaking ties; that channel gives final_method
+        # and fallback
+        labels = [r["method_label"] for r in rows]
+        counts = {lab: labels.count(lab) for lab in labels}
+        top = max(counts.values())
+        first = next(r for r in rows if counts[r["method_label"]] == top)
+        assert inst["method_label"] == first["method_label"]
+        assert (inst["final_method"], inst["fallback"]) == \
+            (first["final_method"], first["fallback"])
+        # every clean sparse channel is recovered, and so is their concatenation
+        for r in rows:
+            assert r["err_l2"] <= 1e-8
+        assert inst["err_l2"] <= 1e-8
+
+
+def test_three_channel_vote_counts_fallbacks_as_one_label(monkeypatch):
+    # a2 against two fallbacks whose argmaxes differ: the fallbacks win
+    calls = iter([(A_L0, False), (A_COSAMP, True), (A_L2, True)])
+
+    def scripted(*args):
+        final_method, fallback = next(calls)
+        return dataclasses.replace(cad_run(*args), final_method=final_method,
+                                   fallback=fallback)
+
+    monkeypatch.setattr(cad_defense.harness, "cad_run", scripted)
+    cfg = _channels_config(n=16, cad={"k": 2, "feedback": dict(MNIST_FB)})
+    inst = _run_one(cfg, SensingOperator(cfg.n), None, 0, cfg.attacks[0])["inst"]
+    assert inst["method_label"] == FALLBACK_LABEL
+    assert (inst["final_method"], inst["fallback"]) == (A_COSAMP, 1)
+
+
+def test_three_channel_validation(tmp_path):
+    op = SensingOperator(16)
+    cfg = CadConfig(k=2, feedback=_fb())
+    # cad_run takes one channel's op.m samples, not three channels' 3 * op.m
+    with pytest.raises(ValueError, match=r"y must have shape \(16,\)"):
+        cad_run(np.zeros(48), cfg, None, op)
+    # channels is 1 or 3, and a setting of the experiment, not of the loop
+    with pytest.raises(ConfigError, match="channels"):
+        _channels_config(channels=2)
+    with pytest.raises(ConfigError, match="channels"):
+        _channels_config(cad={"k": 4, "channels": 3, "feedback": dict(MNIST_FB)})
+    # each channel loads its own stats, and each must fit the config's n
+    rng = np.random.default_rng(0)
+    for ch, n in enumerate((32, 16, 32)):
+        save_clean_stats(CleanStats(rng.standard_normal((4, n)), 1e-4),
+                         tmp_path / f"clean_stats_ch{ch}.f64")
+    with pytest.raises(ConfigError, match="clean_stats_ch1"):
+        _load_stats(_channels_config(stats_dir=str(tmp_path)))
+
+
 def test_single_channel_validation():
     op = SensingOperator(16)
     cfg = CadConfig(k=2, feedback=_fb())
-    # one channel's op.m samples, not three channels' 3 * op.m
-    for length in (15, 48):
-        with pytest.raises(ValueError, match=r"y must have shape \(16,\)"):
-            cad_run(np.zeros(length), cfg, None, op)
+    with pytest.raises(ValueError):
+        cad_run(np.zeros(15), cfg, None, op)
     with pytest.raises(ValueError, match="exceeds"):
         cad_run(np.zeros(16), CadConfig(k=17, feedback=_fb()), None, op)
 
