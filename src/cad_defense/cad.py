@@ -3,20 +3,21 @@
 A run first decides its regime, once: a _ClosedForms provider on the full
 orthonormal operator, an _Iterative one on a row subset.  Each iteration
 then samples one of the four recovery actions and takes one step of it
-(run_action): the provider solves and prunes the action to k terms, and
-the step computes the residual's features once (l2 and max norms, the
-thresholded count of its transform-domain view, and its Mahalanobis
-distance when CoSaMP runs with clean statistics).  The feedback bit, the
-stop rule and the trace record read those same values, and the bit's
-importance-weighted reward updates the action scores.  The loop stops on
-the clause the stop rule names (some action's probability concentrates, or
-the residual collapses) or at the iteration cap; the trace is the plain
+(run_action): the provider solves and prunes the action to k terms and
+forms the residual (on the full operator, on one per-run gather of its kept
+columns), and the step computes the residual's features once (l2 and max
+norms, the thresholded count of its transform-domain view, and its
+Mahalanobis distance when CoSaMP runs with clean statistics).  The feedback
+bit, the stop rule and the trace record read those same values, and the
+bit's importance-weighted reward updates the action scores.  The loop stops
+on the clause the stop rule names (some action's probability concentrates,
+or the residual collapses) or at the iteration cap; the trace is the plain
 list of per-iteration records.  Every solve reports whether it is final,
-that is, whether it may stand as the answer, and the run keeps the
-evidence of each action's latest final solve: a later step of that action
-returns it without solving.  The best-scoring action, or greedy recovery
-when no action ever earned a positive score, gives the final answer: its
-final estimate, or else one more run of it.
+that is, whether it may stand as the answer, and the run keeps the evidence
+of each action's latest final solve: a later step of that action returns it
+without solving.  The best-scoring action, or greedy recovery when no
+action ever earned a positive score, gives the final answer: its final
+estimate, or else one more run of it.
 """
 
 from __future__ import annotations
@@ -145,14 +146,15 @@ def run_action(action: int, provider: _Provider, budget: int, x_start: np.ndarra
     An action whose latest solve in the run was final hands back that
     solve's evidence, kept in provider.finals, and runs no solve.
     Otherwise the provider solves and prunes it (x_start is the loop's
-    current estimate), and the step scores it, each feature computed once.
+    current estimate) and forms its residual, and the step scores it,
+    each feature computed once.
     """
     evidence = provider.finals.get(action)
     if evidence is not None:
         return evidence
     estimate, final, solved = provider.estimate(action, budget, x_start)
     cfg, stats = provider.cfg, provider.stats
-    v = residual(provider.y, estimate, provider.op)
+    v = provider.residual(estimate)
     md = mahalanobis(v, stats) if action == A_COSAMP and stats is not None else None
     l2, linf = float(np.linalg.norm(v)), float(np.abs(v).max())
     count = thresholded_count(provider.spectrum(v, estimate), cfg.feedback.count_threshold)
@@ -169,8 +171,8 @@ class _Provider:
     final solve (finals).  A subclass solves the actions in its regime:
     estimate(action, budget, x_start) gives the pruned estimate, whether
     it is final and the splitting solve it ran, where budget None asks for
-    a final run; spectrum(v, estimate) is the residual v's transform-domain
-    view."""
+    a final run; residual(estimate) is y - A estimate, and spectrum(v,
+    estimate) is the residual v's transform-domain view."""
 
     def __init__(self, y: np.ndarray, op: SensingOperator, cfg: CadConfig,
                  stats: CleanStats | None):
@@ -187,6 +189,10 @@ class _Provider:
         evidence = self.finals.get(action)
         return evidence[0] if evidence is not None else self.estimate(action, None, None)[0]
 
+    def residual(self, estimate: np.ndarray) -> np.ndarray:
+        """The measurement-domain residual y - A estimate."""
+        return residual(self.y, estimate, self.op)
+
 
 class _ClosedForms(_Provider):
     """The full orthonormal operator: each action is a closed form of
@@ -198,13 +204,18 @@ class _ClosedForms(_Provider):
     Every estimate keeps the entries of keep, the mask of c's k largest
     magnitudes, selected once per run by _largest: a soft threshold is
     monotone in |c|, so they are the estimate's k largest magnitudes (for
-    CoSaMP, top_k(c)).
+    CoSaMP, top_k(c)).  The kept columns A[:, keep] are gathered once,
+    beside c, and every residual of the run is a k-column product on
+    that gather, unless a soft threshold zeroed a kept entry: then it is
+    transform.residual over the smaller support, whose bytes the
+    k-column product, summing in another grouping, would not keep.
     """
 
     def __init__(self, y, op, cfg, stats):
         super().__init__(y, op, cfg, stats)
         self.c = op.analyze(y)
         self.keep = _largest(self.c, cfg.k)
+        self.cols = op.columns(np.flatnonzero(self.keep))
         self.table = None
 
     def estimate(self, action, budget, x_start):
@@ -215,6 +226,12 @@ class _ClosedForms(_Provider):
                 self.table = _threshold_table(self.c)
             raw = _soft_threshold(self.table, self.radius(action))
         return np.where(self.keep, raw, 0.0), True, None
+
+    def residual(self, estimate):
+        kept = estimate[self.keep]
+        if kept.all():
+            return self.y - self.cols @ kept
+        return residual(self.y, estimate, self.op)
 
     def spectrum(self, v, estimate):
         return self.c - estimate

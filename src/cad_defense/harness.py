@@ -455,9 +455,9 @@ def _check_workers(workers: int) -> None:
         raise ConfigError(f"--workers={workers} must be {noun}")
 
 
-def _run_ensemble(cfg: ExperimentConfig, workers: int = 1) -> dict:
+def _run_ensemble(cfg: ExperimentConfig, stats: list[CleanStats] | None,
+                  workers: int = 1) -> dict:
     op = SensingOperator(cfg.n)
-    stats = _resolve_stats(cfg, op)
     tasks = _attack_entries(cfg)
     if workers > 1:
         # imported here so that serial runs do not pay for loading them
@@ -602,7 +602,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir, workers: int = 1,
     _require_synthetic(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = _run_ensemble(cfg, workers=workers)
+    result = _run_ensemble(cfg, _resolve_stats(cfg, SensingOperator(cfg.n)),
+                           workers=workers)
     header = _config_header(cfg)
     if fmt == "csv":
         _write_csv(out / "report.csv", result["rows"], header)
@@ -644,14 +645,20 @@ def cmd_bench(cfg: ExperimentConfig, out_dir, workers: int = 1) -> list[dict]:
                 if "k" in cfg.clean:
                     sub_raw["clean"] = dict(cfg.clean, k=k)
                 subs.append(ExperimentConfig.from_dict(sub_raw))
-    if cfg.stats_dir:
-        for sub in {sub.n: sub for sub in subs}.values():
-            _load_stats(sub)
+    # loaded stats depend on n alone, fitted ones on (n, k): each is
+    # resolved once, and a cell runs on those of its (n, k)
+    loaded = ({sub.n: _load_stats(sub) for sub in {sub.n: sub for sub in subs}.values()}
+              if cfg.stats_dir else None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = []
+    resolved = {}
     for sub in subs:
-        res = _run_ensemble(sub, workers=workers)
+        key = sub.n, sub.cad.k
+        if key not in resolved:
+            resolved[key] = (loaded[sub.n] if loaded is not None
+                             else _resolve_stats(sub, SensingOperator(sub.n)))
+        res = _run_ensemble(sub, resolved[key], workers=workers)
         agg, = res["aggregates"]  # one attack entry: one family
         ratios = [r["ratio"] for r in res["instances"] if r["ratio"] is not None]
         iters = np.array([t["iterations"] for t in res["timings"]])

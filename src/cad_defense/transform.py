@@ -4,15 +4,18 @@ The pipeline observes pixel-domain signals y = A(xhat + e) where A is the
 inverse of the real orthonormal DCT-II analysis transform F.  A is applied
 as an explicit n-by-n matrix, so one application costs O(n^2); that cost is
 deliberate and is what the per-iteration complexity accounting assumes.
-Analysis and the synthesis of an observation stay n^2; every residual of
-an estimate with support S, CoSaMP's and the defence loop's, is one product
-with the columns A[:, S] (see residual), which costs m |S|; the columns
-are gathered from a column-major copy of A, one contiguous run each.  The
-k-term helpers select rather than sort (see top_k).  A row subset's
-solvers work through its Gram matrix P = A^T A (see gram), built once per
-operator: a Douglas-Rachford iteration applies P once, n^2 multiply-adds
-instead of the 2 m n of A then A^T, which pays when m > n / 2.  The matrix
-A itself stays private: nothing outside the operator reads it.
+Analysis and the synthesis of an observation stay n^2; a residual of an
+estimate with support S is one product with the columns A[:, S], which
+costs m |S|: residual gathers them for each call (CoSaMP, the statistics
+fit and the defence loop on a row subset), while the loop on the full
+operator forms its residuals on one per-run gather of its kept columns
+(cad._ClosedForms).  Columns are gathered from a column-major copy of A,
+one contiguous run each.  The k-term helpers select rather than sort (see
+top_k).  A row subset's solvers work through its Gram matrix P = A^T A (see
+gram), built once per operator: a Douglas-Rachford iteration applies P
+once, n^2 multiply-adds instead of the 2 m n of A then A^T, which pays when
+m > n / 2.  The matrix A itself stays private: nothing outside the operator
+reads it.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from cad_defense.feedback import (feedback_bit, mahalanobis, save_clean_stats,
 from cad_defense.harness import ConfigError, ExperimentConfig, _load_stats, _run_one
 from cad_defense.recovery import (A_COSAMP, A_L0, A_L2, A_LINF, N_ACTIONS,
                                   _soft_threshold, _threshold_table)
-from cad_defense.transform import _largest
+from cad_defense.transform import _largest, residual
 
 MNIST_FB = dict(alpha=8.0, beta=5.0, m=1.8, tau=15, theta=65.0)
 
@@ -306,6 +306,37 @@ def test_run_action_cached_coefficients_give_the_same_bytes(action):
     assert estimate.tobytes() == top_k(fresh, 6).tobytes()
     estimate[:] = 7.0
     assert closed.c.tobytes() == op.analyze(y).tobytes()
+
+
+@pytest.mark.parametrize("n, k", [(64, 6), (784, 80)])
+def test_closed_forms_residual_gives_the_bytes_of_the_support_residual(n, k):
+    # on its kept columns when every kept entry is nonzero, and through
+    # transform.residual's smaller support when one is zero
+    op = SensingOperator(n)
+    y = np.random.default_rng(n).standard_normal(n)
+    closed = _ClosedForms(y, op, CadConfig(k=k, feedback=_fb()), None)
+    estimate = closed.estimate(A_COSAMP, None, None)[0]
+    assert np.count_nonzero(estimate) == k
+    thinned = estimate.copy()
+    thinned[np.flatnonzero(closed.keep)[k // 2]] = 0.0
+    for x in (estimate, thinned):
+        assert closed.residual(x).tobytes() == residual(y, x, op).tobytes()
+
+
+def test_full_operator_run_gathers_its_kept_columns_once(monkeypatch):
+    # every residual of the run is a product on one gather of A[:, keep],
+    # however many distinct actions the loop scores
+    n, k = 128, 8
+    op = SensingOperator(n)
+    clean = make_clean_compressible(n, k, np.random.default_rng(5), (4.0, 7.0), 0.5)
+    inst = perturb(clean, AttackSpec(family="l0", seed=5, tau=4, eta_prime=2.0), op)
+    gathers = []
+    columns = SensingOperator.columns
+    monkeypatch.setattr(SensingOperator, "columns",
+                        lambda self, idx: gathers.append(idx) or columns(self, idx))
+    out = cad_run(inst.observed, CadConfig(k=k, feedback=_fb(), seed=5), None, op)
+    assert len(out.trace) >= 3 and len({r.action for r in out.trace}) == N_ACTIONS
+    assert len(gathers) == 1
 
 
 def test_unconverged_subsampled_solve_logs_at_debug(caplog):

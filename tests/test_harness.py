@@ -507,6 +507,24 @@ def test_bench_checks_the_stats_at_every_grid_n_before_any_cell_runs(tmp_path,
     assert cells == []
 
 
+def test_bench_resolves_the_stats_once_per_grid_n_and_k(tmp_path, monkeypatch):
+    # four cells share one (n, k): one fit, or with stats_dir one load
+    attacks = [{"family": "l2", "eta": eta} for eta in (0.1, 0.2, 0.3, 0.4)]
+    raw = _raw(n=128, cad={"k": 8, "feedback": dict(FB)}, stats={"count": 8},
+               bench={"count": 2, "attacks": attacks})
+    cmd_stats(ExperimentConfig.from_dict(raw), tmp_path / "s")
+    calls = []
+    for name in ("_compute_stats", "load_clean_stats"):
+        monkeypatch.setattr(cad_defense.harness, name,
+                            lambda *args, _fn=getattr(cad_defense.harness, name), _name=name:
+                            calls.append(_name) or _fn(*args))
+    for stats_dir in (None, str(tmp_path / "s")):
+        cells = cmd_bench(ExperimentConfig.from_dict(dict(raw, stats_dir=stats_dir)),
+                          tmp_path / "bench")
+        assert len(cells) == 4
+    assert calls == ["_compute_stats", "load_clean_stats"]
+
+
 def test_bench_requires_section(tmp_path):
     cfg = ExperimentConfig.from_dict(_raw())
     with pytest.raises(ConfigError, match="bench"):
