@@ -184,7 +184,9 @@ def test_loop_prune_gives_the_bytes_of_top_k(data, n):
     # thresholded-away entries keep the sign of c as a signed zero, and
     # some estimates have fewer than k nonzeros.  The kept magnitudes are
     # top_k's in every case, and so are the bytes unless the k-th and
-    # (k+1)-th magnitudes along the order tie, where the tie-breaks differ
+    # (k+1)-th magnitudes along the order tie, where the tie-breaks differ.
+    # Each step's residual features are those of transform.residual and
+    # c - estimate
     magnitudes = np.array(data.draw(st.lists(
         st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]), min_size=n, max_size=n)))
     signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
@@ -206,10 +208,16 @@ def test_loop_prune_gives_the_bytes_of_top_k(data, n):
     # the stable argsort is the oracle of the run's selection
     order = np.argsort(-np.abs(c), kind="stable")
     closed.c, closed.keep = c, _largest(c, k)
+    # the run's residuals are products on the kept columns: gathered again
+    closed.cols = op.columns(np.flatnonzero(closed.keep))
     table = _threshold_table(c)
     for action in range(N_ACTIONS):
         raw = c if action == A_COSAMP else _soft_threshold(table, closed.radius(action))
-        estimate = run_action(action, closed, 1, np.zeros(n))[0]
+        estimate, _, _, l2, linf, count, _ = run_action(action, closed, 1, np.zeros(n))
+        v = residual(y, estimate, op)
+        assert (l2, linf, count) == (
+            float(np.linalg.norm(v)), float(np.abs(v).max()),
+            thresholded_count(c - estimate, cfg.feedback.count_threshold))
         kept, dropped = order[:k], order[k:]
         assert estimate[kept].tobytes() == raw[kept].tobytes()
         assert estimate[dropped].tobytes() == np.zeros(n - k).tobytes()

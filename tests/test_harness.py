@@ -18,13 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cad_defense.harness
+import cad_defense.recovery
 from cad_defense.cad import FALLBACK_LABEL, cad_run
 from cad_defense.feedback import load_clean_stats
 from cad_defense.harness import (ConfigError, ExperimentConfig,
-                                 _build_instance, _loop_seed, _resolve_stats,
-                                 _run_one, _write_csv, cmd_bench, cmd_gen,
-                                 cmd_run, cmd_stats, designated_action)
-from cad_defense.recovery import A_COSAMP, A_L0, A_L2, A_LINF
+                                 _attack_entries, _build_instance, _loop_seed,
+                                 _resolve_stats, _run_one, _write_csv, cmd_bench,
+                                 cmd_gen, cmd_run, cmd_stats, designated_action)
+from cad_defense.recovery import A_COSAMP, A_L0, A_L2, A_LINF, check_bound
 from cad_defense.transform import SensingOperator, best_k_term_error
 
 FB = {"alpha": 8.0, "beta": 5.0, "m": 1.8, "tau": 15, "theta": 65.0}
@@ -210,7 +211,7 @@ def test_pool_workers_receive_the_parents_whitening(tmp_path, monkeypatch):
     cfg = ExperimentConfig.from_dict(_raw(
         n=32, count=8, attacks=[{"family": "none"}, {"family": "l2", "eta": 3.0}],
         cad={"k": 4, "feedback": dict(FB)}, stats={"count": 8, "ridge": 1e-4}))
-    fitted = _resolve_stats(cfg, SensingOperator(cfg.n))[0]
+    fitted = _resolve_stats(cfg)[0]
     parent = (fitted.basis, fitted.scale)
     seen = []
 
@@ -322,7 +323,7 @@ def test_run_one_defends_each_channel_on_its_own_loop_seed(monkeypatch):
     # and stats, its loop seeded _loop_seed(cfg, index, ch)
     cfg = _three_channel_config()
     op = SensingOperator(cfg.n)
-    stats = _resolve_stats(cfg, op)
+    stats = _resolve_stats(cfg)
     outcomes = []
 
     def recording(*args):
@@ -379,6 +380,44 @@ def test_three_channel_sigma_k_l1_sums_the_channel_tails():
         tails = [best_k_term_error(i.clean_spectral, cfg.cad.k)
                  for i in _build_instance(cfg, op, index, entry)]
         assert inst["sigma_k_l1"] == sum(tails)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_instance_error_budget_and_ratio_are_check_bounds(monkeypatch, channels):
+    # _run_one forms them from the arrays it holds, as check_bound does on
+    # the channel concatenation (a none instance's zero budget has no
+    # ratio), and takes one k-term tail per channel: a check_bound call
+    # would take one more, of the concatenation
+    cfg = ExperimentConfig.from_dict(_raw(
+        n=32, channels=channels, count=2, cad={"k": 4, "feedback": dict(FB)},
+        attacks=[{"family": "l2", "eta": 3.0}, {"family": "none"}]))
+    op = SensingOperator(cfg.n)
+    outcomes, tails = [], []
+
+    def recording(*args):
+        outcomes.append(cad_run(*args))
+        return outcomes[-1]
+
+    def counting(*args):
+        tails.append(args)
+        return best_k_term_error(*args)
+
+    monkeypatch.setattr(cad_defense.harness, "cad_run", recording)
+    for module in (cad_defense.harness, cad_defense.recovery):
+        monkeypatch.setattr(module, "best_k_term_error", counting)
+    for index, entry in _attack_entries(cfg):
+        outcomes.clear()
+        tails.clear()
+        inst = _run_one(cfg, op, None, index, entry)["inst"]
+        assert len(tails) == channels
+        insts = _build_instance(cfg, op, index, entry)
+        ref = check_bound(np.concatenate([i.clean_spectral for i in insts]),
+                          np.concatenate([o.estimate for o in outcomes]), cfg.cad.k,
+                          float(np.linalg.norm(np.concatenate(
+                              [i.perturbation for i in insts]))))
+        assert (inst["err_l2"], inst["budget_l2"], inst["ratio"]) == \
+            (ref.empirical_l2_error, ref.budget, ref.ratio)
+        assert (inst["ratio"] is None) == (entry["family"] == "none")
 
 
 # SHA-256 of the reports of the criterion-6 identification ensemble (n=784,
@@ -508,21 +547,24 @@ def test_bench_checks_the_stats_at_every_grid_n_before_any_cell_runs(tmp_path,
 
 
 def test_bench_resolves_the_stats_once_per_grid_n_and_k(tmp_path, monkeypatch):
-    # four cells share one (n, k): one fit, or with stats_dir one load
+    # four cells share each of two (n, k) at one n: one fit per (n, k), or
+    # with stats_dir one load for the n, all before the first cell runs
     attacks = [{"family": "l2", "eta": eta} for eta in (0.1, 0.2, 0.3, 0.4)]
     raw = _raw(n=128, cad={"k": 8, "feedback": dict(FB)}, stats={"count": 8},
-               bench={"count": 2, "attacks": attacks})
+               bench={"k": [8, 4], "count": 2, "attacks": attacks})
     cmd_stats(ExperimentConfig.from_dict(raw), tmp_path / "s")
     calls = []
-    for name in ("_compute_stats", "load_clean_stats"):
+    for name in ("_compute_stats", "load_clean_stats", "_run_ensemble"):
         monkeypatch.setattr(cad_defense.harness, name,
-                            lambda *args, _fn=getattr(cad_defense.harness, name), _name=name:
-                            calls.append(_name) or _fn(*args))
-    for stats_dir in (None, str(tmp_path / "s")):
+                            lambda *args, _fn=getattr(cad_defense.harness, name), _name=name,
+                            **kwargs: calls.append(_name) or _fn(*args, **kwargs))
+    for stats_dir, resolved in ((None, ["_compute_stats"] * 2),
+                                (str(tmp_path / "s"), ["load_clean_stats"])):
+        calls.clear()
         cells = cmd_bench(ExperimentConfig.from_dict(dict(raw, stats_dir=stats_dir)),
                           tmp_path / "bench")
-        assert len(cells) == 4
-    assert calls == ["_compute_stats", "load_clean_stats"]
+        assert [(c["n"], c["k"]) for c in cells] == [(128, 8)] * 4 + [(128, 4)] * 4
+        assert calls == resolved + ["_run_ensemble"] * 8
 
 
 def test_bench_requires_section(tmp_path):
